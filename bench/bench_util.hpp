@@ -73,7 +73,7 @@ inline void print_figure_block(const gpuvar::ExperimentResult& result,
     print_group_boxes(std::cout, result.frame, m, group);
   }
   print_section(std::cout, "metric correlations (scatter summaries)");
-  print_correlation_table(std::cout, correlate_metrics(result.frame));
+  print_correlation_table(std::cout, analyze_correlation(result.frame));
 }
 
 }  // namespace bench

@@ -28,7 +28,7 @@ int main() {
               history.size(),
               estimate_run_noise_ms(bench::frame_from(history)));
 
-  const auto clean = detect_performance_drift(bench::frame_from(history));
+  const auto clean = analyze_drift(bench::frame_from(history));
   std::printf("healthy fleet: %zu drift flags (expected 0 — the paper's "
               "variability is persistent, not drifting)\n",
               clean.size());
@@ -44,7 +44,7 @@ int main() {
       r.perf_ms *= 1.0 + 0.006 * r.run_index;
     }
   }
-  const auto flags = detect_performance_drift(bench::frame_from(degraded));
+  const auto flags = analyze_drift(bench::frame_from(degraded));
   std::printf("\nafter injecting +0.6%%/week degradation into %s:\n",
               victim_name.c_str());
   for (const auto& f : flags) {

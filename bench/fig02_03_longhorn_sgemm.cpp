@@ -25,6 +25,6 @@ int main() {
   print_section(std::cout, "operator early-warning report (SVII)");
   FlagOptions fopts;
   fopts.slowdown_temp = longhorn.sku().slowdown_temp;
-  print_flags(std::cout, flag_anomalies(result.frame, fopts));
+  print_flags(std::cout, analyze_flags(result.frame, fopts));
   return 0;
 }

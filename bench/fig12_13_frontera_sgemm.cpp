@@ -22,7 +22,7 @@ int main() {
   print_section(std::cout, "pump-incident detection (SVII)");
   FlagOptions fopts;
   fopts.slowdown_temp = frontera.sku().slowdown_temp;
-  const auto flags = flag_anomalies(result.frame, fopts);
+  const auto flags = analyze_flags(result.frame, fopts);
   print_flags(std::cout, flags);
   const auto med =
       stats::median(metric_column(result.frame, Metric::kPower));

@@ -27,8 +27,8 @@ int main() {
   FlagOptions fopts;
   fopts.slowdown_temp = longhorn.sku().slowdown_temp;
   const std::vector<FlagReport> reports{
-      flag_anomalies(sgemm_result.frame, fopts),
-      flag_anomalies(result.frame, fopts)};
+      analyze_flags(sgemm_result.frame, fopts),
+      analyze_flags(result.frame, fopts)};
   const auto offenders = repeat_offenders(reports, 2);
   std::printf("  %zu GPUs flagged by BOTH SGEMM and ResNet-50:\n",
               offenders.size());
@@ -41,7 +41,7 @@ int main() {
   print_section(std::cout, "user impact (SVII)");
   std::printf("  %-6s %18s %18s %16s\n", "GPUs", "P(any >6% slow)",
               "E[slowdown]", "P95 slowdown");
-  for (const auto& row : impact_table(result.frame, 8)) {
+  for (const auto& row : analyze_user_impact(result.frame)) {
     std::printf("  %-6d %17.0f%% %17.2fx %15.2fx\n", row.gpus_per_job,
                 row.p_any_slow * 100.0, row.expected_slowdown,
                 row.p95_slowdown);

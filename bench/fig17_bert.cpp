@@ -35,8 +35,8 @@ int main() {
   FlagOptions fopts;
   fopts.slowdown_temp = longhorn.sku().slowdown_temp;
   const std::vector<FlagReport> reports{
-      flag_anomalies(result.frame, fopts),
-      flag_anomalies(resnet.frame, fopts)};
+      analyze_flags(result.frame, fopts),
+      analyze_flags(resnet.frame, fopts)};
   const auto offenders = repeat_offenders(reports, 2);
   std::printf("  %zu GPUs flagged by BOTH BERT and ResNet-50\n",
               offenders.size());

@@ -28,7 +28,7 @@ int main() {
   print_group_boxes(std::cout, rowh, Metric::kPower, GroupBy::kColumn);
 
   print_section(std::cout, "Figure 24: row H correlations");
-  print_correlation_table(std::cout, correlate_metrics(rowh));
+  print_correlation_table(std::cout, analyze_correlation(rowh));
   print_scatter(std::cout, rowh, Metric::kPower, Metric::kPerf);
 
   print_section(std::cout, "outlier columns (paper: 13, 14, 28, 33, 36)");

@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
 
   FlagOptions opts;
   opts.slowdown_temp = cluster.sku().slowdown_temp;
-  const auto sgemm_flags = flag_anomalies(sgemm_result.frame, opts);
-  const auto ml_flags = flag_anomalies(ml_result.frame, opts);
+  const auto sgemm_flags = analyze_flags(sgemm_result.frame, opts);
+  const auto ml_flags = analyze_flags(ml_result.frame, opts);
 
   print_section(std::cout, "SGEMM canary flags");
   print_flags(std::cout, sgemm_flags);

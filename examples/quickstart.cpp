@@ -37,7 +37,7 @@ int main() {
 
   // 4b. Correlations: who tracks whom.
   print_section(std::cout, "correlations");
-  print_correlation_table(std::cout, correlate_metrics(result.frame));
+  print_correlation_table(std::cout, analyze_correlation(result.frame));
 
   // 4c. Per-GPU box chart, one row per node.
   print_section(std::cout, "kernel duration by node");
@@ -48,6 +48,6 @@ int main() {
   print_section(std::cout, "flags");
   FlagOptions opts;
   opts.slowdown_temp = cluster.sku().slowdown_temp;
-  print_flags(std::cout, flag_anomalies(result.frame, opts));
+  print_flags(std::cout, analyze_flags(result.frame, opts));
   return 0;
 }

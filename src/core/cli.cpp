@@ -1,6 +1,9 @@
 #include "core/cli.hpp"
 
+#include <cmath>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -22,7 +25,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "telemetry/export.hpp"
-#include "workloads/runner.hpp"
 #include "cluster/cluster.hpp"
 #include "common/units.hpp"
 #include "core/correlate.hpp"
@@ -32,7 +34,6 @@
 #include "query/source.hpp"
 #include "telemetry/frame.hpp"
 #include "telemetry/record.hpp"
-#include "telemetry/run_result.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpuvar::cli {
@@ -118,24 +119,13 @@ namespace {
 // and usage() renders these same rows, so the tables cannot drift from
 // the behavior.
 
-constexpr FlagSpec kSimulateFlags[] = {
-    {"cluster", "NAME", "cluster model (default cloudlab)"},
-    {"workload", "NAME", "workload model (default sgemm)"},
-    {"runs", "N", "runs per GPU"},
-    {"reps", "N", "iteration/repetition override"},
-    {"coverage", "F", "fraction of nodes measured"},
-    {"power-limit", "W", "power cap override"},
-    {"out", "FILE", "write a results CSV"},
-    {"trace", "FILE", "write a Chrome trace"},
-    {"metrics", "FILE", "write a metrics dump"},
-};
-
 constexpr FlagSpec kRunFlags[] = {
     {"cluster", "NAME", "cluster model (default cloudlab)"},
     {"workload", "NAME", "workload model (default sgemm)"},
     {"runs", "N", "runs per GPU"},
     {"reps", "N", "iteration/repetition override"},
     {"coverage", "F", "fraction of nodes measured"},
+    {"power-limit", "W", "power cap override"},
     {"checkpoint", "DIR", "checkpoint/resume campaign state here"},
     {"shard-budget", "BYTES[K|M|G]|unlimited",
      "in-memory frame budget before spilling"},
@@ -145,38 +135,32 @@ constexpr FlagSpec kRunFlags[] = {
     {"report", "FILE.md", "write a markdown report"},
     {"summary", "FILE", "write a campaign summary"},
     {"title", "T", "report title"},
+    {"trace", "FILE", "write a Chrome trace"},
+    {"metrics", "FILE", "write a metrics dump"},
 };
 
 constexpr FlagSpec kAnalyzeFlags[] = {
-    {"group", "cabinet|node|row", "breakdown grouping (default cabinet)"},
-};
-
-constexpr FlagSpec kFlagFlags[] = {
-    {"slowdown-temp", "T", "SKU thermal-slowdown threshold, Celsius"},
-};
-
-constexpr FlagSpec kProjectFlags[] = {
-    {"target", "N", "projected cluster size (required)"},
-};
-
-constexpr FlagSpec kReportFlags[] = {
-    {"title", "T", "report title"},
-    {"slowdown-temp", "T", "SKU thermal-slowdown threshold, Celsius"},
-};
-
-constexpr FlagSpec kQueryFlags[] = {
     {"analysis", "NAME",
-     "variability|correlate|flags|drift|impact|compare (default variability)"},
+     "variability|correlate|flags|drift|impact|compare|groups|project|report"
+     " (default variability)"},
     {"where", "F=LO..HI,...",
      "row filter on node/gpu/day/cabinet/row/col ranges"},
+    {"against", "SRC", "baseline (before) store or CSV for compare"},
+    {"group", "cabinet|node|row", "groups breakdown key (default cabinet)"},
+    {"slowdown-temp", "T", "SKU thermal-slowdown threshold, Celsius"},
+    {"target", "N", "projected cluster size (project)"},
+    {"title", "T", "report title"},
+    {"threads", "N", "store scan threads (default: shared pool)"},
     {"cache-budget", "BYTES[K|M|G]|unlimited",
-     "decoded-shard cache budget (default unlimited)"},
-    {"threads", "N", "scan threads (default: shared pool)"},
+     "store decoded-shard cache budget (default unlimited)"},
     {"no-pushdown", nullptr, "scan every shard (disable header pushdown)"},
     {"materialize", nullptr,
-     "merge the full frame first (reference path for byte-comparison)"},
-    {"against", "DIR", "second checkpoint for --analysis compare"},
+     "merge the full store first (reference path for byte-comparison)"},
 };
+
+/// The analyze flags that only a checkpoint-store SRC can honour.
+constexpr const char* kStoreOnlyFlags[] = {"threads", "cache-budget",
+                                           "no-pushdown", "materialize"};
 
 struct ParsedArgs {
   std::vector<std::string> positional;
@@ -196,6 +180,20 @@ struct ParsedArgs {
     GPUVAR_REQUIRE_MSG(parse_double(it->second, v),
                        "not a number: '" + it->second + "' for --" + key);
     return v;
+  }
+  /// An integer flag in [lo, int max]. NaN, fractional and out-of-range
+  /// values are errors naming the flag, never a cast of an arbitrary
+  /// double.
+  int get_int(const std::string& key, int fallback, int lo) const {
+    if (!has(key)) return fallback;
+    const double v = get_num(key, 0.0);
+    constexpr int hi = std::numeric_limits<int>::max();
+    if (!(v >= lo && v <= hi && v == std::floor(v))) {
+      throw std::invalid_argument("--" + key + " needs an integer in [" +
+                                  format_int(lo) + ", " + format_int(hi) +
+                                  "], got '" + get(key, "") + "'");
+    }
+    return static_cast<int>(v);
   }
 };
 
@@ -274,12 +272,6 @@ void usage(std::ostream& err) {
   }
 }
 
-RecordFrame load_frame(const std::string& path) {
-  std::ifstream in(path);
-  GPUVAR_REQUIRE_MSG(in.good(), "cannot open " + path);
-  return import_results_frame(in);
-}
-
 int cmd_clusters(const ParsedArgs&, std::ostream& out) {
   for (const auto& e : cluster_registry()) {
     if (!e.hidden) out << e.name << "\t" << e.description << "\n";
@@ -290,75 +282,6 @@ int cmd_clusters(const ParsedArgs&, std::ostream& out) {
 int cmd_workloads(const ParsedArgs&, std::ostream& out) {
   for (const auto& e : workload_registry()) {
     if (!e.hidden) out << e.name << "\t" << e.description << "\n";
-  }
-  return 0;
-}
-
-int cmd_simulate(const ParsedArgs& args, std::ostream& out) {
-  // Observability sinks go in before the cluster is built so fault
-  // injections during construction land in the trace too.
-  const std::string trace_path = args.get("trace", "");
-  const std::string metrics_path = args.get("metrics", "");
-  obs::TraceSink sink;
-  obs::Registry registry;
-  std::optional<obs::ScopedTrace> trace_guard;
-  std::optional<obs::ScopedMetrics> metrics_guard;
-  if (!trace_path.empty()) trace_guard.emplace(&sink);
-  if (!metrics_path.empty()) metrics_guard.emplace(&registry);
-  obs::LaneScope campaign_lane(0, "campaign");
-
-  const std::string cluster_name = args.get("cluster", "cloudlab");
-  std::string workload_name = args.get("workload", "sgemm");
-  Cluster cluster(cluster_by_name(cluster_name));
-  if (workload_name == "sgemm" && cluster.sku().vendor == Vendor::kAmd) {
-    workload_name = "sgemm-amd";
-  }
-  const int reps = static_cast<int>(args.get_num("reps", 0));
-  auto workload = workload_by_name(workload_name, reps);
-
-  ExperimentConfig cfg = default_config(
-      cluster, workload, static_cast<int>(args.get_num("runs", 2)));
-  cfg.node_coverage = args.get_num("coverage", 1.0);
-  cfg.run_options.power_limit_override = Watts{args.get_num("power-limit", 0.0)};
-
-  out << "simulating " << workload.name << " on " << cluster.name() << " ("
-      << cluster.size() << " GPUs)...\n";
-  const auto result = run_experiment(cluster, cfg);
-  print_section(out, "variability");
-  print_variability_table(out, analyze_variability(result.frame));
-
-  if (!trace_path.empty()) {
-    std::ofstream file(trace_path);
-    GPUVAR_REQUIRE_MSG(file.good(), "cannot write " + trace_path);
-    obs::write_chrome_trace(file, sink);
-    out << "trace: " << sink.event_count() << " events across "
-        << sink.lane_count() << " lanes -> " << trace_path << "\n";
-  }
-  if (!metrics_path.empty()) {
-    const auto snap = registry.snapshot();
-    std::ofstream file(metrics_path);
-    GPUVAR_REQUIRE_MSG(file.good(), "cannot write " + metrics_path);
-    obs::write_metrics_text(file, snap);
-    out << "metrics: " << snap.size() << " series -> " << metrics_path
-        << "\n";
-  }
-
-  const std::string out_path = args.get("out", "");
-  if (!out_path.empty()) {
-    // Re-run per node to produce full result rows (all runs) for the CSV.
-    std::vector<GpuRunResult> rows;
-    for (int node = 0; node < cluster.node_count(); ++node) {
-      for (int run = 0; run < cfg.runs_per_gpu; ++run) {
-        for (auto& r :
-             run_on_node(cluster, node, workload, run, cfg.run_options)) {
-          rows.push_back(std::move(r));
-        }
-      }
-    }
-    std::ofstream file(out_path);
-    GPUVAR_REQUIRE_MSG(file.good(), "cannot write " + out_path);
-    export_results_csv(file, cluster.name(), cluster.locations(), rows);
-    out << "wrote " << rows.size() << " rows to " << out_path << "\n";
   }
   return 0;
 }
@@ -412,18 +335,48 @@ void write_campaign_artifacts(const ParsedArgs& args, std::ostream& out,
 }
 
 int cmd_run(const ParsedArgs& args, std::ostream& out) {
+  // Observability sinks go in before the cluster is built so fault
+  // injections during construction land in the trace too.
+  const std::string trace_path = args.get("trace", "");
+  const std::string metrics_path = args.get("metrics", "");
+  obs::TraceSink sink;
+  obs::Registry registry;
+  std::optional<obs::ScopedTrace> trace_guard;
+  std::optional<obs::ScopedMetrics> metrics_guard;
+  if (!trace_path.empty()) trace_guard.emplace(&sink);
+  if (!metrics_path.empty()) metrics_guard.emplace(&registry);
+  obs::LaneScope campaign_lane(0, "campaign");
+  const auto write_obs = [&] {
+    if (!trace_path.empty()) {
+      std::ofstream file(trace_path);
+      GPUVAR_REQUIRE_MSG(file.good(), "cannot write " + trace_path);
+      obs::write_chrome_trace(file, sink);
+      out << "trace: " << sink.event_count() << " events across "
+          << sink.lane_count() << " lanes -> " << trace_path << "\n";
+    }
+    if (!metrics_path.empty()) {
+      const auto snap = registry.snapshot();
+      std::ofstream file(metrics_path);
+      GPUVAR_REQUIRE_MSG(file.good(), "cannot write " + metrics_path);
+      obs::write_metrics_text(file, snap);
+      out << "metrics: " << snap.size() << " series -> " << metrics_path
+          << "\n";
+    }
+  };
+
   const std::string cluster_name = args.get("cluster", "cloudlab");
   std::string workload_name = args.get("workload", "sgemm");
   Cluster cluster(cluster_by_name(cluster_name));
   if (workload_name == "sgemm" && cluster.sku().vendor == Vendor::kAmd) {
     workload_name = "sgemm-amd";
   }
-  const int reps = static_cast<int>(args.get_num("reps", 0));
-  auto workload = workload_by_name(workload_name, reps);
+  auto workload = workload_by_name(workload_name, args.get_int("reps", 0, 1));
 
-  ExperimentConfig cfg = default_config(
-      cluster, workload, static_cast<int>(args.get_num("runs", 2)));
+  ExperimentConfig cfg =
+      default_config(cluster, workload, args.get_int("runs", 2, 1));
   cfg.node_coverage = args.get_num("coverage", 1.0);
+  cfg.run_options.power_limit_override =
+      Watts{args.get_num("power-limit", 0.0)};
 
   CampaignOptions options;
   options.checkpoint_dir = args.get("checkpoint", "");
@@ -472,6 +425,7 @@ int cmd_run(const ParsedArgs& args, std::ostream& out) {
       out << "\n";
       write_campaign_artifacts(args, out, cluster.name(), r.result, r.name);
     }
+    write_obs();
     return 0;
   }
 
@@ -491,118 +445,10 @@ int cmd_run(const ParsedArgs& args, std::ostream& out) {
     }
     out << "\n";
   }
-  write_campaign_artifacts(args, out, cluster.name(), result, "");
-  return 0;
-}
-
-int cmd_analyze(const ParsedArgs& args, std::ostream& out) {
-  GPUVAR_REQUIRE_MSG(!args.positional.empty(), "analyze needs a CSV path");
-  const auto frame = load_frame(args.positional.front());
-  GPUVAR_REQUIRE_MSG(!frame.empty(), "no records in CSV");
-  out << "loaded " << frame.size() << " records\n";
   print_section(out, "variability");
-  print_variability_table(out, analyze_variability(frame));
-  print_section(out, "correlations");
-  print_correlation_table(out, correlate_metrics(frame));
-
-  const std::string group = args.get("group", "cabinet");
-  const GroupBy g = group == "node"  ? GroupBy::kNode
-                    : group == "row" ? GroupBy::kRow
-                                     : GroupBy::kCabinet;
-  print_section(out, "performance by " + group);
-  print_group_boxes(out, frame, Metric::kPerf, g);
-  return 0;
-}
-
-int cmd_flag(const ParsedArgs& args, std::ostream& out) {
-  GPUVAR_REQUIRE_MSG(!args.positional.empty(), "flag needs a CSV path");
-  const auto frame = load_frame(args.positional.front());
-  FlagOptions opts;
-  opts.slowdown_temp = Celsius{args.get_num("slowdown-temp", 1e9)};
-  print_section(out, "operator early-warning report");
-  print_flags(out, flag_anomalies(frame, opts));
-  return 0;
-}
-
-int cmd_project(const ParsedArgs& args, std::ostream& out) {
-  GPUVAR_REQUIRE_MSG(!args.positional.empty(), "project needs a CSV path");
-  const auto target = static_cast<std::size_t>(args.get_num("target", 0));
-  GPUVAR_REQUIRE_MSG(target >= 2, "project needs --target N");
-  const auto frame = load_frame(args.positional.front());
-  const auto proj = project_to_cluster_size(frame, target);
-  out << "measured variation at " << proj.source_gpus
-      << " GPUs: " << proj.source_variation_pct << "%\n"
-      << "projected variation at " << proj.target_gpus
-      << " GPUs: " << proj.projected_variation_pct << "%\n";
-  return 0;
-}
-
-int cmd_report(const ParsedArgs& args, std::ostream& out) {
-  GPUVAR_REQUIRE_MSG(!args.positional.empty(), "report needs a CSV path");
-  const auto frame = load_frame(args.positional.front());
-  MarkdownReportOptions opts;
-  opts.title = args.get("title", "Variability campaign report");
-  opts.slowdown_temp = Celsius{args.get_num("slowdown-temp", 1e9)};
-  write_markdown_report(out, frame, opts);
-  return 0;
-}
-
-void print_comparison(std::ostream& out, const CampaignComparison& cmp) {
-  out << "matched " << cmp.matched_gpus << " GPUs (" << cmp.only_before
-      << " only-before, " << cmp.only_after << " only-after)\n"
-      << "population shift: " << cmp.median_delta_pct << "% (noise floor "
-      << cmp.noise_floor_pct << "%)\n";
-  if (cmp.significant.empty()) {
-    out << "no significant per-GPU changes\n";
-  }
-  for (const auto& d : cmp.significant) {
-    char buf[200];
-    std::snprintf(buf, sizeof(buf),
-                  "  %-20s %+7.2f%%  (%.0f -> %.0f ms, %.0f -> %.0f W, "
-                  "%.0f -> %.0f C)\n",
-                  d.name.c_str(), d.delta_pct, d.before_ms, d.after_ms,
-                  d.before_power_w, d.after_power_w, d.before_temp_c,
-                  d.after_temp_c);
-    out << buf;
-  }
-}
-
-void print_drift(std::ostream& out, const query::Source& source) {
-  // Drift needs a history: at least one GPU with multiple runs.
-  bool has_history = false;
-  const auto groups = query::group_rows_by_gpu(source);
-  for (std::uint32_t id : groups.order) {
-    if (groups.offsets[id + 1] - groups.offsets[id] >= 2) has_history = true;
-  }
-  GPUVAR_REQUIRE_MSG(has_history,
-                     "drift needs repeated runs per GPU (a history)");
-  out << "run noise sigma: " << estimate_run_noise_ms(source) << " ms\n";
-  const auto flags = analyze_drift(source);
-  if (flags.empty()) {
-    out << "no drift detected\n";
-  }
-  for (const auto& f : flags) {
-    char buf[200];
-    std::snprintf(buf, sizeof(buf),
-                  "  DRIFT %-20s %+6.2f%% over %d runs (%.1f sigmas)\n",
-                  f.name.c_str(), f.drift_pct, f.runs, f.noise_sigmas);
-    out << buf;
-  }
-}
-
-int cmd_compare(const ParsedArgs& args, std::ostream& out) {
-  GPUVAR_REQUIRE_MSG(args.positional.size() >= 2,
-                     "compare needs BEFORE.csv AFTER.csv");
-  const auto before = load_frame(args.positional[0]);
-  const auto after = load_frame(args.positional[1]);
-  print_comparison(out, compare_campaigns(before, after));
-  return 0;
-}
-
-int cmd_drift(const ParsedArgs& args, std::ostream& out) {
-  GPUVAR_REQUIRE_MSG(!args.positional.empty(), "drift needs a CSV path");
-  const auto frame = load_frame(args.positional.front());
-  print_drift(out, query::Source(frame));
+  print_variability_table(out, analyze_variability(result.frame));
+  write_obs();
+  write_campaign_artifacts(args, out, cluster.name(), result, "");
   return 0;
 }
 
@@ -652,13 +498,11 @@ query::Predicate parse_predicate(const std::string& text) {
   return where;
 }
 
-/// The --materialize reference path: merge the whole store into one
-/// frame, then apply the predicate row-by-row with frame.select. The
-/// streaming path must be byte-identical to this (ci.sh query-smoke
-/// compares the two outputs verbatim).
-RecordFrame materialize_where(const query::Dataset& dataset,
-                              const query::Predicate& where) {
-  RecordFrame frame = dataset.materialize();
+/// The frame-side --where filter: the rows of `frame` that match, in
+/// order. It serves CSV sources, the --materialize reference path and
+/// the frame-only analyses; a streamed store Source must be
+/// byte-identical to it (ci.sh query-smoke compares the outputs).
+RecordFrame filter_rows(RecordFrame frame, const query::Predicate& where) {
   if (where.is_all()) return frame;
   const auto ids = frame.gpu_ids();
   const auto days = frame.days_of_week();
@@ -669,102 +513,277 @@ RecordFrame materialize_where(const query::Dataset& dataset,
   return frame.select(rows);
 }
 
-void run_query_analysis(const ParsedArgs& args, std::ostream& out,
-                        const query::Source& source,
-                        const query::Source* against) {
-  const std::string analysis = args.get("analysis", "variability");
-  GPUVAR_REQUIRE_MSG(!source.empty(), "no rows match the --where filter");
-  out << "rows matched: " << source.size() << "\n";
-  if (analysis == "variability") {
-    print_section(out, "variability");
-    print_variability_table(out, analyze_variability(source));
-    return;
+/// One analysis input. A checkpoint store streams through a
+/// Dataset-backed Source unless a frame was asked for; a results CSV
+/// is always a frame. Any frame is already restricted to --where.
+struct Input {
+  std::optional<query::Dataset> store;
+  std::optional<RecordFrame> frame;
+  query::Predicate where;
+
+  query::Source source() const {
+    return frame ? query::Source(*frame) : query::Source(*store, where);
   }
-  if (analysis == "correlate") {
-    print_section(out, "correlations");
-    print_correlation_table(out, analyze_correlation(source));
-    return;
-  }
-  if (analysis == "flags") {
-    print_section(out, "operator early-warning report");
-    print_flags(out, analyze_flags(source));
-    return;
-  }
-  if (analysis == "drift") {
-    print_drift(out, source);
-    return;
-  }
-  if (analysis == "impact") {
-    print_section(out, "user impact");
-    for (const auto& ji : analyze_user_impact(source)) {
-      char buf[120];
-      std::snprintf(buf, sizeof(buf),
-                    "  %2d-GPU jobs: expected %.3fx, p95 %.3fx, "
-                    "P(any slow) %.2f\n",
-                    ji.gpus_per_job, ji.expected_slowdown, ji.p95_slowdown,
-                    ji.p_any_slow);
-      out << buf;
+};
+
+/// Opens SRC (a store directory or a results CSV). `summary`, when
+/// given, receives the one source-summary line.
+Input open_input(const std::string& path, const query::DatasetOptions& dopts,
+                 const query::Predicate& where, bool want_frame,
+                 std::ostream* summary) {
+  Input in;
+  in.where = where;
+  if (std::filesystem::is_directory(path)) {
+    in.store.emplace(query::Dataset::open(path, dopts));
+    if (summary != nullptr) {
+      *summary << "dataset: " << in.store->shards().size() << " shards, "
+               << in.store->total_rows() << " rows"
+               << (in.store->complete() ? "" : " (incomplete campaign)")
+               << "\n";
     }
-    return;
+    if (want_frame) {
+      in.frame.emplace(filter_rows(in.store->materialize(), where));
+    }
+    return in;
   }
-  if (analysis == "compare") {
-    GPUVAR_REQUIRE_MSG(against != nullptr,
-                       "--analysis compare needs --against DIR");
-    GPUVAR_REQUIRE_MSG(!against->empty(),
-                       "no rows match the --where filter in --against");
-    print_comparison(out, analyze_compare(source, *against));
-    return;
-  }
-  throw std::invalid_argument("unknown --analysis '" + analysis +
-                              "', try one of variability, correlate, flags, "
-                              "drift, impact, compare");
+  std::ifstream file(path);
+  GPUVAR_REQUIRE_MSG(file.good(), "cannot open " + path);
+  RecordFrame all = import_results_frame(file);
+  GPUVAR_REQUIRE_MSG(!all.empty(), "no records in " + path);
+  if (summary != nullptr) *summary << "loaded " << all.size() << " records\n";
+  in.frame.emplace(filter_rows(std::move(all), where));
+  return in;
 }
 
-int cmd_query(const ParsedArgs& args, std::ostream& out) {
+/// The analyze options that shape an analysis's output, parsed and
+/// validated once before any data is read.
+struct AnalyzeSettings {
+  std::string group_name;
+  GroupBy group = GroupBy::kCabinet;
+  Celsius slowdown_temp{1e9};
+  int target = 0;  ///< 0 = not given
+  std::string title;
+};
+
+AnalyzeSettings analyze_settings(const ParsedArgs& args,
+                                 const std::string& analysis) {
+  AnalyzeSettings s;
+  s.group_name = args.get("group", "cabinet");
+  if (s.group_name == "node") {
+    s.group = GroupBy::kNode;
+  } else if (s.group_name == "row") {
+    s.group = GroupBy::kRow;
+  } else if (s.group_name != "cabinet") {
+    throw std::invalid_argument("unknown --group '" + s.group_name +
+                                "', try one of cabinet, node, row");
+  }
+  s.slowdown_temp = Celsius{args.get_num("slowdown-temp", 1e9)};
+  s.target = args.get_int("target", 0, 2);
+  GPUVAR_REQUIRE_MSG(analysis != "project" || s.target > 0,
+                     "project needs --target N");
+  s.title = args.get("title", "Variability campaign report");
+  return s;
+}
+
+/// What one analysis reads. `frame` is set for the frame-only
+/// analyses (the --where-filtered rows); `against` is the --against
+/// baseline, if given.
+struct AnalysisContext {
+  const AnalyzeSettings& settings;
+  const query::Source& source;
+  const RecordFrame* frame;
+  const query::Source* against;
+};
+
+void print_comparison(std::ostream& out, const CampaignComparison& cmp) {
+  out << "matched " << cmp.matched_gpus << " GPUs (" << cmp.only_before
+      << " only-before, " << cmp.only_after << " only-after)\n"
+      << "population shift: " << cmp.median_delta_pct << "% (noise floor "
+      << cmp.noise_floor_pct << "%)\n";
+  if (cmp.significant.empty()) {
+    out << "no significant per-GPU changes\n";
+  }
+  for (const auto& d : cmp.significant) {
+    char buf[200];
+    std::snprintf(buf, sizeof(buf),
+                  "  %-20s %+7.2f%%  (%.0f -> %.0f ms, %.0f -> %.0f W, "
+                  "%.0f -> %.0f C)\n",
+                  d.name.c_str(), d.delta_pct, d.before_ms, d.after_ms,
+                  d.before_power_w, d.after_power_w, d.before_temp_c,
+                  d.after_temp_c);
+    out << buf;
+  }
+}
+
+void show_variability(const AnalysisContext& c, std::ostream& out) {
+  print_section(out, "variability");
+  print_variability_table(out, analyze_variability(c.source));
+}
+
+void show_correlate(const AnalysisContext& c, std::ostream& out) {
+  print_section(out, "correlations");
+  print_correlation_table(out, analyze_correlation(c.source));
+}
+
+void show_flags(const AnalysisContext& c, std::ostream& out) {
+  FlagOptions opts;
+  opts.slowdown_temp = c.settings.slowdown_temp;
+  print_section(out, "operator early-warning report");
+  print_flags(out, analyze_flags(c.source, opts));
+}
+
+void show_drift(const AnalysisContext& c, std::ostream& out) {
+  // Drift needs a history: at least one GPU with multiple runs.
+  bool has_history = false;
+  const auto groups = query::group_rows_by_gpu(c.source);
+  for (std::uint32_t id : groups.order) {
+    if (groups.offsets[id + 1] - groups.offsets[id] >= 2) has_history = true;
+  }
+  GPUVAR_REQUIRE_MSG(has_history,
+                     "drift needs repeated runs per GPU (a history)");
+  out << "run noise sigma: " << estimate_run_noise_ms(c.source) << " ms\n";
+  const auto flags = analyze_drift(c.source);
+  if (flags.empty()) {
+    out << "no drift detected\n";
+  }
+  for (const auto& f : flags) {
+    char buf[200];
+    std::snprintf(buf, sizeof(buf),
+                  "  DRIFT %-20s %+6.2f%% over %d runs (%.1f sigmas)\n",
+                  f.name.c_str(), f.drift_pct, f.runs, f.noise_sigmas);
+    out << buf;
+  }
+}
+
+void show_impact(const AnalysisContext& c, std::ostream& out) {
+  print_section(out, "user impact");
+  for (const auto& ji : analyze_user_impact(c.source)) {
+    char buf[120];
+    std::snprintf(buf, sizeof(buf),
+                  "  %2d-GPU jobs: expected %.3fx, p95 %.3fx, "
+                  "P(any slow) %.2f\n",
+                  ji.gpus_per_job, ji.expected_slowdown, ji.p95_slowdown,
+                  ji.p_any_slow);
+    out << buf;
+  }
+}
+
+void show_compare(const AnalysisContext& c, std::ostream& out) {
+  GPUVAR_REQUIRE_MSG(c.against != nullptr,
+                     "--analysis compare needs --against SRC");
+  GPUVAR_REQUIRE_MSG(!c.against->empty(),
+                     "no rows match the --where filter in --against");
+  // --against is the baseline (before); SRC is the campaign under
+  // study (after), so a positive shift means SRC got slower.
+  print_comparison(out, analyze_compare(*c.against, c.source));
+}
+
+void show_groups(const AnalysisContext& c, std::ostream& out) {
+  show_variability(c, out);
+  show_correlate(c, out);
+  print_section(out, "performance by " + c.settings.group_name);
+  print_group_boxes(out, *c.frame, Metric::kPerf, c.settings.group);
+}
+
+void show_project(const AnalysisContext& c, std::ostream& out) {
+  const auto proj = project_to_cluster_size(
+      *c.frame, static_cast<std::size_t>(c.settings.target));
+  out << "measured variation at " << proj.source_gpus
+      << " GPUs: " << proj.source_variation_pct << "%\n"
+      << "projected variation at " << proj.target_gpus
+      << " GPUs: " << proj.projected_variation_pct << "%\n";
+}
+
+void show_report(const AnalysisContext& c, std::ostream& out) {
+  MarkdownReportOptions opts;
+  opts.title = c.settings.title;
+  opts.slowdown_temp = c.settings.slowdown_temp;
+  write_markdown_report(out, *c.frame, opts);
+}
+
+/// The analysis registry behind --analysis: dispatch, the frame-only
+/// marker and the unknown-name suggestion list come from these rows.
+struct AnalysisEntry {
+  const char* name;
+  /// Reads the --where-filtered frame rather than a streamed Source.
+  bool frame_only;
+  void (*show)(const AnalysisContext&, std::ostream&);
+};
+
+constexpr AnalysisEntry kAnalyses[] = {
+    {"variability", false, show_variability},
+    {"correlate", false, show_correlate},
+    {"flags", false, show_flags},
+    {"drift", false, show_drift},
+    {"impact", false, show_impact},
+    {"compare", false, show_compare},
+    {"groups", true, show_groups},
+    {"project", true, show_project},
+    {"report", true, show_report},
+};
+
+const AnalysisEntry& analysis_by_name(const std::string& name) {
+  std::string names;
+  for (const auto& a : kAnalyses) {
+    if (name == a.name) return a;
+    names += names.empty() ? "" : ", ";
+    names += a.name;
+  }
+  throw std::invalid_argument("unknown --analysis '" + name +
+                              "', try one of " + names);
+}
+
+int cmd_analyze(const ParsedArgs& args, std::ostream& out) {
   GPUVAR_REQUIRE_MSG(!args.positional.empty(),
-                     "query needs a checkpoint directory");
+                     "analyze needs SRC (a checkpoint directory or a "
+                     "results CSV)");
+  const std::string& path = args.positional.front();
+  const AnalysisEntry& analysis =
+      analysis_by_name(args.get("analysis", "variability"));
+  const AnalyzeSettings settings = analyze_settings(args, analysis.name);
+  if (!std::filesystem::is_directory(path)) {
+    for (const char* flag : kStoreOnlyFlags) {
+      if (args.has(flag)) {
+        throw std::invalid_argument(std::string("--") + flag +
+                                    " applies only to a checkpoint store, "
+                                    "not to the CSV " + path);
+      }
+    }
+  }
+
   query::DatasetOptions dopts;
   dopts.cache_budget_bytes =
       parse_byte_size(args.get("cache-budget", "unlimited"), "--cache-budget");
   dopts.pushdown = !args.has("no-pushdown");
   std::optional<ThreadPool> pool;
-  const int threads = static_cast<int>(args.get_num("threads", 0));
+  const int threads = args.get_int("threads", 0, 1);
   if (threads > 0) {
     pool.emplace(static_cast<std::size_t>(threads));
     dopts.pool = &*pool;
   }
   const query::Predicate where = parse_predicate(args.get("where", ""));
 
-  const auto dataset = query::Dataset::open(args.positional.front(), dopts);
-  out << "dataset: " << dataset.shards().size() << " shards, "
-      << dataset.total_rows() << " rows"
-      << (dataset.complete() ? "" : " (incomplete campaign)") << "\n";
-
-  std::optional<query::Dataset> against_ds;
-  const std::string against_dir = args.get("against", "");
-  if (!against_dir.empty()) {
-    against_ds.emplace(query::Dataset::open(against_dir, dopts));
-  }
-
-  // The streaming path and the --materialize reference path must print
+  // The streamed path and the --materialize reference path must print
   // byte-identical analysis output; only the source construction
-  // differs.
-  if (args.has("materialize")) {
-    const RecordFrame frame = materialize_where(dataset, where);
-    std::optional<RecordFrame> against_frame;
-    std::optional<query::Source> against_src;
-    if (against_ds) {
-      against_frame.emplace(materialize_where(*against_ds, where));
-      against_src.emplace(*against_frame);
-    }
-    run_query_analysis(args, out, query::Source(frame),
-                       against_src ? &*against_src : nullptr);
-    return 0;
+  // differs. A report is a pure markdown document: no summary lines.
+  const bool document = std::string(analysis.name) == "report";
+  const bool materialize = args.has("materialize");
+  const Input input = open_input(path, dopts, where,
+                                 materialize || analysis.frame_only,
+                                 document ? nullptr : &out);
+  std::optional<Input> base;
+  std::optional<query::Source> against;
+  if (args.has("against")) {
+    base.emplace(open_input(args.get("against", ""), dopts, where,
+                            materialize, nullptr));
+    against.emplace(base->source());
   }
-  std::optional<query::Source> against_src;
-  if (against_ds) against_src.emplace(*against_ds, where);
-  run_query_analysis(args, out, query::Source(dataset, where),
-                     against_src ? &*against_src : nullptr);
+  const query::Source source = input.source();
+  GPUVAR_REQUIRE_MSG(!source.empty(), "no rows match the --where filter");
+  if (!document) out << "rows matched: " << source.size() << "\n";
+  analysis.show({settings, source, input.frame ? &*input.frame : nullptr,
+                 against ? &*against : nullptr},
+                out);
   return 0;
 }
 
@@ -779,29 +798,12 @@ constexpr CommandEntry kCommands[] = {
     {{"clusters", "", "list the built-in cluster models", {}}, cmd_clusters},
     {{"workloads", "", "list the built-in workload models", {}},
      cmd_workloads},
-    {{"simulate", "", "run one experiment and summarize it", kSimulateFlags},
-     cmd_simulate},
-    {{"run", "", "run a checkpointable campaign (sweeps, artifacts)",
+    {{"run", "", "run a campaign (checkpoints, sweeps, artifacts)",
       kRunFlags},
      cmd_run},
-    {{"analyze", "FILE.csv", "variability + correlation report",
+    {{"analyze", "SRC", "analyze a checkpoint store or a results CSV",
       kAnalyzeFlags},
      cmd_analyze},
-    {{"flag", "FILE.csv", "operator early-warning report", kFlagFlags},
-     cmd_flag},
-    {{"project", "FILE.csv", "scaled-normal cluster-size projection",
-      kProjectFlags},
-     cmd_project},
-    {{"report", "FILE.csv", "markdown campaign report", kReportFlags},
-     cmd_report},
-    {{"compare", "BEFORE.csv AFTER.csv", "before/after-maintenance deltas",
-      {}},
-     cmd_compare},
-    {{"drift", "FILE.csv", "per-GPU temporal drift detection", {}},
-     cmd_drift},
-    {{"query", "DIR", "stream an analysis off a checkpointed campaign store",
-      kQueryFlags},
-     cmd_query},
 };
 
 /// Spec-only view of kCommands, materialized once at startup so

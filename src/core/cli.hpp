@@ -1,23 +1,25 @@
-// The `gpuvar` command-line driver, as a testable library. Subcommands:
+// The `gpuvar` command-line driver, as a testable library. One command
+// produces campaigns, one analyzes them:
 //
-//   clusters                         list the built-in cluster models
-//   workloads                        list the built-in workload models
-//   simulate  --cluster L --workload W [--runs N] [--reps N]
-//             [--coverage F] [--power-limit W] [--out FILE]
-//             [--trace FILE] [--metrics FILE]
-//                                    run a campaign, emit a results CSV
-//                                    (plus a Chrome trace / metrics dump)
-//   analyze   FILE.csv               variability + correlation report
-//   flag      FILE.csv [--slowdown-temp T]
-//                                    operator early-warning report
-//   project   FILE.csv --target N    scaled-normal cluster-size projection
-//   query     DIR [--analysis A] [--where F=LO..HI,...]
-//                                    stream an analysis straight off a
-//                                    checkpointed campaign store
+//   clusters                list the built-in cluster models
+//   workloads               list the built-in workload models
+//   run     [--cluster L] [--workload W] [--runs N] [--reps N]
+//           [--coverage F] [--power-limit W] [--checkpoint DIR]
+//           [--shard-budget B] [--sweep day|power] [--power-caps W,...]
+//           [--out FILE.csv] [--report FILE.md] [--summary FILE]
+//           [--trace FILE] [--metrics FILE]
+//                           run a campaign (in memory, or checkpointed
+//                           into a resumable store), print its
+//                           variability table, write the artifacts
+//   analyze SRC [--analysis A] [--where F=LO..HI,...] [--against SRC]
+//                           one analysis over SRC: a checkpoint store
+//                           (streamed, with pushdown) or a results CSV
 //
-// `analyze`, `flag` and `project` consume any CSV with the results schema
-// — including ones collected on real hardware — so the suite works as a
-// standalone fleet-analysis tool, not only with the simulator.
+// `analyze` accepts any CSV with the results schema, including ones
+// collected on real hardware, so the suite works as a standalone
+// fleet-analysis tool, not only with the simulator. The flag tables in
+// cli.cpp are the full reference; `gpuvar` with no arguments prints
+// them.
 #pragma once
 
 #include <ostream>

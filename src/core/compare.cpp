@@ -91,10 +91,4 @@ CampaignComparison analyze_compare(const query::Source& before,
   return cmp;
 }
 
-CampaignComparison compare_campaigns(const RecordFrame& before,
-                                     const RecordFrame& after,
-                                     const CompareOptions& options) {
-  return analyze_compare(query::Source(before), query::Source(after), options);
-}
-
 }  // namespace gpuvar

@@ -51,10 +51,4 @@ CampaignComparison analyze_compare(const query::Source& before,
                                    const query::Source& after,
                                    const CompareOptions& options = {});
 
-/// Forwarding shim (one deprecation cycle): prefer analyze_compare.
-// gpuvar-lint: allow(analysis-signature)
-CampaignComparison compare_campaigns(const RecordFrame& before,
-                                     const RecordFrame& after,
-                                     const CompareOptions& options = {});
-
 }  // namespace gpuvar

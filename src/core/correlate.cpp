@@ -38,8 +38,4 @@ CorrelationReport analyze_correlation(const query::Source& source,
   return r;
 }
 
-CorrelationReport correlate_metrics(const RecordFrame& frame) {
-  return analyze_correlation(query::Source(frame));
-}
-
 }  // namespace gpuvar

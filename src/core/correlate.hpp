@@ -43,8 +43,4 @@ MetricCorrelation correlate_pair(const RecordFrame& frame, Metric x, Metric y);
 CorrelationReport analyze_correlation(const query::Source& source,
                                       const CorrelateOptions& options = {});
 
-/// Forwarding shim (one deprecation cycle): prefer analyze_correlation.
-// gpuvar-lint: allow(analysis-signature)
-CorrelationReport correlate_metrics(const RecordFrame& frame);
-
 }  // namespace gpuvar

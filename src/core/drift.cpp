@@ -119,9 +119,4 @@ std::vector<DriftFlag> analyze_drift(const query::Source& source,
   return flags;
 }
 
-std::vector<DriftFlag> detect_performance_drift(const RecordFrame& frame,
-                                                const DriftOptions& options) {
-  return analyze_drift(query::Source(frame), options);
-}
-
 }  // namespace gpuvar

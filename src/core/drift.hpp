@@ -49,9 +49,4 @@ double estimate_run_noise_ms(const RecordFrame& frame);
 std::vector<DriftFlag> analyze_drift(const query::Source& source,
                                      const DriftOptions& options = {});
 
-/// Forwarding shim (one deprecation cycle): prefer analyze_drift.
-// gpuvar-lint: allow(analysis-signature)
-std::vector<DriftFlag> detect_performance_drift(
-    const RecordFrame& frame, const DriftOptions& options = {});
-
 }  // namespace gpuvar

@@ -128,11 +128,6 @@ FlagReport analyze_flags(const query::Source& source,
   return report;
 }
 
-FlagReport flag_anomalies(const RecordFrame& frame,
-                          const FlagOptions& options) {
-  return analyze_flags(query::Source(frame), options);
-}
-
 std::vector<GpuFlag> repeat_offenders(std::span<const FlagReport> reports,
                                       int min_experiments) {
   GPUVAR_REQUIRE(min_experiments >= 1);

@@ -70,11 +70,6 @@ struct FlagOptions {
 FlagReport analyze_flags(const query::Source& source,
                          const FlagOptions& options = {});
 
-/// Forwarding shim (one deprecation cycle): prefer analyze_flags.
-// gpuvar-lint: allow(analysis-signature)
-FlagReport flag_anomalies(const RecordFrame& frame,
-                          const FlagOptions& options = {});
-
 /// Cross-experiment flagging: GPUs flagged in >= `min_experiments` of the
 /// reports become repeat offenders (returned sorted by severity).
 std::vector<GpuFlag> repeat_offenders(std::span<const FlagReport> reports,

@@ -8,6 +8,7 @@
 #include "cluster/faults.hpp"
 #include "core/flagging.hpp"
 #include "core/variability.hpp"
+#include "query/source.hpp"
 #include "telemetry/frame.hpp"
 #include "telemetry/record.hpp"
 
@@ -80,7 +81,7 @@ void write_markdown_report(std::ostream& out, const RecordFrame& frame,
 
   out << "## Correlations\n\n"
       << "| pair | Pearson | Spearman | strength |\n|---|---|---|---|\n";
-  const auto corr = correlate_metrics(frame);
+  const auto corr = analyze_correlation(frame);
   for (const auto* c : corr.all()) {
     char buf[160];
     std::snprintf(buf, sizeof(buf), "| %s vs %s | %+.2f | %+.2f | %s |\n",
@@ -107,7 +108,7 @@ void write_markdown_report(std::ostream& out, const RecordFrame& frame,
     out << "## Operator flags\n\n";
     FlagOptions fopts;
     fopts.slowdown_temp = options.slowdown_temp;
-    const auto flags = flag_anomalies(frame, fopts);
+    const auto flags = analyze_flags(frame, fopts);
     if (flags.gpus.empty() && flags.cabinets.empty()) {
       out << "No anomalies flagged.\n";
     } else {

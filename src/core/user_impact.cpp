@@ -91,12 +91,4 @@ std::vector<JobImpact> analyze_user_impact(const query::Source& source,
   return table;
 }
 
-std::vector<JobImpact> impact_table(const RecordFrame& frame, int max_width,
-                                    double slow_threshold) {
-  UserImpactOptions options;
-  options.max_width = max_width;
-  options.slow_threshold = slow_threshold;
-  return analyze_user_impact(query::Source(frame), options);
-}
-
 }  // namespace gpuvar

@@ -46,10 +46,4 @@ JobImpact job_impact(const query::Source& source, int gpus_per_job,
 JobImpact job_impact(const RecordFrame& frame, int gpus_per_job,
                      double slow_threshold = 0.06);
 
-/// Forwarding shim (one deprecation cycle): prefer analyze_user_impact.
-// gpuvar-lint: allow(analysis-signature)
-std::vector<JobImpact> impact_table(const RecordFrame& frame,
-                                    int max_width = 8,
-                                    double slow_threshold = 0.06);
-
 }  // namespace gpuvar

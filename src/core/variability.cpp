@@ -40,10 +40,6 @@ VariabilityReport analyze_variability(const query::Source& source,
   return r;
 }
 
-VariabilityReport analyze_variability(const RecordFrame& frame) {
-  return analyze_variability(query::Source(frame));
-}
-
 int group_key(const RunRecord& r, GroupBy g) {
   switch (g) {
     case GroupBy::kCabinet:

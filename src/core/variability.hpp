@@ -5,8 +5,8 @@
 // The main entry point follows the unified analysis signature:
 // analyze_variability(source, options) over a query::Source, so the
 // same analysis runs on an in-memory RecordFrame or streamed from a
-// checkpointed campaign store. The RecordFrame overload is a
-// forwarding shim kept for one deprecation cycle.
+// checkpointed campaign store (a RecordFrame converts implicitly to a
+// frame-backed Source).
 #pragma once
 
 #include <map>
@@ -44,10 +44,6 @@ struct VariabilityOptions {};
 /// Full-population variability across all rows of the source.
 VariabilityReport analyze_variability(const query::Source& source,
                                       const VariabilityOptions& options = {});
-
-/// Forwarding shim (one deprecation cycle): prefer the Source overload.
-// gpuvar-lint: allow(analysis-signature)
-VariabilityReport analyze_variability(const RecordFrame& frame);
 
 /// Grouping keys for breakdowns.
 enum class GroupBy { kCabinet, kRow, kColumn, kNode, kDayOfWeek };

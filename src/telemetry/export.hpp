@@ -35,6 +35,14 @@ void export_series_csv(std::ostream& out, const TimeSeries& series);
 /// repeat the median and energy is 0) plus trailing columns that preserve
 /// the full location and day tag, making import_results_frame a lossless
 /// inverse: frame -> CSV -> frame re-exports byte-identically.
+///
+/// Metric values are written to 10 significant digits, so the imported
+/// frame is not bit-identical to the original: an analysis of the CSV
+/// can differ from the same analysis of the campaign's store in the last
+/// printed digit, and in outlier counts and bootstrap intervals where
+/// rounding creates or breaks ties (longhorn SGEMM at 30% coverage,
+/// --reps 4 --runs 3: 15 power outliers from the store, 9 from its CSV;
+/// flags, drift and correlations matched).
 void export_frame_csv(std::ostream& out, std::string_view cluster_name,
                       const RecordFrame& frame);
 

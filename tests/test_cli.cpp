@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 namespace gpuvar::cli {
 namespace {
@@ -20,16 +21,50 @@ int run(const std::vector<std::string>& args, std::string* out_text = nullptr,
   return rc;
 }
 
+bool contains(const std::string& text, const std::string& needle) {
+  return text.find(needle) != std::string::npos;
+}
+
+/// The integer after `label` in `text` (-1 when absent).
+long long number_after(const std::string& text, const std::string& label) {
+  const std::size_t at = text.find(label);
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + label.size()));
+}
+
 class CliTest : public ::testing::Test {
  protected:
+  // Tests run as separate, possibly concurrent processes: each gets its
+  // own scratch directory, named after the test.
   void SetUp() override {
-    csv_path_ = std::filesystem::temp_directory_path() /
-                "gpuvar_cli_test_results.csv";
-    std::filesystem::remove(csv_path_);
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("gpuvar_cli_test_") +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
   }
-  void TearDown() override { std::filesystem::remove(csv_path_); }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  std::filesystem::path csv_path_;
+  std::string path(const std::string& name) const {
+    return (dir_ / name).string();
+  }
+  std::string csv() const { return path("results.csv"); }
+  std::string store() const { return path("ck"); }
+
+  /// One small cloudlab SGEMM campaign, checkpointed to store() and
+  /// exported to csv().
+  void make_campaign(const std::string& reps, const std::string& runs) {
+    std::string out, err;
+    ASSERT_EQ(run({"run", "--cluster", "cloudlab", "--workload", "sgemm",
+                   "--reps", reps, "--runs", runs, "--checkpoint", store(),
+                   "--out", csv()},
+                  &out, &err),
+              0)
+        << err;
+    ASSERT_TRUE(std::filesystem::exists(csv()));
+  }
+
+  std::filesystem::path dir_;
 };
 
 TEST_F(CliTest, NoArgsPrintsUsage) {
@@ -42,6 +77,24 @@ TEST_F(CliTest, UnknownCommandFails) {
   std::string err;
   EXPECT_EQ(run({"frobnicate"}, nullptr, &err), 2);
   EXPECT_NE(err.find("unknown command"), std::string::npos);
+}
+
+TEST_F(CliTest, RegistryIsOneCampaignAndOneAnalysisCommand) {
+  std::vector<std::string> names;
+  for (const auto& cmd : command_registry()) names.emplace_back(cmd.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"clusters", "workloads", "run",
+                                             "analyze"}));
+}
+
+TEST_F(CliTest, RetiredCommandsAreUnknown) {
+  for (const char* retired :
+       {"simulate", "flag", "project", "report", "compare", "drift",
+        "query"}) {
+    std::string err;
+    EXPECT_EQ(run({retired, csv()}, nullptr, &err), 2) << retired;
+    EXPECT_TRUE(contains(err, "unknown command: " + std::string(retired)))
+        << err;
+  }
 }
 
 TEST_F(CliTest, ListsClustersAndWorkloads) {
@@ -61,59 +114,184 @@ TEST_F(CliTest, FactoriesRejectUnknownNames) {
   EXPECT_EQ(workload_by_name("bert").iterations, 250);
 }
 
-TEST_F(CliTest, SimulateAnalyzeFlagProjectPipeline) {
+TEST_F(CliTest, RunAnalyzeFlagsProjectPipeline) {
   std::string out;
-  EXPECT_EQ(run({"simulate", "--cluster", "cloudlab", "--workload", "sgemm",
-                 "--reps", "5", "--runs", "2", "--out", csv_path_.string()},
+  EXPECT_EQ(run({"run", "--cluster", "cloudlab", "--workload", "sgemm",
+                 "--reps", "5", "--runs", "2", "--out", csv()},
                 &out),
             0);
   EXPECT_NE(out.find("variability"), std::string::npos);
-  ASSERT_TRUE(std::filesystem::exists(csv_path_));
+  ASSERT_TRUE(std::filesystem::exists(csv()));
 
-  EXPECT_EQ(run({"analyze", csv_path_.string()}, &out), 0);
+  EXPECT_EQ(run({"analyze", csv(), "--analysis", "groups"}, &out), 0);
   EXPECT_NE(out.find("correlations"), std::string::npos);
   EXPECT_NE(out.find("performance by cabinet"), std::string::npos);
 
-  EXPECT_EQ(run({"flag", csv_path_.string(), "--slowdown-temp", "87"}, &out),
+  EXPECT_EQ(run({"analyze", csv(), "--analysis", "flags", "--slowdown-temp",
+                 "87"},
+                &out),
             0);
   EXPECT_NE(out.find("early-warning"), std::string::npos);
 
-  EXPECT_EQ(
-      run({"project", csv_path_.string(), "--target", "27648"}, &out), 0);
+  EXPECT_EQ(run({"analyze", csv(), "--analysis", "project", "--target",
+                 "27648"},
+                &out),
+            0);
   EXPECT_NE(out.find("projected variation at 27648"), std::string::npos);
 }
 
-TEST_F(CliTest, ReportCompareDriftPipeline) {
+TEST_F(CliTest, EveryAnalysisRunsOnCsvAndStore) {
+  make_campaign("4", "3");
+  // Each analysis, with the extra flags it needs and a line its output
+  // must carry.
+  struct Case {
+    std::vector<std::string> flags;
+    const char* marker;
+  };
+  const Case cases[] = {
+      {{"--analysis", "variability"}, "temperature  median"},
+      {{"--analysis", "correlate"}, "correlations"},
+      {{"--analysis", "flags"}, "operator early-warning report"},
+      {{"--analysis", "drift"}, "run noise sigma"},
+      {{"--analysis", "impact"}, "GPU jobs: expected"},
+      {{"--analysis", "compare", "--against", csv()}, "population shift"},
+      {{"--analysis", "groups", "--group", "node"}, "performance by node"},
+      {{"--analysis", "project", "--target", "1024"},
+       "projected variation at 1024"},
+      {{"--analysis", "report", "--title", "T"}, "# T"},
+  };
+  for (const std::string& src : {csv(), store()}) {
+    for (const Case& c : cases) {
+      std::vector<std::string> args{"analyze", src};
+      args.insert(args.end(), c.flags.begin(), c.flags.end());
+      std::string out, err;
+      ASSERT_EQ(run(args, &out, &err), 0) << src << " " << c.flags[1] << err;
+      EXPECT_TRUE(contains(out, c.marker)) << src << " " << c.flags[1];
+    }
+  }
+  // Default analysis is variability; a store reports its shards, a CSV
+  // its record count.
   std::string out;
-  ASSERT_EQ(run({"simulate", "--cluster", "cloudlab", "--workload", "sgemm",
-                 "--reps", "4", "--runs", "3", "--out", csv_path_.string()},
-                &out),
-            0);
+  ASSERT_EQ(run({"analyze", store()}, &out), 0);
+  EXPECT_EQ(out.rfind("dataset: ", 0), 0u) << out;
+  EXPECT_TRUE(contains(out, "variability"));
+  ASSERT_EQ(run({"analyze", csv()}, &out), 0);
+  EXPECT_EQ(out.rfind("loaded 36 records\nrows matched: 36\n", 0), 0u) << out;
+  // The report stays a pure markdown document: no summary lines.
+  ASSERT_EQ(run({"analyze", store(), "--analysis", "report"}, &out), 0);
+  EXPECT_EQ(out.rfind("# Variability campaign report", 0), 0u) << out;
+}
 
-  EXPECT_EQ(run({"report", csv_path_.string(), "--title", "My campaign",
-                 "--slowdown-temp", "87"},
+TEST_F(CliTest, WhereFiltersCsvAndStoreAlike) {
+  make_campaign("4", "2");
+  for (const std::string& src : {csv(), store()}) {
+    std::string out;
+    ASSERT_EQ(run({"analyze", src, "--where", "node=0", "--analysis",
+                   "groups", "--group", "node"},
+                  &out),
+              0);
+    EXPECT_TRUE(contains(out, "performance by node")) << src;
+    EXPECT_FALSE(contains(out, "node 001")) << src << out;
+    const long long matched = number_after(out, "rows matched: ");
+    EXPECT_GT(matched, 0) << src;
+    EXPECT_LT(matched, 24) << src;
+  }
+  std::string err;
+  EXPECT_EQ(run({"analyze", csv(), "--where", "node=99"}, nullptr, &err), 1);
+  EXPECT_TRUE(contains(err, "no rows match")) << err;
+}
+
+TEST_F(CliTest, ReportCompareDriftPipeline) {
+  make_campaign("4", "3");
+  std::string out;
+  EXPECT_EQ(run({"analyze", csv(), "--analysis", "report", "--title",
+                 "My campaign", "--slowdown-temp", "87"},
                 &out),
             0);
-  EXPECT_NE(out.find("# My campaign"), std::string::npos);
+  EXPECT_EQ(out.rfind("# My campaign", 0), 0u);
   EXPECT_NE(out.find("## Variability"), std::string::npos);
 
   // Compare a campaign against itself: no significant changes.
-  EXPECT_EQ(run({"compare", csv_path_.string(), csv_path_.string()}, &out),
+  EXPECT_EQ(run({"analyze", csv(), "--against", csv(), "--analysis",
+                 "compare"},
+                &out),
             0);
   EXPECT_NE(out.find("no significant per-GPU changes"), std::string::npos);
 
-  EXPECT_EQ(run({"drift", csv_path_.string()}, &out), 0);
+  EXPECT_EQ(run({"analyze", csv(), "--analysis", "drift"}, &out), 0);
   EXPECT_NE(out.find("no drift detected"), std::string::npos);
 }
 
+TEST_F(CliTest, CompareTreatsAgainstAsTheBaseline) {
+  // A 200 W cap slows SGEMM relative to 300 W. With the 300 W campaign
+  // as the --against baseline, the population shift must be positive
+  // (SRC, the capped campaign, got slower); swapping the roles flips it.
+  std::string out, err;
+  ASSERT_EQ(run({"run", "--cluster", "cloudlab", "--workload", "sgemm",
+                 "--reps", "4", "--runs", "2", "--sweep", "power",
+                 "--power-caps", "200,300", "--checkpoint", store()},
+                &out, &err),
+            0)
+      << err;
+  const std::string capped = store() + "/cap-200w";
+  const std::string uncapped = store() + "/cap-300w";
+  const auto shift = [&](const std::string& src, const std::string& base) {
+    std::string text;
+    EXPECT_EQ(run({"analyze", src, "--against", base, "--analysis",
+                   "compare"},
+                  &text),
+              0);
+    const std::size_t at = text.find("population shift: ");
+    EXPECT_NE(at, std::string::npos) << text;
+    return std::stod(text.substr(at + 18));
+  };
+  EXPECT_GT(shift(capped, uncapped), 1.0);
+  EXPECT_LT(shift(uncapped, capped), -1.0);
+}
+
+TEST_F(CliTest, RunOutWritesTheRowCountItReports) {
+  // --coverage must shape the CSV exactly as it shapes the campaign.
+  std::string out, err;
+  ASSERT_EQ(run({"run", "--cluster", "longhorn", "--workload", "sgemm",
+                 "--reps", "2", "--runs", "1", "--coverage", "0.1", "--out",
+                 csv()},
+                &out, &err),
+            0)
+      << err;
+  const long long rows = number_after(out, "rows ");
+  ASSERT_GT(rows, 0) << out;
+  EXPECT_LT(rows, 416);  // a tenth of longhorn's nodes, not all of them
+  EXPECT_EQ(number_after(out, "wrote "), rows) << out;
+  std::ifstream file(csv());
+  std::string line;
+  long long lines = 0;
+  while (std::getline(file, line)) ++lines;
+  EXPECT_EQ(lines - 1, rows);  // minus the header
+}
+
+TEST_F(CliTest, RunWritesTraceAndMetrics) {
+  std::string out, err;
+  ASSERT_EQ(run({"run", "--cluster", "cloudlab", "--workload", "sgemm",
+                 "--reps", "3", "--runs", "1", "--trace", path("t.json"),
+                 "--metrics", path("m.txt")},
+                &out, &err),
+            0)
+      << err;
+  EXPECT_TRUE(contains(out, "trace: ")) << out;
+  std::ifstream trace(path("t.json"));
+  std::stringstream trace_text;
+  trace_text << trace.rdbuf();
+  EXPECT_TRUE(contains(trace_text.str(), "\"traceEvents\""));
+  std::ifstream metrics(path("m.txt"));
+  std::stringstream metrics_text;
+  metrics_text << metrics.rdbuf();
+  EXPECT_TRUE(contains(metrics_text.str(), "counter experiment.node_jobs "));
+}
+
 TEST_F(CliTest, DriftWithoutHistoryFailsGracefully) {
-  std::string out;
-  ASSERT_EQ(run({"simulate", "--cluster", "cloudlab", "--workload", "sgemm",
-                 "--reps", "3", "--runs", "1", "--out", csv_path_.string()},
-                &out),
-            0);
+  make_campaign("3", "1");
   std::string err;
-  EXPECT_EQ(run({"drift", csv_path_.string()}, nullptr, &err), 1);
+  EXPECT_EQ(run({"analyze", csv(), "--analysis", "drift"}, nullptr, &err), 1);
   EXPECT_NE(err.find("history"), std::string::npos);
 }
 
@@ -124,33 +302,84 @@ TEST_F(CliTest, AnalyzeMissingFileFailsGracefully) {
 }
 
 TEST_F(CliTest, ProjectRequiresTarget) {
-  std::string out;
-  EXPECT_EQ(run({"simulate", "--cluster", "cloudlab", "--workload",
-                 "pagerank", "--reps", "4", "--out", csv_path_.string()},
-                &out),
-            0);
+  make_campaign("4", "2");
+  std::string out, err;
+  EXPECT_EQ(run({"analyze", csv(), "--analysis", "project"}, &out, &err), 1);
+  EXPECT_TRUE(contains(err, "--target")) << err;
+  EXPECT_TRUE(out.empty()) << "rejected before any data is read: " << out;
+}
+
+TEST_F(CliTest, RejectsNonIntegerCounts) {
+  make_campaign("3", "1");
+  // Each: an integer flag given NaN, a fraction or an out-of-range value.
+  const std::vector<std::vector<std::string>> bad = {
+      {"run", "--runs", "1e12"},
+      {"run", "--runs", "2.5"},
+      {"run", "--reps", "nan"},
+      {"run", "--runs", "0"},
+      {"analyze", csv(), "--analysis", "project", "--target", "1e30"},
+      {"analyze", csv(), "--analysis", "project", "--target", "-4"},
+      {"analyze", store(), "--threads", "1.5"},
+  };
+  for (const auto& args : bad) {
+    const std::string& flag = args[args.size() - 2];
+    std::string err;
+    EXPECT_EQ(run(args, nullptr, &err), 1) << flag << " " << args.back();
+    EXPECT_TRUE(contains(err, flag + " needs an integer")) << err;
+  }
+}
+
+TEST_F(CliTest, RejectsUnknownEnumValues) {
+  make_campaign("3", "1");
   std::string err;
-  EXPECT_EQ(run({"project", csv_path_.string()}, nullptr, &err), 1);
+  EXPECT_EQ(run({"analyze", csv(), "--analysis", "groups", "--group", "rack"},
+                nullptr, &err),
+            1);
+  EXPECT_TRUE(contains(err, "unknown --group 'rack', try one of cabinet"))
+      << err;
+  EXPECT_EQ(run({"analyze", csv(), "--analysis", "frob"}, nullptr, &err), 1);
+  EXPECT_TRUE(contains(err, "unknown --analysis 'frob', try one of")) << err;
+}
+
+TEST_F(CliTest, RejectsStoreOnlyFlagsOnCsv) {
+  make_campaign("3", "1");
+  const std::vector<std::vector<std::string>> store_only = {
+      {"--threads", "2"},
+      {"--cache-budget", "4K"},
+      {"--no-pushdown"},
+      {"--materialize"},
+  };
+  for (const auto& flag : store_only) {
+    std::vector<std::string> args{"analyze", csv()};
+    args.insert(args.end(), flag.begin(), flag.end());
+    std::string err;
+    EXPECT_EQ(run(args, nullptr, &err), 1) << flag[0];
+    EXPECT_TRUE(contains(err, flag[0] + " applies only to a checkpoint store"))
+        << err;
+    // The same flag is fine on the store.
+    args[1] = store();
+    EXPECT_EQ(run(args, nullptr, &err), 0) << flag[0] << err;
+  }
 }
 
 TEST_F(CliTest, MissingOptionValueFails) {
   std::string err;
-  EXPECT_EQ(run({"simulate", "--cluster"}, nullptr, &err), 1);
+  EXPECT_EQ(run({"run", "--cluster"}, nullptr, &err), 1);
   EXPECT_NE(err.find("missing value"), std::string::npos);
 }
 
 // Byte-budget grammar and overflow tests live in test_bytesize.cpp,
 // next to the shared parse_byte_size every budget flag routes through.
 
-TEST_F(CliTest, SimulateSwitchesToAmdGemmOnCorona) {
-  // Simulating SGEMM on corona must pick the 24576 AMD input size without
+TEST_F(CliTest, RunSwitchesToAmdGemmOnCorona) {
+  // Running SGEMM on corona must pick the 24576 AMD input size without
   // the caller knowing about it. We verify via a tiny coverage run.
   std::string out;
-  EXPECT_EQ(run({"simulate", "--cluster", "corona", "--workload", "sgemm",
+  EXPECT_EQ(run({"run", "--cluster", "corona", "--workload", "sgemm",
                  "--reps", "3", "--runs", "1", "--coverage", "0.05"},
                 &out),
             0);
-  EXPECT_NE(out.find("simulating sgemm on corona"), std::string::npos);
+  EXPECT_NE(out.find("campaign: sgemm on corona"), std::string::npos);
 }
 
 }  // namespace

@@ -43,7 +43,7 @@ TEST(Compare, IdenticalCampaignsShowNoSignificantChange) {
   // significance bar.
   const auto before = campaign(60, 3, 4.0, 1);
   const auto after = campaign(60, 3, 4.0, 2);  // same bases (path-seeded)
-  const auto cmp = compare_campaigns(frame_from(before), frame_from(after));
+  const auto cmp = analyze_compare(frame_from(before), frame_from(after));
   EXPECT_EQ(cmp.matched_gpus, 60u);
   EXPECT_EQ(cmp.only_before, 0u);
   EXPECT_EQ(cmp.only_after, 0u);
@@ -59,7 +59,7 @@ TEST(Compare, DetectsARepairedGpu) {
     if (r.loc.name == "gpu7") r.perf_ms += 300.0;  // broken before
   }
   const auto after = campaign(60, 3, 4.0, 2);  // fixed now
-  const auto cmp = compare_campaigns(frame_from(before), frame_from(after));
+  const auto cmp = analyze_compare(frame_from(before), frame_from(after));
   ASSERT_EQ(cmp.significant.size(), 1u);
   EXPECT_EQ(cmp.significant[0].name, "gpu7");
   EXPECT_LT(cmp.significant[0].delta_pct, -5.0);  // got faster
@@ -71,7 +71,7 @@ TEST(Compare, DetectsADegradedGpu) {
   for (auto& r : after) {
     if (r.loc.name == "gpu3") r.perf_ms *= 1.06;
   }
-  const auto cmp = compare_campaigns(frame_from(before), frame_from(after));
+  const auto cmp = analyze_compare(frame_from(before), frame_from(after));
   ASSERT_GE(cmp.significant.size(), 1u);
   EXPECT_EQ(cmp.significant[0].name, "gpu3");
   EXPECT_GT(cmp.significant[0].delta_pct, 4.0);
@@ -84,7 +84,7 @@ TEST(Compare, CountsUnmatchedGpus) {
   for (auto& r : after) {
     if (r.loc.name == "gpu0") r.loc.name = "gpu0-replacement";
   }
-  const auto cmp = compare_campaigns(frame_from(before), frame_from(after));
+  const auto cmp = analyze_compare(frame_from(before), frame_from(after));
   EXPECT_EQ(cmp.matched_gpus, 9u);
   EXPECT_EQ(cmp.only_before, 1u);
   EXPECT_EQ(cmp.only_after, 1u);
@@ -97,7 +97,7 @@ TEST(Compare, SortsSignificantBySeverity) {
     if (r.loc.name == "gpu1") r.perf_ms *= 1.03;
     if (r.loc.name == "gpu2") r.perf_ms *= 1.10;
   }
-  const auto cmp = compare_campaigns(frame_from(before), frame_from(after));
+  const auto cmp = analyze_compare(frame_from(before), frame_from(after));
   ASSERT_GE(cmp.significant.size(), 2u);
   EXPECT_EQ(cmp.significant[0].name, "gpu2");
 }
@@ -106,7 +106,7 @@ TEST(Compare, DisjointCampaignsThrow) {
   auto before = campaign(5, 2, 2.0, 1);
   auto after = campaign(5, 2, 2.0, 2);
   for (auto& r : after) r.loc.name += "-other";
-  EXPECT_THROW(compare_campaigns(frame_from(before), frame_from(after)), std::invalid_argument);
+  EXPECT_THROW(analyze_compare(frame_from(before), frame_from(after)), std::invalid_argument);
 }
 
 TEST(Compare, EndToEndMaintenanceStory) {
@@ -127,7 +127,7 @@ TEST(Compare, EndToEndMaintenanceStory) {
   const auto before = run_experiment(broken, cfg_b);
   const auto after = run_experiment(fixed, cfg_f);
 
-  const auto cmp = compare_campaigns(before.frame, after.frame);
+  const auto cmp = analyze_compare(before.frame, after.frame);
   EXPECT_GT(cmp.matched_gpus, 100u);
   ASSERT_FALSE(cmp.significant.empty());
   // Every significant improvement corresponds to a previously-faulty GPU

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "query/source.hpp"  // IWYU pragma: keep (frame -> Source)
 #include "telemetry/frame.hpp"
 #include "telemetry/record.hpp"
 
@@ -42,7 +43,7 @@ TEST(Correlate, ConstantPowerUncorrelated) {
 
 TEST(Correlate, ReportCoversPaperPairs) {
   const auto rs = linear_records();
-  const auto report = correlate_metrics(rs);
+  const auto report = analyze_correlation(rs);
   EXPECT_EQ(report.perf_freq.x, Metric::kFreq);
   EXPECT_EQ(report.perf_freq.y, Metric::kPerf);
   EXPECT_EQ(report.power_temp.x, Metric::kTemp);

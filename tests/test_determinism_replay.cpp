@@ -13,6 +13,8 @@
 #include <utility>
 #include <vector>
 
+#include <unistd.h>
+
 #include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "core/experiment.hpp"
@@ -49,7 +51,7 @@ CampaignArtifacts run_campaign(std::size_t threads) {
   auto cfg = default_config(cluster, sgemm_workload(16384, 2), 2);
   cfg.pool = &pool;
 
-  // Trace + metrics ride along exactly as under `gpuvar simulate
+  // Trace + metrics ride along exactly as under `gpuvar run
   // --trace --metrics`: lanes are logical timelines on simulation
   // time, metric merges are commutative integers, so both exports
   // must be byte-identical at any pool size.
@@ -143,8 +145,11 @@ TEST(DeterminismReplay, SpillThresholdNeverChangesArtifactBytes) {
   // that spilled every bucket and one that spilled none produce the
   // same CSV, report, and summary bytes at every pool size.
   const Cluster cluster{cloudlab_spec()};
+  // Per process: the determinism_replay ctest runs this test alongside
+  // its individually discovered twin.
   const auto spill_dir =
-      std::filesystem::path(::testing::TempDir()) / "gpuvar_replay_spill";
+      std::filesystem::path(::testing::TempDir()) /
+      ("gpuvar_replay_spill_" + std::to_string(::getpid()));
 
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
     ThreadPool pool(threads);

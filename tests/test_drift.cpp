@@ -53,13 +53,13 @@ TEST(Drift, StableFleetRaisesNoFlags) {
   // The paper's core temporal finding: variability is persistent, not
   // drifting — so a healthy history must be silent.
   const auto records = fleet_history(80, 12, 5.0);
-  EXPECT_TRUE(detect_performance_drift(frame_from(records)).empty());
+  EXPECT_TRUE(analyze_drift(frame_from(records)).empty());
 }
 
 TEST(Drift, DetectsADegradingGpu) {
   auto records = fleet_history(80, 12, 5.0);
   add_drift(records, 17, 8.0);  // ~+88 ms over the history (~3.5%)
-  const auto flags = detect_performance_drift(frame_from(records));
+  const auto flags = analyze_drift(frame_from(records));
   ASSERT_EQ(flags.size(), 1u);
   EXPECT_EQ(flags[0].gpu_index, 17u);
   EXPECT_GT(flags[0].drift_pct, 1.0);
@@ -69,7 +69,7 @@ TEST(Drift, DetectsADegradingGpu) {
 TEST(Drift, DetectsImprovementAsNegativeDrift) {
   auto records = fleet_history(40, 12, 5.0);
   add_drift(records, 3, -8.0);  // e.g. a heatsink was reseated
-  const auto flags = detect_performance_drift(frame_from(records));
+  const auto flags = analyze_drift(frame_from(records));
   ASSERT_EQ(flags.size(), 1u);
   EXPECT_LT(flags[0].drift_pct, 0.0);
 }
@@ -78,7 +78,7 @@ TEST(Drift, SortsBySeverity) {
   auto records = fleet_history(40, 12, 5.0);
   add_drift(records, 5, 6.0);
   add_drift(records, 9, 15.0);
-  const auto flags = detect_performance_drift(frame_from(records));
+  const auto flags = analyze_drift(frame_from(records));
   ASSERT_GE(flags.size(), 2u);
   EXPECT_EQ(flags[0].gpu_index, 9u);
 }
@@ -90,7 +90,7 @@ TEST(Drift, SlowButStableGpuIsNotFlagged) {
   for (auto& r : records) {
     if (r.gpu_index == 7) r.perf_ms += 200.0;  // constant offset
   }
-  for (const auto& f : detect_performance_drift(frame_from(records))) {
+  for (const auto& f : analyze_drift(frame_from(records))) {
     EXPECT_NE(f.gpu_index, 7u);
   }
 }
@@ -98,7 +98,7 @@ TEST(Drift, SlowButStableGpuIsNotFlagged) {
 TEST(Drift, ShortHistoriesSkipped) {
   auto records = fleet_history(10, 4, 5.0);
   add_drift(records, 2, 50.0);
-  EXPECT_TRUE(detect_performance_drift(frame_from(records)).empty());
+  EXPECT_TRUE(analyze_drift(frame_from(records)).empty());
 }
 
 TEST(Drift, ThresholdControlsSensitivity) {
@@ -109,19 +109,19 @@ TEST(Drift, ThresholdControlsSensitivity) {
   loose.min_drift_fraction = 0.003;
   DriftOptions strict;
   strict.threshold_sigmas = 12.0;
-  EXPECT_FALSE(detect_performance_drift(frame_from(records), loose).empty());
-  EXPECT_TRUE(detect_performance_drift(frame_from(records), strict).empty());
+  EXPECT_FALSE(analyze_drift(frame_from(records), loose).empty());
+  EXPECT_TRUE(analyze_drift(frame_from(records), strict).empty());
 }
 
 TEST(Drift, RejectsBadOptions) {
   const auto records = fleet_history(5, 8, 2.0);
   DriftOptions bad;
   bad.ewma_alpha = 0.0;
-  EXPECT_THROW(detect_performance_drift(frame_from(records), bad),
+  EXPECT_THROW(analyze_drift(frame_from(records), bad),
                std::invalid_argument);
   bad = DriftOptions{};
   bad.min_runs = bad.baseline_runs;
-  EXPECT_THROW(detect_performance_drift(frame_from(records), bad),
+  EXPECT_THROW(analyze_drift(frame_from(records), bad),
                std::invalid_argument);
 }
 
@@ -131,7 +131,7 @@ TEST(Drift, RealCampaignIsStable) {
   auto cfg = default_config(vortex, sgemm_workload(25536, 5), 8);
   cfg.node_coverage = 0.3;
   const auto result = run_experiment(vortex, cfg);
-  EXPECT_TRUE(detect_performance_drift(result.frame).empty());
+  EXPECT_TRUE(analyze_drift(result.frame).empty());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include "telemetry/frame.hpp"
 #include "cluster/cluster.hpp"
+#include "query/source.hpp"  // IWYU pragma: keep (frame -> Source)
 #include "telemetry/record.hpp"
 
 namespace gpuvar {
@@ -42,7 +43,7 @@ std::vector<RunRecord> healthy_population(int n) {
 }
 
 TEST(Flagging, CleanPopulationNoFlags) {
-  const auto report = flag_anomalies(frame_from(healthy_population(40)));
+  const auto report = analyze_flags(frame_from(healthy_population(40)));
   EXPECT_TRUE(report.gpus.empty());
   EXPECT_TRUE(report.cabinets.empty());
 }
@@ -50,7 +51,7 @@ TEST(Flagging, CleanPopulationNoFlags) {
 TEST(Flagging, SlowOutlierFlagged) {
   auto rs = healthy_population(40);
   rs.push_back(rec(99, 3400.0, 297.0, 62.0));
-  const auto report = flag_anomalies(frame_from(rs));
+  const auto report = analyze_flags(frame_from(rs));
   ASSERT_EQ(report.gpus.size(), 1u);
   EXPECT_EQ(report.gpus[0].gpu_index, 99u);
   EXPECT_TRUE(report.gpus[0].has(FlagReason::kSlowOutlier));
@@ -61,7 +62,7 @@ TEST(Flagging, UnexplainedPowerDropFlagged) {
   // The Summit row-H signature: low power, normal temperature.
   auto rs = healthy_population(40);
   rs.push_back(rec(99, 2503.0, 255.0, 61.0));
-  const auto report = flag_anomalies(frame_from(rs));
+  const auto report = analyze_flags(frame_from(rs));
   ASSERT_EQ(report.gpus.size(), 1u);
   EXPECT_TRUE(report.gpus[0].has(FlagReason::kUnexplainedPowerDrop));
 }
@@ -69,7 +70,7 @@ TEST(Flagging, UnexplainedPowerDropFlagged) {
 TEST(Flagging, PowerDropExplainedByHeatIsNotUnexplained) {
   auto rs = healthy_population(40);
   rs.push_back(rec(99, 2503.0, 255.0, 95.0));  // hot: thermal, not board
-  const auto report = flag_anomalies(frame_from(rs));
+  const auto report = analyze_flags(frame_from(rs));
   ASSERT_EQ(report.gpus.size(), 1u);
   EXPECT_FALSE(report.gpus[0].has(FlagReason::kUnexplainedPowerDrop));
   EXPECT_TRUE(report.gpus[0].has(FlagReason::kThermalOutlier));
@@ -79,7 +80,7 @@ TEST(Flagging, SortedBySeverity) {
   auto rs = healthy_population(40);
   rs.push_back(rec(98, 2900.0, 297.0, 61.0));
   rs.push_back(rec(99, 3800.0, 297.0, 61.0));  // much worse
-  const auto report = flag_anomalies(frame_from(rs));
+  const auto report = analyze_flags(frame_from(rs));
   ASSERT_EQ(report.gpus.size(), 2u);
   EXPECT_EQ(report.gpus[0].gpu_index, 99u);
   EXPECT_GE(report.gpus[0].severity, report.gpus[1].severity);
@@ -90,7 +91,7 @@ TEST(Flagging, PumpSignatureFlagsCabinet) {
   auto rs = healthy_population(40);
   rs.push_back(rec(90, 2560.0, 250.0, 45.0, /*cabinet=*/9));
   rs.push_back(rec(91, 2555.0, 248.0, 44.0, /*cabinet=*/9));
-  const auto report = flag_anomalies(frame_from(rs));
+  const auto report = analyze_flags(frame_from(rs));
   ASSERT_EQ(report.cabinets.size(), 1u);
   EXPECT_EQ(report.cabinets[0].cabinet, 9);
   EXPECT_NE(report.cabinets[0].note.find("pump"), std::string::npos);
@@ -104,8 +105,8 @@ TEST(Flagging, RepeatOffendersAcrossExperiments) {
   auto resnet = healthy_population(40);
   resnet.push_back(rec(99, 3500.0, 297.0, 61.0));
 
-  const std::vector<FlagReport> reports{flag_anomalies(frame_from(sgemm)),
-                                        flag_anomalies(frame_from(resnet))};
+  const std::vector<FlagReport> reports{analyze_flags(frame_from(sgemm)),
+                                        analyze_flags(frame_from(resnet))};
   const auto offenders = repeat_offenders(reports, 2);
   ASSERT_EQ(offenders.size(), 1u);
   EXPECT_EQ(offenders[0].gpu_index, 99u);

@@ -22,6 +22,7 @@
 #include "core/projection.hpp"
 #include "core/user_impact.hpp"
 #include "core/variability.hpp"
+#include "query/source.hpp"
 #include "stats/quantile.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/frame.hpp"
@@ -258,24 +259,24 @@ TEST(RecordFrame, AnalysesInvariantUnderRowMaterialization) {
 
   EXPECT_EQ(estimate_run_noise_ms(rows), estimate_run_noise_ms(frame));
 
-  const auto da = detect_performance_drift(rows);
-  const auto db = detect_performance_drift(frame);
+  const auto da = analyze_drift(rows);
+  const auto db = analyze_drift(frame);
   ASSERT_EQ(da.size(), db.size());
   for (std::size_t i = 0; i < da.size(); ++i) {
     EXPECT_EQ(da[i].gpu_index, db[i].gpu_index);
     EXPECT_EQ(da[i].drift_pct, db[i].drift_pct);
   }
 
-  const auto fa = flag_anomalies(rows);
-  const auto fb = flag_anomalies(frame);
+  const auto fa = analyze_flags(rows);
+  const auto fb = analyze_flags(frame);
   ASSERT_EQ(fa.gpus.size(), fb.gpus.size());
   for (std::size_t i = 0; i < fa.gpus.size(); ++i) {
     EXPECT_EQ(fa.gpus[i].gpu_index, fb.gpus[i].gpu_index);
     EXPECT_EQ(fa.gpus[i].severity, fb.gpus[i].severity);
   }
 
-  const auto ca = correlate_metrics(rows);
-  const auto cb = correlate_metrics(frame);
+  const auto ca = analyze_correlation(rows);
+  const auto cb = analyze_correlation(frame);
   EXPECT_EQ(ca.perf_temp.rho, cb.perf_temp.rho);
   EXPECT_EQ(ca.perf_power.spearman, cb.perf_power.spearman);
   EXPECT_EQ(ca.power_temp.rho, cb.power_temp.rho);
@@ -312,9 +313,9 @@ TEST(RecordFrame, CompareCampaignsPartitionInvariant) {
     before_chunked.append(frame_from(before, start, 11));
     after_chunked.append(frame_from(after, start, 11));
   }
-  const auto via_rows = compare_campaigns(before_chunked, after_chunked);
+  const auto via_rows = analyze_compare(before_chunked, after_chunked);
   const auto via_frames =
-      compare_campaigns(frame_from(before), frame_from(after));
+      analyze_compare(frame_from(before), frame_from(after));
   EXPECT_EQ(via_rows.matched_gpus, via_frames.matched_gpus);
   EXPECT_EQ(via_rows.median_delta_pct, via_frames.median_delta_pct);
   EXPECT_EQ(via_rows.noise_floor_pct, via_frames.noise_floor_pct);

@@ -7,6 +7,7 @@
 #include "common/units.hpp"
 #include "gpu/device.hpp"
 #include "gpu/kernel.hpp"
+#include "query/source.hpp"  // IWYU pragma: keep (frame -> Source)
 #include "workloads/workload.hpp"
 
 namespace gpuvar {

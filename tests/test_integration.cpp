@@ -34,7 +34,7 @@ TEST(Integration, Takeaway1_LonghornSgemmVariability) {
   // Power outliers near 250 W exist.
   EXPECT_LT(report.power.box.min, 265.0);
   // Strong perf-frequency correlation, weak perf-temp correlation.
-  const auto corr = correlate_metrics(result.frame);
+  const auto corr = analyze_correlation(result.frame);
   EXPECT_LT(corr.perf_freq.rho, -0.9);
   EXPECT_GT(corr.perf_temp.rho, 0.1);
   EXPECT_LT(corr.perf_temp.rho, 0.75);
@@ -124,7 +124,7 @@ TEST(Integration, Takeaway5_ResnetVariabilityIsLargestAndAppSpecific) {
   // Frequency pins at boost for ResNet (median at max)...
   EXPECT_NEAR(multi_rep.freq.box.median, 1530.0, 1.0);
   // ...and perf no longer tracks frequency (application-specific).
-  const auto corr = correlate_metrics(multi.frame);
+  const auto corr = analyze_correlation(multi.frame);
   EXPECT_GT(corr.perf_freq.rho, -0.5);
   // Power variability is large for ResNet, tiny for SGEMM.
   EXPECT_GT(multi_rep.power.variation_pct,
@@ -195,7 +195,7 @@ TEST(Integration, FlaggingRecoversInjectedFaults) {
   const auto result = sgemm_campaign(longhorn);
   FlagOptions fopts;
   fopts.slowdown_temp = longhorn.sku().slowdown_temp;
-  const auto report = flag_anomalies(result.frame, fopts);
+  const auto report = analyze_flags(result.frame, fopts);
   EXPECT_FALSE(report.gpus.empty());
 
   // Every injected power-cap fault must be flagged (these are the
@@ -226,10 +226,10 @@ TEST(Integration, FlaggingRecoversInjectedFaults) {
 TEST(Integration, RepeatOffendersAcrossWorkloads) {
   // Paper: 8 of the 10 worst SGEMM GPUs were also ResNet outliers.
   Cluster longhorn(longhorn_spec());
-  const auto sgemm_flags = flag_anomalies(sgemm_campaign(longhorn).frame);
+  const auto sgemm_flags = analyze_flags(sgemm_campaign(longhorn).frame);
   auto cfg = default_config(longhorn, resnet50_multi_workload(25), 1);
   const auto resnet = run_experiment(longhorn, cfg);
-  const auto resnet_flags = flag_anomalies(resnet.frame);
+  const auto resnet_flags = analyze_flags(resnet.frame);
   const std::vector<FlagReport> reports{sgemm_flags, resnet_flags};
   const auto offenders = repeat_offenders(reports, 2);
   EXPECT_GE(offenders.size(), 2u);

@@ -15,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "cluster/cluster.hpp"
 #include "common/bytesize.hpp"
 #include "common/thread_pool.hpp"
@@ -149,7 +151,10 @@ std::string fp_all(const query::Source& s, int impact_width = 8) {
 class QueryTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new fs::path(fs::path(::testing::TempDir()) / "gpuvar_query");
+    // Per process: ctest runs each QueryTest as its own, possibly
+    // concurrent, process, and each one rebuilds and deletes the store.
+    dir_ = new fs::path(fs::path(::testing::TempDir()) /
+                        ("gpuvar_query_" + std::to_string(::getpid())));
     fs::remove_all(*dir_);
     fs::create_directories(*dir_);
     const Cluster cluster{cloudlab_spec()};
@@ -349,16 +354,16 @@ TEST_F(QueryTest, ZeroBudgetRetainsNothing) {
   EXPECT_EQ(reg.counter("query.cache_hits").value(), 0u);
 }
 
-TEST_F(QueryTest, CliQueryMatchesMaterializedOutputByteForByte) {
+TEST_F(QueryTest, CliAnalyzeMatchesMaterializedOutputByteForByte) {
   for (const char* analysis :
        {"variability", "correlate", "flags", "drift", "impact"}) {
     std::ostringstream streamed, materialized, err;
-    ASSERT_EQ(cli::run_cli({"query", dir(), "--analysis", analysis}, streamed,
-                           err),
+    ASSERT_EQ(cli::run_cli({"analyze", dir(), "--analysis", analysis},
+                           streamed, err),
               0)
         << err.str();
     ASSERT_EQ(cli::run_cli(
-                  {"query", dir(), "--analysis", analysis, "--materialize"},
+                  {"analyze", dir(), "--analysis", analysis, "--materialize"},
                   materialized, err),
               0)
         << err.str();

@@ -10,6 +10,7 @@
 #include "core/correlate.hpp"
 #include "core/flagging.hpp"
 #include "core/variability.hpp"
+#include "query/source.hpp"  // IWYU pragma: keep (frame -> Source)
 #include "telemetry/record.hpp"
 
 namespace gpuvar {
@@ -54,7 +55,7 @@ TEST(Report, VariabilityTableShowsAllMetrics) {
 
 TEST(Report, CorrelationTableShowsAllPairs) {
   std::ostringstream out;
-  print_correlation_table(out, correlate_metrics(sample_records()));
+  print_correlation_table(out, analyze_correlation(sample_records()));
   const std::string text = out.str();
   EXPECT_NE(text.find("rho(performance"), std::string::npos);
   EXPECT_NE(text.find("rho(power"), std::string::npos);

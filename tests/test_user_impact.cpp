@@ -101,7 +101,7 @@ TEST(UserImpact, TableCoversPowersOfTwo) {
   Rng rng(4);
   std::vector<RunRecord> rs;
   for (int i = 0; i < 64; ++i) rs.push_back(rec(i, rng.normal(100.0, 2.0)));
-  const auto table = impact_table(frame_from(rs), 8);
+  const auto table = analyze_user_impact(frame_from(rs));
   ASSERT_EQ(table.size(), 4u);
   EXPECT_EQ(table[0].gpus_per_job, 1);
   EXPECT_EQ(table[3].gpus_per_job, 8);

@@ -6,6 +6,7 @@
 
 #include "telemetry/frame.hpp"
 #include "cluster/faults.hpp"
+#include "query/source.hpp"  // IWYU pragma: keep (frame -> Source)
 #include "telemetry/record.hpp"
 
 namespace gpuvar {

@@ -244,16 +244,17 @@ bool load_source_file(const fs::path& path, const std::string& rel,
 const std::vector<RuleInfo>& rules() {
   // Strictness notes: unknown-rule is structurally strict (a
   // suppression must never hide a typo'd suppression);
-  // row-record-param graduated to strict once the last
-  // deprecation-cycle row adapters were deleted — an allow() on it now
-  // marks a dead grace period, not an exemption.
+  // row-record-param and analysis-signature graduated to strict once
+  // the last deprecation-cycle adapters and forwarding shims were
+  // deleted — an allow() on either now marks a dead grace period, not
+  // an exemption.
   static const std::vector<RuleInfo> kRules = {
       {"alloc-in-hot-loop", "hotpath",
        "heap allocation inside a loop on a GPUVAR_HOT path", false},
       {"analysis-signature", "analysis",
        "analysis entry point in a core header off the unified "
        "analyze_*(source, const ...Options&) shape, or a deprecated "
-       "pre-redesign spelling kept outside an allow()'d shim", false},
+       "pre-redesign entry-point spelling", true},
       {"bare-assert", "style",
        "assert() in library code; use GPUVAR_CHECK so release builds "
        "keep the invariant", false},

@@ -10,10 +10,10 @@
 //                        takes its tunables as one trailing options
 //                        struct — analyze_*(source, options) — so call
 //                        sites never grow positional parameter lists.
-//                        Forwarding shims from the one-cycle
-//                        deprecation window carry inline allow()s; when
-//                        the cycle ends they are deleted and the rule
-//                        joins the strict list (like row-record-param).
+//                        The forwarding shims of the one-cycle
+//                        deprecation window are gone, so the rule is
+//                        strict (like row-record-param): an allow()
+//                        cannot bring a legacy spelling back.
 //
 // Helper functions (correlate_pair, job_impact, estimate_run_noise_ms)
 // are not entry points and are not matched: the rule targets the
@@ -110,9 +110,8 @@ void run_analysis_pass(const Repo& repo, std::vector<Finding>& findings) {
             {f.rel, t.line, "analysis-signature",
              "deprecated analysis entry point '" + t.text +
                  "': the unified surface is analyze_*(source, const "
-                 "...Options&). Forwarding shims may keep the old "
-                 "spelling for one deprecation cycle behind an inline "
-                 "allow()",
+                 "...Options&); the deprecation cycle is over and this "
+                 "rule is strict",
              t.text});
       } else if (!ends_with_options_param(f.code, open, close)) {
         findings.push_back(

@@ -100,9 +100,8 @@ void run_hotpath_pass(const Tree& tree, const FlowGraph& graph,
 
 /// Analysis-plane surface: analysis-signature (in src/core headers,
 /// analyze_* entry points must end in a `const <X>Options&` parameter,
-/// and the pre-redesign entry-point spellings are findings by name —
-/// forwarding shims survive one deprecation cycle behind inline
-/// allow()s).
+/// and the pre-redesign entry-point spellings are findings by name;
+/// the rule is strict, so no allow() suppresses it).
 void run_analysis_pass(const Repo& repo, std::vector<Finding>& findings);
 
 /// Intraprocedural span/string_view lifetime (src/ only, file-local —

@@ -19,7 +19,7 @@
 #                              the committed bench/BENCH_*.json reference
 #                              at a ~2x tolerance
 #   tools/ci.sh obs-smoke      end-to-end observability check: a small
-#                              `gpuvar simulate --trace --metrics` campaign,
+#                              `gpuvar run --trace --metrics` campaign,
 #                              JSON validation, artifacts archived under
 #                              build-ci/
 #   tools/ci.sh resume-smoke   kill-and-resume check of the campaign
@@ -29,12 +29,12 @@
 #                              uninterrupted run
 #   tools/ci.sh query-smoke    streaming query plane check: run a
 #                              checkpointed campaign, then byte-compare
-#                              `gpuvar query` streaming output against its
+#                              `gpuvar analyze` streaming output against its
 #                              --materialize reference path for every
 #                              analysis, filtered and compare forms included
 #   tools/ci.sh simd-matrix    SIMD determinism matrix: re-run the stats /
 #                              query / determinism ctest subset and a
-#                              campaign + query CLI pass under both
+#                              campaign + analyze CLI pass under both
 #                              GPUVAR_SIMD=scalar and GPUVAR_SIMD=auto,
 #                              then byte-compare every exported artifact
 #                              between the two backends
@@ -230,7 +230,7 @@ job_obs_smoke() {
   echo "=== job: obs-smoke (CLI --trace/--metrics end to end) ==="
   cmake -B build-ci -S . -DGPUVAR_WERROR=ON > /dev/null
   cmake --build build-ci -j "$JOBS" --target gpuvar_cli
-  ./build-ci/tools/gpuvar simulate --cluster cloudlab --workload sgemm \
+  ./build-ci/tools/gpuvar run --cluster cloudlab --workload sgemm \
     --reps 4 --runs 2 \
     --trace build-ci/OBS_trace.json --metrics build-ci/OBS_metrics.txt
   # The trace must be well-formed Chrome trace-event JSON and the dump
@@ -315,9 +315,9 @@ job_query_smoke() {
   # frame.
   local a
   for a in variability correlate flags drift impact; do
-    ./build-ci/tools/gpuvar query "$ck" --analysis "$a" \
+    ./build-ci/tools/gpuvar analyze "$ck" --analysis "$a" \
       --threads 4 --cache-budget 4K > "build-ci/QUERY_${a}_stream.txt"
-    ./build-ci/tools/gpuvar query "$ck" --analysis "$a" \
+    ./build-ci/tools/gpuvar analyze "$ck" --analysis "$a" \
       --materialize > "build-ci/QUERY_${a}_mat.txt"
     cmp "build-ci/QUERY_${a}_stream.txt" "build-ci/QUERY_${a}_mat.txt"
   done
@@ -325,18 +325,20 @@ job_query_smoke() {
   # Filtered form: a --where predicate that pushdown resolves to a
   # strict shard subset (two of cloudlab's three node buckets) takes
   # the same byte-identity bar.
-  ./build-ci/tools/gpuvar query "$ck" --where node=0..1 \
+  ./build-ci/tools/gpuvar analyze "$ck" --where node=0..1 \
     --analysis variability > build-ci/QUERY_where_stream.txt
-  ./build-ci/tools/gpuvar query "$ck" --where node=0..1 \
+  ./build-ci/tools/gpuvar analyze "$ck" --where node=0..1 \
     --analysis variability --materialize > build-ci/QUERY_where_mat.txt
   cmp build-ci/QUERY_where_stream.txt build-ci/QUERY_where_mat.txt
 
-  # Two-store comparison (a store against itself: no significant deltas).
-  ./build-ci/tools/gpuvar query "$ck" --against "$ck" \
+  # Two-store comparison: a store against itself must stay at "no
+  # significant per-GPU changes" whichever side is the baseline.
+  ./build-ci/tools/gpuvar analyze "$ck" --against "$ck" \
     --analysis compare > build-ci/QUERY_compare_stream.txt
-  ./build-ci/tools/gpuvar query "$ck" --against "$ck" \
+  ./build-ci/tools/gpuvar analyze "$ck" --against "$ck" \
     --analysis compare --materialize > build-ci/QUERY_compare_mat.txt
   cmp build-ci/QUERY_compare_stream.txt build-ci/QUERY_compare_mat.txt
+  grep -q '^no significant per-GPU changes$' build-ci/QUERY_compare_stream.txt
   echo "query-smoke: streaming output byte-identical to --materialize"
 }
 
@@ -359,7 +361,7 @@ job_simd_matrix() {
       ctest --output-on-failure -R "$simd_tests")
   done
 
-  # End to end: a checkpointed campaign plus every query analysis, run
+  # End to end: a checkpointed campaign plus every store analysis, run
   # once per backend setting; each exported artifact must match byte
   # for byte.
   local a
@@ -373,7 +375,7 @@ job_simd_matrix() {
       --report "build-ci/SIMD_${mode}.md" \
       --summary "build-ci/SIMD_${mode}.sum" > /dev/null
     for a in variability correlate flags drift impact; do
-      GPUVAR_SIMD="$mode" ./build-ci/tools/gpuvar query "$ck" \
+      GPUVAR_SIMD="$mode" ./build-ci/tools/gpuvar analyze "$ck" \
         --analysis "$a" > "build-ci/SIMD_${mode}_${a}.txt"
     done
   done

@@ -4,6 +4,8 @@
 //   2. analyze_* whose options struct is not the last parameter
 //   3. analyze_* taking its options by value
 //   4. a deprecated pre-redesign entry-point spelling
+//   5. a deprecated spelling under an allow(): the rule is strict, so
+//      the suppression must not silence it
 // Decoys that must NOT fire: the unified declarations at the bottom, a
 // helper that is not an entry point, and mentions of flag_anomalies in
 // comments like this one.
@@ -30,6 +32,10 @@ DriftReport analyze_drift_byvalue(const Source& source, DriftOptions options);
 
 // BAD: deprecated spelling; the unified surface is analyze_*.
 DriftReport detect_performance_drift(const Source& source);
+
+// BAD: analysis-signature is strict — this allow() must NOT silence it.
+DriftReport flag_anomalies(  // gpuvar-lint: allow(analysis-signature)
+    const Source& source);
 
 // GOOD: the unified shape, with and without a default argument.
 DriftReport analyze_drift(const Source& source,
