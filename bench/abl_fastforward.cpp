@@ -20,7 +20,7 @@ Outcome campaign(const Cluster& cluster, bool fast_forward) {
       cluster, sgemm_workload(25536, bench::sgemm_reps()), 1);
   cfg.run_options.sim.fast_forward = fast_forward;
   const auto t0 = std::chrono::steady_clock::now();
-  const auto result = run_experiment(cluster, cfg);
+  const auto result = run_campaign(cluster, cfg);
   const auto t1 = std::chrono::steady_clock::now();
   Outcome o;
   o.wall_s = std::chrono::duration<double>(t1 - t0).count();

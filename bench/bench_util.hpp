@@ -44,14 +44,14 @@ inline gpuvar::RecordFrame frame_from(
   return f;
 }
 
-inline gpuvar::ExperimentResult sgemm_experiment(
+inline gpuvar::CampaignResult sgemm_experiment(
     const gpuvar::Cluster& cluster, int day_of_week = -1) {
   const std::size_t n =
       cluster.sku().vendor == gpuvar::Vendor::kAmd ? 24576 : 25536;
   auto cfg = gpuvar::default_config(
       cluster, gpuvar::sgemm_workload(n, sgemm_reps()), runs_per_gpu());
   cfg.day_of_week = day_of_week;
-  return gpuvar::run_experiment(cluster, cfg);
+  return gpuvar::run_campaign(cluster, cfg);
 }
 
 inline void print_header(const std::string& id, const std::string& title) {
@@ -62,7 +62,7 @@ inline void print_header(const std::string& id, const std::string& title) {
 
 /// Prints the standard per-figure block: variability table, grouped box
 /// charts for every metric, and the correlation summary.
-inline void print_figure_block(const gpuvar::ExperimentResult& result,
+inline void print_figure_block(const gpuvar::CampaignResult& result,
                                gpuvar::GroupBy group) {
   using namespace gpuvar;
   const auto report = analyze_variability(result.frame);

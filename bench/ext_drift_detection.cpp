@@ -17,7 +17,7 @@ int main() {
     auto cfg = default_config(vortex, sgemm_workload(25536, 6), 1);
     cfg.node_coverage = 0.25;
     cfg.salt = static_cast<std::uint64_t>(week);
-    const auto frame = run_experiment(vortex, cfg).frame;
+    const auto frame = run_campaign(vortex, cfg).frame;
     for (std::size_t i = 0; i < frame.size(); ++i) {
       RunRecord r = frame.row(i);
       r.run_index = week;

@@ -16,7 +16,7 @@ void analyze(const ClusterSpec& spec) {
   auto cfg = default_config(
       cluster, sgemm_workload(n, bench::sgemm_reps()),
       std::max(3, bench::runs_per_gpu()));
-  const auto result = run_experiment(cluster, cfg);
+  const auto result = run_campaign(cluster, cfg);
   const auto reps = per_gpu_repeatability(result.frame);
 
   std::vector<double> vars, perf;

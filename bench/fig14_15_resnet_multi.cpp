@@ -15,7 +15,7 @@ int main() {
   auto cfg = default_config(
       longhorn, resnet50_multi_workload(bench::ml_iterations()),
       bench::runs_per_gpu());
-  const auto result = run_experiment(longhorn, cfg);
+  const auto result = run_campaign(longhorn, cfg);
   bench::print_figure_block(result, GroupBy::kCabinet);
 
   print_section(std::cout, "Figure 15 scatter plots");

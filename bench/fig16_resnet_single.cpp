@@ -14,13 +14,13 @@ int main() {
   auto cfg = default_config(
       longhorn, resnet50_single_workload(bench::ml_iterations()),
       bench::runs_per_gpu());
-  const auto single = run_experiment(longhorn, cfg);
+  const auto single = run_campaign(longhorn, cfg);
   bench::print_figure_block(single, GroupBy::kCabinet);
 
   print_section(std::cout, "bulk-synchronous amplification (Takeaway 5)");
   auto multi_cfg = default_config(
       longhorn, resnet50_multi_workload(bench::ml_iterations()), 1);
-  const auto multi = run_experiment(longhorn, multi_cfg);
+  const auto multi = run_campaign(longhorn, multi_cfg);
   const auto s = analyze_variability(single.frame);
   const auto m = analyze_variability(multi.frame);
   std::printf(

@@ -14,14 +14,14 @@ int main() {
   auto cfg = default_config(
       longhorn, bert_workload(std::max(10, bench::ml_iterations() / 2)),
       bench::runs_per_gpu());
-  const auto result = run_experiment(longhorn, cfg);
+  const auto result = run_campaign(longhorn, cfg);
   bench::print_figure_block(result, GroupBy::kCabinet);
 
   print_section(std::cout, "BERT vs ResNet power (Takeaway 6)");
   auto rcfg = default_config(
       longhorn, resnet50_multi_workload(bench::ml_iterations()), 1);
   rcfg.node_coverage = 0.5;
-  const auto resnet = run_experiment(longhorn, rcfg);
+  const auto resnet = run_campaign(longhorn, rcfg);
   const double bert_p =
       stats::median(metric_column(result.frame, Metric::kPower));
   const double resnet_p =

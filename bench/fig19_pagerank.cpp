@@ -12,7 +12,7 @@ int main() {
   Cluster longhorn(longhorn_spec());
   auto cfg = default_config(longhorn, pagerank_workload(20),
                             bench::runs_per_gpu());
-  const auto result = run_experiment(longhorn, cfg);
+  const auto result = run_campaign(longhorn, cfg);
   bench::print_figure_block(result, GroupBy::kCabinet);
 
   const auto report = analyze_variability(result.frame);

@@ -22,7 +22,7 @@ int main() {
         cloudlab, sgemm_workload(25536, bench::sgemm_reps()),
         std::max(3, bench::runs_per_gpu()));
     cfg.run_options.power_limit_override = Watts{limit};
-    const auto result = run_experiment(cloudlab, cfg);
+    const auto result = run_campaign(cloudlab, cfg);
     const auto report = analyze_variability(result.frame);
     std::printf("%8.0f %10.0f %8.2f %10.0f %10.0f\n", limit,
                 report.perf.box.median, report.perf.variation_pct,

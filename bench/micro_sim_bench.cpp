@@ -62,7 +62,7 @@ void BM_VortexSgemmCampaign(benchmark::State& state) {
   Cluster vortex(vortex_spec());
   for (auto _ : state) {
     auto cfg = default_config(vortex, sgemm_workload(25536, 5), 1);
-    const auto result = run_experiment(vortex, cfg);
+    const auto result = run_campaign(vortex, cfg);
     benchmark::DoNotOptimize(result.frame.size());
   }
   state.counters["gpu_runs_per_s"] = benchmark::Counter(

@@ -24,12 +24,12 @@ int main(int argc, char** argv) {
 
   // Campaign 1: the SGEMM canary (compute-bound, clock-sensitive).
   auto sgemm_cfg = default_config(cluster, sgemm_workload(n, 10), 2);
-  const auto sgemm_result = run_experiment(cluster, sgemm_cfg);
+  const auto sgemm_result = run_campaign(cluster, sgemm_cfg);
 
   // Campaign 2: a balanced ML job — outliers that repeat across both are
   // hardware, not workload artifacts.
   auto ml_cfg = default_config(cluster, resnet50_multi_workload(25), 1);
-  const auto ml_result = run_experiment(cluster, ml_cfg);
+  const auto ml_result = run_campaign(cluster, ml_cfg);
 
   FlagOptions opts;
   opts.slowdown_temp = cluster.sku().slowdown_temp;

@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
 
   Cluster cluster(vortex_spec());
   auto cfg = default_config(cluster, sgemm_workload(25536, 8), 2);
-  const auto result = run_experiment(cluster, cfg);
+  const auto result = run_campaign(cluster, cfg);
 
   // Per-run summary CSV.
   std::vector<GpuRunResult> rows;  // re-run one node to get result objects

@@ -19,7 +19,7 @@ int main() {
   for (double cap : {300.0, 250.0, 200.0, 175.0, 150.0, 125.0, 100.0}) {
     auto cfg = default_config(cluster, sgemm_workload(25536, 8), 2);
     cfg.run_options.power_limit_override = Watts{cap};
-    const auto result = run_experiment(cluster, cfg);
+    const auto result = run_campaign(cluster, cfg);
     const auto rep = analyze_variability(result.frame);
 
     const double med_s = rep.perf.box.median / 1e3;

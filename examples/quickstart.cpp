@@ -27,7 +27,7 @@ int main() {
 
   // 3. The campaign: 3 runs per GPU, exclusive nodes, warm-up included.
   const ExperimentConfig config = default_config(cluster, workload, 3);
-  const ExperimentResult result = run_experiment(cluster, config);
+  const CampaignResult result = run_campaign(cluster, config);
   std::cout << "collected " << result.frame.size() << " runs across "
             << result.gpus_measured << " GPUs\n";
 

@@ -15,7 +15,7 @@ int main() {
   // Step 1: a quick SGEMM canary gives each node a quality score (median
   // settled frequency — the paper's strongest predictor of performance).
   auto cfg = default_config(cluster, sgemm_workload(25536, 8), 1);
-  const auto result = run_experiment(cluster, cfg);
+  const auto result = run_campaign(cluster, cfg);
 
   struct NodeQuality {
     int node;

@@ -1,10 +1,10 @@
 // The campaign engine: a staged, checkpointable pipeline over node jobs.
 //
-// run_experiment (core/experiment.hpp) collects one cycle in memory; a
-// real characterization campaign is days of cycles over tens of
-// thousands of GPUs, and it gets killed — by scheduler preemption, by a
-// node reboot, by the operator. The engine runs the same node jobs
-// through four stages:
+// One cycle of a campaign (core/experiment.hpp) fits in memory; a real
+// characterization campaign is days of cycles over tens of thousands
+// of GPUs, and it gets killed — by scheduler preemption, by a node
+// reboot, by the operator. The engine runs the node jobs through four
+// stages:
 //
 //   plan         validate the config, sample node allocations, derive
 //                the campaign's config hash (the checkpoint identity)
@@ -84,11 +84,13 @@ struct CampaignResult {
   CampaignStats stats;
 };
 
-/// Runs (or resumes) one campaign. Degenerate campaigns — zero node
-/// coverage or an empty cluster — return an empty frame and never
-/// invoke config.progress. Throws std::invalid_argument on a bounded
-/// budget without a checkpoint_dir, std::runtime_error on checkpoint
-/// I/O failures or a checkpoint_dir recorded by a different campaign.
+/// Runs (or resumes) one campaign. With default options it runs
+/// entirely in memory: no checkpoint, every bucket resident.
+/// Degenerate campaigns — zero node coverage or an empty cluster —
+/// return an empty frame and never invoke config.progress. Throws
+/// std::invalid_argument on a bounded budget without a checkpoint_dir,
+/// std::runtime_error on checkpoint I/O failures or a checkpoint_dir
+/// recorded by a different campaign.
 CampaignResult run_campaign(const Cluster& cluster,
                             const ExperimentConfig& config,
                             const CampaignOptions& options = {});

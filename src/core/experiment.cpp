@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "cluster/cluster.hpp"
-#include "core/engine.hpp"
 #include "workloads/runner.hpp"
 #include "workloads/workload.hpp"
 
@@ -16,21 +15,6 @@ ExperimentConfig default_config(const Cluster& cluster, WorkloadSpec workload,
   cfg.runs_per_gpu = runs_per_gpu;
   cfg.run_options = RunOptions::for_sku(cluster.sku());
   return cfg;
-}
-
-ExperimentResult run_experiment(const Cluster& cluster,
-                                const ExperimentConfig& config) {
-  // One cycle through the campaign engine with no checkpoint directory
-  // and an unlimited shard budget: every bucket stays resident, nothing
-  // touches disk, and the merged frame is byte-for-byte the engine's
-  // in-memory path — run_experiment is now a name for that special
-  // case, not a second implementation.
-  CampaignResult r = run_campaign(cluster, config, CampaignOptions{});
-  ExperimentResult out;
-  out.frame = std::move(r.frame);
-  out.gpus_measured = r.gpus_measured;
-  out.nodes_measured = r.nodes_measured;
-  return out;
 }
 
 }  // namespace gpuvar

@@ -1,20 +1,22 @@
-// The experiment runner: the paper's data-collection campaign in code.
+// The campaign configuration: the paper's data-collection campaign in
+// code.
 //
-// For a (cluster, workload) pair it allocates nodes exclusively, performs
-// the configured number of runs per GPU (each preceded by the workload's
-// warm-up), and returns flattened RunRecords. Node jobs are independent,
-// so they execute in parallel on the host thread pool; determinism is
-// preserved because every random draw is keyed by (cluster seed, GPU
-// path, run index), never by scheduling order.
+// An ExperimentConfig names a workload, the runs per GPU, the node
+// coverage and the run options; run_campaign (core/engine.hpp) executes
+// it — allocating nodes exclusively, running each GPU the configured
+// number of times after the workload's warm-up, and merging the
+// records into one RecordFrame. Node jobs are independent, so they
+// execute in parallel on the host thread pool; determinism is preserved
+// because every random draw is keyed by (cluster seed, GPU path, run
+// index), never by scheduling order.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
-#include <vector>
 
 namespace gpuvar { class Cluster; }  // was: #include "cluster/cluster.hpp"
 namespace gpuvar { class ThreadPool; }  // was: #include "common/thread_pool.hpp"
-#include "telemetry/frame.hpp"
 #include "workloads/runner.hpp"
 #include "workloads/workload.hpp"
 
@@ -46,17 +48,6 @@ struct ExperimentConfig {
   /// node order, and every random draw is seed-path-keyed.
   ThreadPool* pool = nullptr;
 };
-
-struct ExperimentResult {
-  /// The canonical columnar interchange: every analysis takes this.
-  RecordFrame frame;
-  std::size_t gpus_measured = 0;
-  std::size_t nodes_measured = 0;
-};
-
-/// Runs the full campaign. Thread-safe; parallel across nodes.
-ExperimentResult run_experiment(const Cluster& cluster,
-                                const ExperimentConfig& config);
 
 /// Convenience: a ready-to-run config with sensible defaults for a SKU
 /// (tick at the control period, summary-only telemetry).

@@ -8,7 +8,7 @@
 #include "gpu/power_model.hpp"
 #include "cluster/cluster.hpp"
 #include "common/units.hpp"
-#include "core/experiment.hpp"
+#include "core/engine.hpp"
 #include "core/record.hpp"
 #include "gpu/kernel.hpp"
 #include "telemetry/frame.hpp"
@@ -85,10 +85,10 @@ PowerAssignment equal_frequency_assignment(const Cluster& cluster,
   return uniform_assignment(cluster, envelope);
 }
 
-ExperimentResult run_under_assignment(const Cluster& cluster,
-                                      const WorkloadSpec& workload,
-                                      const PowerAssignment& assignment,
-                                      int runs_per_gpu) {
+CampaignResult run_under_assignment(const Cluster& cluster,
+                                    const WorkloadSpec& workload,
+                                    const PowerAssignment& assignment,
+                                    int runs_per_gpu) {
   workload.validate();
   GPUVAR_REQUIRE_MSG(workload.gpus_per_job == 1,
                      "per-GPU assignments need single-GPU jobs");
@@ -105,7 +105,7 @@ ExperimentResult run_under_assignment(const Cluster& cluster,
     }
   });
 
-  ExperimentResult out;
+  CampaignResult out;
   out.nodes_measured = static_cast<std::size_t>(cluster.node_count());
   out.frame = builder.finish();
   out.gpus_measured = cluster.size();

@@ -11,7 +11,7 @@
 #include <vector>
 
 namespace gpuvar { class Cluster; }  // was: #include "cluster/cluster.hpp"
-#include "core/experiment.hpp"
+#include "core/engine.hpp"
 #include "common/units.hpp"
 namespace gpuvar { struct WorkloadSpec; }  // was: #include "workloads/workload.hpp"
 namespace gpuvar { struct KernelSpec; }  // was: #include "gpu/kernel.hpp"
@@ -41,10 +41,11 @@ PowerAssignment equal_frequency_assignment(const Cluster& cluster,
                                            Watts envelope,
                                            const KernelSpec& kernel);
 
-/// Runs an experiment with per-GPU limits from the assignment.
-ExperimentResult run_under_assignment(const Cluster& cluster,
-                                      const WorkloadSpec& workload,
-                                      const PowerAssignment& assignment,
-                                      int runs_per_gpu = 1);
+/// Runs a campaign with per-GPU limits from the assignment (every GPU,
+/// in memory; config_hash and stats stay zero).
+CampaignResult run_under_assignment(const Cluster& cluster,
+                                    const WorkloadSpec& workload,
+                                    const PowerAssignment& assignment,
+                                    int runs_per_gpu = 1);
 
 }  // namespace gpuvar

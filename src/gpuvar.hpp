@@ -8,7 +8,7 @@
 // Typical flow:
 //   auto cluster = gpuvar::Cluster(gpuvar::longhorn_spec());
 //   auto cfg = gpuvar::default_config(cluster, gpuvar::sgemm_workload());
-//   auto result = gpuvar::run_experiment(cluster, cfg);
+//   auto result = gpuvar::run_campaign(cluster, cfg);
 //   auto report = gpuvar::analyze_variability(result.frame);
 //
 // Checkpointed campaigns can also be analyzed without materializing:

@@ -100,7 +100,7 @@ class TraceLane {
 
 /// Collects lanes. Lane creation locks; event emission does not (each
 /// lane has a single owner). Read the lanes back only after the traced
-/// work has completed (e.g. after run_experiment returns).
+/// work has completed (e.g. after run_campaign returns).
 class TraceSink {
  public:
   /// The lane with this id, created (with `label`) on first use. The
@@ -130,7 +130,7 @@ TraceLane* current_lane();
 
 /// RAII adoption of a lane for the current thread (and task). No-op —
 /// no allocation, no lock — when no sink is installed. Nests: the
-/// previous lane is restored on destruction, so run_experiment can
+/// previous lane is restored on destruction, so run_campaign can
 /// reuse lane 0 under a CLI that already opened it.
 class LaneScope {
  public:

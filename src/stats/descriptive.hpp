@@ -20,11 +20,11 @@ struct Descriptive {
   double cv() const { return mean != 0.0 ? stddev / (mean < 0 ? -mean : mean) : 0.0; }
 };
 
-/// Computes descriptive statistics via the vectorized kernels in
+/// Computes descriptive statistics via the kernels in
 /// stats/kernels.hpp: one fused min/max/sum/sumsq sweep, then a
-/// numerically stable centered pass for the variance. Deterministic
-/// across SIMD backends and thread counts (see kernels.hpp). Requires
-/// a non-empty sample.
+/// numerically stable centered pass for the variance. Bit-identical on
+/// every host and at any thread count (see kernels.hpp). Requires a
+/// non-empty sample.
 Descriptive describe(std::span<const double> xs);
 
 double mean(std::span<const double> xs);

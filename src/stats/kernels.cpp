@@ -1,208 +1,149 @@
 #include "stats/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <string_view>
 #include <utility>
 
 #include "common/hot.hpp"
 #include "common/require.hpp"
-#include "stats/kernels_table.hpp"
 
 namespace gpuvar::stats::kernels {
 
+const char* backend_name(Backend) { return "scalar"; }
+
+Backend active_backend() { return Backend::kScalar; }
+
+// --- fused reductions ---------------------------------------------------
+// Every reduction accumulates element i into lane i % 4 and combines the
+// four lanes as (l0 op l1) op (l2 op l3). The full 4-blocks are four
+// independent accumulator chains the compiler may keep in one vector
+// register or four scalar ones; either way each lane sees the same
+// additions in the same order, and this TU builds with
+// -ffp-contract=off so no mul+add is ever fused. That fixed arithmetic
+// is the determinism contract: the bits depend on the input alone.
+
 namespace {
 
-// Vector width rank used when an env-requested backend is unavailable:
-// the override clamps down to the widest available backend that is no
-// wider than the request (so GPUVAR_SIMD=avx2 on an SSE2-only host runs
-// SSE2, never scalar).
-int backend_width(Backend b) {
-  switch (b) {
-    case Backend::kScalar:
-      return 0;
-    case Backend::kSse2:
-    case Backend::kNeon:
-      return 1;
-    case Backend::kAvx2:
-      return 2;
+// minpd/maxpd lane semantics: the accumulator survives unless x
+// compares strictly below (above) it, so a NaN's fate depends on its
+// position, deterministically.
+inline double lane_min(double acc, double x) { return acc < x ? acc : x; }
+inline double lane_max(double acc, double x) { return acc > x ? acc : x; }
+
+constexpr double kPosInf = std::numeric_limits<double>::infinity();
+
+/// Calls step(lane, i) for i in [0, n) with lane = i % 4: full blocks
+/// unrolled, then the ragged tail into the same lanes.
+template <class Step>
+inline void for_each_lane(std::size_t n, Step&& step) {
+  const std::size_t full = n - n % 4;
+  for (std::size_t i = 0; i < full; i += 4) {
+    step(0, i);
+    step(1, i + 1);
+    step(2, i + 2);
+    step(3, i + 3);
   }
-  return 0;
+  for (std::size_t i = full; i < n; ++i) step(i - full, i);
 }
 
-Backend detect() {
-#if defined(__aarch64__)
-  return Backend::kNeon;
-#elif defined(__x86_64__) || defined(_M_X64)
-#if defined(__GNUC__) || defined(__clang__)
-  if (__builtin_cpu_supports("avx2")) return Backend::kAvx2;
-#endif
-  return Backend::kSse2;
-#else
-  return Backend::kScalar;
-#endif
+inline double combine_sum(const double (&l)[4]) {
+  return (l[0] + l[1]) + (l[2] + l[3]);
 }
-
-Backend clamp_to_available(Backend req) {
-  if (backend_available(req)) return req;
-  constexpr Backend kByWidth[] = {Backend::kAvx2, Backend::kNeon,
-                                  Backend::kSse2, Backend::kScalar};
-  for (Backend b : kByWidth) {
-    if (backend_width(b) <= backend_width(req) && backend_available(b)) {
-      return b;
-    }
-  }
-  return Backend::kScalar;
+inline double combine_min(const double (&l)[4]) {
+  return lane_min(lane_min(l[0], l[1]), lane_min(l[2], l[3]));
 }
-
-// GPUVAR_SIMD is read exactly once, at first kernel use. Unknown values
-// mean "auto" (the detected widest backend); known-but-unsupported
-// values clamp down, so the variable can never select a backend the
-// host cannot execute.
-Backend initial_backend() {
-  const Backend detected = detect();
-  const char* env = std::getenv("GPUVAR_SIMD");
-  if (env == nullptr) return detected;
-  const std::string_view v(env);
-  Backend req = detected;  // "auto" and anything unrecognized
-  if (v == "scalar") {
-    req = Backend::kScalar;
-  } else if (v == "sse2") {
-    req = Backend::kSse2;
-  } else if (v == "avx2") {
-    req = Backend::kAvx2;
-  } else if (v == "neon") {
-    req = Backend::kNeon;
-  }
-  return clamp_to_available(req);
-}
-
-std::atomic<Backend>& active_slot() {
-  static std::atomic<Backend> slot{initial_backend()};
-  return slot;
-}
-
-const detail::KernelTable& table_for(Backend b) {
-  switch (b) {
-    case Backend::kSse2:
-      return detail::sse2_table();
-    case Backend::kAvx2:
-      return detail::avx2_table();
-    case Backend::kNeon:
-      return detail::neon_table();
-    case Backend::kScalar:
-      break;
-  }
-  return detail::scalar_table();
-}
-
-const detail::KernelTable& active_table() {
-  return table_for(active_slot().load(std::memory_order_relaxed));
+inline double combine_max(const double (&l)[4]) {
+  return lane_max(lane_max(l[0], l[1]), lane_max(l[2], l[3]));
 }
 
 }  // namespace
 
-const char* backend_name(Backend b) {
-  switch (b) {
-    case Backend::kScalar:
-      return "scalar";
-    case Backend::kSse2:
-      return "sse2";
-    case Backend::kAvx2:
-      return "avx2";
-    case Backend::kNeon:
-      return "neon";
-  }
-  return "scalar";
-}
-
-Backend active_backend() {
-  return active_slot().load(std::memory_order_relaxed);
-}
-
-bool backend_available(Backend b) {
-  switch (b) {
-    case Backend::kScalar:
-      return true;
-    case Backend::kSse2:
-#if defined(__x86_64__) || defined(_M_X64)
-      return true;
-#else
-      return false;
-#endif
-    case Backend::kAvx2:
-#if (defined(__x86_64__) || defined(_M_X64)) && \
-    (defined(__GNUC__) || defined(__clang__))
-      return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-    case Backend::kNeon:
-#if defined(__aarch64__)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-std::vector<Backend> available_backends() {
-  std::vector<Backend> out;
-  for (Backend b : {Backend::kScalar, Backend::kSse2, Backend::kAvx2,
-                    Backend::kNeon}) {
-    if (backend_available(b)) out.push_back(b);
-  }
-  return out;
-}
-
-Backend set_backend(Backend b) {
-  GPUVAR_REQUIRE(backend_available(b));
-  return active_slot().exchange(b);
-}
-
-// --- fused reductions ---------------------------------------------------
-
 GPUVAR_HOT Sweep describe_sweep(std::span<const double> xs) {
   GPUVAR_REQUIRE(!xs.empty());
-  return active_table().describe_sweep(xs);
+  const double* p = xs.data();
+  double lsum[4] = {0.0, 0.0, 0.0, 0.0};
+  double lsq[4] = {0.0, 0.0, 0.0, 0.0};
+  double lmin[4] = {kPosInf, kPosInf, kPosInf, kPosInf};
+  double lmax[4] = {-kPosInf, -kPosInf, -kPosInf, -kPosInf};
+  for_each_lane(xs.size(), [&](std::size_t l, std::size_t i) {
+    const double x = p[i];
+    lsum[l] += x;
+    lsq[l] += x * x;
+    lmin[l] = lane_min(lmin[l], x);
+    lmax[l] = lane_max(lmax[l], x);
+  });
+  Sweep s;
+  s.sum = combine_sum(lsum);
+  s.sumsq = combine_sum(lsq);
+  s.min = combine_min(lmin);
+  s.max = combine_max(lmax);
+  return s;
 }
 
 GPUVAR_HOT double sum(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  return active_table().sum(xs);
+  const double* p = xs.data();
+  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+  for_each_lane(xs.size(),
+                [&](std::size_t l, std::size_t i) { lanes[l] += p[i]; });
+  return combine_sum(lanes);
 }
 
 GPUVAR_HOT double centered_sumsq(std::span<const double> xs, double mean) {
-  if (xs.empty()) return 0.0;
-  return active_table().centered_sumsq(xs, mean);
+  const double* p = xs.data();
+  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+  for_each_lane(xs.size(), [&](std::size_t l, std::size_t i) {
+    const double d = p[i] - mean;
+    lanes[l] += d * d;
+  });
+  return combine_sum(lanes);
 }
 
 GPUVAR_HOT CenteredProducts centered_products(std::span<const double> xs,
                                               std::span<const double> ys,
                                               double mx, double my) {
   GPUVAR_REQUIRE(xs.size() == ys.size());
-  if (xs.empty()) return {};
-  return active_table().centered_products(xs, ys, mx, my);
+  const double* px = xs.data();
+  const double* py = ys.data();
+  double lxy[4] = {0.0, 0.0, 0.0, 0.0};
+  double lxx[4] = {0.0, 0.0, 0.0, 0.0};
+  double lyy[4] = {0.0, 0.0, 0.0, 0.0};
+  for_each_lane(xs.size(), [&](std::size_t l, std::size_t i) {
+    const double dx = px[i] - mx;
+    const double dy = py[i] - my;
+    lxy[l] += dx * dy;
+    lxx[l] += dx * dx;
+    lyy[l] += dy * dy;
+  });
+  CenteredProducts cp;
+  cp.sxy = combine_sum(lxy);
+  cp.sxx = combine_sum(lxx);
+  cp.syy = combine_sum(lyy);
+  return cp;
 }
 
 GPUVAR_HOT MinMax min_max(std::span<const double> xs) {
   GPUVAR_REQUIRE(!xs.empty());
-  return active_table().min_max(xs);
+  const double* p = xs.data();
+  double lmin[4] = {kPosInf, kPosInf, kPosInf, kPosInf};
+  double lmax[4] = {-kPosInf, -kPosInf, -kPosInf, -kPosInf};
+  for_each_lane(xs.size(), [&](std::size_t l, std::size_t i) {
+    lmin[l] = lane_min(lmin[l], p[i]);
+    lmax[l] = lane_max(lmax[l], p[i]);
+  });
+  MinMax mm;
+  mm.min = combine_min(lmin);
+  mm.max = combine_max(lmax);
+  return mm;
 }
 
 // --- selection ----------------------------------------------------------
-// Shared exact code: a selected order statistic is a value fact about
-// the multiset, so no per-backend variants exist and the dispatch table
-// is not involved. Deterministic pivots (median-of-3, ninther above 128
+// Exact code: a selected order statistic is a value fact about the
+// multiset. Deterministic pivots (median-of-3, ninther above 128
 // elements), three-way partitioning so constant columns finish in one
 // pass, and bounds-checked scans so a NaN cannot walk a cursor off the
 // span — NaNs land in the pivot's "unordered" band, which keeps the
-// result deterministic (and identical across backends by construction)
-// even though NaN ordering is unspecified.
+// result deterministic even though NaN ordering is unspecified.
 
 namespace {
 
@@ -328,15 +269,23 @@ GPUVAR_HOT void mask_range_i16(std::span<const std::int16_t> xs,
   }
   const auto clo = static_cast<std::int16_t>(std::max(lo, kI16Min));
   const auto chi = static_cast<std::int16_t>(std::min(hi, kI16Max));
-  active_table().mask_range_i16(xs, clo, chi, out);
+  const std::int16_t* p = xs.data();
+  std::uint8_t* o = out.data();
+  const std::size_t n = xs.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    o[i] = static_cast<std::uint8_t>(p[i] >= clo && p[i] <= chi);
+  }
 }
 
 GPUVAR_HOT void mask_gather_u32(std::span<const std::uint32_t> ids,
                                 std::span<const std::uint8_t> table,
                                 std::span<std::uint8_t> out) {
   GPUVAR_REQUIRE(out.size() == ids.size());
-  if (ids.empty()) return;
-  active_table().mask_gather_u32(ids, table, out);
+  const std::uint32_t* p = ids.data();
+  const std::uint8_t* t = table.data();
+  std::uint8_t* o = out.data();
+  const std::size_t n = ids.size();
+  for (std::size_t i = 0; i < n; ++i) o[i] = t[p[i]];
 }
 
 GPUVAR_HOT void mask_and(std::span<const std::uint8_t> a,
@@ -344,13 +293,21 @@ GPUVAR_HOT void mask_and(std::span<const std::uint8_t> a,
                          std::span<std::uint8_t> out) {
   GPUVAR_REQUIRE(a.size() == b.size());
   GPUVAR_REQUIRE(out.size() == a.size());
-  if (a.empty()) return;
-  active_table().mask_and(a, b, out);
+  const std::uint8_t* pa = a.data();
+  const std::uint8_t* pb = b.data();
+  std::uint8_t* o = out.data();
+  const std::size_t n = a.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    o[i] = static_cast<std::uint8_t>(pa[i] & pb[i]);
+  }
 }
 
 GPUVAR_HOT std::size_t mask_count(std::span<const std::uint8_t> mask) {
-  if (mask.empty()) return 0;
-  return active_table().mask_count(mask);
+  const std::uint8_t* p = mask.data();
+  const std::size_t n = mask.size();
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) count += p[i];
+  return count;
 }
 
 // The index emitters size the output once (one pad slot keeps the

@@ -1,28 +1,21 @@
-// Columnar compute kernels with a deterministic SIMD dispatch layer.
+// Columnar compute kernels: one portable implementation.
 //
 // Every analysis in this suite bottoms out in a handful of column
 // primitives: fused min/max/sum/sumsq sweeps (describe), centered
 // product sums (pearson), order-statistic selection (quantile/median),
 // and row-predicate masks (query scans, frame selection). This module
-// implements each one against the fixed 4-lane Batch4 abstraction in
-// simd.hpp, compiled once per backend (scalar / SSE2 / AVX2 / NEON)
-// and dispatched at runtime through a function table.
+// implements each one once, in plain C++ the compiler is free to
+// vectorize.
 //
 // Determinism is a hard contract, not an aspiration: a reduction over
-// n elements accumulates element i into lane i%4 (full blocks in the
-// vector unit, the ragged tail folded into the same lanes in scalar
-// code) and combines lanes as (l0+l1)+(l2+l3). The scalar backend
-// spells out the identical arithmetic, so results are bit-identical
-// across backends, thread counts, and GPUVAR_SIMD settings — the
-// property tests in tests/test_kernels.cpp and the determinism_replay
-// / simd-matrix CI jobs enforce it.
-//
-// Dispatch: the widest backend the CPU supports wins (cpuid probe on
-// x86-64, NEON baseline on aarch64). The GPUVAR_SIMD environment
-// variable overrides: auto | scalar | sse2 | avx2 (an unsupported
-// request clamps down to the widest available narrower backend).
-// set_backend() is the test hook that lets the bit-identity property
-// tests iterate every backend reachable on the host.
+// n elements accumulates element i into lane i%4 (full 4-blocks first,
+// the ragged tail folded into the same lanes), combines lanes as
+// (l0+l1)+(l2+l3), and never fuses a mul+add (kernels.cpp builds with
+// -ffp-contract=off). The result bits therefore depend on the input
+// alone — not on the host ISA, the thread count or the compiler's
+// register width. tests/test_stats_kernels.cpp pins every reduction
+// bit for bit against a reference that spells out the lane formula,
+// and the determinism_replay tests pin whole campaigns.
 #pragma once
 
 #include <cstddef>
@@ -32,32 +25,22 @@
 
 namespace gpuvar::stats::kernels {
 
-enum class Backend { kScalar = 0, kSse2 = 1, kAvx2 = 2, kNeon = 3 };
+/// The kernel implementation in use. There is one, so these exist only
+/// to report it in the end-to-end benchmark's host facts.
+enum class Backend { kScalar = 0 };
 
+/// "scalar".
 const char* backend_name(Backend b);
 
-/// The backend every kernel below currently dispatches to: the widest
-/// supported one, unless GPUVAR_SIMD overrode it at first use or a
-/// test pinned one via set_backend().
+/// Backend::kScalar.
 Backend active_backend();
-
-/// Whether this build/CPU can execute the given backend.
-bool backend_available(Backend b);
-
-/// Every backend the host can execute, scalar first (for the
-/// cross-backend bit-identity property tests).
-std::vector<Backend> available_backends();
-
-/// Test hook: pins the active backend and returns the previous one.
-/// Requires backend_available(b).
-Backend set_backend(Backend b);
 
 // --- fused reductions ---------------------------------------------------
 
 /// min/max/sum/sumsq of a column in one sweep. min/max follow minpd
 /// semantics (`(acc < x) ? acc : x` per lane against +/-inf identities),
-/// so a NaN's survival depends on its position — deterministically, and
-/// identically in every backend. Requires a non-empty span.
+/// so a NaN's survival depends on its position — deterministically.
+/// Requires a non-empty span.
 struct Sweep {
   double sum = 0.0;
   double min = 0.0;
@@ -96,8 +79,7 @@ MinMax min_max(std::span<const double> xs);
 // Order statistics without the copy-sort: iterative quickselect with
 // deterministic median-of-3/ninther pivots (no RNG). The k-th smallest
 // value of a multiset is a pure value fact, so select-based quantiles
-// are bit-identical to the sorted-copy path they replace — the backend
-// dispatch above does not apply (selection is shared exact code).
+// are bit-identical to the sorted-copy path they replace.
 
 /// Partitions xs so xs[k] holds the k-th smallest element, everything
 /// left of k is <= it and everything right is >= it. Requires k < size.
@@ -113,8 +95,8 @@ double median_inplace(std::span<double> xs);
 
 // --- predicate masks ----------------------------------------------------
 // Byte masks (1 = row matches) for the query scan's row filter and
-// RecordFrame selection. Integer compares vectorize via each backend
-// TU's ISA flags and are trivially bit-identical.
+// RecordFrame selection. Exact integer operations, written branch-free
+// so the compiler can vectorize them.
 
 /// out[i] = lo <= xs[i] <= hi (bounds in FieldRange's int64 domain;
 /// clamped to int16 internally). out must match xs in length.

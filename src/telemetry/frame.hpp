@@ -18,7 +18,7 @@
 // first-appearance interning. FrameBuilder::finish() merges its buckets
 // in bucket-index order, so parallel producers that each own one bucket
 // yield a byte-identical frame whatever the pool size or schedule —
-// exactly the guarantee determinism_replay pins for run_experiment.
+// exactly the guarantee determinism_replay pins for run_campaign.
 //
 // Migration note: the deprecation cycle is over. The bulk row adapters
 // and every row-span analysis overload are gone; analysis entry points

@@ -124,8 +124,8 @@ TEST(Compare, EndToEndMaintenanceStory) {
   cfg_b.node_coverage = 0.4;
   auto cfg_f = default_config(fixed, sgemm_workload(25536, 6), 2);
   cfg_f.node_coverage = 0.4;
-  const auto before = run_experiment(broken, cfg_b);
-  const auto after = run_experiment(fixed, cfg_f);
+  const auto before = run_campaign(broken, cfg_b);
+  const auto after = run_campaign(fixed, cfg_f);
 
   const auto cmp = analyze_compare(before.frame, after.frame);
   EXPECT_GT(cmp.matched_gpus, 100u);

@@ -44,7 +44,7 @@ struct CampaignArtifacts {
 /// same pool-parallel per-node path the CLI uses), the markdown report
 /// over the experiment's records, and the observability exports (the
 /// Chrome trace and the metrics dump collected during the campaign).
-CampaignArtifacts run_campaign(std::size_t threads) {
+CampaignArtifacts replay_campaign(std::size_t threads) {
   const Cluster cluster{cloudlab_spec()};
   ThreadPool pool(threads);
 
@@ -57,11 +57,11 @@ CampaignArtifacts run_campaign(std::size_t threads) {
   // must be byte-identical at any pool size.
   obs::TraceSink sink;
   obs::Registry registry;
-  ExperimentResult result;
+  CampaignResult result;
   {
     obs::ScopedTrace trace_guard(&sink);
     obs::ScopedMetrics metrics_guard(&registry);
-    result = run_experiment(cluster, cfg);
+    result = run_campaign(cluster, cfg);
   }
   std::ostringstream trace_json;
   obs::write_chrome_trace(trace_json, sink);
@@ -101,9 +101,9 @@ CampaignArtifacts run_campaign(std::size_t threads) {
 }
 
 TEST(DeterminismReplay, ByteIdenticalAcrossPoolSizes) {
-  const CampaignArtifacts one = run_campaign(1);
-  const CampaignArtifacts four = run_campaign(4);
-  const CampaignArtifacts eight = run_campaign(8);
+  const CampaignArtifacts one = replay_campaign(1);
+  const CampaignArtifacts four = replay_campaign(4);
+  const CampaignArtifacts eight = replay_campaign(8);
 
   ASSERT_FALSE(one.csv.empty());
   ASSERT_FALSE(one.markdown.empty());
@@ -189,8 +189,8 @@ TEST(DeterminismReplay, SpillThresholdNeverChangesArtifactBytes) {
 TEST(DeterminismReplay, RepeatOnSamePoolIsIdentical) {
   // Same pool size twice: catches state leaking between campaigns
   // (e.g. a global RNG advancing) rather than between schedules.
-  const CampaignArtifacts a = run_campaign(4);
-  const CampaignArtifacts b = run_campaign(4);
+  const CampaignArtifacts a = replay_campaign(4);
+  const CampaignArtifacts b = replay_campaign(4);
   EXPECT_EQ(a.csv, b.csv);
   EXPECT_EQ(a.frame_csv, b.frame_csv);
   EXPECT_EQ(a.markdown, b.markdown);

@@ -130,7 +130,7 @@ TEST(Drift, RealCampaignIsStable) {
   Cluster vortex(vortex_spec());
   auto cfg = default_config(vortex, sgemm_workload(25536, 5), 8);
   cfg.node_coverage = 0.3;
-  const auto result = run_experiment(vortex, cfg);
+  const auto result = run_campaign(vortex, cfg);
   EXPECT_TRUE(analyze_drift(result.frame).empty());
 }
 

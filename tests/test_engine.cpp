@@ -69,25 +69,14 @@ class EngineTest : public ::testing::Test {
   Cluster cluster_{cloudlab_spec()};
 };
 
-TEST_F(EngineTest, MatchesRunExperimentByteForByte) {
-  const auto cfg = config();
-  const ExperimentResult baseline = run_experiment(cluster_, cfg);
-  const CampaignResult engine = run_campaign(cluster_, cfg);
-  EXPECT_EQ(engine.gpus_measured, baseline.gpus_measured);
-  EXPECT_EQ(engine.nodes_measured, baseline.nodes_measured);
-  EXPECT_EQ(serialize_frame_shard(engine.frame, 0),
-            serialize_frame_shard(baseline.frame, 0))
-      << "the engine's merged frame differs from the single-pass result";
-  EXPECT_EQ(engine.stats.buckets_total, 3u);
-  EXPECT_EQ(engine.stats.buckets_run, 3u);
-  EXPECT_EQ(engine.stats.buckets_spilled, 0u);
-}
-
 TEST_F(EngineTest, ByteIdenticalAtAnyPoolSizeAndSpillThreshold) {
   // Reference: single-threaded, purely in-memory.
   const CampaignResult ref = run_campaign(cluster_, config());
   const Artifacts want = render(cluster_, ref);
   ASSERT_GT(ref.stats.bucket_bytes_max, 0u);
+  EXPECT_EQ(ref.stats.buckets_total, 3u);
+  EXPECT_EQ(ref.stats.buckets_run, 3u);
+  EXPECT_EQ(ref.stats.buckets_spilled, 0u);
 
   // Budget 0 spills every bucket; one-bucket budget spills under
   // contention; unlimited never spills. All must emit the same bytes.

@@ -1,4 +1,5 @@
 #include "core/experiment.hpp"
+#include "core/engine.hpp"
 #include "cluster/cluster.hpp"
 #include "common/thread_pool.hpp"
 #include "workloads/workload.hpp"
@@ -18,7 +19,7 @@ class ExperimentTest : public ::testing::Test {
 
 TEST_F(ExperimentTest, CoversAllGpusWithConfiguredRuns) {
   auto cfg = default_config(cluster_, sgemm_workload(16384, 3), 2);
-  const auto result = run_experiment(cluster_, cfg);
+  const auto result = run_campaign(cluster_, cfg);
   EXPECT_EQ(result.gpus_measured, cluster_.size());
   EXPECT_EQ(result.nodes_measured, 3u);
   EXPECT_EQ(result.frame.size(), cluster_.size() * 2);
@@ -26,7 +27,7 @@ TEST_F(ExperimentTest, CoversAllGpusWithConfiguredRuns) {
 
 TEST_F(ExperimentTest, RecordsCarryLocationAndMetrics) {
   auto cfg = default_config(cluster_, sgemm_workload(16384, 2), 1);
-  const auto result = run_experiment(cluster_, cfg);
+  const auto result = run_campaign(cluster_, cfg);
   for (std::size_t i = 0; i < result.frame.size(); ++i) {
     EXPECT_FALSE(result.frame.loc(i).name.empty());
     EXPECT_GT(result.frame.perf_ms()[i], 0.0);
@@ -38,8 +39,8 @@ TEST_F(ExperimentTest, RecordsCarryLocationAndMetrics) {
 
 TEST_F(ExperimentTest, DeterministicAcrossInvocations) {
   auto cfg = default_config(cluster_, sgemm_workload(16384, 2), 2);
-  const auto a = run_experiment(cluster_, cfg);
-  const auto b = run_experiment(cluster_, cfg);
+  const auto a = run_campaign(cluster_, cfg);
+  const auto b = run_campaign(cluster_, cfg);
   ASSERT_EQ(a.frame.size(), b.frame.size());
   // Records arrive grouped by node; same config -> identical values.
   for (std::size_t i = 0; i < a.frame.size(); ++i) {
@@ -52,7 +53,7 @@ TEST_F(ExperimentTest, NodeCoverageSubsamples) {
   Cluster longhorn(longhorn_spec());
   auto cfg = default_config(longhorn, pagerank_workload(3), 1);
   cfg.node_coverage = 0.25;
-  const auto result = run_experiment(longhorn, cfg);
+  const auto result = run_campaign(longhorn, cfg);
   EXPECT_EQ(result.nodes_measured, 26u);
   EXPECT_EQ(result.frame.size(), 26u * 4u);
 }
@@ -60,11 +61,11 @@ TEST_F(ExperimentTest, NodeCoverageSubsamples) {
 TEST_F(ExperimentTest, DayTagStampsRecordsAndChangesNoise) {
   auto cfg = default_config(cluster_, sgemm_workload(16384, 2), 1);
   cfg.day_of_week = 2;
-  const auto wed = run_experiment(cluster_, cfg);
+  const auto wed = run_campaign(cluster_, cfg);
   for (std::int16_t d : wed.frame.days_of_week()) EXPECT_EQ(d, 2);
 
   cfg.day_of_week = 3;
-  const auto thu = run_experiment(cluster_, cfg);
+  const auto thu = run_campaign(cluster_, cfg);
   // Same hardware population, different transient draws.
   EXPECT_NE(wed.frame.perf_ms()[0], thu.frame.perf_ms()[0]);
   EXPECT_NEAR(wed.frame.perf_ms()[0] / thu.frame.perf_ms()[0], 1.0, 0.05);
@@ -72,7 +73,7 @@ TEST_F(ExperimentTest, DayTagStampsRecordsAndChangesNoise) {
 
 TEST_F(ExperimentTest, MultiGpuWorkloadOneJobPerNode) {
   auto cfg = default_config(cluster_, resnet50_multi_workload(5), 1);
-  const auto result = run_experiment(cluster_, cfg);
+  const auto result = run_campaign(cluster_, cfg);
   // 3 nodes x 4 GPUs, one record per GPU.
   EXPECT_EQ(result.frame.size(), 12u);
   std::set<std::size_t> gpus;
@@ -94,7 +95,7 @@ TEST_F(ExperimentTest, ProgressReportsEveryNodeJob) {
   cfg.progress = [&](std::size_t done, std::size_t total) {
     seen.emplace_back(done, total);  // serialized under the progress lock
   };
-  const auto result = run_experiment(cluster_, cfg);
+  const auto result = run_campaign(cluster_, cfg);
   ASSERT_EQ(seen.size(), result.nodes_measured);
   for (std::size_t i = 0; i < seen.size(); ++i) {
     // Counts are monotone 1..N whatever order the jobs finish in.
@@ -105,7 +106,7 @@ TEST_F(ExperimentTest, ProgressReportsEveryNodeJob) {
 
 TEST_F(ExperimentTest, RejectsBadConfig) {
   auto cfg = default_config(cluster_, sgemm_workload(16384, 1), 0);
-  EXPECT_THROW(run_experiment(cluster_, cfg), std::invalid_argument);
+  EXPECT_THROW(run_campaign(cluster_, cfg), std::invalid_argument);
 }
 
 TEST_F(ExperimentTest, ZeroCoverageIsAnEmptyResultNotAnError) {
@@ -115,7 +116,7 @@ TEST_F(ExperimentTest, ZeroCoverageIsAnEmptyResultNotAnError) {
   cfg.node_coverage = 0.0;
   bool progress_called = false;
   cfg.progress = [&](std::size_t, std::size_t) { progress_called = true; };
-  const auto result = run_experiment(cluster_, cfg);
+  const auto result = run_campaign(cluster_, cfg);
   EXPECT_EQ(result.frame.size(), 0u);
   EXPECT_EQ(result.gpus_measured, 0u);
   EXPECT_EQ(result.nodes_measured, 0u);
@@ -129,7 +130,7 @@ TEST_F(ExperimentTest, EmptyClusterIsAnEmptyResultNotAnError) {
   auto cfg = default_config(empty, sgemm_workload(16384, 2), 1);
   bool progress_called = false;
   cfg.progress = [&](std::size_t, std::size_t) { progress_called = true; };
-  const auto result = run_experiment(empty, cfg);
+  const auto result = run_campaign(empty, cfg);
   EXPECT_EQ(result.frame.size(), 0u);
   EXPECT_EQ(result.nodes_measured, 0u);
   EXPECT_FALSE(progress_called);

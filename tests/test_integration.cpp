@@ -13,12 +13,12 @@
 namespace gpuvar {
 namespace {
 
-ExperimentResult sgemm_campaign(const Cluster& cluster, int reps = 10,
-                                int runs = 2, double coverage = 1.0) {
+CampaignResult sgemm_campaign(const Cluster& cluster, int reps = 10,
+                              int runs = 2, double coverage = 1.0) {
   const std::size_t n = cluster.sku().vendor == Vendor::kAmd ? 24576 : 25536;
   auto cfg = default_config(cluster, sgemm_workload(n, reps), runs);
   cfg.node_coverage = coverage;
-  return run_experiment(cluster, cfg);
+  return run_campaign(cluster, cfg);
 }
 
 TEST(Integration, Takeaway1_LonghornSgemmVariability) {
@@ -104,13 +104,13 @@ TEST(Integration, Takeaway5_ResnetVariabilityIsLargestAndAppSpecific) {
   auto multi_cfg =
       default_config(longhorn, resnet50_multi_workload(30), 1);
   multi_cfg.node_coverage = 0.6;
-  const auto multi = run_experiment(longhorn, multi_cfg);
+  const auto multi = run_campaign(longhorn, multi_cfg);
   const auto multi_rep = analyze_variability(multi.frame);
 
   auto single_cfg =
       default_config(longhorn, resnet50_single_workload(30), 1);
   single_cfg.node_coverage = 0.6;
-  const auto single = run_experiment(longhorn, single_cfg);
+  const auto single = run_campaign(longhorn, single_cfg);
   const auto single_rep = analyze_variability(single.frame);
 
   const auto sgemm_rep =
@@ -136,7 +136,7 @@ TEST(Integration, Takeaway7and8_MemoryBoundAppsBarelyVary) {
   for (const auto& w : {lammps_workload(3), pagerank_workload(8)}) {
     auto cfg = default_config(longhorn, w, 1);
     cfg.node_coverage = 0.5;
-    const auto result = run_experiment(longhorn, cfg);
+    const auto result = run_campaign(longhorn, cfg);
     const auto report = analyze_variability(result.frame);
     // Performance variation ~1-3% (paper: <=1%), frequency pinned...
     EXPECT_LT(report.perf.variation_pct, 4.0) << w.name;
@@ -151,7 +151,7 @@ TEST(Integration, Takeaway6_BertSitsBetweenSgemmAndResnet) {
   Cluster longhorn(longhorn_spec());
   auto cfg = default_config(longhorn, bert_workload(15), 1);
   cfg.node_coverage = 0.6;
-  const auto result = run_experiment(longhorn, cfg);
+  const auto result = run_campaign(longhorn, cfg);
   const auto report = analyze_variability(result.frame);
   EXPECT_GT(report.perf.variation_pct, 3.0);
   EXPECT_LT(report.perf.variation_pct, 15.0);
@@ -166,7 +166,7 @@ TEST(Integration, Takeaway9_VariabilityStableAcrossDays) {
   for (int day = 0; day < 3; ++day) {
     auto cfg = default_config(vortex, sgemm_workload(25536, 6), 1);
     cfg.day_of_week = day;
-    const auto result = run_experiment(vortex, cfg);
+    const auto result = run_campaign(vortex, cfg);
     daily.push_back(
         analyze_variability(result.frame).perf.variation_pct);
   }
@@ -181,7 +181,7 @@ TEST(Integration, PowerLimitSweepIncreasesVariability) {
   auto run_at = [&](Watts cap) {
     auto cfg = default_config(cloudlab, sgemm_workload(25536, 6), 3);
     cfg.run_options.power_limit_override = cap;
-    const auto result = run_experiment(cloudlab, cfg);
+    const auto result = run_campaign(cloudlab, cfg);
     return analyze_variability(result.frame);
   };
   const auto at300 = run_at(Watts{300.0});
@@ -228,7 +228,7 @@ TEST(Integration, RepeatOffendersAcrossWorkloads) {
   Cluster longhorn(longhorn_spec());
   const auto sgemm_flags = analyze_flags(sgemm_campaign(longhorn).frame);
   auto cfg = default_config(longhorn, resnet50_multi_workload(25), 1);
-  const auto resnet = run_experiment(longhorn, cfg);
+  const auto resnet = run_campaign(longhorn, cfg);
   const auto resnet_flags = analyze_flags(resnet.frame);
   const std::vector<FlagReport> reports{sgemm_flags, resnet_flags};
   const auto offenders = repeat_offenders(reports, 2);

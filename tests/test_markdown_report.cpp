@@ -12,7 +12,7 @@ namespace {
 RecordFrame sample_campaign() {
   Cluster cloudlab(cloudlab_spec());
   auto cfg = default_config(cloudlab, sgemm_workload(25536, 5), 2);
-  return run_experiment(cloudlab, cfg).frame;
+  return run_campaign(cloudlab, cfg).frame;
 }
 
 TEST(MarkdownReport, EscapesTableBreakers) {

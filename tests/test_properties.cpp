@@ -187,7 +187,7 @@ INSTANTIATE_TEST_SUITE_P(Chips, FastForwardProperty, ::testing::Range(0, 9));
 TEST(DeterminismProperty, RecordsIndependentOfThreadCount) {
   Cluster cluster(cloudlab_spec());
   auto cfg = default_config(cluster, sgemm_workload(16384, 3), 2);
-  const auto a = run_experiment(cluster, cfg);
+  const auto a = run_campaign(cluster, cfg);
   // Force a serial pass through a fresh pool of size 1.
   ThreadPool serial(1);
   std::vector<RunRecord> serial_records;
@@ -230,7 +230,7 @@ TEST_P(SpreadScalingProperty, VariationTracksProcessSigma) {
   auto cfg = default_config(cluster, sgemm_workload(25536, 6), 1);
   cfg.node_coverage = 0.6;
   const auto rep =
-      analyze_variability(run_experiment(cluster, cfg).frame);
+      analyze_variability(run_campaign(cluster, cfg).frame);
   if (scale <= 0.25) {
     EXPECT_LT(rep.perf.variation_pct, 6.0);
   } else if (scale >= 1.0) {

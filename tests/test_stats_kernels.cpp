@@ -8,6 +8,7 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -21,19 +22,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-/// Pins a backend for one scope and restores the previous one on exit,
-/// so test order never leaks a backend into later tests.
-class BackendGuard {
- public:
-  explicit BackendGuard(kernels::Backend b) : prev_(kernels::set_backend(b)) {}
-  ~BackendGuard() { kernels::set_backend(prev_); }
-  BackendGuard(const BackendGuard&) = delete;
-  BackendGuard& operator=(const BackendGuard&) = delete;
-
- private:
-  kernels::Backend prev_;
-};
-
 std::vector<double> sample(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<double> xs;
@@ -46,107 +34,130 @@ std::vector<double> sample(std::size_t n, std::uint64_t seed) {
 // of every phase, and sizes big enough for the ninther pivot path.
 const std::size_t kLengths[] = {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 100, 1003};
 
+// The determinism contract written out longhand, one element at a
+// time: element i accumulates into lane i % 4 from the identity (0.0,
+// +inf for min, -inf for max), min/max are `acc < x ? acc : x` and
+// `acc > x ? acc : x`, and lanes combine as (l0 op l1) op (l2 op l3).
+// This TU builds with -ffp-contract=off, like the kernels, so neither
+// side may fuse a mul+add.
+struct LaneRef {
+  double sum[4] = {0.0, 0.0, 0.0, 0.0};
+  double sumsq[4] = {0.0, 0.0, 0.0, 0.0};
+  double min[4] = {kInf, kInf, kInf, kInf};
+  double max[4] = {-kInf, -kInf, -kInf, -kInf};
+  double css[4] = {0.0, 0.0, 0.0, 0.0};
+  double sxy[4] = {0.0, 0.0, 0.0, 0.0};
+  double syy[4] = {0.0, 0.0, 0.0, 0.0};
+
+  LaneRef(std::span<const double> xs, std::span<const double> ys, double mx,
+          double my) {
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      const std::size_t l = i % 4;
+      const double x = xs[i];
+      const double dx = x - mx;
+      const double dy = ys[i] - my;
+      sum[l] += x;
+      sumsq[l] += x * x;
+      min[l] = min[l] < x ? min[l] : x;
+      max[l] = max[l] > x ? max[l] : x;
+      css[l] += dx * dx;
+      sxy[l] += dx * dy;
+      syy[l] += dy * dy;
+    }
+  }
+
+  static double add(const double (&l)[4]) {
+    return (l[0] + l[1]) + (l[2] + l[3]);
+  }
+  static double lo(const double (&l)[4]) {
+    const double a = l[0] < l[1] ? l[0] : l[1];
+    const double b = l[2] < l[3] ? l[2] : l[3];
+    return a < b ? a : b;
+  }
+  static double hi(const double (&l)[4]) {
+    const double a = l[0] > l[1] ? l[0] : l[1];
+    const double b = l[2] > l[3] ? l[2] : l[3];
+    return a > b ? a : b;
+  }
+};
+
+void expect_reductions_match_reference(std::span<const double> xs,
+                                       std::span<const double> ys,
+                                       const std::string& where) {
+  constexpr double kMean = 2500.0;
+  const LaneRef ref(xs, ys, kMean, kMean);
+  const auto s = kernels::describe_sweep(xs);
+  EXPECT_EQ(bits(s.sum), bits(LaneRef::add(ref.sum))) << where;
+  EXPECT_EQ(bits(s.sumsq), bits(LaneRef::add(ref.sumsq))) << where;
+  EXPECT_EQ(bits(s.min), bits(LaneRef::lo(ref.min))) << where;
+  EXPECT_EQ(bits(s.max), bits(LaneRef::hi(ref.max))) << where;
+  EXPECT_EQ(bits(kernels::sum(xs)), bits(LaneRef::add(ref.sum))) << where;
+  EXPECT_EQ(bits(kernels::centered_sumsq(xs, kMean)),
+            bits(LaneRef::add(ref.css)))
+      << where;
+  const auto cp = kernels::centered_products(xs, ys, kMean, kMean);
+  EXPECT_EQ(bits(cp.sxy), bits(LaneRef::add(ref.sxy))) << where;
+  EXPECT_EQ(bits(cp.sxx), bits(LaneRef::add(ref.css))) << where;
+  EXPECT_EQ(bits(cp.syy), bits(LaneRef::add(ref.syy))) << where;
+  const auto mm = kernels::min_max(xs);
+  EXPECT_EQ(bits(mm.min), bits(LaneRef::lo(ref.min))) << where;
+  EXPECT_EQ(bits(mm.max), bits(LaneRef::hi(ref.max))) << where;
+}
+
 TEST(StatsKernels, ScalarBackendAlwaysAvailable) {
-  EXPECT_TRUE(kernels::backend_available(kernels::Backend::kScalar));
-  const auto all = kernels::available_backends();
-  ASSERT_FALSE(all.empty());
-  EXPECT_EQ(all.front(), kernels::Backend::kScalar);
-  for (auto b : all) EXPECT_TRUE(kernels::backend_available(b));
-}
-
-TEST(StatsKernels, SetBackendReturnsPrevious) {
-  const auto before = kernels::active_backend();
-  const auto prev = kernels::set_backend(kernels::Backend::kScalar);
-  EXPECT_EQ(prev, before);
   EXPECT_EQ(kernels::active_backend(), kernels::Backend::kScalar);
-  kernels::set_backend(before);
-  EXPECT_STRNE(kernels::backend_name(before), "");
+  EXPECT_STREQ(kernels::backend_name(kernels::active_backend()), "scalar");
 }
 
-TEST(StatsKernels, SetBackendRejectsUnavailable) {
-#if !defined(__aarch64__)
-  EXPECT_THROW(kernels::set_backend(kernels::Backend::kNeon),
-               std::invalid_argument);
-#else
-  EXPECT_THROW(kernels::set_backend(kernels::Backend::kSse2),
-               std::invalid_argument);
-#endif
-}
-
+// The lane formula above is the contract every kernel build has to
+// reproduce bit for bit, whatever instructions it compiles to; the three
+// tests below hold the one implementation to it.
 TEST(StatsKernels, ReductionsBitIdenticalAcrossBackends) {
   for (std::size_t n : kLengths) {
     const auto xs = sample(n, 7 + n);
     const auto ys = sample(n, 900 + n);
-
-    BackendGuard pin(kernels::Backend::kScalar);
-    const auto ref_sweep = kernels::describe_sweep(xs);
-    const double ref_sum = kernels::sum(xs);
-    const double ref_css = kernels::centered_sumsq(xs, 2500.0);
-    const auto ref_cp = kernels::centered_products(xs, ys, 2500.0, 2500.0);
-    const auto ref_mm = kernels::min_max(xs);
-
-    for (auto b : kernels::available_backends()) {
-      kernels::set_backend(b);
-      const auto s = kernels::describe_sweep(xs);
-      EXPECT_EQ(bits(s.sum), bits(ref_sweep.sum)) << n << kernels::backend_name(b);
-      EXPECT_EQ(bits(s.sumsq), bits(ref_sweep.sumsq));
-      EXPECT_EQ(bits(s.min), bits(ref_sweep.min));
-      EXPECT_EQ(bits(s.max), bits(ref_sweep.max));
-      EXPECT_EQ(bits(kernels::sum(xs)), bits(ref_sum));
-      EXPECT_EQ(bits(kernels::centered_sumsq(xs, 2500.0)), bits(ref_css));
-      const auto cp = kernels::centered_products(xs, ys, 2500.0, 2500.0);
-      EXPECT_EQ(bits(cp.sxy), bits(ref_cp.sxy));
-      EXPECT_EQ(bits(cp.sxx), bits(ref_cp.sxx));
-      EXPECT_EQ(bits(cp.syy), bits(ref_cp.syy));
-      const auto mm = kernels::min_max(xs);
-      EXPECT_EQ(bits(mm.min), bits(ref_mm.min));
-      EXPECT_EQ(bits(mm.max), bits(ref_mm.max));
-    }
+    expect_reductions_match_reference(xs, ys, "n=" + std::to_string(n));
   }
 }
 
 TEST(StatsKernels, UnalignedSpanHeadsBitIdentical) {
-  // Vector loads are unaligned by contract; slicing 1..3 elements off
-  // the head of a buffer must not change any backend's answer.
-  const auto base = sample(256 + 3, 42);
-  for (std::size_t off = 0; off <= 3; ++off) {
-    const std::span<const double> xs(base.data() + off, 253);
-    BackendGuard pin(kernels::Backend::kScalar);
-    const auto ref = kernels::describe_sweep(xs);
-    for (auto b : kernels::available_backends()) {
-      kernels::set_backend(b);
-      const auto s = kernels::describe_sweep(xs);
-      EXPECT_EQ(bits(s.sum), bits(ref.sum)) << "offset " << off;
-      EXPECT_EQ(bits(s.sumsq), bits(ref.sumsq));
-      EXPECT_EQ(bits(s.min), bits(ref.min));
-      EXPECT_EQ(bits(s.max), bits(ref.max));
+  // Spans need not start on a 4-block boundary of their buffer; lanes
+  // count from the span's first element, not the buffer's.
+  for (std::size_t n : kLengths) {
+    const auto xbuf = sample(n + 3, 7 + n);
+    const auto ybuf = sample(n + 3, 900 + n);
+    for (std::size_t off = 1; off <= 3; ++off) {
+      expect_reductions_match_reference(
+          std::span<const double>(xbuf.data() + off, n),
+          std::span<const double>(ybuf.data() + off, n),
+          "n=" + std::to_string(n) + " offset=" + std::to_string(off));
     }
   }
 }
 
 TEST(StatsKernels, NanAndInfPropagateIdenticallyAcrossBackends) {
-  // Exact NaN/Inf semantics follow the lane formulas (minpd-style
-  // compare-select); what the contract pins is that every backend
-  // produces the same bits, wherever the special lands.
-  auto xs = sample(37, 3);
-  for (std::size_t poison : {std::size_t{0}, std::size_t{13}, std::size_t{36}}) {
-    for (double special : {kNan, kInf, -kInf}) {
-      xs[poison] = special;
-      BackendGuard pin(kernels::Backend::kScalar);
-      const auto ref = kernels::describe_sweep(xs);
-      const double ref_css = kernels::centered_sumsq(xs, 2500.0);
-      for (auto b : kernels::available_backends()) {
-        kernels::set_backend(b);
-        const auto s = kernels::describe_sweep(xs);
-        EXPECT_EQ(bits(s.sum), bits(ref.sum))
-            << kernels::backend_name(b) << " poison@" << poison;
-        EXPECT_EQ(bits(s.sumsq), bits(ref.sumsq));
-        EXPECT_EQ(bits(s.min), bits(ref.min));
-        EXPECT_EQ(bits(s.max), bits(ref.max));
-        EXPECT_EQ(bits(kernels::centered_sumsq(xs, 2500.0)), bits(ref_css));
+  // A NaN or +/-inf at the head, middle or tail, at every head offset:
+  // min/max keep or drop it by position, sums carry it.
+  for (std::size_t n : kLengths) {
+    auto xbuf = sample(n + 3, 7 + n);
+    const auto ybuf = sample(n + 3, 900 + n);
+    for (std::size_t off = 0; off <= 3; ++off) {
+      const std::span<const double> ys(ybuf.data() + off, n);
+      const std::span<double> xs(xbuf.data() + off, n);
+      const std::string at =
+          "n=" + std::to_string(n) + " offset=" + std::to_string(off);
+      for (std::size_t poison : {std::size_t{0}, n / 3, n - 1}) {
+        for (double special : {kNan, kInf, -kInf}) {
+          const double saved = xs[poison];
+          xs[poison] = special;
+          expect_reductions_match_reference(
+              xs, ys,
+              at + " special=" + std::to_string(special) + "@" +
+                  std::to_string(poison));
+          xs[poison] = saved;
+        }
       }
     }
-    xs = sample(37, 3);
   }
 }
 

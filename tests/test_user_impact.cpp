@@ -112,7 +112,7 @@ TEST(UserImpact, PaperHeadlineShapeOnLonghorn) {
   // 4-GPU jobs a far higher one.
   Cluster longhorn(longhorn_spec());
   auto cfg = default_config(longhorn, sgemm_workload(25536, 8), 1);
-  const auto result = run_experiment(longhorn, cfg);
+  const auto result = run_campaign(longhorn, cfg);
   const auto one = job_impact(result.frame, 1);
   const auto four = job_impact(result.frame, 4);
   EXPECT_GT(one.p_any_slow, 0.03);

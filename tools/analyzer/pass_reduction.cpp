@@ -1,7 +1,7 @@
 // Reduction hygiene over the analysis planes (src/core, src/query):
 // hand-rolled floating-point reductions bypass stats/kernels.hpp, and
-// with it both the SIMD dispatch and the pinned 4-lane accumulation
-// order the determinism contract is built on. Two shapes fire
+// with it the pinned 4-lane accumulation order the determinism
+// contract is built on. Two shapes fire
 // raw-loop-reduction:
 //
 //   - a range-for whose loop variable is declared double (by value,

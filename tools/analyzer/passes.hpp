@@ -46,7 +46,7 @@ void run_interchange_pass(const Repo& repo, std::vector<Finding>& findings);
 /// Reduction hygiene (src/core, src/query): raw-loop-reduction — a
 /// serial `+=` fold over a double range, or a <numeric> reduction
 /// algorithm, outside the kernel layer; stats/kernels.hpp owns the
-/// SIMD dispatch and the pinned lane order these bypass.
+/// pinned lane order these bypass.
 void run_reduction_pass(const Repo& repo, std::vector<Finding>& findings);
 
 /// Observability surface: raw-trace-api (trace-layer internals —

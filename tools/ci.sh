@@ -32,12 +32,6 @@
 #                              `gpuvar analyze` streaming output against its
 #                              --materialize reference path for every
 #                              analysis, filtered and compare forms included
-#   tools/ci.sh simd-matrix    SIMD determinism matrix: re-run the stats /
-#                              query / determinism ctest subset and a
-#                              campaign + analyze CLI pass under both
-#                              GPUVAR_SIMD=scalar and GPUVAR_SIMD=auto,
-#                              then byte-compare every exported artifact
-#                              between the two backends
 #   tools/ci.sh thread-safety  clang -Werror=thread-safety syntax-only
 #                              compile of src/** (skipped when clang++ is
 #                              not installed — the GPUVAR_* annotations
@@ -135,7 +129,7 @@ job_bench_smoke() {
   # Smoke cadence, not a tuned perf run: one repetition per benchmark,
   # JSON archived so regressions in the columnar data plane, the shard
   # codec / campaign engine, the streaming query plane, the analyzer's
-  # scan driver, and the SIMD stats kernels are diffable.
+  # scan driver, and the stats kernels are diffable.
   ./build-ci/bench/micro_frame_bench \
     --benchmark_out=build-ci/BENCH_frame.json \
     --benchmark_out_format=json
@@ -342,52 +336,6 @@ job_query_smoke() {
   echo "query-smoke: streaming output byte-identical to --materialize"
 }
 
-job_simd_matrix() {
-  echo "=== job: simd-matrix (GPUVAR_SIMD=scalar vs =auto, byte-compare) ==="
-  cmake -B build-ci -S . -DGPUVAR_WERROR=ON > /dev/null
-  cmake --build build-ci -j "$JOBS" --target gpuvar_tests --target gpuvar_cli
-
-  # The determinism contract under test: every kernel consumer must be
-  # bit-identical whichever backend dispatch picks, so the stats /
-  # query / determinism ctest subset has to pass with the SIMD layer
-  # pinned to scalar and again with runtime auto-detection.
-  local simd_tests='StatsKernels|Descriptive|Quantile|Boxplot|Correlation'
-  simd_tests+='|Bootstrap|Frame|QueryTest|Variability|Drift|Compare'
-  simd_tests+='|Scheduler|UserImpact|DeterminismReplay'
-  local mode
-  for mode in scalar auto; do
-    echo "--- ctest subset under GPUVAR_SIMD=$mode ---"
-    (cd build-ci && GPUVAR_SIMD="$mode" \
-      ctest --output-on-failure -R "$simd_tests")
-  done
-
-  # End to end: a checkpointed campaign plus every store analysis, run
-  # once per backend setting; each exported artifact must match byte
-  # for byte.
-  local a
-  for mode in scalar auto; do
-    local ck="build-ci/SIMD_${mode}_ck"
-    rm -rf "$ck"
-    GPUVAR_SIMD="$mode" ./build-ci/tools/gpuvar run \
-      --cluster cloudlab --workload sgemm \
-      --reps 4 --runs 2 --checkpoint "$ck" --shard-budget 0 \
-      --out "build-ci/SIMD_${mode}.csv" \
-      --report "build-ci/SIMD_${mode}.md" \
-      --summary "build-ci/SIMD_${mode}.sum" > /dev/null
-    for a in variability correlate flags drift impact; do
-      GPUVAR_SIMD="$mode" ./build-ci/tools/gpuvar analyze "$ck" \
-        --analysis "$a" > "build-ci/SIMD_${mode}_${a}.txt"
-    done
-  done
-  cmp build-ci/SIMD_scalar.csv build-ci/SIMD_auto.csv
-  cmp build-ci/SIMD_scalar.md build-ci/SIMD_auto.md
-  cmp build-ci/SIMD_scalar.sum build-ci/SIMD_auto.sum
-  for a in variability correlate flags drift impact; do
-    cmp "build-ci/SIMD_scalar_${a}.txt" "build-ci/SIMD_auto_${a}.txt"
-  done
-  echo "simd-matrix: scalar and auto backends byte-identical end to end"
-}
-
 job_thread_safety() {
   echo "=== job: thread-safety (clang -Werror=thread-safety) ==="
   if ! command -v clang++ > /dev/null 2>&1; then
@@ -416,7 +364,6 @@ case "${1:-all}" in
   obs-smoke) job_obs_smoke ;;
   resume-smoke) job_resume_smoke ;;
   query-smoke) job_query_smoke ;;
-  simd-matrix) job_simd_matrix ;;
   thread-safety) job_thread_safety ;;
   all)
     job_build
@@ -426,14 +373,13 @@ case "${1:-all}" in
     job_obs_smoke
     job_resume_smoke
     job_query_smoke
-    job_simd_matrix
     job_thread_safety
     job_asan
     job_tsan
     echo "=== all CI jobs passed ==="
     ;;
   *)
-    echo "usage: tools/ci.sh [build|asan|tsan|analyzer|bench-smoke|bench-guard|obs-smoke|resume-smoke|query-smoke|simd-matrix|thread-safety|all]" >&2
+    echo "usage: tools/ci.sh [build|asan|tsan|analyzer|bench-smoke|bench-guard|obs-smoke|resume-smoke|query-smoke|thread-safety|all]" >&2
     exit 2
     ;;
 esac
