@@ -107,8 +107,6 @@ std::int64_t ByteReader::read_i64() {
 
 double ByteReader::read_f64() { return std::bit_cast<double>(read_u64()); }
 
-void ByteReader::skip(std::size_t n) { take(n); }
-
 std::string_view ByteReader::read_bytes() {
   const std::uint32_t n = read_u32();
   const auto* p = take(n);

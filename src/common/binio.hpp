@@ -67,10 +67,6 @@ class ByteReader {
   /// Reads a u32 length prefix, then that many bytes (a view into the
   /// underlying buffer — valid while the buffer lives).
   std::string_view read_bytes();
-  /// Advances past `n` bytes without decoding them; same overrun
-  /// contract as the reads. Lets a column-pruned shard decode step
-  /// over fixed-width columns it was not asked for.
-  void skip(std::size_t n);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool at_end() const { return pos_ == data_.size(); }

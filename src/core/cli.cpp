@@ -1,5 +1,6 @@
 #include "core/cli.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -456,6 +457,7 @@ int cmd_run(const ParsedArgs& args, std::ostream& out) {
 /// being "N", "LO..HI", "LO.." or "..HI" (inclusive bounds).
 query::Predicate parse_predicate(const std::string& text) {
   query::Predicate where;
+  std::vector<const query::FieldRange*> seen;
   std::size_t start = 0;
   while (start < text.size()) {
     const std::size_t comma = text.find(',', start);
@@ -477,6 +479,10 @@ query::Predicate parse_predicate(const std::string& text) {
     GPUVAR_REQUIRE_MSG(r != nullptr,
                        "unknown --where field '" + field +
                            "', try one of node, gpu, day, cabinet, row, col");
+    GPUVAR_REQUIRE_MSG(std::find(seen.begin(), seen.end(), r) == seen.end(),
+                       "repeated --where field '" + field +
+                           "' (give each field one range)");
+    seen.push_back(r);
     const auto bound = [&](const std::string& s) {
       long long v = 0;
       GPUVAR_REQUIRE_MSG(parse_int(s, v),
@@ -499,9 +505,9 @@ query::Predicate parse_predicate(const std::string& text) {
 }
 
 /// The frame-side --where filter: the rows of `frame` that match, in
-/// order. It serves CSV sources, the --materialize reference path and
-/// the frame-only analyses; a streamed store Source must be
-/// byte-identical to it (ci.sh query-smoke compares the outputs).
+/// order. It serves CSV sources and the --materialize reference path;
+/// a streamed store Source must be byte-identical to it (ci.sh
+/// query-smoke compares the outputs).
 RecordFrame filter_rows(RecordFrame frame, const query::Predicate& where) {
   if (where.is_all()) return frame;
   const auto ids = frame.gpu_ids();
@@ -514,8 +520,9 @@ RecordFrame filter_rows(RecordFrame frame, const query::Predicate& where) {
 }
 
 /// One analysis input. A checkpoint store streams through a
-/// Dataset-backed Source unless a frame was asked for; a results CSV
-/// is always a frame. Any frame is already restricted to --where.
+/// Dataset-backed Source unless --materialize asked for a frame; a
+/// results CSV is always a frame. Any frame is already restricted to
+/// --where.
 struct Input {
   std::optional<query::Dataset> store;
   std::optional<RecordFrame> frame;
@@ -529,7 +536,7 @@ struct Input {
 /// Opens SRC (a store directory or a results CSV). `summary`, when
 /// given, receives the one source-summary line.
 Input open_input(const std::string& path, const query::DatasetOptions& dopts,
-                 const query::Predicate& where, bool want_frame,
+                 const query::Predicate& where, bool materialize,
                  std::ostream* summary) {
   Input in;
   in.where = where;
@@ -541,7 +548,7 @@ Input open_input(const std::string& path, const query::DatasetOptions& dopts,
                << (in.store->complete() ? "" : " (incomplete campaign)")
                << "\n";
     }
-    if (want_frame) {
+    if (materialize) {
       in.frame.emplace(filter_rows(in.store->materialize(), where));
     }
     return in;
@@ -585,13 +592,11 @@ AnalyzeSettings analyze_settings(const ParsedArgs& args,
   return s;
 }
 
-/// What one analysis reads. `frame` is set for the frame-only
-/// analyses (the --where-filtered rows); `against` is the --against
-/// baseline, if given.
+/// What one analysis reads: the --where-filtered rows of SRC and, if
+/// given, the --against baseline.
 struct AnalysisContext {
   const AnalyzeSettings& settings;
   const query::Source& source;
-  const RecordFrame* frame;
   const query::Source* against;
 };
 
@@ -682,12 +687,12 @@ void show_groups(const AnalysisContext& c, std::ostream& out) {
   show_variability(c, out);
   show_correlate(c, out);
   print_section(out, "performance by " + c.settings.group_name);
-  print_group_boxes(out, *c.frame, Metric::kPerf, c.settings.group);
+  print_group_boxes(out, c.source, Metric::kPerf, c.settings.group);
 }
 
 void show_project(const AnalysisContext& c, std::ostream& out) {
   const auto proj = project_to_cluster_size(
-      *c.frame, static_cast<std::size_t>(c.settings.target));
+      c.source, static_cast<std::size_t>(c.settings.target));
   out << "measured variation at " << proj.source_gpus
       << " GPUs: " << proj.source_variation_pct << "%\n"
       << "projected variation at " << proj.target_gpus
@@ -698,28 +703,26 @@ void show_report(const AnalysisContext& c, std::ostream& out) {
   MarkdownReportOptions opts;
   opts.title = c.settings.title;
   opts.slowdown_temp = c.settings.slowdown_temp;
-  write_markdown_report(out, *c.frame, opts);
+  write_markdown_report(out, c.source, opts);
 }
 
-/// The analysis registry behind --analysis: dispatch, the frame-only
-/// marker and the unknown-name suggestion list come from these rows.
+/// The analysis registry behind --analysis: dispatch and the
+/// unknown-name suggestion list come from these rows.
 struct AnalysisEntry {
   const char* name;
-  /// Reads the --where-filtered frame rather than a streamed Source.
-  bool frame_only;
   void (*show)(const AnalysisContext&, std::ostream&);
 };
 
 constexpr AnalysisEntry kAnalyses[] = {
-    {"variability", false, show_variability},
-    {"correlate", false, show_correlate},
-    {"flags", false, show_flags},
-    {"drift", false, show_drift},
-    {"impact", false, show_impact},
-    {"compare", false, show_compare},
-    {"groups", true, show_groups},
-    {"project", true, show_project},
-    {"report", true, show_report},
+    {"variability", show_variability},
+    {"correlate", show_correlate},
+    {"flags", show_flags},
+    {"drift", show_drift},
+    {"impact", show_impact},
+    {"compare", show_compare},
+    {"groups", show_groups},
+    {"project", show_project},
+    {"report", show_report},
 };
 
 const AnalysisEntry& analysis_by_name(const std::string& name) {
@@ -768,9 +771,8 @@ int cmd_analyze(const ParsedArgs& args, std::ostream& out) {
   // differs. A report is a pure markdown document: no summary lines.
   const bool document = std::string(analysis.name) == "report";
   const bool materialize = args.has("materialize");
-  const Input input = open_input(path, dopts, where,
-                                 materialize || analysis.frame_only,
-                                 document ? nullptr : &out);
+  const Input input =
+      open_input(path, dopts, where, materialize, document ? nullptr : &out);
   std::optional<Input> base;
   std::optional<query::Source> against;
   if (args.has("against")) {
@@ -781,9 +783,7 @@ int cmd_analyze(const ParsedArgs& args, std::ostream& out) {
   const query::Source source = input.source();
   GPUVAR_REQUIRE_MSG(!source.empty(), "no rows match the --where filter");
   if (!document) out << "rows matched: " << source.size() << "\n";
-  analysis.show({settings, source, input.frame ? &*input.frame : nullptr,
-                 against ? &*against : nullptr},
-                out);
+  analysis.show({settings, source, against ? &*against : nullptr}, out);
   return 0;
 }
 

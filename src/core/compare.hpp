@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-namespace gpuvar { class RecordFrame; }  // was: #include "telemetry/frame.hpp"
 namespace gpuvar::query { class Source; }  // was: #include "query/source.hpp"
 
 namespace gpuvar {

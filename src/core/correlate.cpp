@@ -3,7 +3,6 @@
 #include "common/require.hpp"
 #include "query/source.hpp"
 #include "stats/correlation.hpp"
-#include "telemetry/frame.hpp"
 #include "telemetry/record.hpp"
 
 namespace gpuvar {
@@ -21,11 +20,6 @@ MetricCorrelation correlate_pair(const query::Source& source, Metric x,
   out.spearman = stats::spearman(xs, ys);
   out.strength = stats::correlation_strength(out.rho);
   return out;
-}
-
-MetricCorrelation correlate_pair(const RecordFrame& frame, Metric x,
-                                 Metric y) {
-  return correlate_pair(query::Source(frame), x, y);
 }
 
 CorrelationReport analyze_correlation(const query::Source& source,

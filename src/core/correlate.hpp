@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "telemetry/record.hpp"
-namespace gpuvar { class RecordFrame; }  // was: #include "telemetry/frame.hpp"
 namespace gpuvar::query { class Source; }  // was: #include "query/source.hpp"
 
 namespace gpuvar {
@@ -38,7 +37,6 @@ struct CorrelateOptions {};
 /// Correlates two metric columns (zero-copy for a frame-backed source).
 MetricCorrelation correlate_pair(const query::Source& source, Metric x,
                                  Metric y);
-MetricCorrelation correlate_pair(const RecordFrame& frame, Metric x, Metric y);
 
 CorrelationReport analyze_correlation(const query::Source& source,
                                       const CorrelateOptions& options = {});

@@ -54,10 +54,6 @@ double estimate_run_noise_ms(const query::Source& source) {
   return stats::kernels::median_inplace(abs_diffs) * 1.4826 / std::sqrt(2.0);
 }
 
-double estimate_run_noise_ms(const RecordFrame& frame) {
-  return estimate_run_noise_ms(query::Source(frame));
-}
-
 std::vector<DriftFlag> analyze_drift(const query::Source& source,
                                      const DriftOptions& options) {
   GPUVAR_REQUIRE(!source.empty());

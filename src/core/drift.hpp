@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-namespace gpuvar { class RecordFrame; }  // was: #include "telemetry/frame.hpp"
 namespace gpuvar::query { class Source; }  // was: #include "query/source.hpp"
 
 namespace gpuvar {
@@ -42,7 +41,6 @@ struct DriftFlag {
 /// Population run-to-run noise estimate: median absolute successive
 /// difference of per-GPU runs, scaled to a sigma (MAD * 1.4826 / sqrt 2).
 double estimate_run_noise_ms(const query::Source& source);
-double estimate_run_noise_ms(const RecordFrame& frame);
 
 /// Detects sustained performance drift per GPU; returns flags sorted by
 /// |drift| descending. Positive drift_pct = getting slower.

@@ -23,7 +23,6 @@
 
 #include "common/units.hpp"
 namespace gpuvar { class Cluster; }  // was: #include "cluster/cluster.hpp"
-namespace gpuvar { class RecordFrame; }  // was: #include "telemetry/frame.hpp"
 namespace gpuvar::query { class Source; }  // was: #include "query/source.hpp"
 
 namespace gpuvar {

@@ -9,7 +9,6 @@
 #include "core/flagging.hpp"
 #include "core/variability.hpp"
 #include "query/source.hpp"
-#include "telemetry/frame.hpp"
 #include "telemetry/record.hpp"
 
 namespace gpuvar {
@@ -55,10 +54,10 @@ std::string markdown_variability_table(const VariabilityReport& report) {
   return out;
 }
 
-void write_markdown_report(std::ostream& out, const RecordFrame& frame,
+void write_markdown_report(std::ostream& out, const query::Source& source,
                            const MarkdownReportOptions& options) {
-  GPUVAR_REQUIRE(!frame.empty());
-  const auto report = analyze_variability(frame);
+  GPUVAR_REQUIRE(!source.empty());
+  const auto report = analyze_variability(source);
 
   out << "# " << markdown_escape(options.title) << "\n\n"
       << report.records << " runs across " << report.gpus << " GPUs.\n\n";
@@ -66,7 +65,7 @@ void write_markdown_report(std::ostream& out, const RecordFrame& frame,
   out << "## Variability\n\n" << markdown_variability_table(report) << "\n";
 
   if (options.bootstrap_resamples > 0 && report.gpus >= 3) {
-    const auto gpus = per_gpu_medians(frame);
+    const auto gpus = query::per_gpu_medians(source);
     std::vector<double> perf;
     for (const auto& g : gpus) perf.push_back(g.perf_ms);
     const auto ci = stats::bootstrap_ci(perf, stats::variation_pct_statistic,
@@ -81,7 +80,7 @@ void write_markdown_report(std::ostream& out, const RecordFrame& frame,
 
   out << "## Correlations\n\n"
       << "| pair | Pearson | Spearman | strength |\n|---|---|---|---|\n";
-  const auto corr = analyze_correlation(frame);
+  const auto corr = analyze_correlation(source);
   for (const auto* c : corr.all()) {
     char buf[160];
     std::snprintf(buf, sizeof(buf), "| %s vs %s | %+.2f | %+.2f | %s |\n",
@@ -94,7 +93,7 @@ void write_markdown_report(std::ostream& out, const RecordFrame& frame,
   out << "## Per-group breakdown\n\n"
       << "| group | GPUs | perf median (ms) | perf variation | power "
          "outliers |\n|---|---|---|---|---|\n";
-  for (const auto& [key, rep] : variability_by_group(frame, options.group)) {
+  for (const auto& [key, rep] : variability_by_group(source, options.group)) {
     char buf[160];
     std::snprintf(buf, sizeof(buf), "| %s | %zu | %.1f | %.2f%% | %zu |\n",
                   group_label(options.group, key).c_str(), rep.gpus,
@@ -108,7 +107,7 @@ void write_markdown_report(std::ostream& out, const RecordFrame& frame,
     out << "## Operator flags\n\n";
     FlagOptions fopts;
     fopts.slowdown_temp = options.slowdown_temp;
-    const auto flags = analyze_flags(frame, fopts);
+    const auto flags = analyze_flags(source, fopts);
     if (flags.gpus.empty() && flags.cabinets.empty()) {
       out << "No anomalies flagged.\n";
     } else {

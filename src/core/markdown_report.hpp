@@ -10,7 +10,7 @@
 
 #include "core/variability.hpp"
 #include "common/units.hpp"
-namespace gpuvar { class RecordFrame; }  // was: #include "telemetry/frame.hpp"
+namespace gpuvar::query { class Source; }  // was: #include "query/source.hpp"
 
 namespace gpuvar {
 
@@ -25,8 +25,8 @@ struct MarkdownReportOptions {
   int bootstrap_resamples = 500;
 };
 
-/// Writes the full markdown report for one campaign's frame.
-void write_markdown_report(std::ostream& out, const RecordFrame& frame,
+/// Writes the full markdown report for one campaign's rows.
+void write_markdown_report(std::ostream& out, const query::Source& source,
                            const MarkdownReportOptions& options = {});
 
 /// One markdown table row per metric (exposed for composition/testing).

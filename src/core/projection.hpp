@@ -6,7 +6,7 @@
 
 #include <cstddef>
 
-namespace gpuvar { class RecordFrame; }  // was: #include "telemetry/frame.hpp"
+namespace gpuvar::query { class Source; }  // was: #include "query/source.hpp"
 
 namespace gpuvar {
 
@@ -19,7 +19,7 @@ struct SizeProjection {
 
 /// Fits per-GPU median performance (box outliers excluded, matching the
 /// paper's variance convention) and projects to `target_gpus`.
-SizeProjection project_to_cluster_size(const RecordFrame& frame,
+SizeProjection project_to_cluster_size(const query::Source& source,
                                        std::size_t target_gpus);
 
 }  // namespace gpuvar

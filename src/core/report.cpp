@@ -7,7 +7,7 @@
 #include "core/correlate.hpp"
 #include "core/flagging.hpp"
 #include "core/variability.hpp"
-#include "telemetry/frame.hpp"
+#include "query/source.hpp"
 #include "telemetry/record.hpp"
 
 namespace gpuvar {
@@ -54,22 +54,21 @@ void print_correlation_table(std::ostream& out, const CorrelationReport& r) {
   }
 }
 
-void print_group_boxes(std::ostream& out, const RecordFrame& frame,
+void print_group_boxes(std::ostream& out, const query::Source& source,
                        Metric metric, GroupBy group) {
-  const auto series = series_by_group(frame, metric, group);
+  const auto series = series_by_group(source, metric, group);
   stats::BoxChartOptions opts;
   opts.unit = metric_unit(metric);
   out << metric_name(metric) << " by group:\n"
       << stats::render_box_chart(series, opts);
 }
 
-void print_scatter(std::ostream& out, const RecordFrame& frame, Metric x,
+void print_scatter(std::ostream& out, const query::Source& source, Metric x,
                    Metric y) {
   stats::ScatterOptions opts;
   opts.x_label = metric_name(x) + " (" + metric_unit(x) + ")";
   opts.y_label = metric_name(y) + " (" + metric_unit(y) + ")";
-  out << stats::render_scatter(metric_column(frame, x),
-                               metric_column(frame, y), opts);
+  out << stats::render_scatter(source.metric(x), source.metric(y), opts);
 }
 
 void print_flags(std::ostream& out, const FlagReport& report,

@@ -9,7 +9,7 @@ namespace gpuvar { struct CorrelationReport; }  // was: #include "core/correlate
 namespace gpuvar { struct FlagReport; }  // was: #include "core/flagging.hpp"
 #include "core/variability.hpp"
 #include "telemetry/record.hpp"
-namespace gpuvar { class RecordFrame; }  // was: #include "telemetry/frame.hpp"
+namespace gpuvar::query { class Source; }  // was: #include "query/source.hpp"
 
 namespace gpuvar {
 
@@ -23,11 +23,11 @@ void print_variability_table(std::ostream& out, const VariabilityReport& r);
 void print_correlation_table(std::ostream& out, const CorrelationReport& r);
 
 /// Grouped box chart for one metric (one row per cabinet/row/day).
-void print_group_boxes(std::ostream& out, const RecordFrame& frame,
+void print_group_boxes(std::ostream& out, const query::Source& source,
                        Metric metric, GroupBy group);
 
 /// ASCII scatter of two metrics.
-void print_scatter(std::ostream& out, const RecordFrame& frame, Metric x,
+void print_scatter(std::ostream& out, const query::Source& source, Metric x,
                    Metric y);
 
 /// Flag report, most severe first.

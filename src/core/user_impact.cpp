@@ -76,11 +76,6 @@ JobImpact job_impact(const query::Source& source, int gpus_per_job,
   return impact;
 }
 
-JobImpact job_impact(const RecordFrame& frame, int gpus_per_job,
-                     double slow_threshold) {
-  return job_impact(query::Source(frame), gpus_per_job, slow_threshold);
-}
-
 std::vector<JobImpact> analyze_user_impact(const query::Source& source,
                                            const UserImpactOptions& options) {
   GPUVAR_REQUIRE(options.max_width >= 1);

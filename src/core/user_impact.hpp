@@ -9,7 +9,6 @@
 
 #include <vector>
 
-namespace gpuvar { class RecordFrame; }  // was: #include "telemetry/frame.hpp"
 namespace gpuvar::query { class Source; }  // was: #include "query/source.hpp"
 
 namespace gpuvar {
@@ -42,8 +41,6 @@ std::vector<JobImpact> analyze_user_impact(
 /// random without replacement, computed from per-GPU median runtimes via
 /// order statistics on the empirical distribution.
 JobImpact job_impact(const query::Source& source, int gpus_per_job,
-                     double slow_threshold = 0.06);
-JobImpact job_impact(const RecordFrame& frame, int gpus_per_job,
                      double slow_threshold = 0.06);
 
 }  // namespace gpuvar

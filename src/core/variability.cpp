@@ -25,40 +25,20 @@ MetricVariability analyze_metric(std::span<const double> column) {
   return out;
 }
 
-}  // namespace
-
-VariabilityReport analyze_variability(const query::Source& source,
-                                      const VariabilityOptions&) {
-  GPUVAR_REQUIRE(!source.empty());
+/// The four per-metric summaries of a report; `column(m)` yields the
+/// values of metric m. Every report — whole source or one group — goes
+/// through here.
+template <typename ColumnOf>
+VariabilityReport metric_report(const ColumnOf& column) {
   VariabilityReport r;
-  r.perf = analyze_metric(source.metric(Metric::kPerf));
-  r.freq = analyze_metric(source.metric(Metric::kFreq));
-  r.power = analyze_metric(source.metric(Metric::kPower));
-  r.temp = analyze_metric(source.metric(Metric::kTemp));
-  r.records = source.size();
-  r.gpus = source.gpu_count();
+  r.perf = analyze_metric(column(Metric::kPerf));
+  r.freq = analyze_metric(column(Metric::kFreq));
+  r.power = analyze_metric(column(Metric::kPower));
+  r.temp = analyze_metric(column(Metric::kTemp));
   return r;
 }
 
-int group_key(const RunRecord& r, GroupBy g) {
-  switch (g) {
-    case GroupBy::kCabinet:
-      return r.loc.cabinet;
-    case GroupBy::kRow:
-      return r.loc.row;
-    case GroupBy::kColumn:
-      return r.loc.column;
-    case GroupBy::kNode:
-      return r.loc.node;
-    case GroupBy::kDayOfWeek:
-      return r.day_of_week;
-  }
-  return 0;
-}
-
-int group_key(const RecordFrame& frame, std::size_t row, GroupBy g) {
-  if (g == GroupBy::kDayOfWeek) return frame.day_of_week(row);
-  const GpuLocation& loc = frame.loc(row);
+int location_key(const GpuLocation& loc, GroupBy g) {
   switch (g) {
     case GroupBy::kCabinet:
       return loc.cabinet;
@@ -69,9 +49,69 @@ int group_key(const RecordFrame& frame, std::size_t row, GroupBy g) {
     case GroupBy::kNode:
       return loc.node;
     case GroupBy::kDayOfWeek:
-      break;  // handled above
+      break;  // not a location field
   }
   return 0;
+}
+
+/// The group key of every row; each column is read from the source
+/// once.
+std::vector<int> group_keys(const query::Source& source, GroupBy group) {
+  if (group == GroupBy::kDayOfWeek) {
+    const auto days = source.days_of_week();
+    return std::vector<int>(days.begin(), days.end());
+  }
+  const auto ids = source.gpu_ids();
+  const auto pool = source.gpus();
+  std::vector<int> keys;
+  keys.reserve(ids.size());
+  for (std::uint32_t id : ids) {
+    keys.push_back(location_key(pool[id].loc, group));
+  }
+  return keys;
+}
+
+/// `value_of(row)` for every row, split by the row's group key (ordered
+/// by key, source order within a group).
+template <typename T, typename ValueOf>
+std::map<int, std::vector<T>> split_by_group(const query::Source& source,
+                                             GroupBy group,
+                                             const ValueOf& value_of) {
+  const std::vector<int> keys = group_keys(source, group);
+  std::map<int, std::vector<T>> groups;
+  // A GPU's rows share a key and mostly sit together, so the map is
+  // searched only when the key changes (map references are stable).
+  std::vector<T>* bucket = nullptr;
+  int bucket_key = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (bucket == nullptr || keys[i] != bucket_key) {
+      bucket_key = keys[i];
+      bucket = &groups[bucket_key];
+    }
+    bucket->push_back(value_of(i));
+  }
+  return groups;
+}
+
+}  // namespace
+
+VariabilityReport analyze_variability(const query::Source& source,
+                                      const VariabilityOptions&) {
+  GPUVAR_REQUIRE(!source.empty());
+  VariabilityReport r =
+      metric_report([&](Metric m) { return source.metric(m); });
+  r.records = source.size();
+  r.gpus = source.gpu_count();
+  return r;
+}
+
+int group_key(const RunRecord& r, GroupBy g) {
+  return g == GroupBy::kDayOfWeek ? r.day_of_week : location_key(r.loc, g);
+}
+
+int group_key(const query::Source& source, std::size_t row, GroupBy g) {
+  if (g == GroupBy::kDayOfWeek) return source.days_of_week()[row];
+  return location_key(source.gpu(source.gpu_ids()[row]).loc, g);
 }
 
 std::string group_label(GroupBy g, int key) {
@@ -100,51 +140,52 @@ std::string group_label(GroupBy g, int key) {
   return "?";
 }
 
-std::vector<stats::NamedSeries> series_by_group(const RecordFrame& frame,
+std::vector<stats::NamedSeries> series_by_group(const query::Source& source,
                                                 Metric metric, GroupBy group) {
-  const auto column = frame.metric(metric);
-  std::map<int, std::vector<double>> groups;
-  for (std::size_t i = 0; i < frame.size(); ++i) {
-    groups[group_key(frame, i, group)].push_back(column[i]);
-  }
+  const auto column = source.metric(metric);
   std::vector<stats::NamedSeries> out;
-  out.reserve(groups.size());
-  for (auto& [key, values] : groups) {
+  for (auto& [key, values] : split_by_group<double>(
+           source, group, [&](std::size_t row) { return column[row]; })) {
     out.push_back(stats::NamedSeries{group_label(group, key),
                                      std::move(values)});
   }
   return out;
 }
 
-std::map<int, VariabilityReport> variability_by_group(const RecordFrame& frame,
-                                                      GroupBy group) {
+std::map<int, VariabilityReport> variability_by_group(
+    const query::Source& source, GroupBy group) {
+  const auto ids = source.gpu_ids();
   std::map<int, VariabilityReport> out;
-  if (group == GroupBy::kDayOfWeek) {
-    // The day split keys off a dense int16 column, so each group is
-    // one vectorized range-mask + mask-select instead of a per-row
-    // std::map of row-index lists.
-    const auto days = frame.days_of_week();
-    std::vector<std::uint8_t> mask(days.size());
-    for (int day = 0; day < 7; ++day) {
-      stats::kernels::mask_range_i16(days, day, day, mask);
-      if (stats::kernels::mask_count(mask) == 0) continue;
-      out.emplace(day, analyze_variability(frame.select(mask)));
+  std::vector<double> values;
+  // Per pool id: the last group that counted it, for distinct-GPU counts.
+  std::vector<std::size_t> counted_in(source.gpu_count(), 0);
+  std::size_t stamp = 0;
+  for (const auto& [key, rows] : split_by_group<std::size_t>(
+           source, group, [](std::size_t row) { return row; })) {
+    if (group == GroupBy::kDayOfWeek && (key < 0 || key > 6)) continue;
+    VariabilityReport r = metric_report([&](Metric m) {
+      const auto column = source.metric(m);
+      values.clear();
+      values.reserve(rows.size());
+      for (std::size_t row : rows) values.push_back(column[row]);
+      return std::span<const double>(values);
+    });
+    ++stamp;
+    r.records = rows.size();
+    for (std::size_t row : rows) {
+      if (counted_in[ids[row]] == stamp) continue;
+      counted_in[ids[row]] = stamp;
+      ++r.gpus;
     }
-    return out;
-  }
-  std::map<int, std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < frame.size(); ++i) {
-    groups[group_key(frame, i, group)].push_back(i);
-  }
-  for (const auto& [key, rows] : groups) {
-    out.emplace(key, analyze_variability(frame.select(rows)));
+    out.emplace(key, std::move(r));
   }
   return out;
 }
 
-std::vector<GpuRepeatability> per_gpu_repeatability(const RecordFrame& frame) {
-  const auto groups = group_rows_by_gpu(frame);
-  const auto perf_col = frame.perf_ms();
+std::vector<GpuRepeatability> per_gpu_repeatability(
+    const query::Source& source) {
+  const auto groups = query::group_rows_by_gpu(source);
+  const auto perf_col = source.metric(Metric::kPerf);
 
   std::vector<GpuRepeatability> out;
   std::vector<double> perf;
@@ -157,7 +198,7 @@ std::vector<GpuRepeatability> per_gpu_repeatability(const RecordFrame& frame) {
     for (std::size_t i = begin; i < end; ++i) {
       perf.push_back(perf_col[groups.rows[i]]);
     }
-    const GpuRef& g = frame.gpu(id);
+    const GpuRef& g = source.gpu(id);
     GpuRepeatability rep;
     rep.gpu_index = g.gpu_index;
     rep.name = g.loc.name;
@@ -173,11 +214,12 @@ std::vector<GpuRepeatability> per_gpu_repeatability(const RecordFrame& frame) {
   return out;
 }
 
-double slow_assignment_probability(const RecordFrame& frame, int gpus_per_job,
+double slow_assignment_probability(const query::Source& source,
+                                   int gpus_per_job,
                                    double slowdown_threshold) {
   GPUVAR_REQUIRE(gpus_per_job >= 1);
   GPUVAR_REQUIRE(slowdown_threshold > 0.0);
-  const auto gpus = per_gpu_medians(frame);
+  const auto gpus = query::per_gpu_medians(source);
   GPUVAR_REQUIRE(!gpus.empty());
   std::vector<double> perf;
   perf.reserve(gpus.size());

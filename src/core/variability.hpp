@@ -2,11 +2,11 @@
 // metric, per-group breakdowns (cabinet / row / column / day), and the
 // per-GPU run-to-run repeatability of Figure 8.
 //
-// The main entry point follows the unified analysis signature:
-// analyze_variability(source, options) over a query::Source, so the
-// same analysis runs on an in-memory RecordFrame or streamed from a
-// checkpointed campaign store (a RecordFrame converts implicitly to a
-// frame-backed Source).
+// Every function here reads a query::Source, so the same analysis runs
+// on an in-memory RecordFrame or streamed from a checkpointed campaign
+// store (a RecordFrame converts implicitly to a frame-backed Source).
+// The main entry point follows the unified analysis signature,
+// analyze_variability(source, options).
 #pragma once
 
 #include <map>
@@ -16,7 +16,6 @@
 #include "stats/ascii_plot.hpp"
 #include "stats/boxplot.hpp"
 #include "telemetry/record.hpp"
-namespace gpuvar { class RecordFrame; }  // was: #include "telemetry/frame.hpp"
 namespace gpuvar::query { class Source; }  // was: #include "query/source.hpp"
 
 namespace gpuvar {
@@ -50,17 +49,19 @@ enum class GroupBy { kCabinet, kRow, kColumn, kNode, kDayOfWeek };
 
 std::string group_label(GroupBy g, int key);
 
-/// Extracts the group key of a record / of one frame row.
+/// Extracts the group key of a record / of one source row.
 int group_key(const RunRecord& r, GroupBy g);
-int group_key(const RecordFrame& frame, std::size_t row, GroupBy g);
+int group_key(const query::Source& source, std::size_t row, GroupBy g);
 
 /// Metric values split by group (ordered by key), ready for box charts.
-std::vector<stats::NamedSeries> series_by_group(const RecordFrame& frame,
+std::vector<stats::NamedSeries> series_by_group(const query::Source& source,
                                                 Metric metric, GroupBy group);
 
-/// Per-group variability reports.
-std::map<int, VariabilityReport> variability_by_group(const RecordFrame& frame,
-                                                      GroupBy group);
+/// Per-group variability reports, ordered by key. The day split keeps
+/// only days 0..6: rows of a campaign without a day sweep (day -1) are
+/// left out.
+std::map<int, VariabilityReport> variability_by_group(
+    const query::Source& source, GroupBy group);
 
 /// Figure 8: per-GPU run-to-run performance variation, (max-min)/median
 /// per GPU, as a percentage. Requires >= 2 runs per GPU (GPUs with fewer
@@ -73,13 +74,14 @@ struct GpuRepeatability {
   double variation_pct = 0.0;
 };
 
-std::vector<GpuRepeatability> per_gpu_repeatability(const RecordFrame& frame);
+std::vector<GpuRepeatability> per_gpu_repeatability(
+    const query::Source& source);
 
 /// Inter-experiment user impact (§VII): the probability that a job
 /// requesting `gpus_per_job` GPUs receives at least one GPU slower than
 /// `slowdown_threshold` (fraction above the median, e.g. 0.06 for "6%
 /// slower than median").
-double slow_assignment_probability(const RecordFrame& frame, int gpus_per_job,
-                                   double slowdown_threshold);
+double slow_assignment_probability(const query::Source& source,
+                                   int gpus_per_job, double slowdown_threshold);
 
 }  // namespace gpuvar

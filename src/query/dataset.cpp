@@ -9,7 +9,6 @@
 #include "obs/trace.hpp"
 #include "telemetry/frame.hpp"
 #include "telemetry/manifest.hpp"
-#include "telemetry/record.hpp"
 #include "telemetry/shard.hpp"
 
 namespace gpuvar::query {
@@ -97,19 +96,15 @@ ThreadPool& Dataset::scan_pool() const {
 }
 
 std::shared_ptr<const DecodedShardColumns> Dataset::fetch(
-    std::size_t i, unsigned columns) const {
-  columns &= kShardColsAll;
+    std::size_t i) const {
   {
     MutexLock lock(cache_->mu);
     CacheEntry& e = cache_->entries[i];
-    if (e.data != nullptr && (columns & ~e.data->columns) == 0) {
+    if (e.data != nullptr) {
       e.last_use = ++cache_->tick;
       GPUVAR_METRIC_COUNT("query.cache_hits");
       return e.data;
     }
-    // Replacement keeps what the old entry already paid for: the new
-    // decode carries the union of old and requested columns.
-    if (e.data != nullptr) columns |= e.data->columns;
   }
   GPUVAR_METRIC_COUNT("query.cache_misses");
   const DatasetShard& shard = shards_[i];
@@ -121,7 +116,7 @@ std::shared_ptr<const DecodedShardColumns> Dataset::fetch(
   // last insert wins).
   const std::string bytes = read_file_bytes(shard.path);
   auto decoded = std::make_shared<const DecodedShardColumns>(
-      decode_frame_shard_columns(bytes, shard.path.string(), columns));
+      decode_frame_shard_columns(bytes, shard.path.string()));
 
   const auto cost = static_cast<std::uint64_t>(decoded->memory_bytes());
   MutexLock lock(cache_->mu);
@@ -159,33 +154,14 @@ RecordFrame Dataset::materialize() const {
   std::vector<std::shared_ptr<const DecodedShardColumns>> decoded(
       shards_.size());
   scan_pool().parallel_for(shards_.size(), [&](std::size_t i) {
-    decoded[i] = fetch(i, kShardColsAll);
+    decoded[i] = fetch(i);
   });
   // Bucket-index order (shards_ is manifest order, which is bucket
   // order); rows re-intern in first-appearance order exactly as the
   // engine's merge stage did when it wrote the checkpoint.
   RecordFrame out;
   out.reserve(static_cast<std::size_t>(total_rows_));
-  for (const auto& d : decoded) {
-    const std::size_t rows = d->gpu_ids.size();
-    for (std::size_t r = 0; r < rows; ++r) {
-      const GpuRef& g = d->pool[d->gpu_ids[r]];
-      RunRecord rec;
-      rec.gpu_index = g.gpu_index;
-      rec.loc = g.loc;
-      rec.run_index = d->runs[r];
-      rec.day_of_week = d->days[r];
-      rec.perf_ms = d->metric_cols[0][r];
-      rec.freq_mhz = d->metric_cols[1][r];
-      rec.power_w = d->metric_cols[2][r];
-      rec.temp_c = d->metric_cols[3][r];
-      rec.counters.fu_util = d->metric_cols[4][r];
-      rec.counters.dram_util = d->metric_cols[5][r];
-      rec.counters.mem_stall_frac = d->metric_cols[6][r];
-      rec.counters.exec_stall_frac = d->metric_cols[7][r];
-      out.append_row(rec);
-    }
-  }
+  for (const auto& d : decoded) append_decoded_rows(out, *d);
   return out;
 }
 

@@ -10,8 +10,8 @@
 //    node/gpu-index/day ranges, so a query whose Predicate cannot
 //    overlap a shard skips it on header facts alone — the payload is
 //    never read, let alone decoded;
-//  - column pruning: scanned shards decode only the metric columns the
-//    analysis touches (telemetry/shard.hpp streaming decode);
+//  - one decode per shard: a scanned shard is decoded whole, once,
+//    and every column an analysis reads comes from that decode;
 //  - parallel scans: surviving shards decode on a gpuvar::ThreadPool
 //    and merge in bucket-index order, so results are byte-identical at
 //    any thread count — the same determinism discipline as the
@@ -142,11 +142,10 @@ class Dataset {
   bool pushdown_enabled() const { return options_.pushdown; }
   ThreadPool& scan_pool() const;
 
-  /// Fetches shard `i` decoded with at least the given metric-column
-  /// mask, through the LRU cache. The returned snapshot is immutable
-  /// and stays valid after eviction (shared ownership).
-  std::shared_ptr<const DecodedShardColumns> fetch(std::size_t i,
-                                                   unsigned columns) const;
+  /// Fetches shard `i`, decoded, through the LRU cache. The returned
+  /// snapshot is immutable and stays valid after eviction (shared
+  /// ownership).
+  std::shared_ptr<const DecodedShardColumns> fetch(std::size_t i) const;
 
   /// Reads every shard and merges them in bucket-index order into one
   /// RecordFrame — byte-identical to the frame the campaign engine
@@ -161,11 +160,10 @@ class Dataset {
  private:
   Dataset() = default;
 
-  /// Byte-budgeted LRU of decoded shards, keyed by shard index. An
-  /// entry is replaced (never widened in place) when a fetch needs
-  /// columns it lacks; eviction drops the least-recently-used entry
-  /// until resident bytes fit the budget. Entries are immutable
-  /// shared_ptrs, so a scan holding one is unaffected by eviction.
+  /// Byte-budgeted LRU of decoded shards, keyed by shard index;
+  /// eviction drops the least-recently-used entry until resident bytes
+  /// fit the budget. Entries are immutable shared_ptrs, so a scan
+  /// holding one is unaffected by eviction.
   struct CacheEntry {
     std::shared_ptr<const DecodedShardColumns> data;
     std::uint64_t bytes = 0;

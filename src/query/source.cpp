@@ -49,9 +49,10 @@ void Source::ensure_plan() const {
     return;
   }
 
-  // Row-level filter: needs only the always-decoded id/run/day columns
-  // and the pool snapshot (column mask 0).
-  const auto decoded = scan(0);
+  // Row-level filter: reads the id and day columns and the pool
+  // snapshot. The scan decodes every column, and ensure_columns reuses
+  // the decoded shards through the cache.
+  const auto decoded = scan();
   match_rows_.resize(picked_.size());
   rows_ = 0;
   for (std::size_t j = 0; j < picked_.size(); ++j) {
@@ -92,23 +93,42 @@ void Source::ensure_plan() const {
   GPUVAR_METRIC_ADD("query.rows_matched", rows_);
 }
 
-std::vector<std::shared_ptr<const DecodedShardColumns>> Source::scan(
-    unsigned columns) const {
+std::vector<std::shared_ptr<const DecodedShardColumns>> Source::scan()
+    const {
   GPUVAR_TRACE_SPAN("query", "scan", "shards",
                     static_cast<std::int64_t>(picked_.size()));
   std::vector<std::shared_ptr<const DecodedShardColumns>> out(picked_.size());
   dataset_->scan_pool().parallel_for(picked_.size(), [&](std::size_t j) {
-    out[j] = dataset_->fetch(picked_[j], columns);
+    out[j] = dataset_->fetch(picked_[j]);
   });
   return out;
 }
 
-void Source::ensure_identity() const {
+namespace {
+
+/// Appends `col` to `out`: the rows listed in `rows`, or every row when
+/// `rows` is null.
+template <typename T>
+void append_rows(const std::vector<T>& col,
+                 const std::vector<std::uint32_t>* rows, std::vector<T>& out) {
+  if (rows == nullptr) {
+    out.insert(out.end(), col.begin(), col.end());
+    return;
+  }
+  for (std::uint32_t r : *rows) out.push_back(col[r]);
+}
+
+}  // namespace
+
+void Source::ensure_columns() const {
   ensure_plan();
-  if (identity_done_) return;
-  identity_done_ = true;
-  const auto decoded = scan(0);
+  if (assembled_) return;
+  assembled_ = true;
+  const auto decoded = scan();
   ids_.reserve(rows_);
+  runs_.reserve(rows_);
+  days_.reserve(rows_);
+  for (auto& col : metric_cols_) col.reserve(rows_);
   // First-appearance interning keyed by gpu_index across the ordered
   // merge — RecordFrame::append_row's exact id-assignment rule, which
   // is what makes gpu_ids()/gpus() byte-identical to the materialized
@@ -116,6 +136,8 @@ void Source::ensure_identity() const {
   std::map<std::size_t, std::uint32_t> id_by_gpu_index;
   for (std::size_t j = 0; j < decoded.size(); ++j) {
     const DecodedShardColumns& d = *decoded[j];
+    const std::vector<std::uint32_t>* rows =
+        filtered_ ? &match_rows_[j] : nullptr;
     const auto emit = [&](std::size_t r) {
       const GpuRef& g = d.pool[d.gpu_ids[r]];
       const auto [it, inserted] = id_by_gpu_index.try_emplace(
@@ -123,59 +145,15 @@ void Source::ensure_identity() const {
       if (inserted) pool_.push_back(g);
       ids_.push_back(it->second);
     };
-    if (filtered_) {
-      for (std::uint32_t r : match_rows_[j]) emit(r);
+    if (rows != nullptr) {
+      for (std::uint32_t r : *rows) emit(r);
     } else {
       for (std::size_t r = 0; r < d.gpu_ids.size(); ++r) emit(r);
     }
-  }
-}
-
-void Source::ensure_runs() const {
-  ensure_plan();
-  if (runs_done_) return;
-  runs_done_ = true;
-  const auto decoded = scan(0);
-  runs_.reserve(rows_);
-  for (std::size_t j = 0; j < decoded.size(); ++j) {
-    const DecodedShardColumns& d = *decoded[j];
-    if (filtered_) {
-      for (std::uint32_t r : match_rows_[j]) runs_.push_back(d.runs[r]);
-    } else {
-      runs_.insert(runs_.end(), d.runs.begin(), d.runs.end());
-    }
-  }
-}
-
-void Source::ensure_days() const {
-  ensure_plan();
-  if (days_done_) return;
-  days_done_ = true;
-  const auto decoded = scan(0);
-  days_.reserve(rows_);
-  for (std::size_t j = 0; j < decoded.size(); ++j) {
-    const DecodedShardColumns& d = *decoded[j];
-    if (filtered_) {
-      for (std::uint32_t r : match_rows_[j]) days_.push_back(d.days[r]);
-    } else {
-      days_.insert(days_.end(), d.days.begin(), d.days.end());
-    }
-  }
-}
-
-void Source::ensure_metric(std::size_t k) const {
-  ensure_plan();
-  if (metric_done_[k]) return;
-  metric_done_[k] = true;
-  const auto decoded = scan(1u << k);
-  auto& col = metric_cols_[k];
-  col.reserve(rows_);
-  for (std::size_t j = 0; j < decoded.size(); ++j) {
-    const std::vector<double>& src = decoded[j]->metric_cols[k];
-    if (filtered_) {
-      for (std::uint32_t r : match_rows_[j]) col.push_back(src[r]);
-    } else {
-      col.insert(col.end(), src.begin(), src.end());
+    append_rows(d.runs, rows, runs_);
+    append_rows(d.days, rows, days_);
+    for (std::size_t k = 0; k < metric_cols_.size(); ++k) {
+      append_rows(d.metric_cols[k], rows, metric_cols_[k]);
     }
   }
 }
@@ -188,40 +166,40 @@ std::size_t Source::size() const {
 
 std::size_t Source::gpu_count() const {
   if (frame_ != nullptr) return frame_->gpu_count();
-  ensure_identity();
+  ensure_columns();
   return pool_.size();
 }
 
 std::span<const double> Source::metric(Metric m) const {
   if (frame_ != nullptr) return frame_->metric(m);
-  // Metric enumerators (kPerf, kFreq, kPower, kTemp) match the first
-  // four shard column bits in serialized order.
+  // Metric enumerators (kPerf, kFreq, kPower, kTemp) index the shard's
+  // metric columns in serialized order.
   const auto k = static_cast<std::size_t>(m);
-  ensure_metric(k);
+  ensure_columns();
   return metric_cols_[k];
 }
 
 std::span<const std::uint32_t> Source::gpu_ids() const {
   if (frame_ != nullptr) return frame_->gpu_ids();
-  ensure_identity();
+  ensure_columns();
   return ids_;
 }
 
 std::span<const GpuRef> Source::gpus() const {
   if (frame_ != nullptr) return frame_->gpus();
-  ensure_identity();
+  ensure_columns();
   return pool_;
 }
 
 std::span<const std::int32_t> Source::run_indices() const {
   if (frame_ != nullptr) return frame_->run_indices();
-  ensure_runs();
+  ensure_columns();
   return runs_;
 }
 
 std::span<const std::int16_t> Source::days_of_week() const {
   if (frame_ != nullptr) return frame_->days_of_week();
-  ensure_days();
+  ensure_columns();
   return days_;
 }
 

@@ -1,15 +1,16 @@
 // The accessor seam between analyses and their data.
 //
-// Every core analysis (variability, flagging, drift, compare,
-// user_impact, correlate) reads columns through a Source instead of a
+// Every core analysis (variability and its group breakdowns, flagging,
+// drift, compare, user_impact, correlate, projection, the text and
+// markdown reports) reads columns through a Source instead of a
 // concrete RecordFrame. A frame-backed Source is a zero-cost borrow:
 // every accessor returns the frame's own spans. A dataset-backed
 // Source evaluates the query lazily: predicate pushdown picks the
-// shards, and each column is assembled — through the Dataset's decoded
-// -shard cache, surviving shards merged in bucket-index order — the
-// first time an analysis touches it. Column pruning therefore falls
-// out of the analyses themselves: an analysis that never reads
-// temperatures never decodes the temperature column.
+// shards, and the first column an analysis touches assembles every
+// column at once: the picked shards, decoded whole through the
+// Dataset's cache, merged in bucket-index order as Dataset::materialize
+// merges them. A Source does not prune columns: re-decoding a shard for
+// each new column cost more than the columns pruning skipped.
 //
 // Determinism: assembled columns and pool-id assignment are pure
 // functions of (manifest order, predicate) — shard decodes are
@@ -52,8 +53,9 @@ class Source {
   bool empty() const { return size() == 0; }
   std::size_t gpu_count() const;
 
-  /// The column for one analysis metric; assembled on first touch for
-  /// a dataset-backed source, zero-copy for a frame-backed one.
+  /// The column for one analysis metric. A dataset-backed source
+  /// assembles all its columns the first time any is read; a
+  /// frame-backed one returns the frame's own.
   std::span<const double> metric(Metric m) const;
   std::span<const std::uint32_t> gpu_ids() const;
   std::span<const GpuRef> gpus() const;
@@ -63,13 +65,10 @@ class Source {
 
  private:
   void ensure_plan() const;
-  void ensure_identity() const;
-  void ensure_runs() const;
-  void ensure_days() const;
-  void ensure_metric(std::size_t k) const;
-  /// Parallel fetch of every picked shard with the given column mask.
-  std::vector<std::shared_ptr<const DecodedShardColumns>> scan(
-      unsigned columns) const;
+  /// Assembles every column in one pass over the picked shards.
+  void ensure_columns() const;
+  /// Parallel fetch of every picked shard, all columns decoded.
+  std::vector<std::shared_ptr<const DecodedShardColumns>> scan() const;
 
   const RecordFrame* frame_ = nullptr;
   const Dataset* dataset_ = nullptr;
@@ -84,15 +83,12 @@ class Source {
   /// Per picked shard: matching row indices. Parallel to picked_; only
   /// populated when the predicate filters rows.
   mutable std::vector<std::vector<std::uint32_t>> match_rows_;
-  mutable bool identity_done_ = false;
-  mutable bool runs_done_ = false;
-  mutable bool days_done_ = false;
+  mutable bool assembled_ = false;
   mutable std::vector<std::uint32_t> ids_;
   mutable std::vector<GpuRef> pool_;
   mutable std::vector<std::int32_t> runs_;
   mutable std::vector<std::int16_t> days_;
   mutable std::array<std::vector<double>, 4> metric_cols_;
-  mutable std::array<bool, 4> metric_done_{};
 };
 
 /// group_rows_by_gpu / per_gpu_medians over the seam: same shared

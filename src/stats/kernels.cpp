@@ -328,18 +328,4 @@ GPUVAR_HOT void mask_to_indices(std::span<const std::uint8_t> mask,
   out.resize(count);
 }
 
-GPUVAR_HOT void mask_to_rows(std::span<const std::uint8_t> mask,
-                             std::vector<std::size_t>& out) {
-  const std::size_t count = mask_count(mask);
-  out.resize(count + 1);
-  const std::uint8_t* p = mask.data();
-  const std::size_t n = mask.size();
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[w] = i;
-    w += p[i];
-  }
-  out.resize(count);
-}
-
 }  // namespace gpuvar::stats::kernels

@@ -120,8 +120,4 @@ std::size_t mask_count(std::span<const std::uint8_t> mask);
 void mask_to_indices(std::span<const std::uint8_t> mask,
                      std::vector<std::uint32_t>& out);
 
-/// mask_to_indices for std::size_t row lists (RecordFrame::select).
-void mask_to_rows(std::span<const std::uint8_t> mask,
-                  std::vector<std::size_t>& out);
-
 }  // namespace gpuvar::stats::kernels

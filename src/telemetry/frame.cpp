@@ -144,14 +144,6 @@ GPUVAR_HOT RecordFrame RecordFrame::select(std::span<const std::size_t> rows) co
   return out;
 }
 
-GPUVAR_HOT RecordFrame RecordFrame::select(
-    std::span<const std::uint8_t> mask) const {
-  GPUVAR_REQUIRE(mask.size() == size());
-  std::vector<std::size_t> rows;
-  stats::kernels::mask_to_rows(mask, rows);
-  return select(std::span<const std::size_t>(rows));
-}
-
 std::size_t RecordFrame::memory_bytes() const {
   std::size_t bytes = sizeof(RecordFrame);
   bytes += 8 * perf_.capacity() * sizeof(double);

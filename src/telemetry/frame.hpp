@@ -21,12 +21,12 @@
 // exactly the guarantee determinism_replay pins for run_campaign.
 //
 // Migration note: the deprecation cycle is over. The bulk row adapters
-// and every row-span analysis overload are gone; analysis entry points
-// take `const RecordFrame&` only (the analyzer's row-record-param rule
-// now bans row-record signatures outright in core/telemetry public
-// headers). Single-row append_row / row(i) remain: they are the
-// streaming construction API and the materialization escape hatch, not
-// a bulk interchange.
+// and every row-span analysis overload are gone; analyses read a
+// query::Source, which a RecordFrame converts to implicitly (the
+// analyzer's row-record-param rule now bans row-record signatures
+// outright in core/telemetry public headers). Single-row append_row /
+// row(i) remain: they are the streaming construction API and the
+// materialization escape hatch, not a bulk interchange.
 #pragma once
 
 #include <cstdint>
@@ -103,12 +103,6 @@ class RecordFrame {
   void append(const RecordFrame& chunk);
   /// New frame holding exactly the given rows (in the given order).
   RecordFrame select(std::span<const std::size_t> rows) const;
-  /// Mask overload: keeps the rows whose mask byte is set (1 = keep),
-  /// in frame order. The mask convention matches the vectorized
-  /// predicate kernels in stats/kernels.hpp, so a filter can go from
-  /// predicate to sub-frame without materializing a row-index list at
-  /// the call site. Requires mask.size() == size().
-  RecordFrame select(std::span<const std::uint8_t> mask) const;
 
   /// Approximate heap + inline footprint in bytes (for the memory story
   /// in micro_frame_bench; counts columns plus the interned pool).

@@ -211,8 +211,7 @@ std::uint64_t hash_frame_shard(const RecordFrame& frame,
 }
 
 DecodedShardColumns decode_frame_shard_columns(std::string_view bytes,
-                                               std::string label,
-                                               unsigned columns) {
+                                               std::string label) {
   binio::ByteReader r(bytes, label);
   const FrameShardHeader h = read_header(r, label);
   if (r.remaining() != h.info.payload_bytes) {
@@ -230,7 +229,6 @@ DecodedShardColumns decode_frame_shard_columns(std::string_view bytes,
 
   DecodedShardColumns out;
   out.header = h;
-  out.columns = columns & kShardColsAll;
 
   // Pool snapshot, in the frame's first-appearance id order.
   out.pool.reserve(h.pool);
@@ -262,14 +260,7 @@ DecodedShardColumns decode_frame_shard_columns(std::string_view bytes,
   for (auto& run : out.runs) run = r.read_i32();
   out.days.resize(rows);
   for (auto& day : out.days) day = r.read_i16();
-  for (std::size_t k = 0; k < kShardMetricColumns; ++k) {
-    if ((out.columns & (1u << k)) == 0) {
-      // Column pruning: the metric columns are fixed-width, so an
-      // unrequested one is a seek, not a decode.
-      r.skip(rows * 8);
-      continue;
-    }
-    auto& col = out.metric_cols[k];
+  for (auto& col : out.metric_cols) {
     col.resize(rows);
     for (auto& v : col) v = r.read_f64();
   }
@@ -297,18 +288,8 @@ std::size_t DecodedShardColumns::memory_bytes() const {
   return total;
 }
 
-FrameShard parse_frame_shard(std::string_view bytes, std::string label) {
-  DecodedShardColumns d =
-      decode_frame_shard_columns(bytes, std::move(label), kShardColsAll);
-
-  // Rebuild through the streaming append API: rows re-intern in the
-  // same first-appearance order they were written, so pool ids (and
-  // every column byte) match the frame that was serialized.
-  FrameShard out;
-  out.info = d.header.info;
-  const auto rows = static_cast<std::size_t>(d.header.info.rows);
-  out.frame.reserve(rows);
-  for (std::size_t i = 0; i < rows; ++i) {
+void append_decoded_rows(RecordFrame& out, const DecodedShardColumns& d) {
+  for (std::size_t i = 0; i < d.gpu_ids.size(); ++i) {
     const GpuRef& g = d.pool[d.gpu_ids[i]];
     RunRecord rec;
     rec.gpu_index = g.gpu_index;
@@ -323,8 +304,17 @@ FrameShard parse_frame_shard(std::string_view bytes, std::string label) {
     rec.counters.dram_util = d.metric_cols[5][i];
     rec.counters.mem_stall_frac = d.metric_cols[6][i];
     rec.counters.exec_stall_frac = d.metric_cols[7][i];
-    out.frame.append_row(rec);
+    out.append_row(rec);
   }
+}
+
+FrameShard parse_frame_shard(std::string_view bytes, std::string label) {
+  const DecodedShardColumns d =
+      decode_frame_shard_columns(bytes, std::move(label));
+  FrameShard out;
+  out.info = d.header.info;
+  out.frame.reserve(d.gpu_ids.size());
+  append_decoded_rows(out.frame, d);
   return out;
 }
 

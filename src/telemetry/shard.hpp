@@ -120,27 +120,13 @@ FrameShardInfo write_frame_shard(std::ostream& out, const RecordFrame& frame,
 /// contract as parse_frame_shard.
 FrameShard read_frame_shard(std::istream& in, std::string label);
 
-/// Bit flags naming the eight metric columns of the payload, in their
-/// serialized order. The pool snapshot and the id/run/day columns are
-/// always decoded (they are small and every query needs them); the
-/// mask selects which 8-byte metric columns get decoded vs skipped.
-enum : unsigned {
-  kShardColPerf = 1u << 0,
-  kShardColFreq = 1u << 1,
-  kShardColPower = 1u << 2,
-  kShardColTemp = 1u << 3,
-  kShardColFuUtil = 1u << 4,
-  kShardColDramUtil = 1u << 5,
-  kShardColMemStall = 1u << 6,
-  kShardColExecStall = 1u << 7,
-  kShardColsAll = 0xffu,
-};
+/// The eight metric columns of the payload: perf, freq, power, temp,
+/// then the four counters, in their serialized order.
 inline constexpr std::size_t kShardMetricColumns = 8;
 
 /// A shard decoded column-by-column instead of rebuilt into a
-/// RecordFrame. metric_cols[k] is empty unless bit k of the request
-/// mask was set; pool/ids/runs/days are always populated. Values are
-/// bit-identical to the frame that was serialized.
+/// RecordFrame. Values are bit-identical to the frame that was
+/// serialized.
 struct DecodedShardColumns {
   FrameShardHeader header;
   std::vector<GpuRef> pool;
@@ -148,20 +134,20 @@ struct DecodedShardColumns {
   std::vector<std::int32_t> runs;
   std::vector<std::int16_t> days;
   std::array<std::vector<double>, kShardMetricColumns> metric_cols;
-  /// Which metric columns are decoded (the request mask).
-  unsigned columns = 0;
   /// Resident bytes of the decoded vectors — what a decoded-shard
   /// cache charges against its byte budget.
   std::size_t memory_bytes() const;
 };
 
-/// Streaming per-column decode: verifies the whole payload hash (a
-/// reader never trusts the file), then decodes the pool and the
-/// id/run/day columns plus only the metric columns in `columns`,
-/// stepping over the rest without materializing them. Same error
-/// contract as parse_frame_shard.
+/// Per-column decode: verifies the whole payload hash (a reader never
+/// trusts the file), then decodes the pool and every column. Same
+/// error contract as parse_frame_shard.
 DecodedShardColumns decode_frame_shard_columns(std::string_view bytes,
-                                               std::string label,
-                                               unsigned columns);
+                                               std::string label);
+
+/// Appends every row of a decoded shard to `out` through the streaming
+/// append API: rows re-intern in the order they were written, so pool
+/// ids and every column byte match the frame that was serialized.
+void append_decoded_rows(RecordFrame& out, const DecodedShardColumns& d);
 
 }  // namespace gpuvar

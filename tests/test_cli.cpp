@@ -201,6 +201,24 @@ TEST_F(CliTest, WhereFiltersCsvAndStoreAlike) {
   EXPECT_TRUE(contains(err, "no rows match")) << err;
 }
 
+TEST_F(CliTest, WhereRejectsARepeatedField) {
+  make_campaign("4", "2");
+  // A second range for one field would silently replace the first.
+  for (const std::string& src : {csv(), store()}) {
+    std::string out, err;
+    EXPECT_EQ(run({"analyze", src, "--where", "node=0..3,node=90..99"}, &out,
+                  &err),
+              1)
+        << src;
+    EXPECT_TRUE(contains(err, "repeated --where field 'node'")) << src << err;
+    EXPECT_EQ(run({"analyze", src, "--where", "day=..,cabinet=0,day=2"},
+                  nullptr, &err),
+              1)
+        << src;
+    EXPECT_TRUE(contains(err, "repeated --where field 'day'")) << src << err;
+  }
+}
+
 TEST_F(CliTest, ReportCompareDriftPipeline) {
   make_campaign("4", "3");
   std::string out;

@@ -22,6 +22,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "query/source.hpp"  // IWYU pragma: keep (frame -> Source)
 #include "telemetry/export.hpp"
 #include "cluster/cluster.hpp"
 #include "telemetry/run_result.hpp"

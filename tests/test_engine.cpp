@@ -20,6 +20,7 @@
 #include "core/markdown_report.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "query/source.hpp"  // IWYU pragma: keep (frame -> Source)
 #include "telemetry/export.hpp"
 #include "telemetry/shard.hpp"
 #include "workloads/workload.hpp"

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "query/source.hpp"  // IWYU pragma: keep (frame -> Source)
 #include "telemetry/frame.hpp"
 #include "telemetry/record.hpp"
 

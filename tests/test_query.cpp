@@ -11,7 +11,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -27,12 +29,17 @@
 #include "core/engine.hpp"
 #include "core/experiment.hpp"
 #include "core/flagging.hpp"
+#include "core/markdown_report.hpp"
+#include "core/projection.hpp"
+#include "core/report.hpp"
 #include "core/user_impact.hpp"
 #include "core/variability.hpp"
 #include "obs/metrics.hpp"
 #include "query/dataset.hpp"
+#include "stats/ascii_plot.hpp"
 #include "stats/boxplot.hpp"
 #include "telemetry/frame.hpp"
+#include "telemetry/record.hpp"
 #include "telemetry/shard.hpp"
 #include "workloads/workload.hpp"
 
@@ -132,6 +139,67 @@ std::string fp(const CorrelationReport& r) {
   return o.str();
 }
 
+std::string fp(const std::map<int, VariabilityReport>& groups) {
+  std::string out;
+  for (const auto& [key, r] : groups) {
+    out += std::to_string(key) + ':' + fp(r);
+  }
+  return out;
+}
+
+std::string fp(const std::vector<stats::NamedSeries>& series) {
+  std::ostringstream o;
+  for (const stats::NamedSeries& g : series) {
+    o << g.name << ':';
+    for (double v : g.values) put(o, v);
+    o << ';';
+  }
+  return o.str();
+}
+
+std::string fp(const std::vector<GpuRepeatability>& v) {
+  std::ostringstream o;
+  for (const GpuRepeatability& g : v) {
+    o << g.gpu_index << ',' << g.name << ',' << g.runs << ',';
+    put(o, g.median_perf_ms);
+    put(o, g.variation_pct);
+    o << ';';
+  }
+  return o.str();
+}
+
+/// The projection's fields, or its error: a population too small to
+/// fit must fail the same way on both sides of a comparison.
+std::string fp_projection(const query::Source& s) {
+  std::ostringstream o;
+  try {
+    const SizeProjection p = project_to_cluster_size(s, 1024);
+    o << p.source_gpus << ',' << p.target_gpus << ',';
+    put(o, p.source_variation_pct);
+    put(o, p.projected_variation_pct);
+  } catch (const std::invalid_argument& e) {
+    o << "error: " << e.what();
+  }
+  return o.str();
+}
+
+/// The group, repeatability, projection and report analyses over one
+/// source; the rendered text (box charts, scatter, markdown) is
+/// compared whole.
+std::string fp_groups(const query::Source& s) {
+  std::ostringstream text;
+  print_group_boxes(text, s, Metric::kPerf, GroupBy::kNode);
+  print_scatter(text, s, Metric::kPower, Metric::kPerf);
+  write_markdown_report(text, s);
+  std::ostringstream o;
+  put(o, slow_assignment_probability(s, 2, 0.01));
+  return fp(series_by_group(s, Metric::kPower, GroupBy::kCabinet)) + '|' +
+         fp(variability_by_group(s, GroupBy::kCabinet)) + '|' +
+         fp(variability_by_group(s, GroupBy::kDayOfWeek)) + '|' +
+         fp(per_gpu_repeatability(s)) + '|' + o.str() + '|' +
+         fp_projection(s) + '|' + text.str();
+}
+
 /// Every analysis, fingerprinted over one source. `compare` runs the
 /// source against itself — a degenerate but fully deterministic
 /// pairing. `impact_width` caps the impact table's widest job for
@@ -141,7 +209,8 @@ std::string fp_all(const query::Source& s, int impact_width = 8) {
   impact.max_width = impact_width;
   return fp(analyze_variability(s)) + '|' + fp(analyze_flags(s)) + '|' +
          fp(analyze_drift(s)) + '|' + fp(analyze_compare(s, s)) + '|' +
-         fp(analyze_user_impact(s, impact)) + '|' + fp(analyze_correlation(s));
+         fp(analyze_user_impact(s, impact)) + '|' + fp(analyze_correlation(s)) +
+         '|' + fp_groups(s);
 }
 
 // ---- fixture ---------------------------------------------------------
@@ -179,8 +248,7 @@ class QueryTest : public ::testing::Test {
   static std::uint64_t max_shard_bytes(const query::Dataset& d) {
     std::uint64_t hi = 0;
     for (std::size_t i = 0; i < d.shards().size(); ++i) {
-      hi = std::max<std::uint64_t>(hi,
-                                   d.fetch(i, kShardColsAll)->memory_bytes());
+      hi = std::max<std::uint64_t>(hi, d.fetch(i)->memory_bytes());
     }
     return hi;
   }
@@ -264,6 +332,28 @@ TEST_F(QueryTest, PredicateMatchesFrameSelectByteForByte) {
   EXPECT_EQ(fp_all(streamed, width), fp_all(query::Source(selected), width));
 }
 
+TEST_F(QueryTest, SourceDecodesEachPickedShardOnce) {
+  // Every column of a dataset-backed Source comes from one decode of
+  // each picked shard; reading another column must not decode again.
+  const query::Dataset probe = query::Dataset::open(dir());
+  const FrameShardStats s0 = probe.shards().front().header.stats;
+  query::Predicate first_shard;
+  first_shard.node.lo = s0.node_min;
+  first_shard.node.hi = s0.node_max;
+  for (const query::Predicate& where : {query::Predicate{}, first_shard}) {
+    obs::Registry reg;
+    obs::ScopedMetrics guard(&reg);
+    const query::Dataset d = query::Dataset::open(dir());
+    const query::Source source(d, where);
+    (void)analyze_variability(source);
+    (void)source.run_indices();
+    (void)source.days_of_week();
+    const std::uint64_t scanned = reg.counter("query.shards_scanned").value();
+    EXPECT_GT(scanned, 0u);
+    EXPECT_EQ(reg.counter("query.cache_misses").value(), scanned);
+  }
+}
+
 TEST_F(QueryTest, PushdownSkipsShardsOnHeaderFactsAlone) {
   const query::Dataset probe = query::Dataset::open(dir());
   const auto& shards = probe.shards();
@@ -314,7 +404,7 @@ TEST_F(QueryTest, CachePeakStaysWithinBudgetPlusOneShard) {
     query::DatasetOptions opts;
     opts.cache_budget_bytes = one_shard;  // holds one shard, never two
     const query::Dataset d = query::Dataset::open(dir(), opts);
-    (void)d.materialize();  // touches every shard, full column mask
+    (void)d.materialize();  // touches every shard
     (void)d.materialize();  // second pass: eviction-heavy, zero retention wins
   }
   ASSERT_TRUE(reg.gauge("query.cache_bytes_peak").has_value());
@@ -355,20 +445,40 @@ TEST_F(QueryTest, ZeroBudgetRetainsNothing) {
 }
 
 TEST_F(QueryTest, CliAnalyzeMatchesMaterializedOutputByteForByte) {
-  for (const char* analysis :
-       {"variability", "correlate", "flags", "drift", "impact"}) {
-    std::ostringstream streamed, materialized, err;
-    ASSERT_EQ(cli::run_cli({"analyze", dir(), "--analysis", analysis},
-                           streamed, err),
-              0)
-        << err.str();
-    ASSERT_EQ(cli::run_cli(
-                  {"analyze", dir(), "--analysis", analysis, "--materialize"},
-                  materialized, err),
-              0)
-        << err.str();
-    EXPECT_EQ(streamed.str(), materialized.str()) << analysis;
+  const std::vector<std::vector<std::string>> analyses = {
+      {"variability"}, {"correlate"}, {"flags"},
+      {"drift"},       {"impact"},    {"groups"},
+      {"project", "--target", "64"},  {"report"}};
+  for (const auto& analysis : analyses) {
+    for (const std::string where : {"", "node=0..1"}) {
+      std::vector<std::string> args = {"analyze", dir(), "--analysis"};
+      args.insert(args.end(), analysis.begin(), analysis.end());
+      if (!where.empty()) {
+        args.push_back("--where");
+        args.push_back(where);
+      }
+      std::ostringstream streamed, materialized, err;
+      ASSERT_EQ(cli::run_cli(args, streamed, err), 0) << err.str();
+      args.push_back("--materialize");
+      ASSERT_EQ(cli::run_cli(args, materialized, err), 0) << err.str();
+      EXPECT_EQ(streamed.str(), materialized.str())
+          << analysis.front() << " --where '" << where << "'";
+    }
   }
+
+  // groups streams too: pushdown skips the shards outside the filter
+  // instead of merging the whole store first.
+  obs::Registry reg;
+  {
+    obs::ScopedMetrics guard(&reg);
+    std::ostringstream out, err;
+    ASSERT_EQ(cli::run_cli({"analyze", dir(), "--where", "node=0..1",
+                            "--analysis", "groups"},
+                           out, err),
+              0)
+        << err.str();
+  }
+  EXPECT_GT(reg.counter("query.shards_skipped").value(), 0u);
 }
 
 }  // namespace

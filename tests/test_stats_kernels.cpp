@@ -307,17 +307,14 @@ TEST(StatsKernels, MaskToIndicesAndRowsEmitSetPositionsAscending) {
   std::vector<std::uint32_t> idx;
   kernels::mask_to_indices(mask, idx);
   EXPECT_EQ(idx, (std::vector<std::uint32_t>{1, 2, 5, 7}));
-  std::vector<std::size_t> rows;
-  kernels::mask_to_rows(mask, rows);
-  EXPECT_EQ(rows, (std::vector<std::size_t>{1, 2, 5, 7}));
 
   const std::vector<std::uint8_t> none(9, 0);
   kernels::mask_to_indices(none, idx);
   EXPECT_TRUE(idx.empty());
   const std::vector<std::uint8_t> all(9, 1);
-  kernels::mask_to_rows(all, rows);
-  ASSERT_EQ(rows.size(), 9u);
-  EXPECT_EQ(rows.back(), 8u);
+  kernels::mask_to_indices(all, idx);
+  ASSERT_EQ(idx.size(), 9u);
+  EXPECT_EQ(idx.back(), 8u);
 
   const std::vector<std::uint8_t> empty;
   kernels::mask_to_indices(empty, idx);

@@ -88,6 +88,22 @@ TEST(Variability, ByGroupReportsPerGroup) {
   EXPECT_EQ(groups.at(0).records, 4u);
 }
 
+TEST(Variability, ByDayKeepsOnlyDaysZeroToSix) {
+  std::vector<RunRecord> rs;
+  // Days 0 and 3 are real; -1 (no day sweep) and 7 are not days.
+  const int days[] = {0, 3, -1, 3, 7, 0, 3};
+  for (int i = 0; i < 7; ++i) {
+    rs.push_back(rec(i % 3, 1000.0 + 10.0 * i, 1400, 295, 60, 0, i, days[i]));
+  }
+  const auto by_day = variability_by_group(frame_from(rs), GroupBy::kDayOfWeek);
+  ASSERT_EQ(by_day.size(), 2u);
+  EXPECT_EQ(by_day.at(0).records, 2u);
+  EXPECT_EQ(by_day.at(0).gpus, 2u);  // rows 0 and 5: GPUs 0 and 2
+  EXPECT_EQ(by_day.at(3).records, 3u);
+  EXPECT_EQ(by_day.at(3).gpus, 2u);  // rows 1, 3, 6: GPUs 1, 0, 0
+  EXPECT_DOUBLE_EQ(by_day.at(3).perf.box.median, 1030.0);
+}
+
 TEST(Variability, RepeatabilityMatchesDefinition) {
   std::vector<RunRecord> rs;
   // GPU 0: runs 100, 102, 104 -> (104-100)/102 = 3.92%.

@@ -307,23 +307,29 @@ job_query_smoke() {
   # output whether it streams shards (here with a custom pool and a
   # cache budget small enough to evict) or runs over the materialized
   # frame.
-  local a
-  for a in variability correlate flags drift impact; do
-    ./build-ci/tools/gpuvar analyze "$ck" --analysis "$a" \
-      --threads 4 --cache-budget 4K > "build-ci/QUERY_${a}_stream.txt"
-    ./build-ci/tools/gpuvar analyze "$ck" --analysis "$a" \
-      --materialize > "build-ci/QUERY_${a}_mat.txt"
-    cmp "build-ci/QUERY_${a}_stream.txt" "build-ci/QUERY_${a}_mat.txt"
+  local a name
+  for a in variability correlate flags drift impact groups \
+      "project --target 64" report; do
+    name=${a%% *}
+    # $a is unquoted on purpose: it carries the analysis and its flags.
+    ./build-ci/tools/gpuvar analyze "$ck" --analysis $a \
+      --threads 4 --cache-budget 4K > "build-ci/QUERY_${name}_stream.txt"
+    ./build-ci/tools/gpuvar analyze "$ck" --analysis $a \
+      --materialize > "build-ci/QUERY_${name}_mat.txt"
+    cmp "build-ci/QUERY_${name}_stream.txt" "build-ci/QUERY_${name}_mat.txt"
   done
 
   # Filtered form: a --where predicate that pushdown resolves to a
   # strict shard subset (two of cloudlab's three node buckets) takes
   # the same byte-identity bar.
-  ./build-ci/tools/gpuvar analyze "$ck" --where node=0..1 \
-    --analysis variability > build-ci/QUERY_where_stream.txt
-  ./build-ci/tools/gpuvar analyze "$ck" --where node=0..1 \
-    --analysis variability --materialize > build-ci/QUERY_where_mat.txt
-  cmp build-ci/QUERY_where_stream.txt build-ci/QUERY_where_mat.txt
+  for a in variability groups; do
+    ./build-ci/tools/gpuvar analyze "$ck" --where node=0..1 \
+      --analysis "$a" > "build-ci/QUERY_where_${a}_stream.txt"
+    ./build-ci/tools/gpuvar analyze "$ck" --where node=0..1 \
+      --analysis "$a" --materialize > "build-ci/QUERY_where_${a}_mat.txt"
+    cmp "build-ci/QUERY_where_${a}_stream.txt" \
+      "build-ci/QUERY_where_${a}_mat.txt"
+  done
 
   # Two-store comparison: a store against itself must stay at "no
   # significant per-GPU changes" whichever side is the baseline.
