@@ -21,7 +21,7 @@ int main() {
   print_section(std::cout, "outlier-node drilldown (the paper's c115)");
   const auto gpus = per_gpu_medians(result.frame);
   const auto power_box =
-      stats::box_summary(metric_column(result.frame, Metric::kPower));
+      stats::box_summary(result.frame.metric(Metric::kPower));
   for (const auto& g : gpus) {
     if (g.power_w < power_box.lo_whisker - 20.0) {
       std::printf(

@@ -25,7 +25,7 @@ int main() {
   const auto flags = analyze_flags(result.frame, fopts);
   print_flags(std::cout, flags);
   const auto med =
-      stats::median(metric_column(result.frame, Metric::kPower));
+      stats::median(result.frame.metric(Metric::kPower));
   for (const auto& f : flags.gpus) {
     const auto& inst = frontera.gpu(f.gpu_index);
     if (inst.faults.has(FaultKind::kPumpFailure)) {

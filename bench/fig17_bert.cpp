@@ -23,9 +23,9 @@ int main() {
   rcfg.node_coverage = 0.5;
   const auto resnet = run_campaign(longhorn, rcfg);
   const double bert_p =
-      stats::median(metric_column(result.frame, Metric::kPower));
+      stats::median(result.frame.metric(Metric::kPower));
   const double resnet_p =
-      stats::median(metric_column(resnet.frame, Metric::kPower));
+      stats::median(resnet.frame.metric(Metric::kPower));
   std::printf(
       "  median power: BERT %.0f W vs ResNet %.0f W (delta %.0f W; paper "
       "~40 W)\n",

@@ -23,7 +23,7 @@ void week_of(const ClusterSpec& spec) {
                 report.perf.variation_pct, report.perf.box.median,
                 report.power.box.outlier_count(),
                 report.perf.box.outlier_count());
-    const auto perf_col = metric_column(result.frame, Metric::kPerf);
+    const auto perf_col = result.frame.metric(Metric::kPerf);
     std::vector<double> perf(perf_col.begin(), perf_col.end());
     series.push_back(stats::NamedSeries{
         group_label(GroupBy::kDayOfWeek, day), std::move(perf)});

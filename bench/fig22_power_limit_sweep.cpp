@@ -29,7 +29,7 @@ int main() {
                 report.freq.box.median, report.power.box.median);
     char label[16];
     std::snprintf(label, sizeof(label), "%3.0fW", limit);
-    const auto perf = metric_column(result.frame, Metric::kPerf);
+    const auto perf = result.frame.metric(Metric::kPerf);
     series.push_back(stats::NamedSeries{
         label, std::vector<double>(perf.begin(), perf.end())});
   }

@@ -129,7 +129,7 @@ void BM_ColumnExtract_Frame(benchmark::State& state) {
   double sink = 0.0;
   for (auto _ : state) {
     // Zero-copy span view over the contiguous column.
-    const auto col = gpuvar::metric_column(frame, Metric::kPerf);
+    const auto col = frame.metric(Metric::kPerf);
     for (double v : col) sink += v;
     benchmark::DoNotOptimize(sink);
   }

@@ -174,12 +174,24 @@ struct ParsedArgs {
     const auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
-  double get_num(const std::string& key, double fallback) const {
-    const auto it = options.find(key);
-    if (it == options.end()) return fallback;
+  /// A given flag's value as a number; text that is not one is an error
+  /// naming the flag.
+  double number(const std::string& key) const {
+    const std::string text = get(key, "");
     double v = 0.0;
-    GPUVAR_REQUIRE_MSG(parse_double(it->second, v),
-                       "not a number: '" + it->second + "' for --" + key);
+    GPUVAR_REQUIRE_MSG(parse_double(text, v),
+                       "not a number: '" + text + "' for --" + key);
+    return v;
+  }
+  /// A finite number flag: NaN and infinities are errors naming the
+  /// flag, never a silently disabled setting.
+  double get_num(const std::string& key, double fallback) const {
+    if (!has(key)) return fallback;
+    const double v = number(key);
+    if (!std::isfinite(v)) {
+      throw std::invalid_argument("--" + key + " needs a finite number, got '" +
+                                  get(key, "") + "'");
+    }
     return v;
   }
   /// An integer flag in [lo, int max]. NaN, fractional and out-of-range
@@ -187,7 +199,7 @@ struct ParsedArgs {
   /// double.
   int get_int(const std::string& key, int fallback, int lo) const {
     if (!has(key)) return fallback;
-    const double v = get_num(key, 0.0);
+    const double v = number(key);
     constexpr int hi = std::numeric_limits<int>::max();
     if (!(v >= lo && v <= hi && v == std::floor(v))) {
       throw std::invalid_argument("--" + key + " needs an integer in [" +
@@ -376,8 +388,12 @@ int cmd_run(const ParsedArgs& args, std::ostream& out) {
   ExperimentConfig cfg =
       default_config(cluster, workload, args.get_int("runs", 2, 1));
   cfg.node_coverage = args.get_num("coverage", 1.0);
-  cfg.run_options.power_limit_override =
-      Watts{args.get_num("power-limit", 0.0)};
+  const double power_limit = args.get_num("power-limit", 0.0);
+  if (power_limit < 0.0) {
+    throw std::invalid_argument("--power-limit needs a cap >= 0 W, got '" +
+                                args.get("power-limit", "") + "'");
+  }
+  cfg.run_options.power_limit_override = Watts{power_limit};
 
   CampaignOptions options;
   options.checkpoint_dir = args.get("checkpoint", "");
@@ -504,32 +520,17 @@ query::Predicate parse_predicate(const std::string& text) {
   return where;
 }
 
-/// The frame-side --where filter: the rows of `frame` that match, in
-/// order. It serves CSV sources and the --materialize reference path;
-/// a streamed store Source must be byte-identical to it (ci.sh
-/// query-smoke compares the outputs).
-RecordFrame filter_rows(RecordFrame frame, const query::Predicate& where) {
-  if (where.is_all()) return frame;
-  const auto ids = frame.gpu_ids();
-  const auto days = frame.days_of_week();
-  std::vector<std::size_t> rows;
-  for (std::size_t i = 0; i < frame.size(); ++i) {
-    if (where.matches(frame.gpu(ids[i]), days[i])) rows.push_back(i);
-  }
-  return frame.select(rows);
-}
-
 /// One analysis input. A checkpoint store streams through a
 /// Dataset-backed Source unless --materialize asked for a frame; a
-/// results CSV is always a frame. Any frame is already restricted to
-/// --where.
+/// results CSV is always a frame. Either way the Source applies
+/// --where, so the streamed and frame paths share one row filter.
 struct Input {
   std::optional<query::Dataset> store;
   std::optional<RecordFrame> frame;
   query::Predicate where;
 
   query::Source source() const {
-    return frame ? query::Source(*frame) : query::Source(*store, where);
+    return frame ? query::Source(*frame, where) : query::Source(*store, where);
   }
 };
 
@@ -548,9 +549,7 @@ Input open_input(const std::string& path, const query::DatasetOptions& dopts,
                << (in.store->complete() ? "" : " (incomplete campaign)")
                << "\n";
     }
-    if (materialize) {
-      in.frame.emplace(filter_rows(in.store->materialize(), where));
-    }
+    if (materialize) in.frame.emplace(in.store->materialize());
     return in;
   }
   std::ifstream file(path);
@@ -558,7 +557,7 @@ Input open_input(const std::string& path, const query::DatasetOptions& dopts,
   RecordFrame all = import_results_frame(file);
   GPUVAR_REQUIRE_MSG(!all.empty(), "no records in " + path);
   if (summary != nullptr) *summary << "loaded " << all.size() << " records\n";
-  in.frame.emplace(filter_rows(std::move(all), where));
+  in.frame.emplace(std::move(all));
   return in;
 }
 
@@ -640,7 +639,7 @@ void show_flags(const AnalysisContext& c, std::ostream& out) {
 void show_drift(const AnalysisContext& c, std::ostream& out) {
   // Drift needs a history: at least one GPU with multiple runs.
   bool has_history = false;
-  const auto groups = query::group_rows_by_gpu(c.source);
+  const auto groups = group_rows_by_gpu(c.source.frame());
   for (std::uint32_t id : groups.order) {
     if (groups.offsets[id + 1] - groups.offsets[id] >= 2) has_history = true;
   }

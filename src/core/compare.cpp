@@ -19,8 +19,8 @@ CampaignComparison analyze_compare(const query::Source& before,
   GPUVAR_REQUIRE(!before.empty() && !after.empty());
   GPUVAR_REQUIRE(options.significance_sigmas > 0.0);
 
-  const auto before_gpus = per_gpu_medians(before);
-  const auto after_gpus = per_gpu_medians(after);
+  const auto before_gpus = per_gpu_medians(before.frame());
+  const auto after_gpus = per_gpu_medians(after.frame());
   std::map<std::string, const GpuAggregate*> by_name;
   for (const auto& g : before_gpus) by_name.emplace(g.loc.name, &g);
 

@@ -36,7 +36,7 @@ std::vector<std::pair<int, double>> gpu_history(
 }  // namespace
 
 double estimate_run_noise_ms(const query::Source& source) {
-  const auto groups = group_rows_by_gpu(source);
+  const auto groups = group_rows_by_gpu(source.frame());
   const auto perf = source.metric(Metric::kPerf);
   const auto run = source.run_indices();
   std::vector<double> abs_diffs;
@@ -62,7 +62,7 @@ std::vector<DriftFlag> analyze_drift(const query::Source& source,
   GPUVAR_REQUIRE(options.min_runs > options.baseline_runs);
 
   const double noise_sigma = estimate_run_noise_ms(source);
-  const auto groups = group_rows_by_gpu(source);
+  const auto groups = group_rows_by_gpu(source.frame());
   const auto perf = source.metric(Metric::kPerf);
   const auto run = source.run_indices();
 

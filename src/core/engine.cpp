@@ -66,22 +66,10 @@ FrameShardInfo persist_shard(const fs::path& dir, std::size_t bucket_index,
   return info;
 }
 
-/// Loads and fully validates one shard; any defect (missing file,
-/// truncation, bad magic/version, hash mismatch) surfaces as
-/// std::runtime_error naming the file.
-FrameShard load_shard(const fs::path& dir, std::size_t bucket_index) {
-  const fs::path path = dir / campaign_shard_file_name(bucket_index);
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw std::runtime_error("cannot open " + path.string());
-  }
-  return read_frame_shard(in, path.string());
-}
-
 /// Shared mutable state of the execute stage. Buckets themselves are
-/// NOT guarded: a running bucket is owned by exactly one worker (the
-/// FrameBuilder discipline), and a completed bucket is only touched —
-/// for eviction or merge — under mu or after the pool has joined.
+/// NOT guarded: a running bucket is owned by exactly one worker, and a
+/// completed bucket is only touched — for eviction or merge — under mu
+/// or after the pool has joined.
 struct EngineState {
   Mutex mu;
   std::ofstream manifest GPUVAR_GUARDED_BY(mu);
@@ -224,7 +212,8 @@ CampaignResult run_campaign(const Cluster& cluster,
       // the bucket re-runs from its seed path.
       bool ok = false;
       try {
-        const FrameShard s = load_shard(dir, static_cast<std::size_t>(idx));
+        const FrameShard s = read_frame_shard(
+            dir / campaign_shard_file_name(static_cast<std::size_t>(idx)));
         ok = s.info.bucket_index == idx && s.info.rows == e.info.rows &&
              s.info.payload_hash == e.info.payload_hash;
       } catch (const std::runtime_error&) {
@@ -372,15 +361,28 @@ CampaignResult run_campaign(const Cluster& cluster,
     GPUVAR_TRACE_SPAN("engine", "merge", "buckets",
                       static_cast<std::int64_t>(total));
     MutexLock lock(st.mu);
+    // Size the merged frame once: a resident bucket knows its rows, and
+    // the manifest entry of every other bucket records them.
+    std::size_t rows = 0;
+    for (std::size_t ai = 0; ai < total; ++ai) {
+      const auto e = st.entries.find(ai);
+      if (st.resident[ai] != 0) {
+        rows += buckets[ai].size();
+      } else if (e != st.entries.end()) {
+        rows += static_cast<std::size_t>(e->second.info.rows);
+      }
+    }
+    out.frame.reserve(rows);
     for (std::size_t ai = 0; ai < total; ++ai) {
       if (st.resident[ai] != 0) {
         out.frame.append(buckets[ai]);
         buckets[ai] = RecordFrame();
       } else {
-        // Restored or evicted: read it back. load_shard re-validates
-        // the whole file, so a shard corrupted since the scan fails
-        // loudly here instead of merging garbage.
-        const FrameShard s = load_shard(dir, ai);
+        // Restored or evicted: read it back. read_frame_shard
+        // re-validates the whole file, so a shard corrupted since the
+        // scan fails loudly here instead of merging garbage.
+        const FrameShard s =
+            read_frame_shard(dir / campaign_shard_file_name(ai));
         out.frame.append(s.frame);
       }
     }

@@ -46,7 +46,7 @@ double outside_distance(const stats::BoxSummary& box, double x) {
 FlagReport analyze_flags(const query::Source& source,
                          const FlagOptions& options) {
   GPUVAR_REQUIRE(!source.empty());
-  const auto gpus = per_gpu_medians(source);
+  const auto gpus = per_gpu_medians(source.frame());
 
   std::vector<double> perf, power, temp;
   perf.reserve(gpus.size());

@@ -9,6 +9,7 @@
 #include "core/flagging.hpp"
 #include "core/variability.hpp"
 #include "query/source.hpp"
+#include "telemetry/frame.hpp"
 #include "telemetry/record.hpp"
 
 namespace gpuvar {
@@ -65,7 +66,7 @@ void write_markdown_report(std::ostream& out, const query::Source& source,
   out << "## Variability\n\n" << markdown_variability_table(report) << "\n";
 
   if (options.bootstrap_resamples > 0 && report.gpus >= 3) {
-    const auto gpus = query::per_gpu_medians(source);
+    const auto gpus = per_gpu_medians(source.frame());
     std::vector<double> perf;
     for (const auto& g : gpus) perf.push_back(g.perf_ms);
     const auto ci = stats::bootstrap_ci(perf, stats::variation_pct_statistic,

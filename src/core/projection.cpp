@@ -4,13 +4,14 @@
 #include "query/source.hpp"
 #include "stats/boxplot.hpp"
 #include "stats/normal.hpp"
+#include "telemetry/frame.hpp"
 
 namespace gpuvar {
 
 SizeProjection project_to_cluster_size(const query::Source& source,
                                        std::size_t target_gpus) {
   GPUVAR_REQUIRE(target_gpus >= 2);
-  const auto gpus = query::per_gpu_medians(source);
+  const auto gpus = per_gpu_medians(source.frame());
   GPUVAR_REQUIRE(gpus.size() >= 3);
 
   std::vector<double> perf;

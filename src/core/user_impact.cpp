@@ -32,7 +32,7 @@ JobImpact job_impact(const query::Source& source, int gpus_per_job,
                      double slow_threshold) {
   GPUVAR_REQUIRE(gpus_per_job >= 1);
   GPUVAR_REQUIRE(slow_threshold > 0.0);
-  const auto gpus = per_gpu_medians(source);
+  const auto gpus = per_gpu_medians(source.frame());
   const auto n = gpus.size();
   GPUVAR_REQUIRE_MSG(static_cast<std::size_t>(gpus_per_job) <= n,
                      "job wider than the measured population");

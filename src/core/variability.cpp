@@ -184,7 +184,7 @@ std::map<int, VariabilityReport> variability_by_group(
 
 std::vector<GpuRepeatability> per_gpu_repeatability(
     const query::Source& source) {
-  const auto groups = query::group_rows_by_gpu(source);
+  const auto groups = group_rows_by_gpu(source.frame());
   const auto perf_col = source.metric(Metric::kPerf);
 
   std::vector<GpuRepeatability> out;
@@ -219,7 +219,7 @@ double slow_assignment_probability(const query::Source& source,
                                    double slowdown_threshold) {
   GPUVAR_REQUIRE(gpus_per_job >= 1);
   GPUVAR_REQUIRE(slowdown_threshold > 0.0);
-  const auto gpus = query::per_gpu_medians(source);
+  const auto gpus = per_gpu_medians(source.frame());
   GPUVAR_REQUIRE(!gpus.empty());
   std::vector<double> perf;
   perf.reserve(gpus.size());

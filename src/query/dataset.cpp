@@ -17,19 +17,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-std::string read_file_bytes(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw std::runtime_error("cannot open " + path.string());
-  }
-  std::string bytes;
-  char buf[1 << 16];
-  while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
-    bytes.append(buf, static_cast<std::size_t>(in.gcount()));
-  }
-  return bytes;
-}
-
 /// Reads at most the fixed-size header prefix — the whole point of the
 /// v2 stats block is that planning a query costs header bytes, not
 /// payload bytes. A shorter file yields fewer bytes and the header
@@ -95,8 +82,7 @@ ThreadPool& Dataset::scan_pool() const {
   return options_.pool != nullptr ? *options_.pool : ThreadPool::global();
 }
 
-std::shared_ptr<const DecodedShardColumns> Dataset::fetch(
-    std::size_t i) const {
+std::shared_ptr<const RecordFrame> Dataset::fetch(std::size_t i) const {
   {
     MutexLock lock(cache_->mu);
     CacheEntry& e = cache_->entries[i];
@@ -114,9 +100,8 @@ std::shared_ptr<const DecodedShardColumns> Dataset::fetch(
   // Decode outside the lock: two threads may race to decode the same
   // shard (wasted work, not wrong results — the file is immutable and
   // last insert wins).
-  const std::string bytes = read_file_bytes(shard.path);
-  auto decoded = std::make_shared<const DecodedShardColumns>(
-      decode_frame_shard_columns(bytes, shard.path.string()));
+  auto decoded =
+      std::make_shared<const RecordFrame>(read_frame_shard(shard.path).frame);
 
   const auto cost = static_cast<std::uint64_t>(decoded->memory_bytes());
   MutexLock lock(cache_->mu);
@@ -151,17 +136,16 @@ std::shared_ptr<const DecodedShardColumns> Dataset::fetch(
 RecordFrame Dataset::materialize() const {
   GPUVAR_TRACE_SPAN("query", "materialize", "shards",
                     static_cast<std::int64_t>(shards_.size()));
-  std::vector<std::shared_ptr<const DecodedShardColumns>> decoded(
-      shards_.size());
+  std::vector<std::shared_ptr<const RecordFrame>> decoded(shards_.size());
   scan_pool().parallel_for(shards_.size(), [&](std::size_t i) {
     decoded[i] = fetch(i);
   });
   // Bucket-index order (shards_ is manifest order, which is bucket
-  // order); rows re-intern in first-appearance order exactly as the
+  // order); append re-interns in first-appearance order exactly as the
   // engine's merge stage did when it wrote the checkpoint.
   RecordFrame out;
   out.reserve(static_cast<std::size_t>(total_rows_));
-  for (const auto& d : decoded) append_decoded_rows(out, *d);
+  for (const auto& shard : decoded) out.append(*shard);
   return out;
 }
 

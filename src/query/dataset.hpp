@@ -11,7 +11,8 @@
 //    overlap a shard skips it on header facts alone — the payload is
 //    never read, let alone decoded;
 //  - one decode per shard: a scanned shard is decoded whole, once,
-//    and every column an analysis reads comes from that decode;
+//    straight into a RecordFrame (parse_frame_shard), and every column
+//    an analysis reads comes from that frame;
 //  - parallel scans: surviving shards decode on a gpuvar::ThreadPool
 //    and merge in bucket-index order, so results are byte-identical at
 //    any thread count — the same determinism discipline as the
@@ -143,11 +144,11 @@ class Dataset {
   ThreadPool& scan_pool() const;
 
   /// Fetches shard `i`, decoded, through the LRU cache. The returned
-  /// snapshot is immutable and stays valid after eviction (shared
+  /// frame is immutable and stays valid after eviction (shared
   /// ownership).
-  std::shared_ptr<const DecodedShardColumns> fetch(std::size_t i) const;
+  std::shared_ptr<const RecordFrame> fetch(std::size_t i) const;
 
-  /// Reads every shard and merges them in bucket-index order into one
+  /// Appends every shard's frame in bucket-index order into one
   /// RecordFrame — byte-identical to the frame the campaign engine
   /// merged when it wrote the checkpoint. The escape hatch for
   /// consumers that genuinely need the whole frame (and the reference
@@ -165,7 +166,7 @@ class Dataset {
   /// fit the budget. Entries are immutable shared_ptrs, so a scan
   /// holding one is unaffected by eviction.
   struct CacheEntry {
-    std::shared_ptr<const DecodedShardColumns> data;
+    std::shared_ptr<const RecordFrame> data;
     std::uint64_t bytes = 0;
     std::uint64_t last_use = 0;
   };

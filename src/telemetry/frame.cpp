@@ -68,12 +68,10 @@ void RecordFrame::reserve(std::size_t rows) {
 
 GPUVAR_HOT std::uint32_t RecordFrame::intern(std::size_t gpu_index,
                                   const GpuLocation& loc) {
-  const auto it = id_by_gpu_index_.find(gpu_index);
-  if (it != id_by_gpu_index_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(gpus_.size());
-  gpus_.push_back(GpuRef{gpu_index, loc});
-  id_by_gpu_index_.emplace(gpu_index, id);
-  return id;
+  const auto [it, inserted] = id_by_gpu_index_.try_emplace(
+      gpu_index, static_cast<std::uint32_t>(gpus_.size()));
+  if (inserted) gpus_.push_back(GpuRef{gpu_index, loc});
+  return it->second;
 }
 
 GPUVAR_HOT void RecordFrame::append_row(const RunRecord& r) {
@@ -90,57 +88,58 @@ GPUVAR_HOT void RecordFrame::append_row(const RunRecord& r) {
   exec_stall_.push_back(r.counters.exec_stall_frac);
 }
 
-GPUVAR_HOT void RecordFrame::append(const RecordFrame& chunk) {
-  GPUVAR_REQUIRE_MSG(&chunk != this, "cannot append a frame to itself");
-  reserve(size() + chunk.size());
-  // Remap the chunk's pool ids through this frame's interning; ids are
-  // resolved lazily so only GPUs the chunk actually references intern.
-  std::vector<std::uint32_t> remap(chunk.gpus_.size(),
-                                   std::uint32_t(0xffffffffu));
-  for (std::size_t i = 0; i < chunk.size(); ++i) {
-    const std::uint32_t cid = chunk.gpu_id_[i];
-    if (remap[cid] == 0xffffffffu) {
-      const GpuRef& g = chunk.gpus_[cid];
+template <typename Index>
+GPUVAR_HOT void RecordFrame::append_rows(const RecordFrame& src,
+                                         const Index* rows, std::size_t n) {
+  GPUVAR_REQUIRE_MSG(&src != this, "cannot append a frame to itself");
+  const auto at = [&](std::size_t i) -> std::size_t {
+    return rows == nullptr ? i : static_cast<std::size_t>(rows[i]);
+  };
+  // Ids resolve lazily, so only GPUs the appended rows reference intern,
+  // and in first-reference order.
+  constexpr std::uint32_t kUnmapped = 0xffffffffu;
+  std::vector<std::uint32_t> remap(src.gpus_.size(), kUnmapped);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t cid = src.gpu_id_[at(i)];
+    if (remap[cid] == kUnmapped) {
+      const GpuRef& g = src.gpus_[cid];
       remap[cid] = intern(g.gpu_index, g.loc);
     }
     gpu_id_.push_back(remap[cid]);
   }
-  run_.insert(run_.end(), chunk.run_.begin(), chunk.run_.end());
-  day_.insert(day_.end(), chunk.day_.begin(), chunk.day_.end());
-  perf_.insert(perf_.end(), chunk.perf_.begin(), chunk.perf_.end());
-  freq_.insert(freq_.end(), chunk.freq_.begin(), chunk.freq_.end());
-  power_.insert(power_.end(), chunk.power_.begin(), chunk.power_.end());
-  temp_.insert(temp_.end(), chunk.temp_.begin(), chunk.temp_.end());
-  fu_.insert(fu_.end(), chunk.fu_.begin(), chunk.fu_.end());
-  dram_.insert(dram_.end(), chunk.dram_.begin(), chunk.dram_.end());
-  mem_stall_.insert(mem_stall_.end(), chunk.mem_stall_.begin(),
-                    chunk.mem_stall_.end());
-  exec_stall_.insert(exec_stall_.end(), chunk.exec_stall_.begin(),
-                     chunk.exec_stall_.end());
+  const auto copy = [&](auto& dst, const auto& col) {
+    if (rows == nullptr) {
+      dst.insert(dst.end(), col.begin(),
+                 col.begin() + static_cast<std::ptrdiff_t>(n));
+      return;
+    }
+    for (std::size_t i = 0; i < n; ++i) dst.push_back(col[rows[i]]);
+  };
+  copy(run_, src.run_);
+  copy(day_, src.day_);
+  copy(perf_, src.perf_);
+  copy(freq_, src.freq_);
+  copy(power_, src.power_);
+  copy(temp_, src.temp_);
+  copy(fu_, src.fu_);
+  copy(dram_, src.dram_);
+  copy(mem_stall_, src.mem_stall_);
+  copy(exec_stall_, src.exec_stall_);
 }
 
-GPUVAR_HOT RecordFrame RecordFrame::select(std::span<const std::size_t> rows) const {
+void RecordFrame::append(const RecordFrame& chunk) {
+  append_rows<std::size_t>(chunk, nullptr, chunk.size());
+}
+
+void RecordFrame::append(const RecordFrame& chunk,
+                         std::span<const std::uint32_t> rows) {
+  append_rows(chunk, rows.data(), rows.size());
+}
+
+RecordFrame RecordFrame::select(std::span<const std::size_t> rows) const {
   RecordFrame out;
   out.reserve(rows.size());
-  std::vector<std::uint32_t> remap(gpus_.size(), std::uint32_t(0xffffffffu));
-  for (std::size_t row : rows) {
-    const std::uint32_t cid = gpu_id_[row];
-    if (remap[cid] == 0xffffffffu) {
-      const GpuRef& g = gpus_[cid];
-      remap[cid] = out.intern(g.gpu_index, g.loc);
-    }
-    out.gpu_id_.push_back(remap[cid]);
-    out.run_.push_back(run_[row]);
-    out.day_.push_back(day_[row]);
-    out.perf_.push_back(perf_[row]);
-    out.freq_.push_back(freq_[row]);
-    out.power_.push_back(power_[row]);
-    out.temp_.push_back(temp_[row]);
-    out.fu_.push_back(fu_[row]);
-    out.dram_.push_back(dram_[row]);
-    out.mem_stall_.push_back(mem_stall_[row]);
-    out.exec_stall_.push_back(exec_stall_[row]);
-  }
+  out.append_rows(*this, rows.data(), rows.size());
   return out;
 }
 
@@ -179,11 +178,8 @@ RecordFrame FrameBuilder::finish() {
 }
 
 GPUVAR_HOT GpuRowGroups group_rows_by_gpu(const RecordFrame& frame) {
-  return group_rows_by_ids(frame.gpu_ids(), frame.gpus());
-}
-
-GPUVAR_HOT GpuRowGroups group_rows_by_ids(std::span<const std::uint32_t> ids,
-                                          std::span<const GpuRef> gpus) {
+  const auto ids = frame.gpu_ids();
+  const auto gpus = frame.gpus();
   const std::size_t n = ids.size();
   const std::size_t k = gpus.size();
 
@@ -211,17 +207,9 @@ GPUVAR_HOT GpuRowGroups group_rows_by_ids(std::span<const std::uint32_t> ids,
 }
 
 GPUVAR_HOT std::vector<GpuAggregate> per_gpu_medians(const RecordFrame& frame) {
+  GPUVAR_REQUIRE(!frame.empty());
   const auto groups = group_rows_by_gpu(frame);
-  return per_gpu_medians_grouped(groups, frame.gpus(), frame.perf_ms(),
-                                 frame.freq_mhz(), frame.power_w(),
-                                 frame.temp_c());
-}
-
-GPUVAR_HOT std::vector<GpuAggregate> per_gpu_medians_grouped(
-    const GpuRowGroups& groups, std::span<const GpuRef> gpus,
-    std::span<const double> perf_ms, std::span<const double> freq_mhz,
-    std::span<const double> power_w, std::span<const double> temp_c) {
-  GPUVAR_REQUIRE(!perf_ms.empty());
+  const auto gpus = frame.gpus();
 
   std::vector<GpuAggregate> out;
   out.reserve(gpus.size());
@@ -245,17 +233,13 @@ GPUVAR_HOT std::vector<GpuAggregate> per_gpu_medians_grouped(
     agg.gpu_index = g.gpu_index;
     agg.loc = g.loc;
     agg.runs = static_cast<int>(rows.size());
-    agg.perf_ms = median_of(perf_ms, rows);
-    agg.freq_mhz = median_of(freq_mhz, rows);
-    agg.power_w = median_of(power_w, rows);
-    agg.temp_c = median_of(temp_c, rows);
+    agg.perf_ms = median_of(frame.perf_ms(), rows);
+    agg.freq_mhz = median_of(frame.freq_mhz(), rows);
+    agg.power_w = median_of(frame.power_w(), rows);
+    agg.temp_c = median_of(frame.temp_c(), rows);
     out.push_back(std::move(agg));
   }
   return out;
-}
-
-GPUVAR_HOT std::span<const double> metric_column(const RecordFrame& frame, Metric m) {
-  return frame.metric(m);
 }
 
 }  // namespace gpuvar

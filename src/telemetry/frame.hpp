@@ -11,27 +11,28 @@
 // grouping is a dense counting sort over the id column instead of a
 // node-per-row std::map.
 //
-// Determinism contract (shared with FrameBuilder below): a frame's row
-// order and pool-id assignment are pure functions of the row stream that
-// built it. append_row interns in first-appearance order; append()
-// concatenates chunk rows in order and remaps chunk ids through the same
-// first-appearance interning. FrameBuilder::finish() merges its buckets
-// in bucket-index order, so parallel producers that each own one bucket
-// yield a byte-identical frame whatever the pool size or schedule —
-// exactly the guarantee determinism_replay pins for run_campaign.
+// Determinism contract: a frame's row order and pool-id assignment are
+// pure functions of the row stream that built it. append_row interns in
+// first-appearance order; append() and select() copy rows in order and
+// remap source ids through the same first-appearance interning, one
+// remap per pool entry. A decoded shard (telemetry/shard.hpp) is held to
+// the same rule: the decoder rejects any pool append_row would not have
+// built. So a frame merged from shards, a query's assembled rows and a
+// frame that never left memory agree byte for byte. FrameBuilder below
+// applies the rule to parallel producers: finish() merges its buckets
+// in bucket-index order, so any pool size or schedule yields the same
+// frame.
 //
-// Migration note: the deprecation cycle is over. The bulk row adapters
-// and every row-span analysis overload are gone; analyses read a
-// query::Source, which a RecordFrame converts to implicitly (the
-// analyzer's row-record-param rule now bans row-record signatures
-// outright in core/telemetry public headers). Single-row append_row /
-// row(i) remain: they are the streaming construction API and the
-// materialization escape hatch, not a bulk interchange.
+// Single-row append_row / row(i) are the streaming construction API and
+// the materialization escape hatch, not a bulk interchange: analyses
+// read a query::Source, which a RecordFrame converts to implicitly.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/location.hpp"
@@ -39,6 +40,8 @@
 #include "telemetry/record.hpp"
 
 namespace gpuvar {
+
+struct FrameShard;
 
 /// Interned identity of one GPU: its stable index and physical location,
 /// stored once per GPU in the frame's pool rather than once per row.
@@ -101,15 +104,27 @@ class RecordFrame {
   /// its pool ids through this frame's interning. Memory-bounded campaign
   /// loops build one chunk at a time and fold it in here.
   void append(const RecordFrame& chunk);
+  /// Row-subset append: the listed rows of `chunk`, in the given order.
+  void append(const RecordFrame& chunk, std::span<const std::uint32_t> rows);
   /// New frame holding exactly the given rows (in the given order).
   RecordFrame select(std::span<const std::size_t> rows) const;
 
-  /// Approximate heap + inline footprint in bytes (for the memory story
-  /// in micro_frame_bench; counts columns plus the interned pool).
+  /// Approximate heap + inline footprint in bytes: columns plus the
+  /// interned pool. The query cache charges a decoded shard this much;
+  /// micro_frame_bench reports it for the memory story.
   std::size_t memory_bytes() const;
 
  private:
+  /// The shard decoder fills the columns directly, no per-row interning.
+  friend FrameShard parse_frame_shard(std::string_view bytes,
+                                      std::string label);
+
   std::uint32_t intern(std::size_t gpu_index, const GpuLocation& loc);
+  /// The lazy pool-remap loop behind both appends and select: appends
+  /// src rows rows[0..n), or rows 0..n-1 when rows is null, interning
+  /// each source pool entry on its first reference.
+  template <typename Index>
+  void append_rows(const RecordFrame& src, const Index* rows, std::size_t n);
 
   std::vector<double> perf_, freq_, power_, temp_;
   std::vector<double> fu_, dram_, mem_stall_, exec_stall_;
@@ -157,27 +172,10 @@ struct GpuRowGroups {
 
 GpuRowGroups group_rows_by_gpu(const RecordFrame& frame);
 
-/// Shared core of group_rows_by_gpu over raw columns: groups any id
-/// column against any interned pool. The streaming query plane feeds
-/// its assembled columns through this same code, which is what makes
-/// "Dataset analysis == frame analysis" a structural fact rather than
-/// a numerical coincidence.
-GpuRowGroups group_rows_by_ids(std::span<const std::uint32_t> ids,
-                               std::span<const GpuRef> gpus);
-
 /// Collapses the frame to one aggregate per GPU (ordered by gpu_index),
 /// bit-identical to per_gpu_medians over the equivalent record rows but
-/// via a dense counting sort instead of a per-row map.
+/// via a dense counting sort instead of a per-row map. Requires a
+/// non-empty frame.
 std::vector<GpuAggregate> per_gpu_medians(const RecordFrame& frame);
-
-/// Shared core of per_gpu_medians over raw columns + precomputed
-/// groups. Requires a non-empty row set.
-std::vector<GpuAggregate> per_gpu_medians_grouped(
-    const GpuRowGroups& groups, std::span<const GpuRef> gpus,
-    std::span<const double> perf_ms, std::span<const double> freq_mhz,
-    std::span<const double> power_w, std::span<const double> temp_c);
-
-/// Zero-copy counterpart of the allocating metric_column overload.
-std::span<const double> metric_column(const RecordFrame& frame, Metric m);
 
 }  // namespace gpuvar

@@ -1,14 +1,13 @@
 #include "telemetry/shard.hpp"
 
 #include <algorithm>
-#include <istream>
+#include <fstream>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
 
 #include "common/binio.hpp"
 #include "telemetry/frame.hpp"
-#include "telemetry/record.hpp"
 
 namespace gpuvar {
 
@@ -210,8 +209,7 @@ std::uint64_t hash_frame_shard(const RecordFrame& frame,
   return hash.digest();
 }
 
-DecodedShardColumns decode_frame_shard_columns(std::string_view bytes,
-                                               std::string label) {
+FrameShard parse_frame_shard(std::string_view bytes, std::string label) {
   binio::ByteReader r(bytes, label);
   const FrameShardHeader h = read_header(r, label);
   if (r.remaining() != h.info.payload_bytes) {
@@ -227,11 +225,25 @@ DecodedShardColumns decode_frame_shard_columns(std::string_view bytes,
                              ": payload corrupt (content hash mismatch)");
   }
 
-  DecodedShardColumns out;
-  out.header = h;
+  FrameShard out;
+  out.info = h.info;
+  RecordFrame& f = out.frame;
+  const auto fail = [&](const std::string& defect) {
+    throw std::runtime_error(label + ": " + defect);
+  };
+
+  // Smallest encodings: a pool entry with an empty name, and one row
+  // across all eleven columns. Counts the payload cannot hold are
+  // refused before anything is sized from them.
+  constexpr std::uint64_t kMinPoolEntryBytes = 8 + 6 * 4 + 4;
+  constexpr std::uint64_t kRowBytes = 4 + 4 + 2 + 8 * 8;
+  if (h.pool > r.remaining() / kMinPoolEntryBytes ||
+      h.info.rows > r.remaining() / kRowBytes) {
+    fail("header row/pool counts exceed the payload");
+  }
 
   // Pool snapshot, in the frame's first-appearance id order.
-  out.pool.reserve(h.pool);
+  f.gpus_.reserve(static_cast<std::size_t>(h.pool));
   for (std::uint64_t i = 0; i < h.pool; ++i) {
     GpuRef g;
     g.gpu_index = static_cast<std::size_t>(r.read_u64());
@@ -242,27 +254,39 @@ DecodedShardColumns decode_frame_shard_columns(std::string_view bytes,
     g.loc.column = r.read_i32();
     g.loc.node_in_group = r.read_i32();
     g.loc.name = std::string(r.read_bytes());
-    out.pool.push_back(std::move(g));
+    const auto id = static_cast<std::uint32_t>(i);
+    if (!f.id_by_gpu_index_.emplace(g.gpu_index, id).second) {
+      fail("pool repeats gpu_index " + std::to_string(g.gpu_index));
+    }
+    f.gpus_.push_back(std::move(g));
   }
 
+  // The id column must introduce pool ids in order 0, 1, 2, ... and
+  // (checked once the payload is fully read) reach every entry: exactly
+  // the pool append_row would have interned.
   const auto rows = static_cast<std::size_t>(h.info.rows);
-  out.gpu_ids.resize(rows);
-  for (auto& id : out.gpu_ids) {
+  f.gpu_id_.resize(rows);
+  std::uint32_t next_new = 0;
+  for (auto& id : f.gpu_id_) {
     id = r.read_u32();
-    if (id >= out.pool.size()) {
-      throw std::runtime_error(label + ": row references pool id " +
-                               std::to_string(id) + " outside the " +
-                               std::to_string(out.pool.size()) +
-                               "-entry pool");
+    if (id >= f.gpus_.size()) {
+      fail("row references pool id " + std::to_string(id) + " outside the " +
+           std::to_string(f.gpus_.size()) + "-entry pool");
     }
+    if (id > next_new) {
+      fail("row introduces pool id " + std::to_string(id) + " before id " +
+           std::to_string(next_new) + " (pool not in first-appearance order)");
+    }
+    if (id == next_new) ++next_new;
   }
-  out.runs.resize(rows);
-  for (auto& run : out.runs) run = r.read_i32();
-  out.days.resize(rows);
-  for (auto& day : out.days) day = r.read_i16();
-  for (auto& col : out.metric_cols) {
-    col.resize(rows);
-    for (auto& v : col) v = r.read_f64();
+  f.run_.resize(rows);
+  for (auto& run : f.run_) run = r.read_i32();
+  f.day_.resize(rows);
+  for (auto& day : f.day_) day = r.read_i16();
+  for (auto* col : {&f.perf_, &f.freq_, &f.power_, &f.temp_, &f.fu_, &f.dram_,
+                    &f.mem_stall_, &f.exec_stall_}) {
+    col->resize(rows);
+    for (auto& v : *col) v = r.read_f64();
   }
   // Payload size and hash cover only the payload bytes, so a header
   // whose rows/pool counts understate the content passes both checks
@@ -270,51 +294,14 @@ DecodedShardColumns decode_frame_shard_columns(std::string_view bytes,
   // library bug: it must surface as std::runtime_error so the engine's
   // resume scan demotes the bucket to re-run instead of aborting.
   if (!r.at_end()) {
-    throw std::runtime_error(
-        label + ": " + std::to_string(r.remaining()) +
-        " trailing payload bytes (header row/pool counts disagree with "
-        "the payload)");
+    fail(std::to_string(r.remaining()) +
+         " trailing payload bytes (header row/pool counts disagree with "
+         "the payload)");
   }
-  return out;
-}
-
-std::size_t DecodedShardColumns::memory_bytes() const {
-  std::size_t total = sizeof(*this);
-  for (const GpuRef& g : pool) total += sizeof(GpuRef) + g.loc.name.size();
-  total += gpu_ids.capacity() * sizeof(std::uint32_t);
-  total += runs.capacity() * sizeof(std::int32_t);
-  total += days.capacity() * sizeof(std::int16_t);
-  for (const auto& col : metric_cols) total += col.capacity() * sizeof(double);
-  return total;
-}
-
-void append_decoded_rows(RecordFrame& out, const DecodedShardColumns& d) {
-  for (std::size_t i = 0; i < d.gpu_ids.size(); ++i) {
-    const GpuRef& g = d.pool[d.gpu_ids[i]];
-    RunRecord rec;
-    rec.gpu_index = g.gpu_index;
-    rec.loc = g.loc;
-    rec.run_index = d.runs[i];
-    rec.day_of_week = d.days[i];
-    rec.perf_ms = d.metric_cols[0][i];
-    rec.freq_mhz = d.metric_cols[1][i];
-    rec.power_w = d.metric_cols[2][i];
-    rec.temp_c = d.metric_cols[3][i];
-    rec.counters.fu_util = d.metric_cols[4][i];
-    rec.counters.dram_util = d.metric_cols[5][i];
-    rec.counters.mem_stall_frac = d.metric_cols[6][i];
-    rec.counters.exec_stall_frac = d.metric_cols[7][i];
-    out.append_row(rec);
+  if (next_new != f.gpus_.size()) {
+    fail("pool entry " + std::to_string(next_new) +
+         " is never referenced by a row");
   }
-}
-
-FrameShard parse_frame_shard(std::string_view bytes, std::string label) {
-  const DecodedShardColumns d =
-      decode_frame_shard_columns(bytes, std::move(label));
-  FrameShard out;
-  out.info = d.header.info;
-  out.frame.reserve(d.gpu_ids.size());
-  append_decoded_rows(out.frame, d);
   return out;
 }
 
@@ -326,13 +313,18 @@ FrameShardInfo write_frame_shard(std::ostream& out, const RecordFrame& frame,
   return info;
 }
 
-FrameShard read_frame_shard(std::istream& in, std::string label) {
+FrameShard read_frame_shard(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) {
+    throw std::runtime_error("cannot open " + path.string());
+  }
   std::string bytes;
   char buf[1 << 16];
   while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
     bytes.append(buf, static_cast<std::size_t>(in.gcount()));
   }
-  return parse_frame_shard(bytes, std::move(label));
+  if (in.bad()) throw std::runtime_error("cannot read " + path.string());
+  return parse_frame_shard(bytes, path.string());
 }
 
 }  // namespace gpuvar

@@ -14,18 +14,23 @@
 //
 // Robustness contract: a reader never trusts the file. Bad magic, an
 // unsupported version, a header that promises more payload than the
-// file holds, or a payload whose hash disagrees with the header all
-// throw std::runtime_error naming the shard and the defect — the
-// engine treats any of these as "bucket missing" and re-runs it from
-// its seed path rather than merging garbage.
+// file holds, a payload whose hash disagrees with the header, or a pool
+// that RecordFrame::append_row could not have built all throw
+// std::runtime_error naming the shard and the defect — the engine
+// treats any of these as "bucket missing" and re-runs it from its seed
+// path rather than merging garbage.
+//
+// Decoding is columnar: parse_frame_shard fills a RecordFrame's columns
+// straight from the payload, with no per-row record or interning. The
+// campaign engine's resume and merge, the query cache and streamed
+// queries all hold the decoded shard as that RecordFrame.
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <filesystem>
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "telemetry/frame.hpp"
 
@@ -106,9 +111,12 @@ std::string serialize_frame_shard(const RecordFrame& frame,
 std::uint64_t hash_frame_shard(const RecordFrame& frame,
                                std::uint64_t bucket_index);
 
-/// Parses a serialized shard. `label` names the source (e.g. the file
-/// path) in error messages. Throws std::runtime_error on truncation,
-/// bad magic, version mismatch, or payload hash mismatch.
+/// Parses a serialized shard straight into a RecordFrame's columns.
+/// `label` names the source (e.g. the file path) in error messages.
+/// Throws std::runtime_error on truncation, bad magic, version mismatch,
+/// payload hash mismatch, or a pool append_row would not have built:
+/// rows must introduce pool ids in order 0, 1, 2, ..., every pool entry
+/// must be referenced, and gpu_index values must be unique.
 FrameShard parse_frame_shard(std::string_view bytes, std::string label);
 
 /// Writes `frame` as one shard to `out`; returns the facts the
@@ -116,38 +124,9 @@ FrameShard parse_frame_shard(std::string_view bytes, std::string label);
 FrameShardInfo write_frame_shard(std::ostream& out, const RecordFrame& frame,
                                  std::uint64_t bucket_index);
 
-/// Reads one shard from `in` (consumes the whole stream). Same error
-/// contract as parse_frame_shard.
-FrameShard read_frame_shard(std::istream& in, std::string label);
-
-/// The eight metric columns of the payload: perf, freq, power, temp,
-/// then the four counters, in their serialized order.
-inline constexpr std::size_t kShardMetricColumns = 8;
-
-/// A shard decoded column-by-column instead of rebuilt into a
-/// RecordFrame. Values are bit-identical to the frame that was
-/// serialized.
-struct DecodedShardColumns {
-  FrameShardHeader header;
-  std::vector<GpuRef> pool;
-  std::vector<std::uint32_t> gpu_ids;
-  std::vector<std::int32_t> runs;
-  std::vector<std::int16_t> days;
-  std::array<std::vector<double>, kShardMetricColumns> metric_cols;
-  /// Resident bytes of the decoded vectors — what a decoded-shard
-  /// cache charges against its byte budget.
-  std::size_t memory_bytes() const;
-};
-
-/// Per-column decode: verifies the whole payload hash (a reader never
-/// trusts the file), then decodes the pool and every column. Same
-/// error contract as parse_frame_shard.
-DecodedShardColumns decode_frame_shard_columns(std::string_view bytes,
-                                               std::string label);
-
-/// Appends every row of a decoded shard to `out` through the streaming
-/// append API: rows re-intern in the order they were written, so pool
-/// ids and every column byte match the frame that was serialized.
-void append_decoded_rows(RecordFrame& out, const DecodedShardColumns& d);
+/// Reads and parses the shard file at `path`: the one shard-file
+/// reader. Same error contract as parse_frame_shard, plus "cannot open";
+/// every error names the path.
+FrameShard read_frame_shard(const std::filesystem::path& path);
 
 }  // namespace gpuvar

@@ -8,6 +8,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace gpuvar::cli {
 namespace {
@@ -329,21 +331,31 @@ TEST_F(CliTest, ProjectRequiresTarget) {
 
 TEST_F(CliTest, RejectsNonIntegerCounts) {
   make_campaign("3", "1");
-  // Each: an integer flag given NaN, a fraction or an out-of-range value.
-  const std::vector<std::vector<std::string>> bad = {
-      {"run", "--runs", "1e12"},
-      {"run", "--runs", "2.5"},
-      {"run", "--reps", "nan"},
-      {"run", "--runs", "0"},
-      {"analyze", csv(), "--analysis", "project", "--target", "1e30"},
-      {"analyze", csv(), "--analysis", "project", "--target", "-4"},
-      {"analyze", store(), "--threads", "1.5"},
+  // Each: an integer flag given NaN, a fraction or an out-of-range value,
+  // or a number flag given a non-finite or out-of-range value. The error
+  // names the flag, and nothing runs with the value ignored.
+  const std::vector<std::pair<std::vector<std::string>, std::string>> bad = {
+      {{"run", "--runs", "1e12"}, "--runs needs an integer"},
+      {{"run", "--runs", "2.5"}, "--runs needs an integer"},
+      {{"run", "--reps", "nan"}, "--reps needs an integer"},
+      {{"run", "--runs", "0"}, "--runs needs an integer"},
+      {{"analyze", csv(), "--analysis", "project", "--target", "1e30"},
+       "--target needs an integer"},
+      {{"analyze", csv(), "--analysis", "project", "--target", "-4"},
+       "--target needs an integer"},
+      {{"analyze", store(), "--threads", "1.5"}, "--threads needs an integer"},
+      {{"run", "--power-limit", "-50"}, "--power-limit needs a cap >= 0 W"},
+      {{"run", "--power-limit", "nan"}, "--power-limit needs a finite number"},
+      {{"run", "--coverage", "inf"}, "--coverage needs a finite number"},
+      {{"analyze", csv(), "--slowdown-temp", "nan"},
+       "--slowdown-temp needs a finite number"},
   };
-  for (const auto& args : bad) {
-    const std::string& flag = args[args.size() - 2];
-    std::string err;
-    EXPECT_EQ(run(args, nullptr, &err), 1) << flag << " " << args.back();
-    EXPECT_TRUE(contains(err, flag + " needs an integer")) << err;
+  for (const auto& [args, message] : bad) {
+    std::string out, err;
+    EXPECT_EQ(run(args, &out, &err), 1) << args[args.size() - 2] << " "
+                                        << args.back();
+    EXPECT_TRUE(contains(err, message)) << err;
+    EXPECT_TRUE(out.empty()) << "rejected before any work: " << out;
   }
 }
 

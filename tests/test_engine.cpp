@@ -21,7 +21,10 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "query/source.hpp"  // IWYU pragma: keep (frame -> Source)
+#include "shard_forgery.hpp"
 #include "telemetry/export.hpp"
+#include "telemetry/frame.hpp"
+#include "telemetry/manifest.hpp"
 #include "telemetry/shard.hpp"
 #include "workloads/workload.hpp"
 
@@ -186,6 +189,40 @@ TEST_F(EngineTest, StaleShardHashForcesRerunOfThatBucket) {
   const Artifacts a = render(cluster_, second);
   EXPECT_EQ(a.csv, want.csv);
   EXPECT_EQ(a.summary, want.summary);
+}
+
+TEST_F(EngineTest, ForgedPoolShardForcesRerunOfThatBucket) {
+  // A shard whose bytes, payload hash and manifest entry all agree, but
+  // whose pool RecordFrame::append_row could not have built: only the
+  // decoder's pool check can catch it, and resume must demote it to a
+  // re-run like any other defect.
+  for (PoolDefect defect :
+       {PoolDefect::kDuplicateGpuIndex, PoolDefect::kOutOfOrderFirstUse,
+        PoolDefect::kUnreferencedEntry}) {
+    const fs::path dir = fresh_dir("forged-pool");
+    CampaignOptions opts;
+    opts.checkpoint_dir = dir.string();
+    const auto cfg = config();
+    const Artifacts want = render(cluster_, run_campaign(cluster_, cfg, opts));
+
+    const fs::path victim = dir / "bucket-000001.shard";
+    const RecordFrame bucket = read_frame_shard(victim).frame;
+    ASSERT_GE(bucket.gpu_count(), 2u) << "forgery needs two GPUs per bucket";
+    const std::string forged = forge_pool_defect(bucket, defect, 1);
+    std::ofstream(victim, std::ios::binary | std::ios::trunc) << forged;
+    CampaignManifest m = read_campaign_manifest(dir / kCampaignManifestName);
+    m.entries.at(1).info = parse_frame_shard_header(forged, "forged").info;
+    rewrite_campaign_manifest(dir, m.config_hash, m.entries, m.done);
+
+    const CampaignResult second = run_campaign(cluster_, cfg, opts);
+    EXPECT_EQ(second.stats.buckets_rerun_stale, 1u)
+        << "the forged shard must be demoted to re-run";
+    EXPECT_EQ(second.stats.buckets_restored, 2u);
+    const Artifacts a = render(cluster_, second);
+    EXPECT_EQ(a.csv, want.csv);
+    EXPECT_EQ(a.markdown, want.markdown);
+    EXPECT_EQ(a.summary, want.summary);
+  }
 }
 
 TEST_F(EngineTest, TornManifestTailIsSkippedOnResume) {

@@ -22,7 +22,7 @@
 #include "core/projection.hpp"
 #include "core/user_impact.hpp"
 #include "core/variability.hpp"
-#include "query/source.hpp"
+#include "query/source.hpp"  // IWYU pragma: keep (frame -> Source)
 #include "stats/quantile.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/frame.hpp"
@@ -82,7 +82,7 @@ RecordFrame frame_from(const std::vector<RunRecord>& rows,
   return f;
 }
 
-/// Row-oriented oracle for metric_column: the original AoS extraction,
+/// Row-oriented oracle for RecordFrame::metric: the original AoS extraction,
 /// kept here to pin the frame path bit-for-bit.
 std::vector<double> rows_metric_column(const std::vector<RunRecord>& records,
                                        Metric m) {
@@ -168,12 +168,11 @@ TEST(RecordFrame, MetricViewsAreZeroCopyAndMatchRows) {
   const auto frame = frame_from(records);
   // Same underlying storage for repeated calls: a true view, not a copy.
   EXPECT_EQ(frame.perf_ms().data(), frame.metric(Metric::kPerf).data());
-  EXPECT_EQ(frame.metric(Metric::kPerf).data(),
-            metric_column(frame, Metric::kPerf).data());
+  EXPECT_EQ(frame.temp_c().data(), frame.metric(Metric::kTemp).data());
   for (Metric m : {Metric::kPerf, Metric::kFreq, Metric::kPower,
                    Metric::kTemp}) {
     const auto legacy = rows_metric_column(records, m);
-    const auto view = metric_column(frame, m);
+    const auto view = frame.metric(m);
     ASSERT_EQ(legacy.size(), view.size());
     for (std::size_t i = 0; i < view.size(); ++i) {
       EXPECT_EQ(legacy[i], view[i]);

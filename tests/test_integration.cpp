@@ -71,9 +71,9 @@ TEST(Integration, Takeaway2_SummitPowerOutliersConcentrated) {
   // temps stay inside the whiskers.
   const auto gpus = per_gpu_medians(result.frame);
   const auto power_box =
-      stats::box_summary(metric_column(result.frame, Metric::kPower));
+      stats::box_summary(result.frame.metric(Metric::kPower));
   const auto temp_box =
-      stats::box_summary(metric_column(result.frame, Metric::kTemp));
+      stats::box_summary(result.frame.metric(Metric::kTemp));
   int unexplained = 0;
   for (const auto& g : gpus) {
     if (g.power_w < power_box.lo_whisker &&

@@ -329,7 +329,13 @@ TEST_F(QueryTest, PredicateMatchesFrameSelectByteForByte) {
   const int width =
       static_cast<int>(std::min<std::size_t>(4, selected.gpu_count()));
   ASSERT_GE(width, 1);
-  EXPECT_EQ(fp_all(streamed, width), fp_all(query::Source(selected), width));
+  const std::string want = fp_all(query::Source(selected), width);
+  EXPECT_EQ(fp_all(streamed, width), want);
+  // The frame-side filter (CSV and --materialize inputs) shares the
+  // streamed path's match_rows, and must agree with select too.
+  const query::Source filtered(f, where);
+  ASSERT_EQ(filtered.size(), selected.size());
+  EXPECT_EQ(fp_all(filtered, width), want);
 }
 
 TEST_F(QueryTest, SourceDecodesEachPickedShardOnce) {

@@ -8,11 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <sstream>
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/binio.hpp"
+#include "shard_forgery.hpp"
 #include "telemetry/frame.hpp"
 #include "telemetry/record.hpp"
 
@@ -82,15 +85,56 @@ TEST(FrameShard, EmptyFrameRoundTrips) {
 
 TEST(FrameShard, StreamRoundTripReportsInfo) {
   const RecordFrame frame = varied_frame();
-  std::stringstream stream;
-  const FrameShardInfo info = write_frame_shard(stream, frame, 7);
+  const std::filesystem::path path =
+      std::filesystem::path(::testing::TempDir()) / "gpuvar_stream.shard";
+  FrameShardInfo info;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    info = write_frame_shard(out, frame, 7);
+  }
   EXPECT_EQ(info.bucket_index, 7u);
   EXPECT_EQ(info.rows, frame.size());
-  EXPECT_EQ(stream.str().size(), info.payload_bytes + kFrameShardHeaderBytes);
+  EXPECT_EQ(std::filesystem::file_size(path),
+            info.payload_bytes + kFrameShardHeaderBytes);
 
-  const FrameShard parsed = read_frame_shard(stream, "stream");
+  const FrameShard parsed = read_frame_shard(path);
   EXPECT_EQ(parsed.info.payload_hash, info.payload_hash);
-  EXPECT_EQ(serialize_frame_shard(parsed.frame, 7), stream.str());
+  EXPECT_EQ(serialize_frame_shard(parsed.frame, 7),
+            serialize_frame_shard(frame, 7));
+  std::filesystem::remove(path);
+
+  // The reader names the path it could not open.
+  try {
+    read_frame_shard(path);
+    FAIL() << "missing shard file parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path.string()), std::string::npos);
+  }
+}
+
+TEST(FrameShard, PoolAppendRowCouldNotBuildIsRejected) {
+  // Well-formed bytes with a correct payload hash, but a pool that
+  // RecordFrame::append_row could never have built. Only the decoder's
+  // pool check stands between these and a silently wrong frame.
+  const RecordFrame frame = varied_frame();
+  const std::pair<PoolDefect, const char*> cases[] = {
+      {PoolDefect::kDuplicateGpuIndex, "repeats gpu_index"},
+      {PoolDefect::kOutOfOrderFirstUse, "first-appearance order"},
+      {PoolDefect::kUnreferencedEntry, "never referenced"},
+  };
+  for (const auto& [defect, why] : cases) {
+    const std::string bytes = forge_pool_defect(frame, defect, 3);
+    try {
+      parse_frame_shard(bytes, "forged-pool.shard");
+      FAIL() << "pool defect parsed: " << why;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("forged-pool.shard"),
+                std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FrameShard, TruncatedShardIsRejectedWithClearError) {
@@ -175,6 +219,20 @@ TEST(FrameShard, HeaderRowCountLieIsRejectedAsRuntimeError) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("rows-lie"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("trailing"), std::string::npos);
+  }
+  // Overstated past anything the payload can hold: refused before any
+  // column is sized from it (a huge resize would throw bad_alloc or
+  // length_error, which the resume scan does not demote).
+  bytes[14] = 6;
+  bytes[21] = 0x40;  // rows += 2^62
+  try {
+    parse_frame_shard(bytes, "rows-overstated");
+    FAIL() << "overstated row count parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("rows-overstated"),
+              std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("exceed the payload"),
+              std::string::npos);
   }
 }
 

@@ -321,14 +321,20 @@ job_query_smoke() {
 
   # Filtered form: a --where predicate that pushdown resolves to a
   # strict shard subset (two of cloudlab's three node buckets) takes
-  # the same byte-identity bar.
+  # the same byte-identity bar, streamed three ways: unlimited cache,
+  # a custom pool evicting everything, and pushdown off.
+  local v variant
   for a in variability groups; do
     ./build-ci/tools/gpuvar analyze "$ck" --where node=0..1 \
-      --analysis "$a" > "build-ci/QUERY_where_${a}_stream.txt"
-    ./build-ci/tools/gpuvar analyze "$ck" --where node=0..1 \
       --analysis "$a" --materialize > "build-ci/QUERY_where_${a}_mat.txt"
-    cmp "build-ci/QUERY_where_${a}_stream.txt" \
-      "build-ci/QUERY_where_${a}_mat.txt"
+    for v in "" "--threads 4 --cache-budget 0" "--no-pushdown"; do
+      variant=$(echo "$v" | tr -d ' -')
+      # $v is unquoted on purpose: it carries zero or more flags.
+      ./build-ci/tools/gpuvar analyze "$ck" --where node=0..1 \
+        --analysis "$a" $v > "build-ci/QUERY_where_${a}_stream${variant}.txt"
+      cmp "build-ci/QUERY_where_${a}_stream${variant}.txt" \
+        "build-ci/QUERY_where_${a}_mat.txt"
+    done
   done
 
   # Two-store comparison: a store against itself must stay at "no
