@@ -28,6 +28,11 @@ inline int env_int(const char* name, int fallback) {
   return parsed > 0 ? parsed : fallback;
 }
 
+/// Prefix of every stdout line that carries a host wall-clock number.
+/// Such lines differ run to run, so the paper_golden ctest drops the
+/// lines that start with this marker before it hashes a bench's output.
+inline constexpr const char* kWallClockMarker = "[wall-clock]";
+
 inline int sgemm_reps() { return env_int("GPUVAR_REPS", 12); }
 inline int runs_per_gpu() { return env_int("GPUVAR_RUNS", 2); }
 inline int summit_nodes_per_column() { return env_int("GPUVAR_SUMMIT", 2); }
