@@ -103,46 +103,57 @@ void ThreadPool::parallel_for(std::size_t n,
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  // Static block distribution; at most a few chunks per worker to
-  // amortize queue overhead. Each chunk is a contiguous range for cache
-  // locality.
-  const std::size_t n_chunks = std::min(n, n_workers * 4);
-  const std::size_t base = n / n_chunks;
-  const std::size_t rem = n % n_chunks;
+  // Guided self-scheduling: one task per worker, each claiming a run of
+  // 1/(2·tasks) of the indices still unclaimed. Early runs are long and
+  // contiguous (locality, few atomics for fine-grained loops such as
+  // query scans); the last ones are single indices, so heavy items near
+  // the end (hot-rack node jobs) never queue behind each other. Results
+  // never depend on the schedule: fn(i) owns its outputs.
+  const std::size_t n_tasks = std::min(n, n_workers);
 
   // Completion is tracked per batch, not via the pool-global wait_idle():
   // that keeps concurrent parallel_for calls from different threads from
-  // blocking on each other's chunks, and keeps exceptions stashed by
-  // unrelated submit() clients out of this call. Chunks catch their own
+  // blocking on each other's tasks, and keeps exceptions stashed by
+  // unrelated submit() clients out of this call. Tasks catch their own
   // exceptions, so they never touch task_error_ either.
   struct Batch {
     Mutex mu;
     std::condition_variable cv;
     std::size_t pending GPUVAR_GUARDED_BY(mu);
     std::exception_ptr first_error GPUVAR_GUARDED_BY(mu);
+    std::atomic<std::size_t> next{0};
     std::atomic<bool> failed{false};
   };
   Batch batch;
   {
     MutexLock lock(batch.mu);
-    batch.pending = n_chunks;
+    batch.pending = n_tasks;
   }
 
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    const std::size_t len = base + (c < rem ? 1 : 0);
-    const std::size_t end = begin + len;
-    submit([&batch, &fn, begin, end] {
+  for (std::size_t t = 0; t < n_tasks; ++t) {
+    submit([&batch, &fn, n, n_tasks] {
       std::exception_ptr err;
-      for (std::size_t i = begin; i < end; ++i) {
-        if (batch.failed.load(std::memory_order_relaxed)) break;
-        try {
-          fn(i);
-        } catch (...) {
-          err = std::current_exception();
-          batch.failed.store(true, std::memory_order_relaxed);
-          break;
+      std::size_t begin = batch.next.load(std::memory_order_relaxed);
+      // After a throw, no task claims another index.
+      while (begin < n && !batch.failed.load(std::memory_order_relaxed)) {
+        const std::size_t len =
+            std::max<std::size_t>(1, (n - begin) / (2 * n_tasks));
+        // On failure the exchange reloads `begin`; retry from there.
+        if (!batch.next.compare_exchange_weak(begin, begin + len,
+                                              std::memory_order_relaxed)) {
+          continue;
         }
+        for (std::size_t i = begin; i < begin + len; ++i) {
+          if (batch.failed.load(std::memory_order_relaxed)) break;
+          try {
+            fn(i);
+          } catch (...) {
+            err = std::current_exception();
+            batch.failed.store(true, std::memory_order_relaxed);
+            break;
+          }
+        }
+        begin = batch.next.load(std::memory_order_relaxed);
       }
       // Notify under the lock: once pending hits 0 the waiter may return
       // and destroy `batch`, so the cv must not be touched after unlock.
@@ -150,7 +161,6 @@ void ThreadPool::parallel_for(std::size_t n,
       if (err && !batch.first_error) batch.first_error = err;
       if (--batch.pending == 0) batch.cv.notify_all();
     });
-    begin = end;
   }
   MutexLock lock(batch.mu);
   while (batch.pending != 0) batch.cv.wait(lock.native());

@@ -1,10 +1,11 @@
 // A small fixed-size thread pool with a blocking parallel_for.
 //
 // The experiment runner simulates hundreds to thousands of GPUs; each GPU's
-// simulation is independent, so we parallelize across GPUs with a static
-// block distribution (chunks are contiguous index ranges — good locality,
-// no false sharing on the output vectors, deterministic results because the
-// work items never share mutable state).
+// simulation is independent, so we parallelize across them with a guided
+// dynamic schedule: every worker claims the next run of indices from a
+// shared counter, runs shrinking as the range drains, so heavy items (hot
+// racks) never queue behind each other on one worker. Results are
+// deterministic because the work items never share mutable state.
 #pragma once
 
 #include <condition_variable>
@@ -48,7 +49,8 @@ class ThreadPool {
   /// thrown by fn are captured; the first one is rethrown on the caller.
   /// Completion and errors are tracked per call, so concurrent
   /// parallel_for calls from different threads neither block on each
-  /// other's chunks nor see each other's exceptions.
+  /// other's tasks nor see each other's exceptions. Once fn throws, no
+  /// further index is claimed.
   /// Re-entrant: when called from one of this pool's own workers the
   /// loop runs inline instead of blocking the worker (nested fan-out
   /// would otherwise deadlock the pool).

@@ -132,38 +132,54 @@ KernelResult SimulatedGpu::run_kernel(const KernelSpec& kernel,
   GPUVAR_REQUIRE(activity_scale > 0.0);
 
   KernelResult result;
-  result.kernel = kernel.name;
   result.start = clock_;
 
   double remaining = 1.0;  // normalized work fraction
   double freq_time = 0.0, power_time = 0.0, temp_time = 0.0;
 
+  // Per-frequency terms, recomputed only when the controller moved the
+  // ladder index (most ticks keep it). Same inputs, same doubles.
+  MegaHertz cached_f{-1.0};
+  double activity = 0.0;
+  double rate = 0.0;  // work fraction per second
+  Watts dyn{};
+
   while (remaining > 0.0) {
     const MegaHertz f = dvfs_.frequency();
-    const double activity =
-        std::min(1.0, effective_activity(kernel, sku_, chip_, f) *
-                          activity_scale / stall_scale);
-    const Seconds full_time =
-        kernel_time_at(kernel, sku_, chip_, f) * work_scale * stall_scale;
-    GPUVAR_ASSERT(full_time > Seconds{});
-    const double rate = 1.0 / full_time.value();  // work fraction per second
+    if (f != cached_f) {
+      cached_f = f;
+      activity = std::min(1.0, effective_activity(kernel, sku_, chip_, f) *
+                                   activity_scale / stall_scale);
+      const Seconds full_time =
+          kernel_time_at(kernel, sku_, chip_, f) * work_scale * stall_scale;
+      GPUVAR_ASSERT(full_time > Seconds{});
+      rate = 1.0 / full_time.value();
+      dyn = power_.dynamic_power(f, activity);
+    }
     const Celsius temp = thermal_.temperature();
-    const Watts p = power_.total_power(f, activity, temp);
+    // total_power's sum, in its order, with the dynamic term reused.
+    const Watts p = dyn + power_.leakage_power(temp) + sku_.idle_power;
 
     // Fast-forward: if the operating point is provably stable (controller
     // quiet for the window, temperature at its fixed point, and the
     // control law would not act at the equilibrium), finish analytically.
+    // The cheap checks run before the fixed-point solve; every check is
+    // pure, so the order changes the cost of the chain, not its result.
     if (opts_.fast_forward &&
         clock_ - last_freq_change_ >= opts_.steady_window &&
         // Cheap precheck: skip the fixed-point solve unless the current
         // power's equilibrium is already close (leakage feedback only
         // moves it slightly further).
         abs(thermal_.equilibrium(p) - temp) <=
-            2.0 * opts_.steady_temp_eps) {
+            2.0 * opts_.steady_temp_eps &&
+        // The control law must accept the current point too. A kernel
+        // hovering at the power cap fails this on most ticks, so it goes
+        // before the solve.
+        stable_at(f, p, temp)) {
       const Celsius teq = equilibrium_temperature(f, activity);
       const Watts peq = power_.total_power(f, activity, teq);
       if (abs(teq - temp) <= opts_.steady_temp_eps &&
-          stable_at(f, p, temp) && stable_at(f, peq, teq)) {
+          stable_at(f, peq, teq)) {
         const Seconds dt{remaining / rate};
         thermal_.settle(peq);
         last_power_ = peq;

@@ -2,17 +2,18 @@
 // model into a tick-level simulation that executes kernel descriptions
 // and emits profiler telemetry.
 //
-// The simulation loop advances in profiler-resolution ticks (1 ms). Once
-// the control loop and thermals reach a provably stable state, the device
-// can *fast-forward*: finish the remaining work analytically at the
-// settled operating point. This is exact for the runtime/energy accounting
-// because the operating point no longer changes, and it makes cluster-
-// scale experiments tractable (the paper's 18,800 hours of data in
-// seconds of CPU time). Fast-forward is validated against full-tick
-// simulation in the test suite and the `abl_fastforward` bench.
+// The simulation loop advances in fixed ticks of `SimOptions::tick`: 1 ms
+// (profiler resolution) by default, but campaigns tick at the SKU's DVFS
+// control period (`RunOptions::for_sku`, 10 ms on V100), since the
+// controller acts at most once per period. Once the control loop and
+// thermals reach a provably stable state, the device can *fast-forward*:
+// finish the remaining work analytically at the settled operating point.
+// This is exact for the runtime/energy accounting because the operating
+// point no longer changes, and it makes cluster-scale experiments
+// tractable (the paper's 18,800 hours of data in seconds of CPU time).
+// Fast-forward is validated against full-tick simulation in the test
+// suite and the `abl_fastforward` bench.
 #pragma once
-
-#include <string>
 
 #include "common/units.hpp"
 #include "gpu/dvfs.hpp"
@@ -34,7 +35,6 @@ struct SimOptions {
 };
 
 struct KernelResult {
-  std::string kernel;
   Seconds start{};
   Seconds duration{};
   Joules energy{};

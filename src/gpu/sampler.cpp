@@ -27,10 +27,15 @@ void StreamingQuantile::add(double value, double weight) {
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
   }
-  auto idx = static_cast<long long>(std::floor((value - lo_) / resolution_));
-  idx = std::clamp<long long>(idx, 0,
-                              static_cast<long long>(weights_.size()) - 1);
-  weights_[static_cast<std::size_t>(idx)] += weight;
+  // The bin is floor(x) clamped to [0, last]. Truncation equals floor
+  // for x > 0, and comparing before the cast keeps huge or NaN x defined.
+  const double x = (value - lo_) / resolution_;
+  const std::size_t last = weights_.size() - 1;
+  std::size_t idx = 0;
+  if (x > 0.0) {
+    idx = x < static_cast<double>(last) ? static_cast<std::size_t>(x) : last;
+  }
+  weights_[idx] += weight;
   total_weight_ += weight;
   weighted_sum_ += value * weight;
 }

@@ -27,8 +27,11 @@ void ThermalModel::step(Seconds dt, Watts p) {
   // Exact solution of the linear ODE over dt (unconditionally stable,
   // exact for constant p): T(t+dt) = Teq + (T - Teq)·exp(-dt/τ).
   const Celsius teq = equilibrium(p);
-  const double decay = std::exp(-(dt / time_constant()));
-  temp_ = teq + (temp_ - teq) * decay;
+  if (dt != decay_dt_) {
+    decay_dt_ = dt;
+    decay_ = std::exp(-(dt / time_constant()));
+  }
+  temp_ = teq + (temp_ - teq) * decay_;
   GPUVAR_ASSERT(temp_ > kAbsoluteZero);
 }
 

@@ -26,8 +26,8 @@ class ThermalModel {
   Celsius temperature() const { return temp_; }
   const ThermalParams& params() const { return params_; }
 
-  /// Advance the model by dt under dissipated power p (explicit Euler with
-  /// sub-stepping if dt is large relative to the RC time constant).
+  /// Advance the model by dt under dissipated power p, using the exact
+  /// solution of the linear ODE for constant p (stable for any dt).
   void step(Seconds dt, Watts p);
 
   /// The steady-state temperature under constant power p.
@@ -50,6 +50,10 @@ class ThermalModel {
  private:
   ThermalParams params_;
   Celsius temp_;
+  // step()'s decay exp(-dt/τ) for the last dt it saw: dt is nearly
+  // always the tick, and τ never changes (set_coolant leaves R and C).
+  Seconds decay_dt_{-1.0};
+  double decay_ = 0.0;
 };
 
 }  // namespace gpuvar

@@ -2,7 +2,7 @@
 // "<name> <hash>". Together they cover both shapes of the simulator's
 // tick loop: long compute-bound SGEMM kernels that hover at the power
 // cap, and short bulk-synchronous ResNet kernels with barrier idles.
-// paper_golden.sh hashes this output alongside the figure benches.
+// paper_golden.sh compares these lines, as they are, to its table.
 #include <cstdint>
 #include <cstdio>
 

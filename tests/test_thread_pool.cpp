@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace gpuvar {
@@ -21,10 +25,15 @@ TEST(ThreadPool, RunsSubmittedTasks) {
 
 TEST(ThreadPool, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
-  std::vector<int> hits(1000, 0);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] += 1; });
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 1000);
-  for (int h : hits) EXPECT_EQ(h, 1);
+  // Sizes around the worker count exercise the shortest claimed runs.
+  const std::size_t sizes[] = {2, 3, 5, 8, 9, 1000};
+  for (std::size_t n : sizes) {
+    std::vector<int> hits(n, 0);
+    pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i] += 1; });
+    EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0),
+              static_cast<int>(n));
+    for (int h : hits) EXPECT_EQ(h, 1);
+  }
 }
 
 TEST(ThreadPool, ParallelForZeroIsNoop) {
@@ -53,6 +62,45 @@ TEST(ThreadPool, ParallelForPropagatesException) {
   std::atomic<int> counter{0};
   pool.parallel_for(10, [&](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 10);
+}
+
+TEST(ThreadPool, ParallelForSkewedWorkloadVisitsEveryIndexOnce) {
+  // One index costs ~100x the others (a hot-rack node job): workers
+  // claim runs of indices dynamically, and each still runs exactly once.
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 256;
+  constexpr std::size_t kHeavy = 37;
+  std::vector<std::atomic<int>> hits(kN);
+  pool.parallel_for(kN, [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::microseconds(
+        i == kHeavy ? 10000 : 100));
+  });
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1) << i;
+}
+
+TEST(ThreadPool, ParallelForStopsClaimingAfterAThrow) {
+  // Once an index throws, no task claims another one; the error reaches
+  // the caller, and nothing still runs after parallel_for returns.
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 2000;
+  std::atomic<std::size_t> claimed{0};
+  try {
+    pool.parallel_for(kN, [&](std::size_t i) {
+      claimed.fetch_add(1);
+      if (i == 5) throw std::runtime_error("index 5");
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    });
+    FAIL() << "parallel_for swallowed the exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "index 5");
+  }
+  const std::size_t at_return = claimed.load();
+  // Only indices started before index 5 threw, or in flight when it
+  // did, ran; the full range would be 2000.
+  EXPECT_LT(at_return, 100u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(claimed.load(), at_return);
 }
 
 TEST(ThreadPool, SingleThreadPoolStillWorks) {
