@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <optional>
 
 #include "common/require.hpp"
 #include "common/units.hpp"
@@ -10,9 +12,28 @@
 #include "gpu/sampler.hpp"
 #include "gpu/silicon.hpp"
 #include "gpu/sku.hpp"
+#include "obs/metrics.hpp"
 #include "thermal/thermal.hpp"
 
 namespace gpuvar {
+
+namespace {
+
+// How far past a refusal threshold a reference fixed point must lie for
+// reference_refuses(). Two solves at one ladder state differ by at most
+// 2e-6 °C and leak_temp_coeff·leakage·2e-6 W (~1.4e-6 W on a V100), so
+// this margin cannot flip a comparison.
+constexpr double kRefuseMargin = 1e-3;
+
+// The models count controller decisions and RC steps; the device adds
+// a call's worth at once, since every counter update costs a few ns
+// with a registry installed.
+void flush_tick_counters(long decisions, long rc_steps) {
+  if (decisions != 0) GPUVAR_METRIC_ADD("dvfs.decisions", decisions);
+  if (rc_steps != 0) GPUVAR_METRIC_ADD("thermal.rc_steps", rc_steps);
+}
+
+}  // namespace
 
 SimulatedGpu::SimulatedGpu(const GpuSku& sku, const SiliconSample& chip,
                            const ThermalParams& thermal,
@@ -25,6 +46,15 @@ SimulatedGpu::SimulatedGpu(const GpuSku& sku, const SiliconSample& chip,
       opts_(opts) {
   GPUVAR_REQUIRE(opts.tick > Seconds{});
   baseline_inlet_ = thermal.coolant;
+  // The fixed-point map's slope, R·k·leakage(T), grows with T and is ½
+  // here. A non-positive gain leaves the limit at -inf: no shortcut.
+  const double gain_at_ref = thermal.r_c_per_w * sku_.leak_temp_coeff *
+                             (sku_.leakage_at_ref * chip_.leakage_factor).value();
+  contraction_limit_ =
+      gain_at_ref > 0.0
+          ? sku_.leak_ref_temp +
+                Celsius{std::log(0.5 / gain_at_ref) / sku_.leak_temp_coeff}
+          : Celsius{-std::numeric_limits<double>::infinity()};
   reset();
 }
 
@@ -52,8 +82,12 @@ void SimulatedGpu::preheat(Watts sustained_power) {
   thermal_.settle(sustained_power);
 }
 
+bool SimulatedGpu::at_top(MegaHertz f) const {
+  return f >= dvfs_.ladder().back() - MegaHertz{1e-9};
+}
+
 ThrottleReason SimulatedGpu::throttle_reason() const {
-  if (dvfs_.frequency() >= dvfs_.ladder().back() - MegaHertz{1e-9}) {
+  if (at_top(dvfs_.frequency())) {
     return ThrottleReason::kNone;
   }
   if (dvfs_.thermally_throttled() ||
@@ -97,16 +131,42 @@ void SimulatedGpu::account(Seconds dt) {
   }
 }
 
-Celsius SimulatedGpu::equilibrium_temperature(MegaHertz f,
-                                              double activity) const {
-  Celsius t = thermal_.temperature();
-  for (int i = 0; i < 30; ++i) {
-    const Watts p = power_.total_power(f, activity, t);
-    const Celsius next = thermal_.equilibrium(p);
-    if (abs(next - t) < Celsius{1e-6}) return next;
-    t = next;
+SimulatedGpu::FixedPoint SimulatedGpu::fixed_point(Watts dyn,
+                                                   Celsius start) const {
+  // total_power's sum, in its order, with the ladder state's dynamic term.
+  const auto power_at = [&](Celsius t) {
+    return dyn + power_.leakage_power(t) + sku_.idle_power;
+  };
+  FixedPoint eq{start, Watts{}, false};
+  for (int i = 0; i < 30 && !eq.converged; ++i) {
+    const Celsius next = thermal_.equilibrium(power_at(eq.temp));
+    eq.converged = abs(next - eq.temp) < Celsius{1e-6};
+    eq.temp = next;
   }
-  return t;
+  eq.power = power_at(eq.temp);
+  return eq;
+}
+
+bool SimulatedGpu::accepts(MegaHertz f, Celsius temp,
+                           const FixedPoint& eq) const {
+  return abs(eq.temp - temp) <= opts_.steady_temp_eps &&
+         stable_at(f, eq.power, eq.temp);
+}
+
+bool SimulatedGpu::reference_refuses(const FixedPoint& ref, MegaHertz f,
+                                     Celsius temp) const {
+  // Every solve from below ref.temp, or from a start that still
+  // contracts, lands within 2e-6 °C of ref.
+  if (!ref.converged || std::max(ref.temp, temp) > contraction_limit_) {
+    return false;
+  }
+  const Celsius mt{kRefuseMargin};
+  const Watts mw{kRefuseMargin};
+  const Watts cap = dvfs_.power_limit();
+  return abs(ref.temp - temp) > opts_.steady_temp_eps + mt ||
+         ref.temp >= sku_.slowdown_temp - Celsius{2.0} + mt ||
+         ref.power > cap + mw ||
+         (!at_top(f) && ref.power < cap - sku_.dvfs_up_margin - mw);
 }
 
 bool SimulatedGpu::stable_at(MegaHertz f, Watts power, Celsius temp) const {
@@ -115,8 +175,7 @@ bool SimulatedGpu::stable_at(MegaHertz f, Watts power, Celsius temp) const {
   // hysteresis band below the cap.
   if (temp >= sku_.slowdown_temp - Celsius{2.0}) return false;
   if (power > dvfs_.power_limit()) return false;
-  const bool at_top = f >= dvfs_.ladder().back() - MegaHertz{1e-9};
-  if (!at_top && power < dvfs_.power_limit() - sku_.dvfs_up_margin) {
+  if (!at_top(f) && power < dvfs_.power_limit() - sku_.dvfs_up_margin) {
     return false;
   }
   return true;
@@ -134,6 +193,9 @@ KernelResult SimulatedGpu::run_kernel(const KernelSpec& kernel,
   KernelResult result;
   result.start = clock_;
 
+  const long decisions_before = dvfs_.decisions();
+  const long rc_steps_before = thermal_.steps();
+
   double remaining = 1.0;  // normalized work fraction
   double freq_time = 0.0, power_time = 0.0, temp_time = 0.0;
 
@@ -143,6 +205,10 @@ KernelResult SimulatedGpu::run_kernel(const KernelSpec& kernel,
   double activity = 0.0;
   double rate = 0.0;  // work fraction per second
   Watts dyn{};
+  // The first fixed point solved at this ladder state. Later solves
+  // there land within 2e-6 °C of it, so it refuses most fast-forward
+  // checks without a solve; only a solve accepts one.
+  std::optional<FixedPoint> ref;
 
   while (remaining > 0.0) {
     const MegaHertz f = dvfs_.frequency();
@@ -155,6 +221,7 @@ KernelResult SimulatedGpu::run_kernel(const KernelSpec& kernel,
       GPUVAR_ASSERT(full_time > Seconds{});
       rate = 1.0 / full_time.value();
       dyn = power_.dynamic_power(f, activity);
+      ref.reset();
     }
     const Celsius temp = thermal_.temperature();
     // total_power's sum, in its order, with the dynamic term reused.
@@ -163,8 +230,9 @@ KernelResult SimulatedGpu::run_kernel(const KernelSpec& kernel,
     // Fast-forward: if the operating point is provably stable (controller
     // quiet for the window, temperature at its fixed point, and the
     // control law would not act at the equilibrium), finish analytically.
-    // The cheap checks run before the fixed-point solve; every check is
-    // pure, so the order changes the cost of the chain, not its result.
+    // The cheap checks and the reference run before the fixed-point
+    // solve; every check is pure, so they change the cost of the chain,
+    // not its result.
     if (opts_.fast_forward &&
         clock_ - last_freq_change_ >= opts_.steady_window &&
         // Cheap precheck: skip the fixed-point solve unless the current
@@ -175,11 +243,13 @@ KernelResult SimulatedGpu::run_kernel(const KernelSpec& kernel,
         // The control law must accept the current point too. A kernel
         // hovering at the power cap fails this on most ticks, so it goes
         // before the solve.
-        stable_at(f, p, temp)) {
-      const Celsius teq = equilibrium_temperature(f, activity);
-      const Watts peq = power_.total_power(f, activity, teq);
-      if (abs(teq - temp) <= opts_.steady_temp_eps &&
-          stable_at(f, peq, teq)) {
+        stable_at(f, p, temp) &&
+        !(ref && reference_refuses(*ref, f, temp))) {
+      const FixedPoint eq = fixed_point(dyn, temp);
+      if (!ref) ref = eq;
+      if (accepts(f, temp, eq)) {
+        const Celsius teq = eq.temp;
+        const Watts peq = eq.power;
         const Seconds dt{remaining / rate};
         thermal_.settle(peq);
         last_power_ = peq;
@@ -219,11 +289,15 @@ KernelResult SimulatedGpu::run_kernel(const KernelSpec& kernel,
   result.mean_freq = MegaHertz{freq_time / result.duration.value()};
   result.mean_power = Watts{power_time / result.duration.value()};
   result.mean_temp = Celsius{temp_time / result.duration.value()};
+  flush_tick_counters(dvfs_.decisions() - decisions_before,
+                      thermal_.steps() - rc_steps_before);
   return result;
 }
 
 void SimulatedGpu::idle_for(Seconds dt, Sampler* sampler) {
   GPUVAR_REQUIRE(dt >= Seconds{});
+  const long decisions_before = dvfs_.decisions();
+  const long rc_steps_before = thermal_.steps();
   Seconds remaining = dt;
   // Idle power varies only through slow leakage/temperature coupling;
   // 50 ms steps resolve it comfortably (τ is hundreds of ms).
@@ -242,6 +316,8 @@ void SimulatedGpu::idle_for(Seconds dt, Sampler* sampler) {
       last_freq_change_ = clock_;
     }
   }
+  flush_tick_counters(dvfs_.decisions() - decisions_before,
+                      thermal_.steps() - rc_steps_before);
 }
 
 }  // namespace gpuvar

@@ -101,10 +101,37 @@ class SimulatedGpu : public PmIntrospection {
   void set_inlet_delta(Celsius delta);
   Celsius baseline_inlet() const { return baseline_inlet_; }
 
+  // --- Fast-forward decision. Pure functions of the device's current
+  // cap, coolant and ladder; public so their soundness can be tested.
+
+  /// The leakage/thermal fixed point of one ladder state.
+  struct FixedPoint {
+    Celsius temp;
+    Watts power;
+    bool converged = false;
+  };
+
+  /// Iterate T ← equilibrium(dyn + leakage(T) + idle) from `start` until
+  /// a step moves less than 1e-6 °C (at most 30 steps). `dyn` is the
+  /// ladder state's dynamic power.
+  FixedPoint fixed_point(Watts dyn, Celsius start) const;
+
+  /// True when the controller, at ladder frequency f and temperature
+  /// `temp`, accepts the solved fixed point `eq`: the temperature is
+  /// within `steady_temp_eps` of it and the control law would not act
+  /// there. Only this accepts a fast-forward.
+  bool accepts(MegaHertz f, Celsius temp, const FixedPoint& eq) const;
+
+  /// True when `ref`, an earlier solve at ladder state f, proves that a
+  /// solve from `temp` would not be accepted: both lie where leakage
+  /// feedback contracts, and `ref` is a fixed margin past a threshold
+  /// of accepts(). DESIGN.md §4 gives the argument.
+  bool reference_refuses(const FixedPoint& ref, MegaHertz f,
+                         Celsius temp) const;
+
  private:
-  /// Solve the thermal/leakage fixed point at a fixed operating point.
-  Celsius equilibrium_temperature(MegaHertz f, double activity) const;
   bool stable_at(MegaHertz f, Watts power, Celsius temp) const;
+  bool at_top(MegaHertz f) const;
 
   GpuSku sku_;
   SiliconSample chip_;
@@ -116,6 +143,9 @@ class SimulatedGpu : public PmIntrospection {
   Seconds last_freq_change_{};
   Watts last_power_{};
   Celsius baseline_inlet_{};
+  // Above this temperature the leakage feedback gain
+  // R·leak_temp_coeff·leakage_power(T) exceeds ½.
+  Celsius contraction_limit_{};
   ThrottleAccounting accounting_;
   long dvfs_baseline_down_ = 0;
   long dvfs_baseline_up_ = 0;

@@ -28,6 +28,7 @@ void DvfsController::reset() {
   thermal_throttle_ = false;
   down_steps_ = 0;
   up_steps_ = 0;
+  decisions_ = 0;
 }
 
 void DvfsController::step_down() {
@@ -50,7 +51,7 @@ bool DvfsController::observe(Seconds now, Watts power, Celsius temperature) {
   last_observe_ = now;
   if (now < next_action_) return false;
   next_action_ = now + sku_->dvfs_control_period;
-  GPUVAR_METRIC_COUNT("dvfs.decisions");
+  ++decisions_;
   // Stamp any instants below with the device clock, not the stale
   // end-of-last-iteration lane time.
   GPUVAR_TRACE_ADVANCE(now);

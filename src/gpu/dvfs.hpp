@@ -45,6 +45,9 @@ class DvfsController {
   /// Cumulative state transitions since construction/reset.
   long down_steps() const { return down_steps_; }
   long up_steps() const { return up_steps_; }
+  /// Cumulative control decisions (observations that acted on a
+  /// control period) since construction/reset.
+  long decisions() const { return decisions_; }
 
  private:
   void step_down();
@@ -58,6 +61,7 @@ class DvfsController {
   bool thermal_throttle_ = false;
   long down_steps_ = 0;
   long up_steps_ = 0;
+  long decisions_ = 0;
   // After stepping down for over-power, hold before trying to step up
   // again; prevents limit-cycling around the cap on coarse ladders.
   Seconds up_hold_until_{};

@@ -76,8 +76,6 @@ void Sampler::record_span(Seconds t, Seconds dt, MegaHertz f, Watts p,
   freq_.add(f.value(), dt.value());
   power_.add(p.value(), dt.value());
   temp_.add(temp.value(), dt.value());
-  duration_ += dt;
-  energy_ += p * dt;
 
   if (!opts_.keep_series) return;
   // Emit decimated samples at the configured interval across the span.
@@ -110,8 +108,9 @@ TelemetrySummary Sampler::summary() const {
   s.freq = summarize(freq_);
   s.power = summarize(power_);
   s.temp = summarize(temp_);
-  s.duration = duration_;
-  s.energy = energy_;
+  // The span durations and p·dt, summed in record order from 0.
+  s.duration = Seconds{freq_.total_weight()};
+  s.energy = Joules{power_.weighted_sum()};
   return s;
 }
 
@@ -119,8 +118,6 @@ void Sampler::reset() {
   freq_ = StreamingQuantile(0.0, 3000.0, 0.5);
   power_ = StreamingQuantile(0.0, 800.0, 0.1);
   temp_ = StreamingQuantile(0.0, 130.0, 0.05);
-  duration_ = Seconds{0.0};
-  energy_ = Joules{0.0};
   series_emitted_ = 0;
   series_.clear();
 }

@@ -32,6 +32,8 @@ class StreamingQuantile {
 
   void add(double value, double weight);
   double total_weight() const { return total_weight_; }
+  /// Σ value·weight, accumulated in add() order.
+  double weighted_sum() const { return weighted_sum_; }
   bool empty() const { return total_weight_ <= 0.0; }
 
   double min() const { return min_; }
@@ -92,8 +94,6 @@ class Sampler {
   StreamingQuantile freq_;
   StreamingQuantile power_;
   StreamingQuantile temp_;
-  Seconds duration_{};
-  Joules energy_{};
   std::size_t series_emitted_ = 0;
   TimeSeries series_;
 };

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/require.hpp"
-#include "obs/metrics.hpp"
 #include "common/units.hpp"
 
 namespace gpuvar {
@@ -21,9 +20,9 @@ Seconds ThermalModel::time_constant() const {
 void ThermalModel::step(Seconds dt, Watts p) {
   GPUVAR_REQUIRE(dt >= Seconds{});
   GPUVAR_ASSERT(p >= Watts{});
-  // Hottest loop in the simulator (one call per tick per GPU): a
-  // counter is one cached pointer hop + sharded fetch_add, no span.
-  GPUVAR_METRIC_COUNT("thermal.rc_steps");
+  // Hottest loop in the simulator (one call per tick per GPU): count
+  // locally; the owning device reports the total per call.
+  ++steps_;
   // Exact solution of the linear ODE over dt (unconditionally stable,
   // exact for constant p): T(t+dt) = Teq + (T - Teq)·exp(-dt/τ).
   const Celsius teq = equilibrium(p);

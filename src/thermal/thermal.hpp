@@ -43,6 +43,9 @@ class ThermalModel {
   /// RC time constant (s).
   Seconds time_constant() const;
 
+  /// Number of step() calls since construction.
+  long steps() const { return steps_; }
+
   /// Adjusts the local coolant/inlet temperature (spatial coupling: heat
   /// picked up from co-located neighbours under shared airflow).
   void set_coolant(Celsius coolant) { params_.coolant = coolant; }
@@ -54,6 +57,7 @@ class ThermalModel {
   // always the tick, and τ never changes (set_coolant leaves R and C).
   Seconds decay_dt_{-1.0};
   double decay_ = 0.0;
+  long steps_ = 0;
 };
 
 }  // namespace gpuvar

@@ -1,12 +1,16 @@
 #include "gpu/device.hpp"
 #include "common/units.hpp"
 #include "gpu/kernel.hpp"
+#include "gpu/power_model.hpp"
 #include "gpu/sampler.hpp"
 #include "gpu/silicon.hpp"
 #include "gpu/sku.hpp"
 #include "thermal/thermal.hpp"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 namespace gpuvar {
 namespace {
@@ -198,6 +202,131 @@ TEST_F(DeviceTest, RejectsBadScales) {
   EXPECT_THROW(dev.run_kernel(k, nullptr, 0.0), std::invalid_argument);
   EXPECT_THROW(dev.run_kernel(k, nullptr, 1.0, -1.0), std::invalid_argument);
   EXPECT_THROW(dev.idle_for(Seconds{-1.0}, nullptr), std::invalid_argument);
+}
+
+// The fast-forward check refuses from the first fixed point solved at a
+// ladder state (the reference) when it lies a margin m past a refusal
+// threshold. Sweep start temperatures and caps to within ±2m of every
+// threshold, across SKUs, chips, coolants and thermal resistances, and
+// check that each refusal from a reference is also a refusal of the
+// exact solve from that start.
+TEST(FastForwardReference, RefusesOnlyWhatTheExactSolveRefuses) {
+  constexpr double m = 1e-3;  // the margin reference_refuses() keeps
+  long refused = 0;
+  long accepted = 0;
+  for (const GpuSku& sku : {make_v100_sxm2(), make_rtx5000(), make_mi60()}) {
+    const std::vector<MegaHertz> ladder = sku.frequency_ladder();
+    for (int c = 0; c < 3; ++c) {
+      const SiliconSample chip =
+          sample_silicon(sku, 17, "chip" + std::to_string(c));
+      const PowerModel power(sku, chip);
+      for (const double r : {0.06, 0.12, 0.25}) {
+        for (const double coolant : {22.0, 40.0}) {
+          SimulatedGpu dev(sku, chip, ThermalParams{r, 100.0, Celsius{coolant}});
+          const Celsius eps = dev.options().steady_temp_eps;
+          const Celsius slowdown = sku.slowdown_temp - Celsius{2.0};
+          for (const MegaHertz f :
+               {ladder.back(), ladder[ladder.size() / 2], ladder.front()}) {
+            const Watts dyn = power.dynamic_power(f, 1.0);
+            // check(ref, temp): a refusal from `ref` must be a refusal of
+            // the solve from `temp`.
+            const auto check = [&](const SimulatedGpu::FixedPoint& ref,
+                                   Celsius temp) {
+              const bool exact = dev.accepts(f, temp, dev.fixed_point(dyn, temp));
+              accepted += exact;
+              if (!dev.reference_refuses(ref, f, temp)) return;
+              ++refused;
+              EXPECT_FALSE(exact)
+                  << sku.name << " chip " << c << " R " << r << " coolant "
+                  << coolant << " f " << f.value() << " temp " << temp.value()
+                  << " ref " << ref.temp.value() << " cap "
+                  << dev.power_limit().value();
+            };
+            // Temperatures around the reference, inside the eps band.
+            const auto near = [&](const SimulatedGpu::FixedPoint& ref) {
+              std::vector<Celsius> ts;
+              for (const double k : {-0.5, 0.0, 0.5}) {
+                ts.push_back(ref.temp + k * eps);
+              }
+              return ts;
+            };
+            // Two references per state: solved from a cold and a hot start.
+            for (const Celsius start :
+                 {Celsius{coolant}, dev.fixed_point(dyn, Celsius{coolant}).temp +
+                                        Celsius{5.0}}) {
+              const auto ref = dev.fixed_point(dyn, start);
+              // eps threshold, with the cap placed where the control law
+              // accepts the equilibrium.
+              dev.set_power_limit(ref.power + 0.5 * sku.dvfs_up_margin);
+              for (int k = -4; k <= 4; ++k) {
+                for (const double side : {-1.0, 1.0}) {
+                  check(ref, ref.temp + side * (eps + Celsius{k * m / 2}));
+                }
+              }
+              // Cap threshold: ref.power - cap within ±2m.
+              for (int k = -4; k <= 4; ++k) {
+                dev.set_power_limit(ref.power - Watts{k * m / 2});
+                for (const Celsius t : near(ref)) check(ref, t);
+              }
+              // Up-margin threshold: cap - up_margin - ref.power within ±2m.
+              for (int k = -4; k <= 4; ++k) {
+                dev.set_power_limit(ref.power + sku.dvfs_up_margin +
+                                    Watts{k * m / 2});
+                for (const Celsius t : near(ref)) check(ref, t);
+              }
+            }
+            // Slowdown threshold: move the inlet until the fixed point
+            // sits within ±2m of slowdown - 2 (Newton on the inlet).
+            for (int k = -4; k <= 4; ++k) {
+              const Celsius target = slowdown + Celsius{k * m / 2};
+              Celsius delta{};
+              SimulatedGpu::FixedPoint ref{};
+              for (int i = 0; i < 20; ++i) {
+                dev.set_inlet_delta(delta);
+                ref = dev.fixed_point(dyn, target);
+                const double gain =
+                    r * sku.leak_temp_coeff * power.leakage_power(ref.temp).value();
+                delta += (target - ref.temp) * (1.0 - gain);
+              }
+              dev.set_inlet_delta(delta);
+              ref = dev.fixed_point(dyn, Celsius{coolant});
+              dev.set_power_limit(ref.power + 0.5 * sku.dvfs_up_margin);
+              for (const Celsius t : near(ref)) check(ref, t);
+            }
+            dev.set_inlet_delta(Celsius{});
+          }
+        }
+      }
+    }
+  }
+  // The sweep reaches both sides of the thresholds.
+  EXPECT_GT(refused, 1000);
+  EXPECT_GT(accepted, 1000);
+}
+
+// A reference proves nothing where the leakage feedback may not
+// contract: one that did not converge, or a start temperature above it
+// where the slope R·k·leakage(T) exceeds ½.
+TEST(FastForwardReference, NeverRefusesWithoutContraction) {
+  const GpuSku sku = make_v100_sxm2();
+  const SiliconSample chip;
+  const PowerModel power(sku, chip);
+  const MegaHertz f = sku.frequency_ladder().front();
+
+  // R = 0.5 °C/W: the slope reaches ½ near 125 °C.
+  const SimulatedGpu cool(sku, chip, ThermalParams{0.5, 100.0, Celsius{25.0}});
+  const auto ref = cool.fixed_point(power.dynamic_power(f, 0.05), Celsius{25.0});
+  ASSERT_TRUE(ref.converged);
+  EXPECT_TRUE(cool.reference_refuses(ref, f, ref.temp + Celsius{10.0}));
+  EXPECT_FALSE(cool.reference_refuses(ref, f, Celsius{130.0}));
+
+  // R = 3 °C/W at full activity: thermal runaway, no fixed point.
+  const SimulatedGpu hot(sku, chip, ThermalParams{3.0, 100.0, Celsius{25.0}});
+  const auto runaway =
+      hot.fixed_point(power.dynamic_power(sku.frequency_ladder().back(), 1.0),
+                      Celsius{25.0});
+  EXPECT_FALSE(runaway.converged);
+  EXPECT_FALSE(hot.reference_refuses(runaway, f, Celsius{25.0}));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 # revision and the working tree.
 #
 #   tools/ab.sh PARENT_REV --workload W [--pairs N] [--seed S] [--dir DIR]
+#               [--claim METRIC]
 #
 # Exports PARENT_REV with `git archive` into DIR (default build-ab/ at the
 # repo root; an earlier export of the same commit is reused), builds
@@ -12,7 +13,20 @@
 #   bench/e2e/run.sh --workload W --seed S --trace 0
 # For every end-to-end metric it prints each side's median and IQR, the
 # change/parent ratio of the medians, and how many pairs the change won
-# (the direction of "better" comes from BENCHMARK.json). Every run's JSON
+# (the direction of "better" and each metric's bound come from
+# BENCHMARK.json), then a verdict:
+#   the claimed METRIC   gain     the change won at least 9 of every 10
+#                                 pairs and its median is better than the
+#                                 parent's by more than the parent's IQR
+#                        no gain  otherwise
+#   every other metric   worse beyond bound  the change's median is worse
+#                                 than the parent's by more than the bound
+#                        unresolved  otherwise, if the parent's IQR is
+#                                 wider than the bound and some run of
+#                                 the change reads no better than some
+#                                 run of the parent
+#                        within bound  otherwise
+# Bounds and IQRs are relative to the parent's median. Every run's JSON
 # line is kept under DIR/results/. Exits 1 if any run fails or is not
 # correct.
 set -euo pipefail
@@ -21,7 +35,7 @@ root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 
 usage() {
   echo "usage: $0 PARENT_REV --workload W [--pairs N] [--seed S]" \
-       "[--dir DIR]" >&2
+       "[--dir DIR] [--claim METRIC]" >&2
   exit 2
 }
 
@@ -32,18 +46,27 @@ workload=""
 pairs=10
 seed=0
 dir="$root/build-ab"
+claim=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --workload) [ $# -ge 2 ] || usage; workload=$2; shift 2 ;;
     --pairs) [ $# -ge 2 ] || usage; pairs=$2; shift 2 ;;
     --seed) [ $# -ge 2 ] || usage; seed=$2; shift 2 ;;
     --dir) [ $# -ge 2 ] || usage; dir=$2; shift 2 ;;
+    --claim) [ $# -ge 2 ] || usage; claim=$2; shift 2 ;;
     *) usage ;;
   esac
 done
 [ -n "$workload" ] || usage
 case "$pairs" in ''|*[!0-9]*|0) usage ;; esac
 command -v python3 > /dev/null || { echo "ab.sh needs python3" >&2; exit 2; }
+if [ -n "$claim" ] && ! python3 -c '
+import json, sys
+sys.exit(sys.argv[2] not in [m["name"] for m in json.load(open(sys.argv[1]))["end_to_end"]])
+' "$root/BENCHMARK.json" "$claim"; then
+  echo "ab.sh: --claim $claim is not an end-to-end metric of BENCHMARK.json" >&2
+  exit 2
+fi
 
 mkdir -p "$dir"
 dir=$(cd "$dir" && pwd)
@@ -97,12 +120,14 @@ done
 rm -rf "$parent/build-e2e/work" "$root/build-e2e/work"
 
 python3 - "$root/BENCHMARK.json" "$results" "$pairs" "$workload" "$rev" \
-    "$seed" <<'EOF'
+    "$seed" "$claim" <<'EOF'
 import json, statistics, sys
 
-bench, results, pairs, workload, rev, seed = sys.argv[1:]
+bench, results, pairs, workload, rev, seed, claim = sys.argv[1:]
 pairs = int(pairs)
-better = {m["name"]: m["better"] for m in json.load(open(bench))["end_to_end"]}
+metrics = json.load(open(bench))["end_to_end"]
+better = {m["name"]: m["better"] for m in metrics}
+bound = {m["name"]: m["bound"] for m in metrics}
 
 def load(side, i):
     with open(f"{results}/{side}-{i}.json") as f:
@@ -117,10 +142,25 @@ def quartiles(xs):
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], statistics.median(xs), q[2]
 
+def verdict(name, vals, pm, piqr, cm, wins, sign):
+    # Gaps and spreads relative to the parent's median, as BENCHMARK.json
+    # states its bounds. Ties win for neither side.
+    worse_by = sign * (cm - pm) / abs(pm) if pm else 0.0
+    if name == claim:
+        return ("gain" if 10 * wins >= 9 * pairs and -sign * (cm - pm) > piqr
+                else "no gain")
+    if worse_by > bound[name]:
+        return "worse beyond bound"
+    all_better = all(sign * (c - p) < 0
+                     for c in vals["change"] for p in vals["parent"])
+    if pm and piqr / abs(pm) > bound[name] and not all_better:
+        return "unresolved"
+    return "within bound"
+
 print(f"workload {workload}, seed {seed}, {pairs} pairs: parent {rev} vs "
       "working tree")
 print(f"{'metric':<14} {'parent med':>11} {'IQR':>9} {'change med':>11} "
-      f"{'IQR':>9} {'ratio':>7} {'wins':>6}")
+      f"{'IQR':>9} {'ratio':>7} {'wins':>6}  verdict")
 for name, direction in better.items():
     vals = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in runs}
     p1, pm, p3 = quartiles(vals["parent"])
@@ -128,7 +168,8 @@ for name, direction in better.items():
     sign = 1 if direction == "lower" else -1
     wins = sum(sign * (c - p) < 0 for p, c in zip(vals["parent"], vals["change"]))
     print(f"{name:<14} {pm:>11.2f} {p3 - p1:>9.2f} {cm:>11.2f} {c3 - c1:>9.2f} "
-          f"{cm / pm:>7.3f} {wins:>3}/{pairs}")
+          f"{cm / pm:>7.3f} {wins:>3}/{pairs}  "
+          f"{verdict(name, vals, pm, p3 - p1, cm, wins, sign)}")
 print("all runs correct" if ok else "SOME RUNS FAILED (see the results dir)")
 sys.exit(0 if ok else 1)
 EOF
