@@ -1,13 +1,14 @@
-// Prints hash_frame_shard of three fixed campaigns, one per line as
-// "<name> <hash>". Together they cover both shapes of the simulator's
+// Prints hash_frame_shard of four fixed campaigns, one per line as
+// "<name> <hash>". Together they cover the shapes of the simulator's
 // tick loop: long compute-bound SGEMM kernels that hover at the power
-// cap, and short bulk-synchronous ResNet kernels with barrier idles.
+// cap, short bulk-synchronous ResNet kernels with barrier idles, and
+// memory-bound PageRank kernels that run below the cap.
 //
 // A frame keeps only binned medians and perf_ms, so a last-ulp change
 // in power or temperature can leave every frame hash as it was. The
-// last line therefore hashes the raw bits of every double of every
-// GpuRunResult that run_on_node returns for a few summit-full nodes,
-// running SGEMM at the default cap and at 200 W.
+// last lines therefore hash, per workload, the raw bits of every double
+// of every GpuRunResult that run_on_node returns for a few summit-full
+// nodes, at the default cap and at 200 W.
 //
 // paper_golden.sh compares these lines, as they are, to its table.
 #include <cstdint>
@@ -63,6 +64,7 @@ int main() {
       {"longhorn", "sgemm", 1.0},
       {"summit-full", "resnet-multi", 0.02},
       {"summit-full", "sgemm", 0.02},
+      {"summit-full", "pagerank", 0.02},
   };
   for (const Case& c : cases) {
     const gpuvar::Cluster cluster(gpuvar::cli::cluster_by_name(c.cluster));
@@ -76,25 +78,27 @@ int main() {
   }
 
   const gpuvar::Cluster summit(gpuvar::cli::cluster_by_name("summit-full"));
-  const auto sgemm = gpuvar::cli::workload_by_name("sgemm");
   const int nodes[] = {0, 1043, 2087, 3131, 4175};
-  gpuvar::binio::Fnv1a64 hash;
-  std::string bytes;
-  for (const double cap_w : {0.0, 200.0}) {
-    auto opts = gpuvar::RunOptions::for_sku(summit.sku());
-    opts.power_limit_override = gpuvar::Watts{cap_w};
-    for (const int node : nodes) {
-      for (int run = 0; run < 2; ++run) {
-        bytes.clear();
-        for (const auto& r :
-             gpuvar::run_on_node(summit, node, sgemm, run, opts)) {
-          append_result(bytes, r);
+  for (const char* name : {"sgemm", "resnet-multi", "pagerank"}) {
+    const auto workload = gpuvar::cli::workload_by_name(name);
+    gpuvar::binio::Fnv1a64 hash;
+    std::string bytes;
+    for (const double cap_w : {0.0, 200.0}) {
+      auto opts = gpuvar::RunOptions::for_sku(summit.sku());
+      opts.power_limit_override = gpuvar::Watts{cap_w};
+      for (const int node : nodes) {
+        for (int run = 0; run < 2; ++run) {
+          bytes.clear();
+          for (const auto& r :
+               gpuvar::run_on_node(summit, node, workload, run, opts)) {
+            append_result(bytes, r);
+          }
+          hash.update(bytes);
         }
-        hash.update(bytes);
       }
     }
+    std::printf("summit-full/%s/run_on_node-exact %016llx\n", name,
+                static_cast<unsigned long long>(hash.digest()));
   }
-  std::printf("summit-full/sgemm/run_on_node-exact %016llx\n",
-              static_cast<unsigned long long>(hash.digest()));
   return 0;
 }
