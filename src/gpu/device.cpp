@@ -186,9 +186,10 @@ KernelResult SimulatedGpu::run_kernel(const KernelSpec& kernel,
                                       double stall_scale,
                                       double activity_scale) {
   kernel.validate();
-  GPUVAR_REQUIRE(work_scale > 0.0);
-  GPUVAR_REQUIRE(stall_scale > 0.0);
-  GPUVAR_REQUIRE(activity_scale > 0.0);
+  // An infinite scale would make the rate 0: the tick loop never ends.
+  GPUVAR_REQUIRE(std::isfinite(work_scale) && work_scale > 0.0);
+  GPUVAR_REQUIRE(std::isfinite(stall_scale) && stall_scale > 0.0);
+  GPUVAR_REQUIRE(std::isfinite(activity_scale) && activity_scale > 0.0);
 
   KernelResult result;
   result.start = clock_;
@@ -197,7 +198,6 @@ KernelResult SimulatedGpu::run_kernel(const KernelSpec& kernel,
   const long rc_steps_before = thermal_.steps();
 
   double remaining = 1.0;  // normalized work fraction
-  double freq_time = 0.0, power_time = 0.0, temp_time = 0.0;
 
   // Per-frequency terms, recomputed only when the controller moved the
   // ladder index (most ticks keep it). Same inputs, same doubles.
@@ -256,9 +256,6 @@ KernelResult SimulatedGpu::run_kernel(const KernelSpec& kernel,
         account(dt);
         if (sampler != nullptr) sampler->record_span(clock_, dt, f, peq, teq);
         result.energy += peq * dt;
-        freq_time += f.value() * dt.value();
-        power_time += peq.value() * dt.value();
-        temp_time += teq.value() * dt.value();
         clock_ += dt;
         remaining = 0.0;
         result.fast_forwarded = true;
@@ -272,9 +269,6 @@ KernelResult SimulatedGpu::run_kernel(const KernelSpec& kernel,
     account(dt);
     if (sampler != nullptr) sampler->record_span(clock_, dt, f, p, temp);
     result.energy += p * dt;
-    freq_time += f.value() * dt.value();
-    power_time += p.value() * dt.value();
-    temp_time += temp.value() * dt.value();
     clock_ += dt;
     remaining -= rate * dt.value();
     if (remaining < 1e-12) remaining = 0.0;
@@ -286,16 +280,15 @@ KernelResult SimulatedGpu::run_kernel(const KernelSpec& kernel,
 
   result.duration = clock_ - result.start;
   GPUVAR_ASSERT(result.duration > Seconds{});
-  result.mean_freq = MegaHertz{freq_time / result.duration.value()};
-  result.mean_power = Watts{power_time / result.duration.value()};
-  result.mean_temp = Celsius{temp_time / result.duration.value()};
+  // energy sums the p·dt products the mean needs, in tick order from 0.
+  result.mean_power = result.energy / result.duration;
   flush_tick_counters(dvfs_.decisions() - decisions_before,
                       thermal_.steps() - rc_steps_before);
   return result;
 }
 
 void SimulatedGpu::idle_for(Seconds dt, Sampler* sampler) {
-  GPUVAR_REQUIRE(dt >= Seconds{});
+  GPUVAR_REQUIRE(dt >= Seconds{} && std::isfinite(dt.value()));
   const long decisions_before = dvfs_.decisions();
   const long rc_steps_before = thermal_.steps();
   Seconds remaining = dt;

@@ -38,9 +38,7 @@ struct KernelResult {
   Seconds start{};
   Seconds duration{};
   Joules energy{};
-  MegaHertz mean_freq{};    ///< time-weighted over the kernel
-  Watts mean_power{};
-  Celsius mean_temp{};
+  Watts mean_power{};       ///< energy / duration
   bool fast_forwarded = false;  ///< true if any part was fast-forwarded
 };
 

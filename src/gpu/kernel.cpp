@@ -12,6 +12,8 @@ namespace gpuvar {
 
 void KernelSpec::validate() const {
   GPUVAR_REQUIRE_MSG(flops >= 0.0 && bytes >= 0.0, name);
+  // Infinite work would never finish: the device's rate would be 0.
+  GPUVAR_REQUIRE_MSG(std::isfinite(flops) && std::isfinite(bytes), name);
   GPUVAR_REQUIRE_MSG(flops > 0.0 || bytes > 0.0, name + ": no work");
   GPUVAR_REQUIRE_MSG(compute_efficiency > 0.0 && compute_efficiency <= 1.0,
                      name);

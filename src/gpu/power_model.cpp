@@ -1,8 +1,5 @@
 #include "gpu/power_model.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "common/require.hpp"
 #include "common/units.hpp"
 
@@ -17,11 +14,6 @@ Watts PowerModel::dynamic_power(MegaHertz f, double activity) const {
   const double v = voltage(f).value();
   return Watts{sku_->c_eff * chip_->efficiency_factor * v * v * f.value() *
                activity};
-}
-
-Watts PowerModel::leakage_power(Celsius t) const {
-  return sku_->leakage_at_ref * chip_->leakage_factor *
-         std::exp(sku_->leak_temp_coeff * (t - sku_->leak_ref_temp).value());
 }
 
 Watts PowerModel::total_power(MegaHertz f, double activity, Celsius t) const {

@@ -7,6 +7,8 @@
 // latency-bound SpMV ≈ 0.25).
 #pragma once
 
+#include <cmath>
+
 #include "common/units.hpp"
 #include "gpu/silicon.hpp"
 #include "gpu/sku.hpp"
@@ -24,8 +26,12 @@ class PowerModel {
   /// Dynamic (switching) power at frequency f and activity level.
   Watts dynamic_power(MegaHertz f, double activity) const;
 
-  /// Static leakage power at junction temperature t.
-  Watts leakage_power(Celsius t) const;
+  /// Static leakage power at junction temperature t. Runs once per
+  /// simulated tick, hence defined here.
+  Watts leakage_power(Celsius t) const {
+    return sku_->leakage_at_ref * chip_->leakage_factor *
+           std::exp(sku_->leak_temp_coeff * (t - sku_->leak_ref_temp).value());
+  }
 
   /// Total board power.
   Watts total_power(MegaHertz f, double activity, Celsius t) const;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <utility>
+#include <vector>
 
 #include "common/require.hpp"
 #include "common/units.hpp"
@@ -9,35 +12,38 @@
 
 namespace gpuvar {
 
+namespace {
+// The first window's size in bins.
+constexpr std::size_t kMinWindow = 64;
+}  // namespace
+
 StreamingQuantile::StreamingQuantile(double lo, double hi, double resolution)
     : lo_(lo), resolution_(resolution) {
   GPUVAR_REQUIRE(hi > lo);
   GPUVAR_REQUIRE(resolution > 0.0);
-  const auto bins = static_cast<std::size_t>(
-      std::ceil((hi - lo) / resolution));
-  weights_.assign(bins + 1, 0.0);
+  last_bin_ = static_cast<std::size_t>(std::ceil((hi - lo) / resolution));
 }
 
-void StreamingQuantile::add(double value, double weight) {
-  GPUVAR_REQUIRE(weight >= 0.0);
-  if (weight == 0.0) return;
-  if (total_weight_ == 0.0) {
-    min_ = max_ = value;
+void StreamingQuantile::grow(std::size_t bin) {
+  if (weights_.empty()) base_ = bin;
+  const std::size_t step = std::max(weights_.size(), kMinWindow);
+  std::size_t first = base_;
+  std::size_t end = base_ + weights_.size();
+  if (bin < base_) {
+    first = std::min(bin, base_ - std::min(base_, step));
   } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
+    end = std::min(std::max(bin + 1, end + step), last_bin_ + 1);
   }
-  // The bin is floor(x) clamped to [0, last]. Truncation equals floor
-  // for x > 0, and comparing before the cast keeps huge or NaN x defined.
-  const double x = (value - lo_) / resolution_;
-  const std::size_t last = weights_.size() - 1;
-  std::size_t idx = 0;
-  if (x > 0.0) {
-    idx = x < static_cast<double>(last) ? static_cast<std::size_t>(x) : last;
-  }
-  weights_[idx] += weight;
-  total_weight_ += weight;
-  weighted_sum_ += value * weight;
+  std::vector<double> wider(end - first, 0.0);
+  std::copy(weights_.begin(), weights_.end(),
+            wider.begin() + static_cast<std::ptrdiff_t>(base_ - first));
+  weights_ = std::move(wider);
+  base_ = first;
+}
+
+double StreamingQuantile::center(std::size_t bin) const {
+  const double c = lo_ + (static_cast<double>(bin) + 0.5) * resolution_;
+  return std::clamp(c, min_, max_);
 }
 
 double StreamingQuantile::mean() const {
@@ -49,14 +55,14 @@ double StreamingQuantile::quantile(double q) const {
   GPUVAR_REQUIRE(!empty());
   GPUVAR_REQUIRE(q >= 0.0 && q <= 1.0);
   const double target = q * total_weight_;
+  // A scan of the whole grid sums 0 up to the window, where bin 0
+  // already meets a target <= 0, and its sum stops growing past the
+  // window. Only the window can answer any other target.
+  if (0.0 >= target) return center(0);
   double acc = 0.0;
   for (std::size_t i = 0; i < weights_.size(); ++i) {
     acc += weights_[i];
-    if (acc >= target) {
-      const double center =
-          lo_ + (static_cast<double>(i) + 0.5) * resolution_;
-      return std::clamp(center, min_, max_);
-    }
+    if (acc >= target) return center(base_ + i);
   }
   return max_;
 }
@@ -69,15 +75,8 @@ Sampler::Sampler(const SamplerOptions& opts)
   opts_.series_interval = std::max(opts_.series_interval, kMinSamplingInterval);
 }
 
-void Sampler::record_span(Seconds t, Seconds dt, MegaHertz f, Watts p,
+void Sampler::emit_series(Seconds t, Seconds dt, MegaHertz f, Watts p,
                           Celsius temp) {
-  GPUVAR_REQUIRE(dt >= Seconds{});
-  if (dt == Seconds{}) return;
-  freq_.add(f.value(), dt.value());
-  power_.add(p.value(), dt.value());
-  temp_.add(temp.value(), dt.value());
-
-  if (!opts_.keep_series) return;
   // Emit decimated samples at the configured interval across the span.
   // Sample times derive from an integer index so accumulated float error
   // can never add or drop a sample.

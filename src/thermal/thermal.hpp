@@ -9,6 +9,9 @@
 // water loops a narrow one.
 #pragma once
 
+#include <cmath>
+
+#include "common/require.hpp"
 #include "common/units.hpp"
 
 namespace gpuvar {
@@ -28,10 +31,27 @@ class ThermalModel {
 
   /// Advance the model by dt under dissipated power p, using the exact
   /// solution of the linear ODE for constant p (stable for any dt).
-  void step(Seconds dt, Watts p);
+  /// Runs once per simulated tick, hence defined here.
+  void step(Seconds dt, Watts p) {
+    GPUVAR_REQUIRE(dt >= Seconds{});
+    GPUVAR_ASSERT(p >= Watts{});
+    // Count locally; the owning device reports the total per call.
+    ++steps_;
+    // Exact solution of the linear ODE over dt (unconditionally stable,
+    // exact for constant p): T(t+dt) = Teq + (T - Teq)·exp(-dt/τ).
+    const Celsius teq = equilibrium(p);
+    if (dt != decay_dt_) {
+      decay_dt_ = dt;
+      decay_ = std::exp(-(dt / time_constant()));
+    }
+    temp_ = teq + (temp_ - teq) * decay_;
+    GPUVAR_ASSERT(temp_ > kAbsoluteZero);
+  }
 
   /// The steady-state temperature under constant power p.
-  Celsius equilibrium(Watts p) const;
+  Celsius equilibrium(Watts p) const {
+    return params_.coolant + Celsius{p.value() * params_.r_c_per_w};
+  }
 
   /// Jump directly to the steady state for power p (used by the
   /// fast-forward optimizer once the control loop has stabilized).
@@ -41,7 +61,9 @@ class ThermalModel {
   void reset(Watts idle_power);
 
   /// RC time constant (s).
-  Seconds time_constant() const;
+  Seconds time_constant() const {
+    return Seconds{params_.r_c_per_w * params_.c_j_per_c};
+  }
 
   /// Number of step() calls since construction.
   long steps() const { return steps_; }

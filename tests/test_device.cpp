@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -202,6 +203,31 @@ TEST_F(DeviceTest, RejectsBadScales) {
   EXPECT_THROW(dev.run_kernel(k, nullptr, 0.0), std::invalid_argument);
   EXPECT_THROW(dev.run_kernel(k, nullptr, 1.0, -1.0), std::invalid_argument);
   EXPECT_THROW(dev.idle_for(Seconds{-1.0}, nullptr), std::invalid_argument);
+}
+
+// Infinite work or an infinite scale makes the rate 0. On the
+// time-series path (no fast-forward) the tick loop would never end; with
+// fast-forward the kernel would take forever in one span. Both refuse.
+TEST_F(DeviceTest, RejectsNonFiniteWork) {
+  const double inf = std::numeric_limits<double>::infinity();
+  SimOptions ticking;
+  ticking.fast_forward = false;
+  for (const SimOptions& opts : {SimOptions{}, ticking}) {
+    auto dev = make_device(opts);
+    const auto k = make_sgemm_kernel(8192);
+    EXPECT_THROW(dev.run_kernel(k, nullptr, inf), std::invalid_argument);
+    EXPECT_THROW(dev.run_kernel(k, nullptr, 1.0, inf), std::invalid_argument);
+    EXPECT_THROW(dev.run_kernel(k, nullptr, 1.0, 1.0, inf),
+                 std::invalid_argument);
+    KernelSpec endless = k;
+    endless.flops = inf;
+    EXPECT_THROW(dev.run_kernel(endless, nullptr), std::invalid_argument);
+    endless = k;
+    endless.bytes = inf;
+    EXPECT_THROW(dev.run_kernel(endless, nullptr), std::invalid_argument);
+    EXPECT_THROW(dev.idle_for(Seconds{inf}, nullptr), std::invalid_argument);
+    EXPECT_DOUBLE_EQ(dev.clock().value(), 0.0);
+  }
 }
 
 // The fast-forward check refuses from the first fixed point solved at a

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace gpuvar {
 namespace {
 
@@ -110,6 +112,17 @@ TEST_F(KernelTest, ValidateRejectsNonsense) {
   EXPECT_THROW(k.validate(), std::invalid_argument);
   k.activity = 0.5;
   k.fu_util = 11.0;
+  EXPECT_THROW(k.validate(), std::invalid_argument);
+}
+
+TEST_F(KernelTest, ValidateRejectsInfiniteWork) {
+  const double inf = std::numeric_limits<double>::infinity();
+  KernelSpec k;
+  k.name = "endless";
+  k.flops = inf;
+  EXPECT_THROW(k.validate(), std::invalid_argument);
+  k.flops = 1.0;
+  k.bytes = inf;
   EXPECT_THROW(k.validate(), std::invalid_argument);
 }
 

@@ -1,10 +1,132 @@
 #include "gpu/sampler.hpp"
+#include "common/rng.hpp"
 #include "common/units.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 namespace gpuvar {
 namespace {
+
+// The grid StreamingQuantile had before its bins were windowed: every
+// bin allocated up front and quantile() scanning all of them. The
+// windowed one must match it to the bit.
+class DenseQuantile {
+ public:
+  DenseQuantile(double lo, double hi, double resolution)
+      : lo_(lo), resolution_(resolution) {
+    weights_.assign(
+        static_cast<std::size_t>(std::ceil((hi - lo) / resolution)) + 1, 0.0);
+  }
+
+  void add(double value, double weight) {
+    if (weight == 0.0) return;
+    if (total_weight_ == 0.0) {
+      min_ = max_ = value;
+    } else {
+      min_ = std::min(min_, value);
+      max_ = std::max(max_, value);
+    }
+    const double x = (value - lo_) / resolution_;
+    const std::size_t last = weights_.size() - 1;
+    std::size_t idx = 0;
+    if (x > 0.0) {
+      idx = x < static_cast<double>(last) ? static_cast<std::size_t>(x) : last;
+    }
+    weights_[idx] += weight;
+    total_weight_ += weight;
+    weighted_sum_ += value * weight;
+  }
+
+  double quantile(double q) const {
+    const double target = q * total_weight_;
+    double acc = 0.0;
+    for (std::size_t i = 0; i < weights_.size(); ++i) {
+      acc += weights_[i];
+      if (acc >= target) {
+        const double center =
+            lo_ + (static_cast<double>(i) + 0.5) * resolution_;
+        return std::clamp(center, min_, max_);
+      }
+    }
+    return max_;
+  }
+
+  double lo_, resolution_;
+  std::vector<double> weights_;
+  double total_weight_ = 0.0;
+  double weighted_sum_ = 0.0;
+  double min_ = 0.0, max_ = 0.0;
+};
+
+// The bits of v, with every NaN as one: IEEE leaves a NaN result's sign
+// and payload open, and a compiler may commute an operation's operands.
+std::uint64_t bits(double v) {
+  return std::isnan(v) ? 0x7ff8000000000000u : std::bit_cast<std::uint64_t>(v);
+}
+
+TEST(StreamingQuantile, WindowedBinsMatchDenseGridBitForBit) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double qs[] = {0.0, 1e-9, 0.5, 1.0 - 1e-12, 1.0};
+  Rng rng(2022);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const double lo = rng.uniform(-50.0, 50.0);
+    const double hi = lo + rng.uniform(1.0, 500.0);
+    const double res = rng.uniform(0.05, 1.0);
+    StreamingQuantile windowed(lo, hi, res);
+    DenseQuantile dense(lo, hi, res);
+    // Values cluster in a random sub-range, so windows start anywhere
+    // and grow both ways.
+    const double centre = rng.uniform(lo, hi);
+    const double spread = (hi - lo) * rng.uniform(0.0, 0.5);
+    const int adds = 1 + static_cast<int>(rng.uniform_index(300));
+    double value = centre;
+    for (int i = 0; i < adds; ++i) {
+      // Long runs of a repeated value, as a steady ladder index gives.
+      if (i == 0 || !rng.bernoulli(0.7)) {
+        const double u = rng.uniform();
+        if (u < 0.03) {
+          value = nan;
+        } else if (u < 0.06) {
+          value = inf;
+        } else if (u < 0.09) {
+          value = -inf;
+        } else if (u < 0.14) {
+          value = lo - rng.uniform(0.0, 100.0);
+        } else if (u < 0.19) {
+          value = hi + rng.uniform(0.0, 100.0);
+        } else if (u < 0.22) {
+          value = rng.bernoulli(0.5) ? 0.0 : -0.0;
+        } else if (u < 0.32) {
+          // One ulp off the last value: same bin, new min or max.
+          value = std::nextafter(value, rng.bernoulli(0.5) ? inf : -inf);
+        } else {
+          value = centre + rng.uniform(-spread, spread);
+        }
+      }
+      const double weight = rng.bernoulli(0.1) ? 0.0 : rng.uniform(0.0, 2.0);
+      windowed.add(value, weight);
+      dense.add(value, weight);
+    }
+    ASSERT_EQ(bits(windowed.total_weight()), bits(dense.total_weight_));
+    ASSERT_EQ(bits(windowed.weighted_sum()), bits(dense.weighted_sum_));
+    if (windowed.empty()) continue;
+    ASSERT_EQ(bits(windowed.min()), bits(dense.min_)) << "trial " << trial;
+    ASSERT_EQ(bits(windowed.max()), bits(dense.max_)) << "trial " << trial;
+    for (const double q : qs) {
+      ASSERT_EQ(bits(windowed.quantile(q)), bits(dense.quantile(q)))
+          << "trial " << trial << " q " << q;
+    }
+  }
+}
 
 TEST(StreamingQuantile, ExactMinMaxMean) {
   StreamingQuantile q(0.0, 100.0, 0.1);

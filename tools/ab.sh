@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# A/B comparison of the end-to-end benchmark (bench/e2e) between a parent
-# revision and the working tree.
+# A/B comparison between a parent revision and the working tree, of the
+# end-to-end benchmark (bench/e2e) or of any command.
 #
 #   tools/ab.sh PARENT_REV --workload W [--pairs N] [--seed S] [--dir DIR]
 #               [--claim METRIC]
+#   tools/ab.sh PARENT_REV [--pairs N] [--dir DIR] -- CMD...
 #
 # Exports PARENT_REV with `git archive` into DIR (default build-ab/ at the
 # repo root; an earlier export of the same commit is reused), builds
@@ -29,6 +30,15 @@
 # Bounds and IQRs are relative to the parent's median. Every run's JSON
 # line is kept under DIR/results/. Exits 1 if any run fails or is not
 # correct.
+#
+# The `-- CMD` form builds a Release `gpuvar` on both sides instead and
+# runs CMD in N alternating pairs, with `{gpuvar}` replaced by the side's
+# binary and `{out}` by a fresh path of the run (made a directory first
+# when CMD names `{out}/...`). It prints each side's wall-time median and
+# IQR and the pairs the change won, then compares every pair's {out}:
+# `cmp` for a file, `diff -r` for a directory. Exits 1 if any run fails
+# or any pair's outputs differ. CMD runs in DIR/results/cmd/, where each
+# run's stdout and stderr are kept.
 set -euo pipefail
 
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
@@ -36,6 +46,7 @@ root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 usage() {
   echo "usage: $0 PARENT_REV --workload W [--pairs N] [--seed S]" \
        "[--dir DIR] [--claim METRIC]" >&2
+  echo "       $0 PARENT_REV [--pairs N] [--dir DIR] -- CMD..." >&2
   exit 2
 }
 
@@ -47,6 +58,7 @@ pairs=10
 seed=0
 dir="$root/build-ab"
 claim=""
+cmd=()
 while [ $# -gt 0 ]; do
   case "$1" in
     --workload) [ $# -ge 2 ] || usage; workload=$2; shift 2 ;;
@@ -54,10 +66,16 @@ while [ $# -gt 0 ]; do
     --seed) [ $# -ge 2 ] || usage; seed=$2; shift 2 ;;
     --dir) [ $# -ge 2 ] || usage; dir=$2; shift 2 ;;
     --claim) [ $# -ge 2 ] || usage; claim=$2; shift 2 ;;
+    --) shift; [ $# -ge 1 ] || usage; cmd=("$@"); break ;;
     *) usage ;;
   esac
 done
-[ -n "$workload" ] || usage
+# Exactly one of the two forms; --seed and --claim belong to bench/e2e.
+if [ ${#cmd[@]} -gt 0 ]; then
+  [ -z "$workload" ] && [ -z "$claim" ] && [ "$seed" = 0 ] || usage
+else
+  [ -n "$workload" ] || usage
+fi
 case "$pairs" in ''|*[!0-9]*|0) usage ;; esac
 command -v python3 > /dev/null || { echo "ab.sh needs python3" >&2; exit 2; }
 if [ -n "$claim" ] && ! python3 -c '
@@ -72,7 +90,11 @@ mkdir -p "$dir"
 dir=$(cd "$dir" && pwd)
 rev=$(git -C "$root" rev-parse --short "$parent_rev^{commit}")
 parent="$dir/parent-$rev"
-results="$dir/results/$workload-seed$seed"
+if [ ${#cmd[@]} -gt 0 ]; then
+  results="$dir/results/cmd"
+else
+  results="$dir/results/$workload-seed$seed"
+fi
 rm -rf "$results"
 mkdir -p "$results"
 # A commit's export never changes, so a finished one (and its build) is
@@ -82,6 +104,87 @@ if [ ! -f "$parent/.ab-exported" ]; then
   mkdir -p "$parent"
   git -C "$root" archive "$rev" | tar -x -C "$parent"
   touch "$parent/.ab-exported"
+fi
+
+if [ ${#cmd[@]} -gt 0 ]; then
+  # Build both sides up front, so no pair pays for a compile.
+  for side in "$parent" "$root"; do
+    echo "building gpuvar in $side" >&2
+    cmake -S "$side" -B "$side/build-ab-release" -DCMAKE_BUILD_TYPE=Release \
+          > /dev/null
+    cmake --build "$side/build-ab-release" --target gpuvar_cli -j "$(nproc)" \
+          > /dev/null
+  done
+
+  # run_cmd NAME TREE PAIR: one run of CMD; its start and end times go
+  # to the results.
+  run_cmd() {
+    local out="$results/$1-$3.out"
+    local argv=() arg t0
+    for arg in "${cmd[@]}"; do
+      arg=${arg//\{gpuvar\}/$2/build-ab-release/tools/gpuvar}
+      argv+=("${arg//\{out\}/$out}")
+    done
+    case " ${cmd[*]}" in *"{out}/"*) mkdir -p "$out" ;; esac
+    echo "pair $3/$pairs: $1" >&2
+    t0=$EPOCHREALTIME
+    if ! (cd "$results" && "${argv[@]}") > "$results/$1-$3.log" 2>&1; then
+      echo "ab.sh: $1 run of pair $3 failed; see $results/$1-$3.log" >&2
+      exit 1
+    fi
+    echo "$t0 $EPOCHREALTIME" > "$results/$1-$3.time"
+  }
+
+  differ=0
+  for ((i = 1; i <= pairs; i++)); do
+    if ((i % 2)); then
+      run_cmd parent "$parent" "$i"
+      run_cmd change "$root" "$i"
+    else
+      run_cmd change "$root" "$i"
+      run_cmd parent "$parent" "$i"
+    fi
+    p="$results/parent-$i.out"
+    c="$results/change-$i.out"
+    if [ -d "$p" ]; then
+      diff -r "$p" "$c" > /dev/null || differ=$i
+    elif [ -e "$p" ] || [ -e "$c" ]; then
+      cmp -s "$p" "$c" || differ=$i
+    fi
+    [ "$differ" != "$i" ] || echo "pair $i: outputs differ" >&2
+  done
+
+  python3 - "$results" "$pairs" "$rev" "$differ" "${cmd[*]}" <<'EOF'
+import statistics, sys
+
+results, pairs, rev, differ, cmd = sys.argv[1:]
+pairs = int(pairs)
+
+def wall(side, i):
+    t0, t1 = open(f"{results}/{side}-{i}.time").read().split()
+    return float(t1) - float(t0)
+
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q = statistics.quantiles(xs, n=4, method="inclusive")
+    return q[0], statistics.median(xs), q[2]
+
+runs = {s: [wall(s, i) for i in range(1, pairs + 1)] for s in ("parent", "change")}
+p1, pm, p3 = quartiles(runs["parent"])
+c1, cm, c3 = quartiles(runs["change"])
+wins = sum(c < p for p, c in zip(runs["parent"], runs["change"]))
+print(f"{cmd}")
+print(f"{pairs} pairs: parent {rev} vs working tree")
+print(f"{'metric':<14} {'parent med':>11} {'IQR':>9} {'change med':>11} "
+      f"{'IQR':>9} {'ratio':>7} {'wins':>6}")
+print(f"{'wall_s':<14} {pm:>11.3f} {p3 - p1:>9.3f} {cm:>11.3f} {c3 - c1:>9.3f} "
+      f"{cm / pm:>7.3f} {wins:>3}/{pairs}")
+print("outputs identical on every pair" if differ == "0"
+      else "OUTPUTS DIFFER (see the results dir)")
+sys.exit(0 if differ == "0" else 1)
+EOF
+  exit
 fi
 
 # Build both sides up front, so no pair pays for a compile.
