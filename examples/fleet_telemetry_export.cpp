@@ -18,24 +18,17 @@ int main(int argc, char** argv) {
   auto cfg = default_config(cluster, sgemm_workload(25536, 8), 2);
   const auto result = run_campaign(cluster, cfg);
 
-  // Per-run summary CSV.
-  std::vector<GpuRunResult> rows;  // re-run one node to get result objects
-  const auto opts = RunOptions::for_sku(cluster.sku());
-  for (int node = 0; node < cluster.node_count(); ++node) {
-    for (auto& r : run_on_node(cluster, node, cfg.workload, 0, opts)) {
-      rows.push_back(std::move(r));
-    }
-  }
+  // Per-run summary CSV: one row per frame row.
   const auto summary_path = out_dir / "vortex_sgemm_runs.csv";
   {
     std::ofstream out(summary_path);
-    export_results_csv(out, cluster.name(), cluster.locations(), rows);
+    export_frame_csv(out, cluster.name(), result.frame);
   }
-  std::cout << "wrote " << rows.size() << " run rows to " << summary_path
-            << "\n";
+  std::cout << "wrote " << result.frame.size() << " run rows to "
+            << summary_path << "\n";
 
   // Full time series for GPU 0 (profiler resolution).
-  RunOptions series_opts = opts;
+  RunOptions series_opts = RunOptions::for_sku(cluster.sku());
   series_opts.collect_series = true;
   series_opts.series_interval = Seconds{0.001};  // the 1 ms profiler floor
   const auto traced =

@@ -2,6 +2,9 @@
 //
 // Quotes fields per RFC 4180 only when needed (comma, quote, newline).
 //
+// Doubles are written as the shortest string that parses back to the
+// same bits (format_double), so a CSV round trip loses nothing.
+//
 // The writer is buffered: fields append into an internal byte buffer
 // (numbers through std::to_chars, escaping done in place — no per-field
 // or per-row std::string temporaries), and whole chunks of rows go to
@@ -34,6 +37,8 @@ class CsvWriter {
   /// Begins a row; append fields with add(), finish with end_row().
   CsvWriter& add(std::string_view field);
   CsvWriter& add(double value);
+  /// Writes `value` into the next `copies` fields, formatting it once.
+  CsvWriter& add_repeated(double value, std::size_t copies);
   CsvWriter& add(long long value);
   CsvWriter& add(int value) { return add(static_cast<long long>(value)); }
   CsvWriter& add(std::size_t value) {

@@ -1,40 +1,78 @@
 // Minimal CSV reader (RFC 4180 quoting), the inverse of CsvWriter — lets
 // the analysis pipeline consume measurements produced elsewhere (a real
 // NVML collector, the paper artifact's outputs, a previous campaign).
+//
+// The input is held once: the constructor reads the whole stream into
+// one buffer and keeps each field as an offset range into it. A quoted
+// field that needs unescaping (a doubled quote, a quote in mid-field, a
+// stray CR) is rewritten in place, which never lengthens it, so no field
+// is copied out. Every error names the 1-based line its record starts
+// on ("line 17: ...").
 #pragma once
 
+#include <cstdint>
 #include <istream>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gpuvar {
 
 class CsvReader {
  public:
-  /// Parses the whole stream; the first row is the header.
-  /// Throws std::invalid_argument on malformed input (unterminated
-  /// quotes, rows wider than the header).
+  /// Parses the whole stream; the first record is the header. Quoted
+  /// fields may span lines; CRLF line ends and blank lines are skipped.
+  /// Throws std::invalid_argument on malformed input (empty input,
+  /// unterminated quotes, a row wider or narrower than the header).
   explicit CsvReader(std::istream& in);
 
   const std::vector<std::string>& columns() const { return columns_; }
-  std::size_t rows() const { return rows_.size(); }
+  std::size_t rows() const { return lines_.size(); }
 
-  bool has_column(const std::string& name) const;
+  bool has_column(std::string_view name) const {
+    return find_column(name).has_value();
+  }
+  /// Index of the first column called `name`, if any.
+  std::optional<std::size_t> find_column(std::string_view name) const;
+  /// Index of the first column called `name`; throws on an unknown one.
+  std::size_t column(std::string_view name) const;
 
-  /// Field by row index and column name. Throws on unknown column or
-  /// out-of-range row.
-  const std::string& field(std::size_t row, const std::string& column) const;
+  /// 1-based input line on which row `row`'s record starts.
+  std::size_t line(std::size_t row) const;
 
-  /// Typed accessors; throw std::invalid_argument on parse failure.
-  double number(std::size_t row, const std::string& column) const;
-  long long integer(std::size_t row, const std::string& column) const;
+  /// Field by row and column; the view lives as long as the reader.
+  /// Throws on an out-of-range row or column, or an unknown column name.
+  std::string_view field(std::size_t row, std::size_t col) const;
+  std::string_view field(std::size_t row, std::string_view name) const {
+    return field(row, column(name));
+  }
+
+  /// Typed accessors; throw std::invalid_argument naming the line, the
+  /// text and the column on parse failure.
+  double number(std::size_t row, std::size_t col) const;
+  long long integer(std::size_t row, std::size_t col) const;
+  double number(std::size_t row, std::string_view name) const {
+    return number(row, column(name));
+  }
+  long long integer(std::size_t row, std::string_view name) const {
+    return integer(row, column(name));
+  }
+
+  /// Throws std::invalid_argument("line N: " + what) for row `row`.
+  [[noreturn]] void fail(std::size_t row, const std::string& what) const;
 
  private:
+  /// A field's bytes: buf_[begin, end).
+  struct Span {
+    std::uint32_t begin;
+    std::uint32_t end;
+  };
+
+  std::string buf_;
   std::vector<std::string> columns_;
-  std::map<std::string, std::size_t> index_;
-  std::vector<std::vector<std::string>> rows_;
+  std::vector<Span> fields_;           ///< row-major, columns_.size() a row
+  std::vector<std::uint32_t> lines_;   ///< per row, its first line
 };
 
 /// Parses one CSV line (exposed for testing). Handles quoted fields with

@@ -6,7 +6,12 @@
 
 namespace gpuvar {
 
-void append_double(std::string& out, double value, int precision) {
+namespace {
+
+/// Appends to_chars(value, format...) for a finite value, and "nan",
+/// "inf" or "-inf" (what parse_double reads back) for the rest.
+template <typename... Format>
+void append_double_as(std::string& out, double value, Format... format) {
   if (std::isnan(value)) {
     out += "nan";
     return;
@@ -16,15 +21,30 @@ void append_double(std::string& out, double value, int precision) {
     return;
   }
   char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), value,
-                                 std::chars_format::general, precision);
+  const auto res = std::to_chars(buf, buf + sizeof(buf), value, format...);
   out.append(buf, static_cast<std::size_t>(res.ptr - buf));
+}
+
+}  // namespace
+
+void append_double(std::string& out, double value) {
+  append_double_as(out, value);
+}
+
+void append_double(std::string& out, double value, int precision) {
+  append_double_as(out, value, std::chars_format::general, precision);
 }
 
 void append_int(std::string& out, long long value) {
   char buf[32];
   const auto res = std::to_chars(buf, buf + sizeof(buf), value);
   out.append(buf, static_cast<std::size_t>(res.ptr - buf));
+}
+
+std::string format_double(double value) {
+  std::string out;
+  append_double(out, value);
+  return out;
 }
 
 std::string format_double(double value, int precision) {

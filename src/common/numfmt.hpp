@@ -14,16 +14,22 @@
 
 namespace gpuvar {
 
-/// Formats like printf "%.<precision>g" in the C locale. Non-finite
-/// values format as "nan", "inf", "-inf".
-std::string format_double(double value, int precision = 10);
+/// Formats the shortest string that parses back to exactly `value`
+/// (std::to_chars with no format or precision: "0.1", "1530",
+/// "1e-300"). Non-finite values format as "nan", "inf", "-inf".
+std::string format_double(double value);
+
+/// Formats like printf "%.<precision>g" in the C locale; non-finite
+/// values as above.
+std::string format_double(double value, int precision);
 
 /// Locale-independent integer formatting.
 std::string format_int(long long value);
 
 /// Appends format_double's exact bytes to `out` without a temporary
 /// string — the per-cell path of the buffered CSV writer.
-void append_double(std::string& out, double value, int precision = 10);
+void append_double(std::string& out, double value);
+void append_double(std::string& out, double value, int precision);
 
 /// Appends format_int's exact bytes to `out` without a temporary.
 void append_int(std::string& out, long long value);

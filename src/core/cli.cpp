@@ -554,7 +554,15 @@ Input open_input(const std::string& path, const query::DatasetOptions& dopts,
   }
   std::ifstream file(path);
   GPUVAR_REQUIRE_MSG(file.good(), "cannot open " + path);
-  RecordFrame all = import_results_frame(file);
+  RecordFrame all;
+  try {
+    all = import_results_frame(file);
+  } catch (const std::invalid_argument& e) {
+    // "results.csv line 17: ..." or "results.csv: empty CSV input".
+    const std::string what = e.what();
+    throw std::invalid_argument(
+        path + (what.starts_with("line ") ? " " : ": ") + what);
+  }
   GPUVAR_REQUIRE_MSG(!all.empty(), "no records in " + path);
   if (summary != nullptr) *summary << "loaded " << all.size() << " records\n";
   in.frame.emplace(std::move(all));

@@ -1,53 +1,18 @@
 #include "telemetry/export.hpp"
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "common/csv.hpp"
 #include "common/csv_reader.hpp"
 #include "common/rng.hpp"
-#include "common/require.hpp"
 #include "common/location.hpp"
 #include "gpu/timeseries.hpp"
 #include "telemetry/frame.hpp"
 #include "telemetry/record.hpp"
-#include "telemetry/run_result.hpp"
 
 namespace gpuvar {
-
-void export_results_csv(std::ostream& out, std::string_view cluster_name,
-                        std::span<const GpuLocation> locations,
-                        std::span<const GpuRunResult> results) {
-  CsvWriter csv(out);
-  csv.header({"cluster", "gpu", "node", "cabinet", "run", "perf_ms",
-              "freq_mhz_median", "freq_mhz_min", "freq_mhz_max",
-              "power_w_median", "power_w_min", "power_w_max",
-              "temp_c_median", "temp_c_min", "temp_c_max", "energy_j",
-              "fu_util", "dram_util", "mem_stall_frac", "exec_stall_frac"});
-  for (const auto& r : results) {
-    GPUVAR_REQUIRE_MSG(r.gpu_index < locations.size(),
-                       "result gpu_index outside the location table");
-    const GpuLocation& loc = locations[r.gpu_index];
-    csv.add(cluster_name)
-        .add(loc.name)
-        .add(static_cast<long long>(loc.node))
-        .add(static_cast<long long>(loc.cabinet))
-        .add(static_cast<long long>(r.run_index))
-        .add(r.perf_ms)
-        .add(r.telemetry.freq.median)
-        .add(r.telemetry.freq.min)
-        .add(r.telemetry.freq.max)
-        .add(r.telemetry.power.median)
-        .add(r.telemetry.power.min)
-        .add(r.telemetry.power.max)
-        .add(r.telemetry.temp.median)
-        .add(r.telemetry.temp.min)
-        .add(r.telemetry.temp.max)
-        .add(r.telemetry.energy.value())
-        .add(r.counters.fu_util)
-        .add(r.counters.dram_util)
-        .add(r.counters.mem_stall_frac)
-        .add(r.counters.exec_stall_frac);
-    csv.end_row();
-  }
-}
 
 void export_frame_csv(std::ostream& out, std::string_view cluster_name,
                       const RecordFrame& frame) {
@@ -75,15 +40,9 @@ void export_frame_csv(std::ostream& out, std::string_view cluster_name,
         .add(static_cast<long long>(loc.cabinet))
         .add(static_cast<long long>(frame.run_index(i)))
         .add(perf[i])
-        .add(freq[i])
-        .add(freq[i])
-        .add(freq[i])
-        .add(power[i])
-        .add(power[i])
-        .add(power[i])
-        .add(temp[i])
-        .add(temp[i])
-        .add(temp[i])
+        .add_repeated(freq[i], 3)
+        .add_repeated(power[i], 3)
+        .add_repeated(temp[i], 3)
         .add(0.0)
         .add(fu[i])
         .add(dram[i])
@@ -108,48 +67,77 @@ void export_series_csv(std::ostream& out, const TimeSeries& series) {
 }
 
 RecordFrame import_results_frame(std::istream& in) {
-  CsvReader csv(in);
-  for (const char* col :
-       {"gpu", "node", "cabinet", "run", "perf_ms", "freq_mhz_median",
-        "power_w_median", "temp_c_median"}) {
-    GPUVAR_REQUIRE_MSG(csv.has_column(col),
-                       std::string("results CSV missing column: ") + col);
-  }
+  const CsvReader csv(in);
+  const auto required = [&](const char* name) {
+    const auto c = csv.find_column(name);
+    if (!c) {
+      throw std::invalid_argument(
+          std::string("line 1: results CSV missing column: ") + name);
+    }
+    return *c;
+  };
+  const std::size_t gpu = required("gpu");
+  const std::size_t node = required("node");
+  const std::size_t cabinet = required("cabinet");
+  const std::size_t run = required("run");
+  const std::size_t perf = required("perf_ms");
+  const std::size_t freq = required("freq_mhz_median");
+  const std::size_t power = required("power_w_median");
+  const std::size_t temp = required("temp_c_median");
+  const auto day = csv.find_column("day_of_week");
   const bool has_counters = csv.has_column("fu_util");
-  const bool has_day = csv.has_column("day_of_week");
-  const bool has_full_loc = csv.has_column("gpu_in_node") &&
-                            csv.has_column("row_idx") &&
-                            csv.has_column("column_idx") &&
-                            csv.has_column("node_in_group");
+  const std::size_t fu = has_counters ? required("fu_util") : 0;
+  const std::size_t dram = has_counters ? required("dram_util") : 0;
+  const std::size_t mem_stall = has_counters ? required("mem_stall_frac") : 0;
+  const std::size_t exec_stall =
+      has_counters ? required("exec_stall_frac") : 0;
+  const auto gpu_in_node = csv.find_column("gpu_in_node");
+  const auto row_idx = csv.find_column("row_idx");
+  const auto column_idx = csv.find_column("column_idx");
+  const auto node_in_group = csv.find_column("node_in_group");
+  const bool has_full_loc = gpu_in_node && row_idx && column_idx &&
+                            node_in_group;
+
+  // One record, reused: each row overwrites exactly the fields the
+  // schema carries, and the rest keep their defaults.
   RecordFrame frame;
   frame.reserve(csv.rows());
+  RunRecord r;
   for (std::size_t row = 0; row < csv.rows(); ++row) {
-    RunRecord r;
-    r.loc.name = csv.field(row, "gpu");
-    r.loc.node = static_cast<int>(csv.integer(row, "node"));
-    r.loc.cabinet = static_cast<int>(csv.integer(row, "cabinet"));
+    const auto int_at = [&](std::size_t col) {
+      const long long v = csv.integer(row, col);
+      if (v < std::numeric_limits<int>::min() ||
+          v > std::numeric_limits<int>::max()) {
+        csv.fail(row, "integer out of range '" +
+                          std::string(csv.field(row, col)) + "' in column " +
+                          csv.columns()[col]);
+      }
+      return static_cast<int>(v);
+    };
+    r.loc.name.assign(csv.field(row, gpu));
+    r.loc.node = int_at(node);
+    r.loc.cabinet = int_at(cabinet);
     if (has_full_loc) {
-      r.loc.gpu = static_cast<int>(csv.integer(row, "gpu_in_node"));
-      r.loc.row = static_cast<int>(csv.integer(row, "row_idx"));
-      r.loc.column = static_cast<int>(csv.integer(row, "column_idx"));
-      r.loc.node_in_group =
-          static_cast<int>(csv.integer(row, "node_in_group"));
+      r.loc.gpu = int_at(*gpu_in_node);
+      r.loc.row = int_at(*row_idx);
+      r.loc.column = int_at(*column_idx);
+      r.loc.node_in_group = int_at(*node_in_group);
     }
     // Synthesize a stable per-name GPU index: (node, name hash) suffices
     // for grouping since names are unique per GPU.
     r.gpu_index = static_cast<std::size_t>(
         derive_seed(0x6B5, r.loc.name) % (1ull << 48));
-    r.run_index = static_cast<int>(csv.integer(row, "run"));
-    if (has_day) r.day_of_week = static_cast<int>(csv.integer(row, "day_of_week"));
-    r.perf_ms = csv.number(row, "perf_ms");
-    r.freq_mhz = csv.number(row, "freq_mhz_median");
-    r.power_w = csv.number(row, "power_w_median");
-    r.temp_c = csv.number(row, "temp_c_median");
+    r.run_index = int_at(run);
+    if (day) r.day_of_week = int_at(*day);
+    r.perf_ms = csv.number(row, perf);
+    r.freq_mhz = csv.number(row, freq);
+    r.power_w = csv.number(row, power);
+    r.temp_c = csv.number(row, temp);
     if (has_counters) {
-      r.counters.fu_util = csv.number(row, "fu_util");
-      r.counters.dram_util = csv.number(row, "dram_util");
-      r.counters.mem_stall_frac = csv.number(row, "mem_stall_frac");
-      r.counters.exec_stall_frac = csv.number(row, "exec_stall_frac");
+      r.counters.fu_util = csv.number(row, fu);
+      r.counters.dram_util = csv.number(row, dram);
+      r.counters.mem_stall_frac = csv.number(row, mem_stall);
+      r.counters.exec_stall_frac = csv.number(row, exec_stall);
     }
     frame.append_row(r);
   }

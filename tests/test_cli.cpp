@@ -321,6 +321,27 @@ TEST_F(CliTest, AnalyzeMissingFileFailsGracefully) {
   EXPECT_NE(err.find("error:"), std::string::npos);
 }
 
+TEST_F(CliTest, BadCsvErrorNamesFileAndLine) {
+  make_campaign("3", "1");
+  // Corrupt the perf_ms cell of the first data row (line 2).
+  std::string text;
+  {
+    std::ifstream in(csv());
+    std::getline(in, text, '\0');
+  }
+  std::size_t at = text.find('\n') + 1;
+  for (int comma = 0; comma < 5; ++comma) at = text.find(',', at) + 1;
+  text.replace(at, text.find(',', at) - at, "abc");
+  const std::string bad = path("bad.csv");
+  std::ofstream(bad) << text;
+
+  std::string err;
+  EXPECT_EQ(run({"analyze", bad}, nullptr, &err), 1);
+  EXPECT_TRUE(contains(err, bad + " line 2: not a number 'abc' in column "
+                                  "perf_ms"))
+      << err;
+}
+
 TEST_F(CliTest, ProjectRequiresTarget) {
   make_campaign("4", "2");
   std::string out, err;

@@ -10,8 +10,6 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include <unistd.h>
 
@@ -25,15 +23,12 @@
 #include "query/source.hpp"  // IWYU pragma: keep (frame -> Source)
 #include "telemetry/export.hpp"
 #include "cluster/cluster.hpp"
-#include "telemetry/run_result.hpp"
-#include "workloads/runner.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpuvar {
 namespace {
 
 struct CampaignArtifacts {
-  std::string csv;
   std::string frame_csv;
   std::string markdown;
   std::string trace_json;
@@ -41,10 +36,10 @@ struct CampaignArtifacts {
 };
 
 /// Runs the full campaign on a private pool of `threads` workers and
-/// renders every interchange artifact: the per-run results CSV (via the
-/// same pool-parallel per-node path the CLI uses), the markdown report
-/// over the experiment's records, and the observability exports (the
-/// Chrome trace and the metrics dump collected during the campaign).
+/// renders every interchange artifact: the frame CSV (what `gpuvar run
+/// --out` writes), the markdown report over the campaign's frame, and
+/// the observability exports (the Chrome trace and the metrics dump
+/// collected during the campaign).
 CampaignArtifacts replay_campaign(std::size_t threads) {
   const Cluster cluster{cloudlab_spec()};
   ThreadPool pool(threads);
@@ -79,26 +74,7 @@ CampaignArtifacts replay_campaign(std::size_t threads) {
   std::ostringstream frame_csv;
   export_frame_csv(frame_csv, cluster.name(), result.frame);
 
-  // CSV rows come from the raw per-run results; collect them in
-  // parallel with per-node buckets, concatenated in node order.
-  std::vector<std::vector<GpuRunResult>> buckets(
-      static_cast<std::size_t>(cluster.node_count()));
-  pool.parallel_for(buckets.size(), [&](std::size_t node) {
-    for (int run = 0; run < cfg.runs_per_gpu; ++run) {
-      for (auto& r : run_on_node(cluster, static_cast<int>(node),
-                                 cfg.workload, run, cfg.run_options)) {
-        buckets[node].push_back(std::move(r));
-      }
-    }
-  });
-  std::vector<GpuRunResult> rows;
-  for (auto& b : buckets) {
-    for (auto& r : b) rows.push_back(std::move(r));
-  }
-  std::ostringstream csv;
-  export_results_csv(csv, cluster.name(), cluster.locations(), rows);
-  return {csv.str(), frame_csv.str(), md.str(), trace_json.str(),
-          metrics_text.str()};
+  return {frame_csv.str(), md.str(), trace_json.str(), metrics_text.str()};
 }
 
 TEST(DeterminismReplay, ByteIdenticalAcrossPoolSizes) {
@@ -106,13 +82,9 @@ TEST(DeterminismReplay, ByteIdenticalAcrossPoolSizes) {
   const CampaignArtifacts four = replay_campaign(4);
   const CampaignArtifacts eight = replay_campaign(8);
 
-  ASSERT_FALSE(one.csv.empty());
+  ASSERT_FALSE(one.frame_csv.empty());
   ASSERT_FALSE(one.markdown.empty());
 
-  EXPECT_EQ(one.csv, four.csv) << "results CSV differs between 1 and 4 "
-                                  "threads: scheduling leaked into output";
-  EXPECT_EQ(one.csv, eight.csv) << "results CSV differs between 1 and 8 "
-                                   "threads: scheduling leaked into output";
   EXPECT_EQ(one.frame_csv, four.frame_csv)
       << "frame CSV differs between 1 and 4 threads: the FrameBuilder "
          "bucket merge leaked scheduling into the column order";
@@ -192,7 +164,6 @@ TEST(DeterminismReplay, RepeatOnSamePoolIsIdentical) {
   // (e.g. a global RNG advancing) rather than between schedules.
   const CampaignArtifacts a = replay_campaign(4);
   const CampaignArtifacts b = replay_campaign(4);
-  EXPECT_EQ(a.csv, b.csv);
   EXPECT_EQ(a.frame_csv, b.frame_csv);
   EXPECT_EQ(a.markdown, b.markdown);
   EXPECT_EQ(a.trace_json, b.trace_json);

@@ -3,46 +3,39 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
-#include "workloads/runner.hpp"
 #include "cluster/cluster.hpp"
 #include "common/units.hpp"
+#include "core/engine.hpp"
+#include "core/experiment.hpp"
 #include "gpu/timeseries.hpp"
-#include "telemetry/run_result.hpp"
+#include "telemetry/frame.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpuvar {
 namespace {
 
-TEST(Export, ResultsCsvHasHeaderAndRows) {
-  Cluster c(cloudlab_spec());
-  auto w = sgemm_workload(8192, 2);
-  auto opts = RunOptions::for_sku(c.sku());
-  std::vector<GpuRunResult> results;
-  results.push_back(run_on_gpu(c, 0, w, 0, opts));
-  results.push_back(run_on_gpu(c, 1, w, 0, opts));
-
-  std::ostringstream out;
-  export_results_csv(out, c.name(), c.locations(), results);
-  const std::string text = out.str();
-
-  // Header plus one line per result.
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
-  EXPECT_NE(text.find("cluster,gpu,node"), std::string::npos);
-  EXPECT_NE(text.find("cloudlab"), std::string::npos);
-  EXPECT_NE(text.find(c.gpu(0).loc.name), std::string::npos);
+/// A two-run cloudlab campaign's frame.
+RecordFrame cloudlab_frame(const Cluster& c) {
+  return run_campaign(c, default_config(c, sgemm_workload(8192, 2), 2)).frame;
 }
 
-TEST(Export, ResultsCsvRoundTripsPerf) {
-  Cluster c(cloudlab_spec());
-  auto w = sgemm_workload(8192, 2);
-  auto opts = RunOptions::for_sku(c.sku());
-  const auto r = run_on_gpu(c, 0, w, 0, opts);
+TEST(Export, FrameCsvHasHeaderAndRows) {
+  const Cluster c(cloudlab_spec());
+  const RecordFrame frame = cloudlab_frame(c);
   std::ostringstream out;
-  export_results_csv(out, c.name(), c.locations(), std::vector<GpuRunResult>{r});
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", r.perf_ms);
-  EXPECT_NE(out.str().find(buf), std::string::npos);
+  export_frame_csv(out, c.name(), frame);
+  const std::string text = out.str();
+
+  // Header plus one line per frame row.
+  EXPECT_EQ(static_cast<std::size_t>(
+                std::count(text.begin(), text.end(), '\n')),
+            frame.size() + 1);
+  EXPECT_EQ(text.rfind("cluster,gpu,node,cabinet,run,perf_ms,", 0), 0u);
+  EXPECT_NE(text.find("cloudlab"), std::string::npos);
+  EXPECT_NE(text.find(c.gpu(0).loc.name), std::string::npos);
 }
 
 TEST(Export, SeriesCsv) {
@@ -58,34 +51,55 @@ TEST(Export, SeriesCsv) {
 }
 
 TEST(Export, ImportRoundTripsExport) {
-  Cluster c(cloudlab_spec());
-  auto w = sgemm_workload(8192, 2);
-  auto opts = RunOptions::for_sku(c.sku());
-  std::vector<GpuRunResult> results;
-  for (std::size_t g = 0; g < 4; ++g) {
-    results.push_back(run_on_gpu(c, g, w, static_cast<int>(g), opts));
-  }
+  const Cluster c(cloudlab_spec());
+  const RecordFrame frame = cloudlab_frame(c);
   std::ostringstream out;
-  export_results_csv(out, c.name(), c.locations(), results);
+  export_frame_csv(out, c.name(), frame);
   std::istringstream in(out.str());
-  const auto frame = import_results_frame(in);
-  ASSERT_EQ(frame.size(), 4u);
+  const auto back = import_results_frame(in);
+  ASSERT_EQ(back.size(), frame.size());
   for (std::size_t i = 0; i < frame.size(); ++i) {
-    EXPECT_EQ(frame.loc(i).name, c.gpu(results[i].gpu_index).loc.name);
-    EXPECT_NEAR(frame.perf_ms()[i], results[i].perf_ms,
-                1e-8 * results[i].perf_ms);
-    EXPECT_NEAR(frame.power_w()[i], results[i].telemetry.power.median,
-                1e-6);
-    EXPECT_EQ(frame.run_index(i), static_cast<int>(i));
-    EXPECT_NEAR(frame.fu_util()[i], 10.0, 1e-9);
+    EXPECT_EQ(back.loc(i).name, frame.loc(i).name);
+    EXPECT_EQ(back.perf_ms()[i], frame.perf_ms()[i]);
+    EXPECT_EQ(back.power_w()[i], frame.power_w()[i]);
+    EXPECT_EQ(back.run_index(i), frame.run_index(i));
+    EXPECT_EQ(back.fu_util()[i], frame.fu_util()[i]);
   }
   // Distinct GPUs keep distinct synthesized indices.
-  EXPECT_NE(frame.gpu_index(0), frame.gpu_index(1));
+  EXPECT_EQ(back.gpu_count(), frame.gpu_count());
+  EXPECT_NE(back.gpu_index(0), back.gpu_index(1));
 }
 
 TEST(Export, ImportRejectsMissingColumns) {
   std::istringstream in("gpu,node\nfoo,1\n");
   EXPECT_THROW(import_results_frame(in), std::invalid_argument);
+}
+
+TEST(Export, ImportErrorsNameTheLine) {
+  const std::string header =
+      "gpu,node,cabinet,run,perf_ms,freq_mhz_median,power_w_median,"
+      "temp_c_median\n";
+  const std::string good = "g0,0,0,0,1.5,1530,70.25,36.625\n";
+  const auto error_of = [](const std::string& text) -> std::string {
+    std::istringstream in(text);
+    try {
+      import_results_frame(in);
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error_of(header + good + "g1,1,0,0,abc,1530,70,36\n"),
+            "line 3: not a number 'abc' in column perf_ms");
+  EXPECT_EQ(error_of(header + "g1,1,0,0.5,1,1530,70,36\n"),
+            "line 2: not an integer '0.5' in column run");
+  EXPECT_EQ(error_of(header + "g1,4294967296,0,0,1,1530,70,36\n"),
+            "line 2: integer out of range '4294967296' in column node");
+  EXPECT_EQ(error_of("gpu,node\nfoo,1\n"),
+            "line 1: results CSV missing column: cabinet");
+  // A header-only file is an empty frame, not an error.
+  std::istringstream in(header);
+  EXPECT_TRUE(import_results_frame(in).empty());
 }
 
 TEST(Export, EmptySeriesJustHeader) {

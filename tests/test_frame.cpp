@@ -9,7 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -342,7 +347,45 @@ TEST(RecordFrame, SelectPreservesRowsAndReinterns) {
 }
 
 TEST(RecordFrame, CsvRoundTripIsLossless) {
-  const auto records = synth_records(18, 3);
+  auto records = synth_records(18, 3);
+  // Values a fixed-digit writer loses or mangles: signed zeros, the
+  // extremes, 1-ulp neighbours of round numbers, 17-significant-digit
+  // values and the non-finite ones. Row k gives column c value
+  // (k + c) % n, so every metric column sees every value.
+  const std::vector<double> special = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::nextafter(0.1, 0.0),
+      std::nextafter(0.1, 1.0),
+      std::nextafter(1530.0, 0.0),
+      std::nextafter(1530.0, 2000.0),
+      0.1 + 0.2,
+      1.0 / 3.0 * 1e10,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+  };
+  for (std::size_t k = 0; k < special.size(); ++k) {
+    RunRecord r = records[k];
+    r.gpu_index = 5000 + k;
+    r.loc.name = "special-" + std::to_string(k);
+    const auto at = [&](std::size_t c) {
+      return special[(k + c) % special.size()];
+    };
+    r.perf_ms = at(0);
+    r.freq_mhz = at(1);
+    r.power_w = at(2);
+    r.temp_c = at(3);
+    r.counters.fu_util = at(4);
+    r.counters.dram_util = at(5);
+    r.counters.mem_stall_frac = at(6);
+    r.counters.exec_stall_frac = at(7);
+    records.push_back(std::move(r));
+  }
   const auto frame = frame_from(records);
 
   std::ostringstream csv;
@@ -350,14 +393,27 @@ TEST(RecordFrame, CsvRoundTripIsLossless) {
   std::istringstream in(csv.str());
   const auto back = import_results_frame(in);
 
+  // Bit for bit; any NaN matches any NaN.
+  const auto same_bits = [](std::span<const double> a,
+                            std::span<const double> b, std::size_t i) {
+    return (std::isnan(a[i]) && std::isnan(b[i])) ||
+           std::bit_cast<std::uint64_t>(a[i]) ==
+               std::bit_cast<std::uint64_t>(b[i]);
+  };
   ASSERT_EQ(back.size(), frame.size());
   EXPECT_EQ(back.gpu_count(), frame.gpu_count());
   for (std::size_t i = 0; i < frame.size(); ++i) {
-    EXPECT_EQ(back.perf_ms()[i], frame.perf_ms()[i]);
-    EXPECT_EQ(back.freq_mhz()[i], frame.freq_mhz()[i]);
-    EXPECT_EQ(back.power_w()[i], frame.power_w()[i]);
-    EXPECT_EQ(back.temp_c()[i], frame.temp_c()[i]);
-    EXPECT_EQ(back.fu_util()[i], frame.fu_util()[i]);
+    EXPECT_TRUE(same_bits(back.perf_ms(), frame.perf_ms(), i)) << i;
+    EXPECT_TRUE(same_bits(back.freq_mhz(), frame.freq_mhz(), i)) << i;
+    EXPECT_TRUE(same_bits(back.power_w(), frame.power_w(), i)) << i;
+    EXPECT_TRUE(same_bits(back.temp_c(), frame.temp_c(), i)) << i;
+    EXPECT_TRUE(same_bits(back.fu_util(), frame.fu_util(), i)) << i;
+    EXPECT_TRUE(same_bits(back.dram_util(), frame.dram_util(), i)) << i;
+    EXPECT_TRUE(same_bits(back.mem_stall_frac(), frame.mem_stall_frac(), i))
+        << i;
+    EXPECT_TRUE(
+        same_bits(back.exec_stall_frac(), frame.exec_stall_frac(), i))
+        << i;
     EXPECT_EQ(back.run_index(i), frame.run_index(i));
     EXPECT_EQ(back.day_of_week(i), frame.day_of_week(i));
     EXPECT_EQ(back.loc(i).name, frame.loc(i).name);

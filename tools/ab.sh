@@ -27,9 +27,14 @@
 #                                 the change reads no better than some
 #                                 run of the parent
 #                        within bound  otherwise
-# Bounds and IQRs are relative to the parent's median. Every run's JSON
-# line is kept under DIR/results/. Exits 1 if any run fails or is not
-# correct.
+# Bounds and IQRs are relative to the parent's median. A second table
+# gives the same medians, IQRs, ratios and wins for every detail the
+# workload timed: the unscaled setup and op wall times, the reference
+# kernel, and each part of the op (for summit-query csv_roundtrip_ms,
+# query_cold_ms, ...), so a change in op_ms can be traced to its part.
+# Every run's JSON line and full results file
+# (build-e2e/results/W-seedS.json) are kept under DIR/results/. Exits 1
+# if any run fails or is not correct.
 #
 # The `-- CMD` form builds a Release `gpuvar` on both sides instead and
 # runs CMD in N alternating pairs, with `{gpuvar}` replaced by the side's
@@ -196,7 +201,8 @@ for side in "$parent" "$root"; do
         > /dev/null
 done
 
-# run_side NAME TREE PAIR: one run; its JSON line goes to the results.
+# run_side NAME TREE PAIR: one run; its JSON line and its full results
+# file go to the results.
 run_side() {
   local out="$results/$1-$3.json"
   echo "pair $3/$pairs: $1" >&2
@@ -206,6 +212,7 @@ run_side() {
     echo "ab.sh: $1 run of pair $3 failed; see $results/$1-$3.log" >&2
     exit 1
   fi
+  cp "$2/build-e2e/results/$workload-seed$seed.json" "$results/$1-$3.full.json"
 }
 
 for ((i = 1; i <= pairs; i++)); do
@@ -273,6 +280,25 @@ for name, direction in better.items():
     print(f"{name:<14} {pm:>11.2f} {p3 - p1:>9.2f} {cm:>11.2f} {c3 - c1:>9.2f} "
           f"{cm / pm:>7.3f} {wins:>3}/{pairs}  "
           f"{verdict(name, vals, pm, p3 - p1, cm, wins, sign)}")
+
+# The details: every timed part the full results files of both sides
+# carry beyond the gated metrics. All are times, so lower is better.
+full = {s: [json.load(open(f"{results}/{s}-{i}.full.json"))["metrics"]
+            for i in range(1, pairs + 1)] for s in runs}
+details = [name for name in full["parent"][0]
+           if name not in better
+           and all(name in m for s in full.values() for m in s)]
+if details:
+    print(f"{'detail':<18} {'parent med':>11} {'IQR':>9} {'change med':>11} "
+          f"{'IQR':>9} {'ratio':>7} {'wins':>6}")
+for name in details:
+    vals = {s: [m[name]["value"] for m in full[s]] for s in full}
+    p1, pm, p3 = quartiles(vals["parent"])
+    c1, cm, c3 = quartiles(vals["change"])
+    wins = sum(c < p for p, c in zip(vals["parent"], vals["change"]))
+    ratio = f"{cm / pm:>7.3f}" if pm else f"{'-':>7}"
+    print(f"{name:<18} {pm:>11.2f} {p3 - p1:>9.2f} {cm:>11.2f} {c3 - c1:>9.2f} "
+          f"{ratio} {wins:>3}/{pairs}")
 print("all runs correct" if ok else "SOME RUNS FAILED (see the results dir)")
 sys.exit(0 if ok else 1)
 EOF

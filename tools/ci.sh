@@ -31,7 +31,8 @@
 #                              checkpointed campaign, then byte-compare
 #                              `gpuvar analyze` streaming output against its
 #                              --materialize reference path for every
-#                              analysis, filtered and compare forms included
+#                              analysis, filtered and compare forms included,
+#                              and the campaign's CSV against its store
 #   tools/ci.sh thread-safety  clang -Werror=thread-safety syntax-only
 #                              compile of src/** (skipped when clang++ is
 #                              not installed — the GPUVAR_* annotations
@@ -295,7 +296,7 @@ job_query_smoke() {
   cmake -B build-ci -S . -DGPUVAR_WERROR=ON > /dev/null
   cmake --build build-ci -j "$JOBS" --target gpuvar_cli
   local ck=build-ci/QUERY_ck
-  rm -rf "$ck" build-ci/QUERY_*.txt
+  rm -rf "$ck" build-ci/QUERY_lh build-ci/QUERY_*.txt
 
   # The store under query: a checkpointed, spill-everything campaign,
   # one shard per node bucket.
@@ -317,6 +318,30 @@ job_query_smoke() {
     ./build-ci/tools/gpuvar analyze "$ck" --analysis $a \
       --materialize > "build-ci/QUERY_${name}_mat.txt"
     cmp "build-ci/QUERY_${name}_stream.txt" "build-ci/QUERY_${name}_mat.txt"
+  done
+
+  # Exact interchange: a campaign's --out CSV holds every double to the
+  # bit, so each analysis of it prints what its store's does after the
+  # first line (the source summary). The longhorn campaign is one where
+  # 10 significant digits were not enough (its power outlier count
+  # changed). report is left out: its bootstrap CI resamples per-GPU
+  # medians in GPU-index order, and a CSV's GPU index is derived from
+  # the GPU name, not the cluster's numbering.
+  local lh=build-ci/QUERY_lh
+  ./build-ci/tools/gpuvar run --cluster longhorn --workload sgemm \
+    --reps 4 --runs 3 --coverage 0.3 --checkpoint "$lh" --shard-budget 0 \
+    --out build-ci/QUERY_lh.csv > /dev/null
+  local pair store csv
+  for pair in "$ck:build-ci/QUERY_ref.csv" "$lh:build-ci/QUERY_lh.csv"; do
+    store=${pair%%:*}
+    csv=${pair#*:}
+    for a in variability correlate flags drift impact groups; do
+      ./build-ci/tools/gpuvar analyze "$csv" --analysis "$a" |
+        tail -n +2 > "build-ci/QUERY_${a}_csv.txt"
+      ./build-ci/tools/gpuvar analyze "$store" --analysis "$a" |
+        tail -n +2 > "build-ci/QUERY_${a}_store.txt"
+      cmp "build-ci/QUERY_${a}_csv.txt" "build-ci/QUERY_${a}_store.txt"
+    done
   done
 
   # Filtered form: a --where predicate that pushdown resolves to a
@@ -345,7 +370,8 @@ job_query_smoke() {
     --analysis compare --materialize > build-ci/QUERY_compare_mat.txt
   cmp build-ci/QUERY_compare_stream.txt build-ci/QUERY_compare_mat.txt
   grep -q '^no significant per-GPU changes$' build-ci/QUERY_compare_stream.txt
-  echo "query-smoke: streaming output byte-identical to --materialize"
+  echo "query-smoke: streaming output byte-identical to --materialize," \
+    "CSV analyses to the store's"
 }
 
 job_thread_safety() {
