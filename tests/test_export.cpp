@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include "cluster/cluster.hpp"
+#include "common/numfmt.hpp"
 #include "common/units.hpp"
 #include "core/engine.hpp"
 #include "core/experiment.hpp"
@@ -36,6 +38,19 @@ TEST(Export, FrameCsvHasHeaderAndRows) {
   EXPECT_EQ(text.rfind("cluster,gpu,node,cabinet,run,perf_ms,", 0), 0u);
   EXPECT_NE(text.find("cloudlab"), std::string::npos);
   EXPECT_NE(text.find(c.gpu(0).loc.name), std::string::npos);
+}
+
+TEST(Export, ResultsCsvRoundTripsPerf) {
+  const Cluster c(cloudlab_spec());
+  const RecordFrame frame = cloudlab_frame(c);
+  std::ostringstream out;
+  export_frame_csv(out, c.name(), frame);
+  // perf_ms is written as its shortest exact digits and parses back bit for
+  // bit.
+  const double perf = frame.perf_ms()[0];
+  const std::string digits = format_double(perf);
+  EXPECT_NE(out.str().find("," + digits + ","), std::string::npos);
+  EXPECT_EQ(std::strtod(digits.c_str(), nullptr), perf);
 }
 
 TEST(Export, SeriesCsv) {
