@@ -244,20 +244,19 @@ bool load_source_file(const fs::path& path, const std::string& rel,
 const std::vector<RuleInfo>& rules() {
   // Strictness notes: unknown-rule is structurally strict (a
   // suppression must never hide a typo'd suppression);
-  // row-record-param and analysis-signature graduated to strict once
-  // the last deprecation-cycle adapters and forwarding shims were
-  // deleted — an allow() on either now marks a dead grace period, not
-  // an exemption.
+  // analysis-signature graduated to strict once the forwarding shims
+  // were deleted — an allow() on it would mark a dead grace period,
+  // not an exemption.
   static const std::vector<RuleInfo> kRules = {
       {"alloc-in-hot-loop", "hotpath",
        "heap allocation inside a loop on a GPUVAR_HOT path", false},
       {"analysis-signature", "analysis",
        "analysis entry point in a core header off the unified "
-       "analyze_*(source, const ...Options&) shape, or a deprecated "
-       "pre-redesign entry-point spelling", true},
+       "analyze_*(source, const ...Options&) shape", true},
       {"bare-assert", "style",
-       "assert() in library code; use GPUVAR_CHECK so release builds "
-       "keep the invariant", false},
+       "assert() in library code; use GPUVAR_REQUIRE (argument checks) "
+       "or GPUVAR_ASSERT (invariants) so release builds keep the check",
+       false},
       {"cout-in-library", "style",
        "std::cout/std::cerr in src/ library code; report through the "
        "caller or obs sinks", false},
@@ -278,9 +277,9 @@ const std::vector<RuleInfo>& rules() {
        "include cycle among src/ modules", false},
       {"io-in-hot-path", "hotpath",
        "stream/stdio IO reachable on a GPUVAR_HOT path", false},
-      {"locale-format", "interchange",
-       "locale-dependent number formatting in interchange code; use "
-       "numfmt", false},
+      {"locale-format", "determinism",
+       "locale-dependent number parsing in src/, or float formatting "
+       "in CSV/export code; use numfmt", false},
       {"lock-cycle", "lockorder",
        "two locks acquired in opposite orders on different paths; a "
        "deadlock window once both run concurrently", false},
@@ -300,7 +299,7 @@ const std::vector<RuleInfo>& rules() {
        "header missing #pragma once", false},
       {"raw-double-quantity", "style",
        "bare double for a physical quantity in a public header; use "
-       "the unit-named aliases", false},
+       "the Quantity<Tag> strong types from common/units.hpp", false},
       {"raw-loop-reduction", "reduction",
        "serial double reduction (range-for '+=' or a <numeric> "
        "algorithm) in src/core or src/query; use the stats::kernels "
@@ -314,9 +313,6 @@ const std::vector<RuleInfo>& rules() {
       {"raw-trace-api", "obs",
        "trace-layer internals used outside src/obs; use the "
        "GPUVAR_TRACE_* macros", false},
-      {"row-record-param", "interchange",
-       "row-oriented RunRecord bulk interface in a core/telemetry "
-       "header; the data plane is const RecordFrame&", true},
       {"string-format-in-hot-loop", "hotpath",
        "string formatting inside a loop on a GPUVAR_HOT path", false},
       {"unguarded-mutex", "thread",
@@ -418,61 +414,6 @@ void write_json(const std::vector<Finding>& findings,
     out << "}";
   }
   out << (findings.empty() ? "" : "\n  ") << "]\n}\n";
-}
-
-void write_sarif(const std::vector<Finding>& findings, std::ostream& out) {
-  // Rule index for SARIF's ruleIndex cross-references. rules() is
-  // sorted by id, so indexes are stable across runs.
-  std::map<std::string, std::size_t> rule_index;
-  for (const auto& rule : rules()) {
-    const std::size_t n = rule_index.size();
-    rule_index[rule.id] = n;
-  }
-  out << "{\n"
-         "  \"$schema\": "
-         "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-         "  \"version\": \"2.1.0\",\n"
-         "  \"runs\": [\n"
-         "    {\n"
-         "      \"tool\": {\n"
-         "        \"driver\": {\n"
-         "          \"name\": \"gpuvar-analyzer\",\n"
-         "          \"informationUri\": "
-         "\"https://example.invalid/gpuvar-analyzer\",\n"
-         "          \"rules\": [";
-  bool first = true;
-  for (const auto& rule : rules()) {
-    out << (first ? "" : ",") << "\n            {\"id\": \""
-        << json_escape(rule.id)
-        << "\", \"shortDescription\": {\"text\": \""
-        << json_escape(rule.description)
-        << "\"}, \"defaultConfiguration\": {\"level\": \"error\"}}";
-    first = false;
-  }
-  out << "\n          ]\n"
-         "        }\n"
-         "      },\n"
-         "      \"results\": [";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const auto& fd = findings[i];
-    const auto it = rule_index.find(fd.rule);
-    out << (i ? "," : "") << "\n        {\"ruleId\": \""
-        << json_escape(fd.rule) << "\"";
-    if (it != rule_index.end()) {
-      out << ", \"ruleIndex\": " << it->second;
-    }
-    out << ", \"level\": \"error\", \"message\": {\"text\": \""
-        << json_escape(fd.message)
-        << "\"}, \"locations\": [{\"physicalLocation\": "
-           "{\"artifactLocation\": {\"uri\": \""
-        << json_escape(fd.file)
-        << "\"}, \"region\": {\"startLine\": " << std::max(fd.line, 1)
-        << "}}}]}";
-  }
-  out << (findings.empty() ? "" : "\n      ") << "]\n"
-         "    }\n"
-         "  ]\n"
-         "}\n";
 }
 
 }  // namespace gpuvar::analyzer

@@ -17,7 +17,7 @@
 // Unknown rule names inside allow(...) are themselves findings
 // (rule `unknown-rule`), so a typo can never silently disable a check.
 //
-// Scanning, caching, and pass orchestration live in driver.hpp; the
+// Scanning and pass orchestration live in driver.hpp; the
 // cross-TU symbol index in index.hpp.
 #pragma once
 
@@ -51,12 +51,12 @@ struct Finding {
 };
 
 /// One registered rule. The registry (rules()) is the single authority:
-/// known_rules(), strict_rule(), --list-rules, docs/rules.md, and the
-/// SARIF rule table all derive from it.
+/// known_rules(), strict_rule(), --list-rules, and docs/rules.md all
+/// derive from it.
 struct RuleInfo {
   std::string id;
   std::string pass;         ///< owning pass name, as in --stats
-  std::string description;  ///< one line, for --list-rules and SARIF
+  std::string description;  ///< one line, for --list-rules
   bool strict = false;      ///< not suppressible via allow()
 };
 
@@ -96,8 +96,8 @@ struct SourceFile {
 };
 
 /// A bag of SourceFiles handed to the file-local passes. The scan
-/// driver feeds passes one file at a time (so results are cacheable
-/// per file); fixture modes load a handful at once.
+/// driver feeds passes one file at a time (so files scan in parallel);
+/// fixture modes load a handful at once.
 struct Repo {
   std::filesystem::path root;
   std::vector<SourceFile> files;
@@ -125,11 +125,11 @@ bool load_source_file(const std::filesystem::path& path,
 const std::set<std::string>& known_rules();
 
 /// True for rules an inline allow() cannot suppress (unknown-rule, and
-/// rules whose deprecation grace period has ended: row-record-param).
+/// rules whose deprecation grace period has ended: analysis-signature).
 bool strict_rule(const std::string& rule);
 
 /// Sorts findings by (file, line, rule) — the one canonical emit order,
-/// so text, JSON, and SARIF outputs are stable for diffing in CI
+/// so text and JSON outputs are stable for diffing in CI
 /// regardless of scan order or thread count.
 void sort_findings(std::vector<Finding>& findings);
 
@@ -141,10 +141,5 @@ void print_findings(const std::vector<Finding>& findings, std::ostream& out);
 /// Expects findings already in canonical order.
 void write_json(const std::vector<Finding>& findings,
                 std::size_t files_scanned, std::ostream& out);
-
-/// SARIF 2.1.0 report for CI annotation (one run, one result per
-/// finding, rule registry in the driver). Expects findings already in
-/// canonical order.
-void write_sarif(const std::vector<Finding>& findings, std::ostream& out);
 
 }  // namespace gpuvar::analyzer

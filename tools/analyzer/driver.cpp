@@ -1,13 +1,8 @@
 #include "driver.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <tuple>
 
-#include "analyzer_version.hpp"
 #include "common/thread_pool.hpp"
 #include "flow.hpp"
 #include "passes.hpp"
@@ -21,303 +16,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Bump when the FileSummary serialization or the scanner's semantics
-/// change: a stale format must read as a cold cache, never as data.
-/// (v3: FlowFunction records, finding symbols, and the analyzer's own
-/// source hash folded into the key — see pass_set_hash.)
-constexpr const char* kCacheFormatVersion = "gpuvar-analyzer-cache-v3";
-
-std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  h ^= '\n';
-  h *= 1099511628211ULL;
-  return h;
-}
-
-/// Percent-encodes a field for the space-separated cache format; the
-/// empty string encodes as "%".
-std::string enc(const std::string& s) {
-  if (s.empty()) return "%";
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '%': out += "%25"; break;
-      case ' ': out += "%20"; break;
-      case '\n': out += "%0A"; break;
-      case '\r': out += "%0D"; break;
-      case '\t': out += "%09"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string dec(const std::string& s) {
-  if (s == "%") return "";
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size()) {
-      const std::string hex = s.substr(i + 1, 2);
-      out += static_cast<char>(std::stoi(hex, nullptr, 16));
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
-struct CachedFile {
-  std::uint64_t size = 0;
-  std::int64_t mtime = 0;
-  FileSummary summary;
-};
-
-using CacheMap = std::map<std::string, CachedFile>;
-
-CacheMap load_cache(const fs::path& path) {
-  CacheMap cache;
-  std::ifstream in(path);
-  if (!in) return cache;
-  std::string line;
-  if (!std::getline(in, line)) return cache;
-  {
-    std::istringstream h(line);
-    std::string tag, version;
-    std::uint64_t hash = 0;
-    if (!(h >> tag >> version >> hash) || tag != "H" ||
-        version != kCacheFormatVersion || hash != pass_set_hash()) {
-      return cache;
-    }
-  }
-  CachedFile cur;
-  bool open = false;
-  while (std::getline(in, line)) {
-    std::istringstream ls(line);
-    std::string op;
-    if (!(ls >> op)) continue;
-    if (op == "F") {
-      std::string rel, top, module;
-      int header = 0, oper = 0;
-      if (!(ls >> rel >> cur.size >> cur.mtime >> top >> module >> header >>
-            oper)) {
-        return CacheMap{};
-      }
-      cur.summary = FileSummary{};
-      cur.summary.rel = dec(rel);
-      cur.summary.top = dec(top);
-      cur.summary.module = dec(module);
-      cur.summary.header = header != 0;
-      cur.summary.declares_operator = oper != 0;
-      open = true;
-    } else if (!open) {
-      return CacheMap{};
-    } else if (op == "I") {
-      IncludeDirective inc;
-      int keep = 0, exported = 0;
-      std::string target;
-      if (!(ls >> inc.line >> keep >> exported >> target)) return CacheMap{};
-      inc.keep = keep != 0;
-      inc.exported = exported != 0;
-      inc.target = dec(target);
-      cur.summary.includes.push_back(std::move(inc));
-    } else if (op == "A") {
-      int aline = 0;
-      std::string rules;
-      if (!(ls >> aline >> rules)) return CacheMap{};
-      std::istringstream rs(dec(rules));
-      std::string rule;
-      while (std::getline(rs, rule, ',')) {
-        if (!rule.empty()) cur.summary.allows[aline].insert(rule);
-      }
-    } else if (op == "S") {
-      Symbol s;
-      std::string kind, name, ns, parent;
-      if (!(ls >> kind >> s.line >> name >> ns >> parent) || kind.empty()) {
-        return CacheMap{};
-      }
-      s.kind = kind[0];
-      s.name = dec(name);
-      s.ns = dec(ns);
-      s.parent = dec(parent);
-      cur.summary.declared.push_back(std::move(s));
-    } else if (op == "R") {
-      // `name:count` pairs; ':' cannot appear in an identifier token.
-      std::string item;
-      while (ls >> item) {
-        const auto colon = item.rfind(':');
-        if (colon == std::string::npos) return CacheMap{};
-        int count = 0;
-        try {
-          count = std::stoi(item.substr(colon + 1));
-        } catch (...) {
-          return CacheMap{};
-        }
-        if (count <= 0) return CacheMap{};
-        cur.summary.refs.push_back(dec(item.substr(0, colon)));
-        cur.summary.ref_counts.push_back(count);
-      }
-    } else if (op == "P") {
-      std::string name;
-      while (ls >> name) cur.summary.ptr_ref_only.push_back(dec(name));
-    } else if (op == "FN") {
-      FlowFunction fn;
-      std::string name;
-      int hot = 0, lambda = 0;
-      if (!(ls >> name >> fn.line >> hot >> lambda)) return CacheMap{};
-      fn.name = dec(name);
-      const auto sep = fn.name.rfind("::");
-      fn.bare = sep == std::string::npos ? fn.name : fn.name.substr(sep + 2);
-      fn.hot = hot != 0;
-      fn.is_lambda = lambda != 0;
-      cur.summary.functions.push_back(std::move(fn));
-    } else if (op == "FC" || op == "FK" || op == "FA" || op == "FO" ||
-               op == "FM") {
-      if (cur.summary.functions.empty()) return CacheMap{};
-      FlowFunction& fn = cur.summary.functions.back();
-      int fline = 0, in_loop = 0;
-      if (!(ls >> fline >> in_loop)) return CacheMap{};
-      if (op == "FC") {
-        FlowCall call;
-        int member = 0;
-        std::string callee, locks;
-        if (!(ls >> member >> callee >> locks)) return CacheMap{};
-        call.line = fline;
-        call.in_loop = in_loop != 0;
-        call.member = member != 0;
-        call.callee = dec(callee);
-        std::istringstream lks(dec(locks));
-        std::string lk;
-        while (std::getline(lks, lk, ',')) {
-          if (!lk.empty()) call.locks_held.push_back(lk);
-        }
-        fn.calls.push_back(std::move(call));
-      } else if (op == "FK") {
-        FlowLock lock;
-        std::string id, held;
-        if (!(ls >> id >> held)) return CacheMap{};
-        lock.line = fline;
-        lock.in_loop = in_loop != 0;
-        lock.lock = dec(id);
-        std::istringstream hs(dec(held));
-        std::string h;
-        while (std::getline(hs, h, ',')) {
-          if (!h.empty()) lock.held_before.push_back(h);
-        }
-        fn.locks.push_back(std::move(lock));
-      } else {
-        FlowSite site;
-        std::string what;
-        if (!(ls >> what)) return CacheMap{};
-        site.line = fline;
-        site.in_loop = in_loop != 0;
-        site.what = dec(what);
-        auto& sites = op == "FA" ? fn.allocs : op == "FO" ? fn.io : fn.fmt;
-        sites.push_back(std::move(site));
-      }
-    } else if (op == "L") {
-      Finding fd;
-      std::string rule, symbol, message;
-      if (!(ls >> fd.line >> rule >> symbol >> message)) return CacheMap{};
-      fd.file = cur.summary.rel;
-      fd.rule = dec(rule);
-      fd.symbol = dec(symbol);
-      fd.message = dec(message);
-      cur.summary.local_findings.push_back(std::move(fd));
-    } else if (op == "E") {
-      cache[cur.summary.rel] = cur;
-      cur = CachedFile{};
-      open = false;
-    } else {
-      return CacheMap{};
-    }
-  }
-  return cache;
-}
-
-void write_cache(const fs::path& path, const CacheMap& cache) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return;  // best effort: an unwritable cache is just cold
-  out << "H " << kCacheFormatVersion << " " << pass_set_hash() << "\n";
-  for (const auto& [rel, cf] : cache) {
-    const FileSummary& s = cf.summary;
-    out << "F " << enc(rel) << " " << cf.size << " " << cf.mtime << " "
-        << enc(s.top) << " " << enc(s.module) << " " << (s.header ? 1 : 0)
-        << " " << (s.declares_operator ? 1 : 0) << "\n";
-    for (const auto& inc : s.includes) {
-      out << "I " << inc.line << " " << (inc.keep ? 1 : 0) << " "
-          << (inc.exported ? 1 : 0) << " " << enc(inc.target) << "\n";
-    }
-    for (const auto& [line, rules] : s.allows) {
-      std::string joined;
-      for (const auto& r : rules) {
-        if (!joined.empty()) joined += ',';
-        joined += r;
-      }
-      out << "A " << line << " " << enc(joined) << "\n";
-    }
-    for (const auto& sym : s.declared) {
-      out << "S " << sym.kind << " " << sym.line << " " << enc(sym.name)
-          << " " << enc(sym.ns) << " " << enc(sym.parent) << "\n";
-    }
-    if (!s.refs.empty()) {
-      out << "R";
-      for (std::size_t i = 0; i < s.refs.size(); ++i) {
-        out << " " << enc(s.refs[i]) << ":" << s.ref_counts[i];
-      }
-      out << "\n";
-    }
-    if (!s.ptr_ref_only.empty()) {
-      out << "P";
-      for (const auto& r : s.ptr_ref_only) out << " " << enc(r);
-      out << "\n";
-    }
-    const auto join = [](const std::vector<std::string>& v) {
-      std::string j;
-      for (const auto& e : v) {
-        if (!j.empty()) j += ',';
-        j += e;
-      }
-      return j;
-    };
-    for (const auto& fn : s.functions) {
-      out << "FN " << enc(fn.name) << " " << fn.line << " "
-          << (fn.hot ? 1 : 0) << " " << (fn.is_lambda ? 1 : 0) << "\n";
-      for (const auto& c : fn.calls) {
-        out << "FC " << c.line << " " << (c.in_loop ? 1 : 0) << " "
-            << (c.member ? 1 : 0) << " " << enc(c.callee) << " "
-            << enc(join(c.locks_held)) << "\n";
-      }
-      for (const auto& lk : fn.locks) {
-        out << "FK " << lk.line << " " << (lk.in_loop ? 1 : 0) << " "
-            << enc(lk.lock) << " " << enc(join(lk.held_before)) << "\n";
-      }
-      for (const auto& a : fn.allocs) {
-        out << "FA " << a.line << " " << (a.in_loop ? 1 : 0) << " "
-            << enc(a.what) << "\n";
-      }
-      for (const auto& io : fn.io) {
-        out << "FO " << io.line << " " << (io.in_loop ? 1 : 0) << " "
-            << enc(io.what) << "\n";
-      }
-      for (const auto& fm : fn.fmt) {
-        out << "FM " << fm.line << " " << (fm.in_loop ? 1 : 0) << " "
-            << enc(fm.what) << "\n";
-      }
-    }
-    for (const auto& fd : s.local_findings) {
-      out << "L " << fd.line << " " << enc(fd.rule) << " "
-          << enc(fd.symbol) << " " << enc(fd.message) << "\n";
-    }
-    out << "E\n";
-  }
-}
-
 bool is_source_name(const fs::path& p) {
   return p.extension() == ".hpp" || p.extension() == ".cpp";
 }
@@ -325,8 +23,6 @@ bool is_source_name(const fs::path& p) {
 struct TreeItem {
   fs::path path;
   std::string rel;
-  std::uint64_t size = 0;
-  std::int64_t mtime = 0;
 };
 
 std::vector<TreeItem> enumerate(const fs::path& root) {
@@ -349,19 +45,7 @@ std::vector<TreeItem> enumerate(const fs::path& root) {
     // analyzer's own output is deterministic.
     std::sort(paths.begin(), paths.end());
     for (const auto& p : paths) {
-      TreeItem item;
-      item.path = p;
-      item.rel = fs::relative(p, root).generic_string();
-      std::error_code ec;
-      item.size = static_cast<std::uint64_t>(fs::file_size(p, ec));
-      if (ec) continue;
-      const auto mt = fs::last_write_time(p, ec);
-      if (ec) continue;
-      item.mtime = static_cast<std::int64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              mt.time_since_epoch())
-              .count());
-      items.push_back(std::move(item));
+      items.push_back({p, fs::relative(p, root).generic_string()});
     }
   }
   return items;
@@ -396,28 +80,10 @@ void mark_iwyu_pragmas(const SourceFile& f, FileSummary& out) {
 
 const std::vector<std::string>& pass_names() {
   static const std::vector<std::string> kNames = {
-      "style",    "layering", "thread",    "determinism",
-      "interchange", "obs",   "include",   "deadcode",
-      "lockorder",   "hotpath", "lifetime", "analysis",
-      "reduction"};
+      "style",    "layering", "thread",   "determinism",
+      "obs",      "include",  "deadcode", "lockorder",
+      "hotpath",  "lifetime", "analysis", "reduction"};
   return kNames;
-}
-
-std::uint64_t pass_set_hash() {
-  std::uint64_t h = 14695981039346656037ULL;
-  h = fnv1a(h, kCacheFormatVersion);
-  // The analyzer's own source hash (generated at build time): a
-  // rebuilt analyzer with changed pass logic must read every prior
-  // cache as cold, even when the pass/rule lists are unchanged.
-  h = fnv1a(h, kAnalyzerSourceHash);
-  // Test hook: lets the cache tests simulate an analyzer rebuild
-  // without actually recompiling.
-  if (const char* salt = std::getenv("GPUVAR_ANALYZER_CACHE_SALT")) {
-    h = fnv1a(h, salt);
-  }
-  for (const auto& name : pass_names()) h = fnv1a(h, name);
-  for (const auto& rule : known_rules()) h = fnv1a(h, rule);
-  return h;
 }
 
 bool scan_file(const fs::path& path, const std::string& rel,
@@ -442,16 +108,15 @@ bool scan_file(const fs::path& path, const std::string& rel,
   out.functions = scan_flow(f);
 
   // File-local passes (everything except the tree passes is a pure
-  // function of one file — that is what makes the scan cacheable per
-  // file). The lifetime pass is file-local too: dangling-span needs
-  // only one function body at a time.
+  // function of one file — that is what lets files scan in parallel).
+  // The lifetime pass is file-local too: dangling-span needs only one
+  // function body at a time.
   Repo one;
   one.root = path.parent_path();
   one.files.push_back(std::move(f));
   run_style_pass(one, out.local_findings);
   run_thread_pass(one, out.local_findings);
   run_determinism_pass(one, out.local_findings);
-  run_interchange_pass(one, out.local_findings);
   run_obs_pass(one, out.local_findings);
   run_lifetime_pass(one, out.local_findings);
   run_analysis_pass(one, out.local_findings);
@@ -459,77 +124,24 @@ bool scan_file(const fs::path& path, const std::string& rel,
   return true;
 }
 
-Tree scan_tree(const fs::path& root, const ScanOptions& opts,
-               ScanStats* stats) {
+Tree scan_tree(const fs::path& root, std::size_t threads) {
   const std::vector<TreeItem> items = enumerate(root);
 
-  CacheMap cache;
-  if (!opts.cache_path.empty()) cache = load_cache(opts.cache_path);
-
-  Tree tree;
-  tree.root = root;
-  tree.files.resize(items.size());
-  std::vector<std::size_t> misses;
-  std::size_t hits = 0;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const auto it = cache.find(items[i].rel);
-    if (it != cache.end() && it->second.size == items[i].size &&
-        it->second.mtime == items[i].mtime) {
-      tree.files[i] = it->second.summary;
-      ++hits;
-    } else {
-      misses.push_back(i);
-    }
-  }
-
-  std::vector<char> ok(misses.size(), 0);
-  if (!misses.empty()) {
-    ThreadPool pool(opts.threads);
-    pool.parallel_for(misses.size(), [&](std::size_t k) {
-      const std::size_t i = misses[k];
-      ok[k] = scan_file(items[i].path, items[i].rel, tree.files[i]) ? 1 : 0;
+  std::vector<FileSummary> summaries(items.size());
+  std::vector<char> ok(items.size(), 0);
+  if (!items.empty()) {
+    ThreadPool pool(threads);
+    pool.parallel_for(items.size(), [&](std::size_t i) {
+      ok[i] = scan_file(items[i].path, items[i].rel, summaries[i]) ? 1 : 0;
     });
   }
 
   // Drop unreadable files, preserving order.
-  std::vector<char> keep(items.size(), 1);
-  for (std::size_t k = 0; k < misses.size(); ++k) {
-    if (!ok[k]) keep[misses[k]] = 0;
+  Tree tree;
+  tree.root = root;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (ok[i]) tree.files.push_back(std::move(summaries[i]));
   }
-  if (std::find(keep.begin(), keep.end(), 0) != keep.end()) {
-    Tree pruned;
-    pruned.root = tree.root;
-    std::vector<TreeItem> kept_items;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (keep[i]) pruned.files.push_back(std::move(tree.files[i]));
-    }
-    tree = std::move(pruned);
-  }
-
-  if (stats != nullptr) {
-    stats->files = tree.files.size();
-    stats->scanned = misses.size();
-    stats->cache_hits = hits;
-  }
-
-  if (!opts.cache_path.empty()) {
-    CacheMap fresh;
-    for (std::size_t i = 0; i < items.size(); ++i) {
-      if (!keep[i]) continue;
-      CachedFile cf;
-      cf.size = items[i].size;
-      cf.mtime = items[i].mtime;
-      // tree.files may have been compacted; find by rel.
-      cf.summary = FileSummary{};
-      fresh[items[i].rel] = std::move(cf);
-    }
-    for (auto& f : tree.files) {
-      auto it = fresh.find(f.rel);
-      if (it != fresh.end()) it->second.summary = f;
-    }
-    write_cache(opts.cache_path, fresh);
-  }
-
   resolve_includes(tree);
   return tree;
 }

@@ -1,25 +1,14 @@
 // The analyzer's scan driver: parallel per-file scanning on
-// gpuvar::ThreadPool, an on-disk scan cache for incremental warm runs,
-// and the pass/suppression orchestration shared by the tree and
-// fixture entry points.
+// gpuvar::ThreadPool and the pass/suppression orchestration shared by
+// the tree and fixture entry points.
 //
 // Scanning is embarrassingly parallel and deterministic: files are
 // enumerated in sorted order, each file's scan (load, strip, tokenize,
 // file-local passes, symbol tables) writes into its own slot, and every
 // tree-level pass runs on the ordered summaries — so findings are
-// byte-identical at any thread count.
-//
-// The cache stores one FileSummary per file keyed by (path, size,
-// mtime, pass-set hash). A warm run re-reads only files whose stat
-// changed; everything else skips loading the file at all. The pass-set
-// hash covers the pass list, the rule registry, a format version, and
-// a build-time hash of the analyzer's own sources, so adding a pass,
-// changing the serialization, or rebuilding the analyzer with edited
-// pass logic invalidates the cache wholesale rather than mixing stale
-// results.
+// byte-identical at any thread count. Every run is a cold scan of the
+// whole tree.
 #pragma once
-
-#include <cstdint>
 
 #include "fix.hpp"
 #include "index.hpp"
@@ -27,24 +16,8 @@
 
 namespace gpuvar::analyzer {
 
-struct ScanOptions {
-  /// Cache file path; empty disables the cache.
-  std::filesystem::path cache_path;
-  /// Worker threads for the scan; 0 = one per hardware thread.
-  std::size_t threads = 0;
-};
-
-struct ScanStats {
-  std::size_t files = 0;
-  std::size_t scanned = 0;     ///< files loaded and scanned this run
-  std::size_t cache_hits = 0;  ///< files served from the cache
-};
-
 /// Names of every pass, in execution order (file-local passes first).
 const std::vector<std::string>& pass_names();
-
-/// FNV-1a over pass names, rule registry, and the cache format version.
-std::uint64_t pass_set_hash();
 
 /// Scans one file: load + file-local passes + symbol tables. Returns
 /// false when the file can't be read.
@@ -52,10 +25,9 @@ bool scan_file(const std::filesystem::path& path, const std::string& rel,
                FileSummary& out);
 
 /// Scans root/{src,tools,bench,examples,tests} for .hpp/.cpp files
-/// (skipping fixtures/ directories), in parallel, through the cache.
-/// Include targets are resolved before returning.
-Tree scan_tree(const std::filesystem::path& root, const ScanOptions& opts,
-               ScanStats* stats);
+/// (skipping fixtures/ directories) on `threads` workers (0 = one per
+/// hardware thread). Include targets are resolved before returning.
+Tree scan_tree(const std::filesystem::path& root, std::size_t threads);
 
 /// Findings for allow() entries naming rules the analyzer doesn't have.
 void check_suppression_names(const FileSummary& file,
@@ -75,7 +47,7 @@ struct AnalysisResult {
   std::size_t open_edges = 0;
 };
 
-/// Runs every pass over the scanned tree: collects the cached
+/// Runs every pass over the scanned tree: collects the scanned
 /// file-local findings, runs the tree-level passes (layering, include
 /// hygiene, dead code), applies suppressions, and sorts.
 AnalysisResult analyze_tree(const Tree& tree);

@@ -17,14 +17,13 @@
 //      file resolves there (innermost first);
 //   2. otherwise a qualifier-suffix match against every function in
 //      the tree resolves iff it is unique;
-//   3. otherwise the edge stays OPEN: it is counted (ScanStats /
-//      --stats) but never traversed, so the passes only ever reason
+//   3. otherwise the edge stays OPEN: it is counted (--stats) but never traversed, so the passes only ever reason
 //      about code they can actually see. A finding can be missed
 //      through an open edge; one can never be fabricated by it.
 //
 // The lockorder and hotpath passes run on the graph; the lifetime
-// pass is intraprocedural and runs during the per-file scan (its
-// findings are cached with the file like any file-local pass).
+// pass is intraprocedural and runs during the per-file scan like any
+// file-local pass.
 #pragma once
 
 #include <map>
@@ -96,8 +95,7 @@ struct FlowFunction {
   std::vector<FlowSite> allocs;  ///< `new`, owner-type local construction
   std::vector<FlowSite> io;      ///< stream/stdio tokens
   std::vector<FlowSite> fmt;     ///< to_string/snprintf/ostringstream/...
-  // Lifetime facts (consumed at scan time by the lifetime pass; not
-  // serialized into the scan cache).
+  // Lifetime facts (consumed at scan time by the lifetime pass).
   std::vector<FlowViewReturn> view_returns;
   std::vector<FlowViewStore> view_stores;
 };

@@ -57,14 +57,13 @@ struct IncludeDirective {
   bool keep = false;     ///< line carries `IWYU pragma: keep`
   bool exported = false; ///< line carries `IWYU pragma: export`
   /// Repo-relative path of the included file when it is part of this
-  /// tree, "" otherwise. Not cached: resolution depends on which files
-  /// exist, so resolve_includes() recomputes it every run.
+  /// tree, "" otherwise. Filled by resolve_includes() once every file
+  /// is scanned: resolution depends on which files exist.
   std::string resolved;
 };
 
-/// Everything the tree-level passes need from one file, small enough to
-/// serialize into the on-disk scan cache (core.hpp). SourceFile carries
-/// the heavyweight token stream; a FileSummary outlives it.
+/// Everything the tree-level passes need from one file. SourceFile
+/// carries the heavyweight token stream; a FileSummary outlives it.
 struct FileSummary {
   std::string rel;     ///< root-relative, '/'-separated
   std::string top;     ///< first path component (src, tests, ...)
@@ -90,8 +89,8 @@ struct FileSummary {
   bool declares_operator = false;
   /// Findings from the file-local passes, before suppressions.
   std::vector<Finding> local_findings;
-  /// Function definitions with flow events (scan_flow), serialized
-  /// into the scan cache; input to the tree-level flow passes.
+  /// Function definitions with flow events (scan_flow); input to the
+  /// tree-level flow passes.
   std::vector<FlowFunction> functions;
 
   bool in_src() const { return top == "src"; }

@@ -1,11 +1,11 @@
 // gpuvar-analyzer — the repo's multi-pass static analysis tool.
 //
 // Grown from PR 1's gpuvar_lint: the same token-level scanning core now
-// feeds eleven passes (style, layering, thread-safety, determinism,
-// interchange, observability, include hygiene, dead code, lock order,
-// hot path, lifetime; see passes.hpp for the rule catalogue) through a
-// parallel, cached scan driver (driver.hpp), with inline suppressions,
-// JSON / SARIF output, a DOT dump of the module layering graph, a
+// feeds twelve passes (style, layering, thread-safety, determinism,
+// observability, include hygiene, dead code, lock order, hot path,
+// lifetime, analysis signature, reduction; see passes.hpp for the rule
+// catalogue) through a parallel scan driver (driver.hpp), with inline
+// suppressions, JSON output, a DOT dump of the module layering graph, a
 // --fix mode that rewrites include blocks in place, and a findings
 // ratchet (--baseline, baseline.hpp) that only ever shrinks.
 #include <fstream>
@@ -16,6 +16,7 @@
 #include <tuple>
 
 #include "baseline.hpp"
+#include "common/numfmt.hpp"
 #include "driver.hpp"
 #include "passes.hpp"
 #include "core.hpp"
@@ -91,9 +92,7 @@ int run_fixture(const std::string& file, const std::string& expect) {
 }
 
 int run_fixture_tree(const std::string& dir, const std::string& expect) {
-  ScanOptions opts;
-  opts.threads = 1;
-  const Tree tree = scan_tree(dir, opts, nullptr);
+  const Tree tree = scan_tree(dir, 1);
   if (tree.files.empty()) {
     std::cerr << "no source files under fixture tree: " << dir << "\n";
     return 2;
@@ -104,9 +103,9 @@ int run_fixture_tree(const std::string& dir, const std::string& expect) {
 
 struct TreeOptions {
   std::string root;
-  std::string json_file, sarif_file, dot_file;
+  std::string json_file, dot_file;
   std::string baseline_file;
-  ScanOptions scan;
+  std::size_t threads = 0;  ///< scan workers; 0 = one per hardware thread
   bool fix = false;
   bool dry_run = false;
   bool stats = false;
@@ -149,8 +148,7 @@ int list_rules(bool markdown) {
 }
 
 int run_tree(const TreeOptions& opts) {
-  ScanStats stats;
-  const Tree tree = scan_tree(opts.root, opts.scan, &stats);
+  const Tree tree = scan_tree(opts.root, opts.threads);
   if (tree.files.empty()) {
     std::cerr << "gpuvar-analyzer: no source files under '" << opts.root
               << "' — wrong repo root?\n";
@@ -159,9 +157,7 @@ int run_tree(const TreeOptions& opts) {
   AnalysisResult result = analyze_tree(tree);
 
   if (opts.stats) {
-    std::cout << "stats: files=" << stats.files
-              << " scanned=" << stats.scanned
-              << " cache_hits=" << stats.cache_hits
+    std::cout << "stats: files=" << tree.files.size()
               << " open_edges=" << result.open_edges << "\n";
   }
   if (!opts.dot_file.empty()) {
@@ -179,14 +175,6 @@ int run_tree(const TreeOptions& opts) {
       return 2;
     }
     write_json(result.findings, tree.files.size(), out);
-  }
-  if (!opts.sarif_file.empty()) {
-    std::ofstream out(opts.sarif_file);
-    if (!out) {
-      std::cerr << "cannot write " << opts.sarif_file << "\n";
-      return 2;
-    }
-    write_sarif(result.findings, out);
   }
 
   if (opts.fix) {
@@ -287,10 +275,7 @@ int usage(bool full) {
     out << "\n"
            "tree options:\n"
            "  --json FILE    write findings as JSON\n"
-           "  --sarif FILE   write findings as SARIF 2.1.0\n"
            "  --dot FILE     write the module layering graph as DOT\n"
-           "  --cache FILE   on-disk scan cache; a warm run rescans\n"
-           "                 only files whose size or mtime changed\n"
            "  --threads N    scan worker threads (0 = hardware)\n"
            "  --fix          rewrite include blocks in place: delete\n"
            "                 unused includes, insert missing direct\n"
@@ -298,8 +283,7 @@ int usage(bool full) {
            "                 declarable includes with declarations\n"
            "  --dry-run      with --fix: print a unified diff, write\n"
            "                 nothing\n"
-           "  --stats        print files/scanned/cache-hit/open-edge\n"
-           "                 counts\n"
+           "  --stats        print file and open-call-edge counts\n"
            "  --baseline FILE  findings ratchet: fingerprints (rule +\n"
            "                 file + symbol) not in FILE fail the run;\n"
            "                 fingerprints that disappeared auto-shrink\n"
@@ -355,14 +339,12 @@ int main(int argc, char** argv) {
     const bool has_value = i + 1 < args.size();
     if (a == "--json" && has_value) {
       opts.json_file = args[++i];
-    } else if (a == "--sarif" && has_value) {
-      opts.sarif_file = args[++i];
     } else if (a == "--dot" && has_value) {
       opts.dot_file = args[++i];
-    } else if (a == "--cache" && has_value) {
-      opts.scan.cache_path = args[++i];
     } else if (a == "--threads" && has_value) {
-      opts.scan.threads = static_cast<std::size_t>(std::stoul(args[++i]));
+      long long n = 0;
+      if (!gpuvar::parse_int(args[++i], n) || n < 0) return usage(false);
+      opts.threads = static_cast<std::size_t>(n);
     } else if (a == "--baseline" && has_value) {
       opts.baseline_file = args[++i];
     } else if (a == "--baseline-write") {

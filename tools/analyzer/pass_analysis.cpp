@@ -2,23 +2,16 @@
 //
 //   analysis-signature   in a src/core *header*, an analyze_* function
 //                        whose parameter list does not end in a
-//                        `const <X>Options&` parameter, or one of the
-//                        pre-redesign entry-point spellings
-//                        (flag_anomalies, detect_performance_drift,
-//                        compare_campaigns, impact_table,
-//                        correlate_metrics). Every analysis entry point
-//                        takes its tunables as one trailing options
-//                        struct — analyze_*(source, options) — so call
-//                        sites never grow positional parameter lists.
-//                        The forwarding shims of the one-cycle
-//                        deprecation window are gone, so the rule is
-//                        strict (like row-record-param): an allow()
-//                        cannot bring a legacy spelling back.
+//                        `const <X>Options&` parameter. Every analysis
+//                        entry point takes its tunables as one trailing
+//                        options struct — analyze_*(source, options) —
+//                        so call sites never grow positional parameter
+//                        lists. The rule is strict: an allow() cannot
+//                        exempt an off-shape entry point.
 //
 // Helper functions (correlate_pair, job_impact, estimate_run_noise_ms)
 // are not entry points and are not matched: the rule targets the
-// analyze_* surface plus the known legacy spellings.
-#include <array>
+// analyze_* surface only.
 #include <string>
 
 #include "passes.hpp"
@@ -27,19 +20,6 @@
 namespace gpuvar::analyzer {
 
 namespace {
-
-/// The pre-redesign entry-point names, finding-worthy by spelling alone
-/// (their replacements are the analyze_* functions).
-constexpr std::array<const char*, 5> kLegacyEntryPoints = {
-    "flag_anomalies", "detect_performance_drift", "compare_campaigns",
-    "impact_table", "correlate_metrics"};
-
-bool legacy_entry_point(const std::string& name) {
-  for (const char* legacy : kLegacyEntryPoints) {
-    if (name == legacy) return true;
-  }
-  return false;
-}
 
 /// True when the parameter list spanning [open, close) — close just
 /// past the ')' — ends in a `const <X>Options&` parameter. A default
@@ -97,23 +77,12 @@ void run_analysis_pass(const Repo& repo, std::vector<Finding>& findings) {
   for (const auto& f : repo.files) {
     if (!f.in_src() || !f.header || f.module != "core") continue;
     for (const Token& t : f.tokens) {
-      if (t.next != '(') continue;
-      const bool unified = t.text.rfind("analyze_", 0) == 0;
-      const bool legacy = legacy_entry_point(t.text);
-      if (!unified && !legacy) continue;
+      if (t.next != '(' || t.text.rfind("analyze_", 0) != 0) continue;
       const std::size_t open = f.code.find('(', t.pos + t.text.size());
       if (open == std::string::npos) continue;
       const std::size_t close = matching_paren_end(f.code, open);
       if (close == std::string::npos) continue;
-      if (legacy) {
-        findings.push_back(
-            {f.rel, t.line, "analysis-signature",
-             "deprecated analysis entry point '" + t.text +
-                 "': the unified surface is analyze_*(source, const "
-                 "...Options&); the deprecation cycle is over and this "
-                 "rule is strict",
-             t.text});
-      } else if (!ends_with_options_param(f.code, open, close)) {
+      if (!ends_with_options_param(f.code, open, close)) {
         findings.push_back(
             {f.rel, t.line, "analysis-signature",
              "'" + t.text +

@@ -1,7 +1,6 @@
 // Intraprocedural span/string_view lifetime: dangling-span.
 //
-// File-local by design (it runs during the parallel scan and its
-// findings cache with the file): the facts it needs — a view-returning
+// File-local by design (it runs during the parallel scan): the facts it needs — a view-returning
 // function returning an owning local / by-value owner parameter /
 // temporary, or a view parameter stored into a member — are all
 // visible inside one function body via scan_flow(). Cross-function

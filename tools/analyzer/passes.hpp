@@ -1,13 +1,14 @@
 // The analyzer's pluggable passes, in two tiers.
 //
-// File-local passes (style, thread, determinism, interchange, obs)
-// are pure functions of one file: the driver runs them on a
-// single-file Repo during the parallel scan and caches their findings
-// with the file's summary.
+// File-local passes (style, thread, determinism, obs, lifetime,
+// analysis, reduction) are pure functions of one file: the driver runs
+// them on a single-file Repo during the parallel scan and keeps their
+// findings with the file's summary.
 //
-// Tree passes (layering, include hygiene, dead code) need the whole
-// tree — the include graph or the cross-TU symbol index — so they run
-// on the ordered FileSummary list every invocation, cache or not.
+// Tree passes (layering, include hygiene, dead code, lock order, hot
+// path) need the whole tree — the include graph, the cross-TU symbol
+// index or the call graph — so they run on the ordered FileSummary
+// list once the scan is done.
 //
 // Suppressions are applied centrally afterwards (driver.hpp), so
 // passes report everything they see.
@@ -35,13 +36,6 @@ void run_thread_pass(const Repo& repo, std::vector<Finding>& findings);
 /// Determinism hygiene: unordered-iteration, parallel-accum,
 /// float-sort-key, locale-format, wall-clock.
 void run_determinism_pass(const Repo& repo, std::vector<Finding>& findings);
-
-/// Columnar interchange: row-record-param (no std::vector<RunRecord> /
-/// std::span<const RunRecord> bulk interfaces in core/telemetry headers
-/// — the data plane is const RecordFrame&). Strict: with the
-/// deprecation-cycle adapters deleted, this rule is no longer
-/// suppressible (core.cpp strict_rule keeps it on the strict list).
-void run_interchange_pass(const Repo& repo, std::vector<Finding>& findings);
 
 /// Reduction hygiene (src/core, src/query): raw-loop-reduction — a
 /// serial `+=` fold over a double range, or a <numeric> reduction
@@ -99,13 +93,12 @@ void run_hotpath_pass(const Tree& tree, const FlowGraph& graph,
                       std::vector<Finding>& findings);
 
 /// Analysis-plane surface: analysis-signature (in src/core headers,
-/// analyze_* entry points must end in a `const <X>Options&` parameter,
-/// and the pre-redesign entry-point spellings are findings by name;
+/// analyze_* entry points must end in a `const <X>Options&` parameter;
 /// the rule is strict, so no allow() suppresses it).
 void run_analysis_pass(const Repo& repo, std::vector<Finding>& findings);
 
 /// Intraprocedural span/string_view lifetime (src/ only, file-local —
-/// runs during the scan and caches like any file-local pass):
+/// runs during the scan like any file-local pass):
 /// dangling-span on returning a view bound to an owning local,
 /// by-value owner parameter, or temporary, and on storing a view
 /// parameter into a member (`name_ = p`, ctor-init `name_(p)`).

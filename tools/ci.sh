@@ -13,8 +13,7 @@
 #                              export, shard codec, campaign engine, query
 #                              plane, stats kernels); archives
 #                              BENCH_frame.json, BENCH_engine.json,
-#                              BENCH_query.json, BENCH_analyzer.json and
-#                              BENCH_stats.json
+#                              BENCH_query.json and BENCH_stats.json
 #   tools/ci.sh bench-guard    rerun the micro benches and compare against
 #                              the committed bench/BENCH_*.json reference
 #                              at a ~2x tolerance
@@ -83,31 +82,18 @@ job_tsan() {
 }
 
 job_analyzer() {
-  echo "=== job: analyzer (gpuvar-analyzer, ratchet + JSON/SARIF/DOT) ==="
+  echo "=== job: analyzer (gpuvar-analyzer, ratchet + JSON/DOT) ==="
   cmake -B build-ci -S . -DGPUVAR_WERROR=ON > /dev/null
   cmake --build build-ci -j "$JOBS" --target gpuvar_analyzer
-  rm -f build-ci/analyzer-cache.txt
-  local t0 t1 t2
+  local t0 t1
   t0=$(date +%s%N)
   # The findings ratchet: any fingerprint not in the committed baseline
   # fails the run, so the debt can only shrink.
   ./build-ci/tools/gpuvar-analyzer . \
     --baseline docs/analyzer_baseline.json \
     --json build-ci/gpuvar-analyzer.json \
-    --sarif build-ci/gpuvar-analyzer.sarif \
-    --dot build-ci/include_graph.dot \
-    --cache build-ci/analyzer-cache.txt
+    --dot build-ci/include_graph.dot
   t1=$(date +%s%N)
-  # Warm second run through the scan cache: findings must be
-  # byte-identical, and the cache should make it visibly faster.
-  ./build-ci/tools/gpuvar-analyzer . \
-    --baseline docs/analyzer_baseline.json \
-    --json build-ci/gpuvar-analyzer.warm.json \
-    --sarif build-ci/gpuvar-analyzer.warm.sarif \
-    --cache build-ci/analyzer-cache.txt
-  t2=$(date +%s%N)
-  cmp build-ci/gpuvar-analyzer.json build-ci/gpuvar-analyzer.warm.json
-  cmp build-ci/gpuvar-analyzer.sarif build-ci/gpuvar-analyzer.warm.sarif
   # A fixed finding auto-shrinks the baseline file; the shrunk version
   # must be committed, not left dirty on the CI checkout.
   if command -v git > /dev/null 2>&1 && [ -d .git ]; then
@@ -116,21 +102,20 @@ job_analyzer() {
       return 1
     }
   fi
-  echo "analyzer cache: cold $(( (t1 - t0) / 1000000 ))ms," \
-       "warm $(( (t2 - t1) / 1000000 ))ms, findings byte-identical"
-  echo "analyzer report: build-ci/gpuvar-analyzer.json (+ .sarif)"
+  echo "analyzer cold scan: $(( (t1 - t0) / 1000000 ))ms"
+  echo "analyzer report: build-ci/gpuvar-analyzer.json (+ include_graph.dot)"
 }
 
 job_bench_smoke() {
-  echo "=== job: bench-smoke (micro frame/engine/query/analyzer/stats benches) ==="
+  echo "=== job: bench-smoke (micro frame/engine/query/stats benches) ==="
   cmake -B build-ci -S . -DGPUVAR_WERROR=ON > /dev/null
   cmake --build build-ci -j "$JOBS" --target micro_frame_bench \
     --target micro_engine_bench --target micro_query_bench \
-    --target micro_analyzer_bench --target micro_stats_bench
+    --target micro_stats_bench
   # Smoke cadence, not a tuned perf run: one repetition per benchmark,
   # JSON archived so regressions in the columnar data plane, the shard
-  # codec / campaign engine, the streaming query plane, the analyzer's
-  # scan driver, and the stats kernels are diffable.
+  # codec / campaign engine, the streaming query plane, and the stats
+  # kernels are diffable.
   ./build-ci/bench/micro_frame_bench \
     --benchmark_out=build-ci/BENCH_frame.json \
     --benchmark_out_format=json
@@ -140,16 +125,12 @@ job_bench_smoke() {
   ./build-ci/bench/micro_query_bench \
     --benchmark_out=build-ci/BENCH_query.json \
     --benchmark_out_format=json
-  ./build-ci/bench/micro_analyzer_bench \
-    --benchmark_out=build-ci/BENCH_analyzer.json \
-    --benchmark_out_format=json
   ./build-ci/bench/micro_stats_bench \
     --benchmark_out=build-ci/BENCH_stats.json \
     --benchmark_out_format=json
   echo "frame bench report: build-ci/BENCH_frame.json"
   echo "engine bench report: build-ci/BENCH_engine.json"
   echo "query bench report: build-ci/BENCH_query.json"
-  echo "analyzer bench report: build-ci/BENCH_analyzer.json"
   echo "stats bench report: build-ci/BENCH_stats.json"
 }
 
@@ -158,7 +139,7 @@ job_bench_guard() {
   cmake -B build-ci -S . -DGPUVAR_WERROR=ON > /dev/null
   cmake --build build-ci -j "$JOBS" --target micro_frame_bench \
     --target micro_engine_bench --target micro_query_bench \
-    --target micro_analyzer_bench --target micro_stats_bench
+    --target micro_stats_bench
   if ! command -v python3 > /dev/null 2>&1; then
     echo "python3 unavailable; skipping bench comparison"
     return 0
@@ -172,9 +153,6 @@ job_bench_guard() {
   ./build-ci/bench/micro_query_bench \
     --benchmark_out=build-ci/BENCH_query.guard.json \
     --benchmark_out_format=json
-  ./build-ci/bench/micro_analyzer_bench \
-    --benchmark_out=build-ci/BENCH_analyzer.guard.json \
-    --benchmark_out_format=json
   ./build-ci/bench/micro_stats_bench \
     --benchmark_out=build-ci/BENCH_stats.guard.json \
     --benchmark_out_format=json
@@ -186,7 +164,6 @@ job_bench_guard() {
     bench/BENCH_frame.json build-ci/BENCH_frame.guard.json \
     bench/BENCH_engine.json build-ci/BENCH_engine.guard.json \
     bench/BENCH_query.json build-ci/BENCH_query.guard.json \
-    bench/BENCH_analyzer.json build-ci/BENCH_analyzer.guard.json \
     bench/BENCH_stats.json build-ci/BENCH_stats.guard.json <<'EOF'
 import json
 import sys

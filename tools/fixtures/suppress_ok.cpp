@@ -1,9 +1,10 @@
 // Suppression self-test fixture (lives under fixtures/, which the tree
 // scan skips). Every violation below carries a gpuvar-lint allow()
 // comment — same-line and line-above forms, a PR 1 style rule and a
-// determinism rule — so none of them may fire. The one expected
-// finding is `unknown-rule`: allow() naming a rule the analyzer does
-// not have must itself be reported, never silently ignored.
+// determinism rule — so none of them may fire. The only expected
+// findings are `unknown-rule`: allow() naming a rule the analyzer does
+// not have must itself be reported, never silently ignored — a typo, a
+// name inside a comma list, or a rule the analyzer has retired.
 #include <chrono>
 #include <iostream>
 
@@ -22,6 +23,11 @@ inline double benchmark_once() {
 
 // gpuvar-lint: allow(not-a-real-rule)
 inline int typo_target() { return 0; }
+
+// A retired rule reads like any other unknown name: the allow() is
+// dead weight and is reported, not silently accepted.
+// gpuvar-lint: allow(row-record-param)
+inline int retired_target() { return 0; }
 
 inline bool comma_list(long x) {
   // One allow() naming two rules suppresses both findings on the next

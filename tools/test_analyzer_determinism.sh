@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Determinism contract: findings (JSON) are byte-identical at 1, 4, and
-# 8 scan threads, and identical again between a cold and a warm cache
-# run. The real repo tree is the input; its findings content does not
-# matter, only that every run agrees byte-for-byte.
+# 8 scan threads. The real repo tree is the input; its findings content
+# does not matter, only that every run agrees byte-for-byte. A --threads
+# value that is not a non-negative integer is bad usage (exit 2), and is
+# refused before any worker starts.
 # Usage: test_analyzer_determinism.sh <analyzer> <repo_root> <work_dir>
 set -euo pipefail
 
@@ -37,11 +38,13 @@ cmp "$WORK/t1.json" "$WORK/t8.json" || {
   exit 1
 }
 
-run_json "$WORK/cold.json" --cache "$WORK/cache.txt"
-run_json "$WORK/warm.json" --cache "$WORK/cache.txt"
-cmp "$WORK/cold.json" "$WORK/warm.json" || {
-  echo "FAIL: findings differ between cold and warm cache"
-  exit 1
-}
+for bad in abc -1 4x; do
+  rc=0
+  "$BIN" "$ROOT" --threads "$bad" >/dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "FAIL: --threads $bad exited $rc, expected 2 (usage)"
+    exit 1
+  fi
+done
 
 echo "determinism OK"
