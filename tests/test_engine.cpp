@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -72,6 +73,23 @@ class EngineTest : public ::testing::Test {
   }
   Cluster cluster_{cloudlab_spec()};
 };
+
+// A campaign wide enough that the resume scan and the merge split it
+// into several windows at every pool size the tests use, with victims
+// in different windows.
+constexpr std::size_t kWideNodes = 600;
+constexpr std::array<std::size_t, 4> kWideVictims = {1, 130, 300, 599};
+
+ClusterSpec wide_spec() {
+  ClusterSpec s = cloudlab_spec();
+  s.layout.nodes = static_cast<int>(kWideNodes);
+  s.layout.gpus_per_node = 2;
+  return s;
+}
+
+ExperimentConfig wide_config(const Cluster& cluster) {
+  return default_config(cluster, pagerank_workload(2), 1);
+}
 
 TEST_F(EngineTest, ByteIdenticalAtAnyPoolSizeAndSpillThreshold) {
   // Reference: single-threaded, purely in-memory.
@@ -162,67 +180,204 @@ TEST_F(EngineTest, InterruptedThenResumedIsByteIdentical) {
 }
 
 TEST_F(EngineTest, StaleShardHashForcesRerunOfThatBucket) {
-  const fs::path dir = fresh_dir("stale");
-  CampaignOptions opts;
-  opts.checkpoint_dir = dir.string();
-  const auto cfg = config();
-  const CampaignResult first = run_campaign(cluster_, cfg, opts);
-  const Artifacts want = render(cluster_, first);
+  // Corrupt shards spread over several merge windows (at every pool
+  // size the resume scan and the merge fan out over), each behind the
+  // manifest's back: flip the last payload byte. The resume must demote
+  // exactly those buckets and still emit every artifact byte unchanged.
+  const Cluster wide(wide_spec());
+  const auto cfg = wide_config(wide);
+  const Artifacts want = render(wide, run_campaign(wide, cfg));
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    ThreadPool pool(threads);
+    auto pooled = cfg;
+    pooled.pool = &pool;
+    const fs::path dir = fresh_dir("stale-" + std::to_string(threads));
+    CampaignOptions opts;
+    opts.checkpoint_dir = dir.string();
+    const CampaignResult first = run_campaign(wide, pooled, opts);
 
-  // Corrupt one shard behind the manifest's back: flip a payload byte.
-  const fs::path victim = dir / "bucket-000001.shard";
-  {
-    std::fstream f(victim, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.good());
-    f.seekg(-1, std::ios::end);
-    char c = 0;
-    f.get(c);
-    f.seekp(-1, std::ios::end);
-    f.put(static_cast<char>(c ^ 0x01));
+    for (std::size_t victim : kWideVictims) {
+      std::fstream f(dir / campaign_shard_file_name(victim),
+                     std::ios::in | std::ios::out | std::ios::binary);
+      ASSERT_TRUE(f.good());
+      f.seekg(-1, std::ios::end);
+      char c = 0;
+      f.get(c);
+      f.seekp(-1, std::ios::end);
+      f.put(static_cast<char>(c ^ 0x01));
+    }
+
+    // A budget of two buckets mixes resident and read-back buckets in
+    // the merge's windows.
+    opts.shard_budget_bytes = 2 * first.stats.bucket_bytes_max;
+    const CampaignResult second = run_campaign(wide, pooled, opts);
+    const std::string label = "threads=" + std::to_string(threads);
+    EXPECT_EQ(second.stats.buckets_rerun_stale, kWideVictims.size())
+        << label << ": every corrupt shard must be demoted to re-run";
+    EXPECT_EQ(second.stats.buckets_restored,
+              kWideNodes - kWideVictims.size()) << label;
+    EXPECT_EQ(second.stats.buckets_run, kWideVictims.size()) << label;
+    const Artifacts a = render(wide, second);
+    EXPECT_EQ(a.csv, want.csv) << label;
+    EXPECT_EQ(a.markdown, want.markdown) << label;
+    EXPECT_EQ(a.summary, want.summary) << label;
   }
-
-  const CampaignResult second = run_campaign(cluster_, cfg, opts);
-  EXPECT_EQ(second.stats.buckets_rerun_stale, 1u)
-      << "the corrupt shard must be demoted to re-run";
-  EXPECT_EQ(second.stats.buckets_restored, 2u);
-  EXPECT_EQ(second.stats.buckets_run, 1u);
-  const Artifacts a = render(cluster_, second);
-  EXPECT_EQ(a.csv, want.csv);
-  EXPECT_EQ(a.summary, want.summary);
 }
 
 TEST_F(EngineTest, ForgedPoolShardForcesRerunOfThatBucket) {
-  // A shard whose bytes, payload hash and manifest entry all agree, but
+  // Shards whose bytes, payload hash and manifest entry all agree, but
   // whose pool RecordFrame::append_row could not have built: only the
-  // decoder's pool check can catch it, and resume must demote it to a
-  // re-run like any other defect.
-  for (PoolDefect defect :
-       {PoolDefect::kDuplicateGpuIndex, PoolDefect::kOutOfOrderFirstUse,
-        PoolDefect::kUnreferencedEntry}) {
-    const fs::path dir = fresh_dir("forged-pool");
+  // decoder's pool check can catch them, and resume must demote them to
+  // re-runs like any other defect. One defect per victim, the victims
+  // in different merge windows.
+  const std::vector<PoolDefect> defects = {PoolDefect::kDuplicateGpuIndex,
+                                           PoolDefect::kOutOfOrderFirstUse,
+                                           PoolDefect::kUnreferencedEntry};
+  ASSERT_LE(defects.size(), kWideVictims.size());
+  const Cluster wide(wide_spec());
+  const auto cfg = wide_config(wide);
+  const Artifacts want = render(wide, run_campaign(wide, cfg));
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    ThreadPool pool(threads);
+    auto pooled = cfg;
+    pooled.pool = &pool;
+    const fs::path dir = fresh_dir("forged-pool-" + std::to_string(threads));
     CampaignOptions opts;
     opts.checkpoint_dir = dir.string();
-    const auto cfg = config();
-    const Artifacts want = render(cluster_, run_campaign(cluster_, cfg, opts));
+    run_campaign(wide, pooled, opts);
 
-    const fs::path victim = dir / "bucket-000001.shard";
-    const RecordFrame bucket = read_frame_shard(victim).frame;
-    ASSERT_GE(bucket.gpu_count(), 2u) << "forgery needs two GPUs per bucket";
-    const std::string forged = forge_pool_defect(bucket, defect, 1);
-    std::ofstream(victim, std::ios::binary | std::ios::trunc) << forged;
     CampaignManifest m = read_campaign_manifest(dir / kCampaignManifestName);
-    m.entries.at(1).info = parse_frame_shard_header(forged, "forged").info;
+    for (std::size_t d = 0; d < defects.size(); ++d) {
+      const std::size_t victim = kWideVictims[d];
+      const fs::path path = dir / campaign_shard_file_name(victim);
+      const RecordFrame bucket = read_frame_shard(path).frame;
+      ASSERT_GE(bucket.gpu_count(), 2u) << "forgery needs two GPUs per bucket";
+      const std::string forged = forge_pool_defect(bucket, defects[d], victim);
+      std::ofstream(path, std::ios::binary | std::ios::trunc) << forged;
+      m.entries.at(victim).info =
+          parse_frame_shard_header(forged, "forged").info;
+    }
     rewrite_campaign_manifest(dir, m.config_hash, m.entries, m.done);
 
-    const CampaignResult second = run_campaign(cluster_, cfg, opts);
-    EXPECT_EQ(second.stats.buckets_rerun_stale, 1u)
-        << "the forged shard must be demoted to re-run";
-    EXPECT_EQ(second.stats.buckets_restored, 2u);
-    const Artifacts a = render(cluster_, second);
-    EXPECT_EQ(a.csv, want.csv);
-    EXPECT_EQ(a.markdown, want.markdown);
-    EXPECT_EQ(a.summary, want.summary);
+    const CampaignResult second = run_campaign(wide, pooled, opts);
+    const std::string label = "threads=" + std::to_string(threads);
+    EXPECT_EQ(second.stats.buckets_rerun_stale, defects.size())
+        << label << ": every forged shard must be demoted to re-run";
+    EXPECT_EQ(second.stats.buckets_restored, kWideNodes - defects.size())
+        << label;
+    const Artifacts a = render(wide, second);
+    EXPECT_EQ(a.csv, want.csv) << label;
+    EXPECT_EQ(a.markdown, want.markdown) << label;
+    EXPECT_EQ(a.summary, want.summary) << label;
   }
+}
+
+TEST_F(EngineTest, TruncatedUnlistedShardIsRerunOnResume) {
+  // What a kill in the middle of a shard write leaves behind: a short
+  // file under the shard's final name and no manifest line for it (the
+  // line is appended only after the write completes). Resume must
+  // re-run exactly that bucket, overwrite the torn file, and emit every
+  // artifact byte unchanged.
+  const Cluster wide(wide_spec());
+  const auto cfg = wide_config(wide);
+  const Artifacts want = render(wide, run_campaign(wide, cfg));
+  const fs::path dir = fresh_dir("torn-shard");
+  CampaignOptions opts;
+  opts.checkpoint_dir = dir.string();
+  run_campaign(wide, cfg, opts);
+
+  const std::size_t victim = kWideVictims[1];
+  const fs::path path = dir / campaign_shard_file_name(victim);
+  fs::resize_file(path, fs::file_size(path) / 2);
+  CampaignManifest m = read_campaign_manifest(dir / kCampaignManifestName);
+  m.entries.erase(victim);
+  rewrite_campaign_manifest(dir, m.config_hash, m.entries, /*done=*/false);
+  std::ofstream(dir / kCampaignMarkerName) << "campaign in progress\n";
+
+  const CampaignResult resumed = run_campaign(wide, cfg, opts);
+  EXPECT_EQ(resumed.stats.buckets_rerun_stale, 0u)
+      << "an unlisted shard is not stale: it was never committed";
+  EXPECT_EQ(resumed.stats.buckets_run, 1u);
+  EXPECT_EQ(resumed.stats.buckets_restored, kWideNodes - 1);
+  const Artifacts a = render(wide, resumed);
+  EXPECT_EQ(a.csv, want.csv);
+  EXPECT_EQ(a.markdown, want.markdown);
+  EXPECT_EQ(a.summary, want.summary);
+  EXPECT_EQ(read_frame_shard(path).frame.size(),
+            static_cast<std::size_t>(
+                read_campaign_manifest(dir / kCampaignManifestName)
+                    .entries.at(victim)
+                    .info.rows))
+      << "the re-run must replace the torn shard";
+}
+
+TEST_F(EngineTest, MergeReportsLowestFailingShardAtAnyPoolSize) {
+  // Shards that vanish after the resume scan fail the merge's read-back.
+  // Whichever worker hits its failure first, the error names the
+  // lowest failing bucket, so the message is the same at any pool size.
+  const Cluster wide(wide_spec());
+  const auto cfg = wide_config(wide);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    ThreadPool pool(threads);
+    const fs::path dir = fresh_dir("merge-fail-" + std::to_string(threads));
+    auto pooled = cfg;
+    pooled.pool = &pool;
+    pooled.progress = [&](std::size_t done, std::size_t total) {
+      if (done != total) return;
+      for (std::size_t victim : kWideVictims) {
+        fs::remove(dir / campaign_shard_file_name(victim));
+      }
+    };
+    CampaignOptions opts;
+    opts.checkpoint_dir = dir.string();
+    opts.shard_budget_bytes = 0;  // every bucket is read back
+    try {
+      run_campaign(wide, pooled, opts);
+      FAIL() << "threads=" << threads << ": merged over missing shards";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    campaign_shard_file_name(kWideVictims.front())),
+                std::string::npos)
+          << "threads=" << threads << ": " << e.what();
+    }
+  }
+}
+
+TEST_F(EngineTest, EvictionOrderIsPinnedAtOneThread) {
+  // At one thread buckets complete in index order, so which buckets stay
+  // resident is a pure function of the eviction rule: largest resident
+  // bucket first, ties to the higher index. Offset node labels give
+  // buckets 300 and up GPU names too long for the short-string buffer,
+  // so the campaign has two bucket sizes. Largest-first shows in the
+  // resident peak; ties-to-the-higher-index keeps the first buckets
+  // resident, so the merge must not need their shards. The values are
+  // recorded from the serial victim scan the rule was first written as.
+  constexpr std::uint64_t kBucketBytesMax = 716;
+  constexpr std::size_t kSpilled = 582;
+  constexpr std::uint64_t kPeak = 13568;
+  ClusterSpec spec = wide_spec();
+  spec.node_label_base = 100000 - 300;  // node 300 prints as c100000
+  const Cluster wide(spec);
+  ThreadPool pool(1);
+  auto cfg = wide_config(wide);
+  cfg.pool = &pool;
+  const CampaignResult ref = run_campaign(wide, cfg);
+  ASSERT_EQ(ref.stats.bucket_bytes_max, kBucketBytesMax);
+
+  const fs::path dir = fresh_dir("eviction");
+  cfg.progress = [&](std::size_t done, std::size_t total) {
+    if (done != total) return;
+    for (std::size_t ai = 0; ai < kWideNodes - kSpilled; ++ai) {
+      fs::remove(dir / campaign_shard_file_name(ai));
+    }
+  };
+  CampaignOptions opts;
+  opts.checkpoint_dir = dir.string();
+  opts.shard_budget_bytes = 37 * ref.stats.bucket_bytes_max / 2;
+  const CampaignResult got = run_campaign(wide, cfg, opts);
+  EXPECT_EQ(got.stats.buckets_spilled, kSpilled);
+  EXPECT_EQ(got.stats.resident_bytes_peak, kPeak);
+  EXPECT_EQ(render(wide, got).csv, render(wide, ref).csv);
 }
 
 TEST_F(EngineTest, TornManifestTailIsSkippedOnResume) {
