@@ -1,8 +1,12 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -40,28 +44,30 @@ using ManifestEntry = CampaignManifestEntry;
 constexpr const char* kManifestName = kCampaignManifestName;
 constexpr const char* kMarkerName = kCampaignMarkerName;
 
-/// Serializes one bucket and writes it to its shard file via a
-/// temporary sibling + rename, so a crash mid-write can never leave a
-/// plausible-looking half shard under the final name.
+/// Buckets the merge reads back per dispatch, per pool worker: enough
+/// to amortize a parallel_for, few enough that the decoded window stays
+/// small next to the merged frame.
+constexpr std::size_t kMergeWindowPerWorker = 64;
+
+/// Serializes one bucket straight to its shard file. The manifest line,
+/// appended only after this returns, is the commit record: a kill
+/// mid-write leaves a torn file under the final name but no line for
+/// it, so resume re-runs the bucket (and the resume scan and Dataset
+/// hash-check every listed payload anyway).
 FrameShardInfo persist_shard(const fs::path& dir, std::size_t bucket_index,
                              const RecordFrame& bucket,
                              std::uint64_t& bytes_written) {
   const fs::path path = dir / campaign_shard_file_name(bucket_index);
-  const fs::path tmp = path.string() + ".tmp";
-  FrameShardInfo info;
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.good()) {
-      throw std::runtime_error("cannot write " + tmp.string());
-    }
-    info = write_frame_shard(out, bucket,
-                             static_cast<std::uint64_t>(bucket_index));
-    out.flush();
-    if (!out.good()) {
-      throw std::runtime_error("write failed: " + tmp.string());
-    }
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  if (!out.good()) {
+    throw std::runtime_error("cannot write " + path.string());
   }
-  fs::rename(tmp, path);
+  const FrameShardInfo info = write_frame_shard(
+      out, bucket, static_cast<std::uint64_t>(bucket_index));
+  out.flush();
+  if (!out.good()) {
+    throw std::runtime_error("write failed: " + path.string());
+  }
   bytes_written = info.payload_bytes + kFrameShardHeaderBytes;
   return info;
 }
@@ -74,8 +80,11 @@ struct EngineState {
   Mutex mu;
   std::ofstream manifest GPUVAR_GUARDED_BY(mu);
   std::map<std::uint64_t, ManifestEntry> entries GPUVAR_GUARDED_BY(mu);
-  std::vector<std::uint64_t> bucket_bytes GPUVAR_GUARDED_BY(mu);
-  std::vector<char> resident GPUVAR_GUARDED_BY(mu);
+  /// Completed buckets still in memory, keyed (bytes, bucket index): the
+  /// last element is the eviction victim — the largest bucket, ties to
+  /// the higher index.
+  std::set<std::pair<std::uint64_t, std::size_t>> resident
+      GPUVAR_GUARDED_BY(mu);
   std::uint64_t resident_bytes GPUVAR_GUARDED_BY(mu) = 0;
   std::uint64_t resident_peak GPUVAR_GUARDED_BY(mu) = 0;
   std::uint64_t bucket_max GPUVAR_GUARDED_BY(mu) = 0;
@@ -182,14 +191,10 @@ CampaignResult run_campaign(const Cluster& cluster,
                        : 0);
 
   // --- resume scan ------------------------------------------------------
+  ThreadPool& pool = config.pool ? *config.pool : ThreadPool::global();
   const fs::path dir(options.checkpoint_dir);
   std::vector<char> done_before(allocations.size(), 0);
   EngineState st;
-  {
-    MutexLock lock(st.mu);
-    st.bucket_bytes.assign(allocations.size(), 0);
-    st.resident.assign(allocations.size(), 0);
-  }
   if (durable) {
     GPUVAR_TRACE_SPAN("engine", "resume_scan");
     fs::create_directories(dir);
@@ -201,27 +206,31 @@ CampaignResult run_campaign(const Cluster& cluster,
           format_hex(m.config_hash) + ", this campaign is " +
           format_hex(out.config_hash) + ")");
     }
-    std::map<std::uint64_t, ManifestEntry> valid;
-    for (const auto& [idx, e] : m.entries) {
-      if (idx >= allocations.size()) {
-        ++out.stats.buckets_rerun_stale;
-        continue;
-      }
-      // Trust nothing: the shard must parse end to end and agree with
-      // the manifest's row count and payload hash. Anything less and
-      // the bucket re-runs from its seed path.
-      bool ok = false;
+    // Trust nothing: every listed shard must parse end to end and agree
+    // with the manifest's row count and payload hash. Anything less and
+    // the bucket re-runs from its seed path. The shards are checked in
+    // parallel; the verdicts fold in bucket order below.
+    std::vector<const std::pair<const std::uint64_t, ManifestEntry>*> listed;
+    listed.reserve(m.entries.size());
+    for (const auto& entry : m.entries) listed.push_back(&entry);
+    std::vector<char> ok(listed.size(), 0);
+    pool.parallel_for(listed.size(), [&](std::size_t k) {
+      const auto& [idx, e] = *listed[k];
+      if (idx >= allocations.size()) return;
       try {
         const FrameShard s = read_frame_shard(
             dir / campaign_shard_file_name(static_cast<std::size_t>(idx)));
-        ok = s.info.bucket_index == idx && s.info.rows == e.info.rows &&
-             s.info.payload_hash == e.info.payload_hash;
+        ok[k] = s.info.bucket_index == idx && s.info.rows == e.info.rows &&
+                s.info.payload_hash == e.info.payload_hash;
       } catch (const std::runtime_error&) {
-        ok = false;
+        // Unreadable or malformed: the verdict stays "re-run".
       }
-      if (ok) {
-        valid[idx] = e;
-        done_before[static_cast<std::size_t>(idx)] = 1;
+    });
+    std::map<std::uint64_t, ManifestEntry> valid;
+    for (std::size_t k = 0; k < listed.size(); ++k) {
+      if (ok[k] != 0) {
+        valid.insert(valid.end(), *listed[k]);
+        done_before[static_cast<std::size_t>(listed[k]->first)] = 1;
       } else {
         ++out.stats.buckets_rerun_stale;
       }
@@ -264,7 +273,6 @@ CampaignResult run_campaign(const Cluster& cluster,
     GPUVAR_METRIC_ADD("engine.buckets_restored", out.stats.buckets_restored);
   }
 
-  ThreadPool& pool = config.pool ? *config.pool : ThreadPool::global();
   {
     GPUVAR_TRACE_SPAN("engine", "execute", "buckets",
                       static_cast<std::int64_t>(total -
@@ -312,8 +320,7 @@ CampaignResult run_campaign(const Cluster& cluster,
       // Residency accounting: the fresh bucket is counted before any
       // eviction, which is exactly why the peak is bounded by
       // budget + one bucket rather than by the budget alone.
-      st.bucket_bytes[ai] = bytes;
-      st.resident[ai] = 1;
+      st.resident.emplace(bytes, ai);
       st.resident_bytes += bytes;
       if (bytes > st.bucket_max) st.bucket_max = bytes;
       if (st.resident_bytes > st.resident_peak) {
@@ -321,22 +328,14 @@ CampaignResult run_campaign(const Cluster& cluster,
       }
       GPUVAR_METRIC_MAX("engine.resident_bytes_peak", st.resident_bytes);
       GPUVAR_METRIC_MAX("engine.bucket_bytes_max", bytes);
-      while (bounded && st.resident_bytes > options.shard_budget_bytes) {
+      while (bounded && st.resident_bytes > options.shard_budget_bytes &&
+             !st.resident.empty()) {
         // Largest resident bucket first; ties go to the higher index so
         // the choice is deterministic for a fixed completion state.
-        std::size_t victim = total;
-        std::uint64_t victim_bytes = 0;
-        for (std::size_t j = 0; j < total; ++j) {
-          if (st.resident[j] == 0) continue;
-          if (victim == total || st.bucket_bytes[j] >= victim_bytes) {
-            victim = j;
-            victim_bytes = st.bucket_bytes[j];
-          }
-        }
-        if (victim == total) break;  // nothing left to evict
-        buckets[victim] = RecordFrame();
-        st.resident[victim] = 0;
-        st.resident_bytes -= victim_bytes;
+        const auto victim = std::prev(st.resident.end());
+        buckets[victim->second] = RecordFrame();
+        st.resident_bytes -= victim->first;
+        st.resident.erase(victim);
         ++st.spilled;
         GPUVAR_METRIC_COUNT("engine.buckets_spilled");
       }
@@ -360,30 +359,53 @@ CampaignResult run_campaign(const Cluster& cluster,
   {
     GPUVAR_TRACE_SPAN("engine", "merge", "buckets",
                       static_cast<std::int64_t>(total));
-    MutexLock lock(st.mu);
-    // Size the merged frame once: a resident bucket knows its rows, and
-    // the manifest entry of every other bucket records them.
+    // Copy the residency flags out and drop the lock: nothing may hold
+    // st.mu across the read-back's dispatches. Size the merged frame
+    // once: a resident bucket knows its rows, and the manifest entry of
+    // every other bucket records them.
+    std::vector<char> resident(total, 0);
     std::size_t rows = 0;
-    for (std::size_t ai = 0; ai < total; ++ai) {
-      const auto e = st.entries.find(ai);
-      if (st.resident[ai] != 0) {
-        rows += buckets[ai].size();
-      } else if (e != st.entries.end()) {
-        rows += static_cast<std::size_t>(e->second.info.rows);
+    {
+      MutexLock lock(st.mu);
+      for (const auto& [bytes, ai] : st.resident) resident[ai] = 1;
+      for (const auto& [idx, e] : st.entries) {
+        if (resident[idx] == 0) rows += static_cast<std::size_t>(e.info.rows);
       }
     }
-    out.frame.reserve(rows);
     for (std::size_t ai = 0; ai < total; ++ai) {
-      if (st.resident[ai] != 0) {
+      if (resident[ai] != 0) rows += buckets[ai].size();
+    }
+    out.frame.reserve(rows);
+
+    // Restored or evicted buckets are read back a window at a time, in
+    // parallel, and appended in bucket-index order. read_frame_shard
+    // re-validates the whole file, so a shard corrupted since the scan
+    // fails loudly instead of merging garbage; the lowest failing index
+    // is reported, whichever worker failed first.
+    const std::size_t window = kMergeWindowPerWorker * pool.size();
+    std::vector<std::exception_ptr> errors(window);
+    for (std::size_t lo = 0; lo < total; lo += window) {
+      const std::size_t n = std::min(window, total - lo);
+      const auto first = resident.begin() + static_cast<std::ptrdiff_t>(lo);
+      const auto last = first + static_cast<std::ptrdiff_t>(n);
+      if (std::find(first, last, 0) != last) {
+        pool.parallel_for(n, [&](std::size_t k) {
+          const std::size_t ai = lo + k;
+          if (resident[ai] != 0) return;
+          try {
+            buckets[ai] =
+                read_frame_shard(dir / campaign_shard_file_name(ai)).frame;
+          } catch (...) {
+            errors[k] = std::current_exception();
+          }
+        });
+        for (std::size_t k = 0; k < n; ++k) {
+          if (errors[k]) std::rethrow_exception(errors[k]);
+        }
+      }
+      for (std::size_t ai = lo; ai < lo + n; ++ai) {
         out.frame.append(buckets[ai]);
         buckets[ai] = RecordFrame();
-      } else {
-        // Restored or evicted: read it back. read_frame_shard
-        // re-validates the whole file, so a shard corrupted since the
-        // scan fails loudly here instead of merging garbage.
-        const FrameShard s =
-            read_frame_shard(dir / campaign_shard_file_name(ai));
-        out.frame.append(s.frame);
       }
     }
   }

@@ -9,16 +9,17 @@
 //   plan         validate the config, sample node allocations, derive
 //                the campaign's config hash (the checkpoint identity)
 //   resume scan  read the checkpoint manifest, re-validate every shard
-//                it lists (missing / truncated / hash-stale shards are
-//                demoted to "must re-run"), rewrite the manifest to the
-//                surviving entries
+//                it lists in parallel (missing / truncated / hash-stale
+//                shards are demoted to "must re-run"), rewrite the
+//                manifest to the surviving entries
 //   execute      run the not-yet-done buckets in parallel; each
 //                completed bucket is serialized to a FrameShard
 //                (telemetry/shard.hpp), logged in the manifest, and —
 //                when resident bucket bytes exceed the shard budget —
 //                evicted from memory (largest bucket first)
 //   merge        concatenate all buckets in bucket-index order, reading
-//                evicted or restored buckets back from their shards
+//                evicted or restored buckets back from their shards a
+//                window at a time, each window decoded in parallel
 //
 // Determinism contract: the merged frame (and so every downstream CSV
 // / report byte) is identical at any pool size and ANY spill threshold,
@@ -30,8 +31,9 @@
 //
 // Memory contract: with a bounded shard_budget_bytes, resident
 // *completed-bucket* bytes never exceed budget + one bucket (the bucket
-// that just completed is counted before eviction runs). The engine
-// reports the observed peak through the metrics registry
+// that just completed is counted before eviction runs), and the merge's
+// read-back holds at most one window of decoded shards at a time. The
+// engine reports the observed peak through the metrics registry
 // ("engine.resident_bytes_peak") and in CampaignStats.
 #pragma once
 

@@ -314,16 +314,19 @@ FrameShardInfo write_frame_shard(std::ostream& out, const RecordFrame& frame,
 }
 
 FrameShard read_frame_shard(const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
+  // Opened at the end, so the buffer is sized once from the file size
+  // and filled by a single read.
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in.good()) {
     throw std::runtime_error("cannot open " + path.string());
   }
-  std::string bytes;
-  char buf[1 << 16];
-  while (in.read(buf, sizeof(buf)) || in.gcount() > 0) {
-    bytes.append(buf, static_cast<std::size_t>(in.gcount()));
+  const std::streamoff size = in.tellg();
+  if (size < 0) throw std::runtime_error("cannot read " + path.string());
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  if (!in.read(bytes.data(), static_cast<std::streamsize>(size))) {
+    throw std::runtime_error("cannot read " + path.string());
   }
-  if (in.bad()) throw std::runtime_error("cannot read " + path.string());
   return parse_frame_shard(bytes, path.string());
 }
 
