@@ -34,14 +34,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh per-test checkpoint directory under gtest's temp root.
-fs::path fresh_dir(const std::string& name) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "gpuvar_engine" / name;
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
 struct Artifacts {
   std::string csv;
   std::string markdown;
@@ -68,14 +60,30 @@ Artifacts render(const Cluster& cluster, const CampaignResult& result) {
 
 class EngineTest : public ::testing::Test {
  protected:
+  void TearDown() override {
+    for (const fs::path& dir : dirs_) fs::remove_all(dir);
+  }
+  /// Fresh checkpoint directory under gtest's temp root, removed when
+  /// the test ends (the wide campaigns leave thousands of shards).
+  fs::path fresh_dir(const std::string& name) {
+    const fs::path dir =
+        fs::path(::testing::TempDir()) / "gpuvar_engine" / name;
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    dirs_.push_back(dir);
+    return dir;
+  }
   ExperimentConfig config(int runs = 2) const {
     return default_config(cluster_, sgemm_workload(16384, 2), runs);
   }
   Cluster cluster_{cloudlab_spec()};
+
+ private:
+  std::vector<fs::path> dirs_;
 };
 
-// A campaign wide enough that the resume scan and the merge split it
-// into several windows at every pool size the tests use, with victims
+// A campaign wide enough that the merge reads it back in several
+// windows (64 buckets per worker) at 1, 4 and 8 threads, with victims
 // in different windows.
 constexpr std::size_t kWideNodes = 600;
 constexpr std::array<std::size_t, 4> kWideVictims = {1, 130, 300, 599};
@@ -180,10 +188,10 @@ TEST_F(EngineTest, InterruptedThenResumedIsByteIdentical) {
 }
 
 TEST_F(EngineTest, StaleShardHashForcesRerunOfThatBucket) {
-  // Corrupt shards spread over several merge windows (at every pool
-  // size the resume scan and the merge fan out over), each behind the
-  // manifest's back: flip the last payload byte. The resume must demote
-  // exactly those buckets and still emit every artifact byte unchanged.
+  // Corrupt shards in different merge windows, each behind the
+  // manifest's back: flip the last payload byte. At every pool size the
+  // resume must demote exactly those buckets and still emit every
+  // artifact byte unchanged.
   const Cluster wide(wide_spec());
   const auto cfg = wide_config(wide);
   const Artifacts want = render(wide, run_campaign(wide, cfg));
