@@ -64,23 +64,6 @@ CsvWriter& CsvWriter::add(double value) {
   return *this;
 }
 
-CsvWriter& CsvWriter::add_repeated(double value, std::size_t copies) {
-  GPUVAR_REQUIRE(copies > 0);
-  begin_field();
-  const std::size_t at = buf_.size();
-  append_double(buf_, value);
-  const std::size_t len = buf_.size() - at;
-  // Reserved up front, so the copies below never read from a buffer
-  // that append has just moved.
-  buf_.reserve(buf_.size() + (copies - 1) * (len + 1));
-  for (std::size_t k = 1; k < copies; ++k) {
-    buf_.push_back(',');
-    buf_.append(buf_.data() + at, len);
-  }
-  fields_in_row_ += copies - 1;
-  return *this;
-}
-
 CsvWriter& CsvWriter::add(long long value) {
   begin_field();
   append_int(buf_, value);

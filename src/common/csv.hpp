@@ -37,8 +37,6 @@ class CsvWriter {
   /// Begins a row; append fields with add(), finish with end_row().
   CsvWriter& add(std::string_view field);
   CsvWriter& add(double value);
-  /// Writes `value` into the next `copies` fields, formatting it once.
-  CsvWriter& add_repeated(double value, std::size_t copies);
   CsvWriter& add(long long value);
   CsvWriter& add(int value) { return add(static_cast<long long>(value)); }
   CsvWriter& add(std::size_t value) {

@@ -30,9 +30,6 @@ class CsvReader {
   const std::vector<std::string>& columns() const { return columns_; }
   std::size_t rows() const { return lines_.size(); }
 
-  bool has_column(std::string_view name) const {
-    return find_column(name).has_value();
-  }
   /// Index of the first column called `name`, if any.
   std::optional<std::size_t> find_column(std::string_view name) const;
   /// Index of the first column called `name`; throws on an unknown one.

@@ -18,6 +18,8 @@ struct GpuLocation {
   int column = -1;   ///< column index within the row
   int node_in_group = 0;  ///< node index within its cabinet / column
   std::string name;  ///< human-readable: "c002-010-gpu2", "rowh-col36-n10-3"
+
+  bool operator==(const GpuLocation&) const = default;
 };
 
 }  // namespace gpuvar

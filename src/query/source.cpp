@@ -6,7 +6,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "query/dataset.hpp"
-#include "stats/kernels.hpp"
 #include "telemetry/frame.hpp"
 
 namespace gpuvar::query {
@@ -19,16 +18,14 @@ std::vector<std::uint32_t> match_rows(const RecordFrame& frame,
     gpu_ok[id] =
         where.matches_gpu(pool[id]) ? std::uint8_t{1} : std::uint8_t{0};
   }
-  std::vector<std::uint8_t> mask(frame.size());
-  stats::kernels::mask_gather_u32(frame.gpu_ids(), gpu_ok, mask);
-  if (!where.day.is_all()) {
-    std::vector<std::uint8_t> day_mask(frame.size());
-    stats::kernels::mask_range_i16(frame.days_of_week(), where.day.lo,
-                                   where.day.hi, day_mask);
-    stats::kernels::mask_and(mask, day_mask, mask);
-  }
+  const auto ids = frame.gpu_ids();
+  const auto days = frame.days_of_week();
   std::vector<std::uint32_t> rows;
-  stats::kernels::mask_to_indices(mask, rows);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (gpu_ok[ids[i]] != 0 && where.day.contains(days[i])) {
+      rows.push_back(static_cast<std::uint32_t>(i));
+    }
+  }
   return rows;
 }
 

@@ -38,8 +38,8 @@ namespace gpuvar::query {
 
 /// Row indices of `frame` matching `where`, ascending. The one row
 /// filter: a location verdict per pool entry (the only part that
-/// inspects strings), gathered through the id column and ANDed with the
-/// day-range mask.
+/// inspects strings), then one pass over the rows that looks up each
+/// row's verdict through the id column and tests its day.
 std::vector<std::uint32_t> match_rows(const RecordFrame& frame,
                                       const Predicate& where);
 

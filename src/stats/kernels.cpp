@@ -1,6 +1,5 @@
 #include "stats/kernels.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -253,79 +252,6 @@ GPUVAR_HOT double quantile_inplace(std::span<double> xs, double q) {
 
 GPUVAR_HOT double median_inplace(std::span<double> xs) {
   return quantile_inplace(xs, 0.5);
-}
-
-// --- predicate masks ----------------------------------------------------
-
-GPUVAR_HOT void mask_range_i16(std::span<const std::int16_t> xs,
-                               std::int64_t lo, std::int64_t hi,
-                               std::span<std::uint8_t> out) {
-  GPUVAR_REQUIRE(out.size() == xs.size());
-  constexpr std::int64_t kI16Min = std::numeric_limits<std::int16_t>::min();
-  constexpr std::int64_t kI16Max = std::numeric_limits<std::int16_t>::max();
-  if (lo > hi || lo > kI16Max || hi < kI16Min) {
-    std::fill(out.begin(), out.end(), std::uint8_t{0});
-    return;
-  }
-  const auto clo = static_cast<std::int16_t>(std::max(lo, kI16Min));
-  const auto chi = static_cast<std::int16_t>(std::min(hi, kI16Max));
-  const std::int16_t* p = xs.data();
-  std::uint8_t* o = out.data();
-  const std::size_t n = xs.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    o[i] = static_cast<std::uint8_t>(p[i] >= clo && p[i] <= chi);
-  }
-}
-
-GPUVAR_HOT void mask_gather_u32(std::span<const std::uint32_t> ids,
-                                std::span<const std::uint8_t> table,
-                                std::span<std::uint8_t> out) {
-  GPUVAR_REQUIRE(out.size() == ids.size());
-  const std::uint32_t* p = ids.data();
-  const std::uint8_t* t = table.data();
-  std::uint8_t* o = out.data();
-  const std::size_t n = ids.size();
-  for (std::size_t i = 0; i < n; ++i) o[i] = t[p[i]];
-}
-
-GPUVAR_HOT void mask_and(std::span<const std::uint8_t> a,
-                         std::span<const std::uint8_t> b,
-                         std::span<std::uint8_t> out) {
-  GPUVAR_REQUIRE(a.size() == b.size());
-  GPUVAR_REQUIRE(out.size() == a.size());
-  const std::uint8_t* pa = a.data();
-  const std::uint8_t* pb = b.data();
-  std::uint8_t* o = out.data();
-  const std::size_t n = a.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    o[i] = static_cast<std::uint8_t>(pa[i] & pb[i]);
-  }
-}
-
-GPUVAR_HOT std::size_t mask_count(std::span<const std::uint8_t> mask) {
-  const std::uint8_t* p = mask.data();
-  const std::size_t n = mask.size();
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) count += p[i];
-  return count;
-}
-
-// The index emitters size the output once (one pad slot keeps the
-// branch-free write in bounds on the final iteration) and fill with an
-// unconditional store — no per-row branch, no per-row growth.
-
-GPUVAR_HOT void mask_to_indices(std::span<const std::uint8_t> mask,
-                                std::vector<std::uint32_t>& out) {
-  const std::size_t count = mask_count(mask);
-  out.resize(count + 1);
-  const std::uint8_t* p = mask.data();
-  const std::size_t n = mask.size();
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[w] = static_cast<std::uint32_t>(i);
-    w += p[i];
-  }
-  out.resize(count);
 }
 
 }  // namespace gpuvar::stats::kernels

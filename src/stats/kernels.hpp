@@ -2,10 +2,9 @@
 //
 // Every analysis in this suite bottoms out in a handful of column
 // primitives: fused min/max/sum/sumsq sweeps (describe), centered
-// product sums (pearson), order-statistic selection (quantile/median),
-// and row-predicate masks (query scans, frame selection). This module
-// implements each one once, in plain C++ the compiler is free to
-// vectorize.
+// product sums (pearson) and order-statistic selection
+// (quantile/median). This module implements each one once, in plain C++
+// the compiler is free to vectorize.
 //
 // Determinism is a hard contract, not an aspiration: a reduction over
 // n elements accumulates element i into lane i%4 (full 4-blocks first,
@@ -19,9 +18,7 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <span>
-#include <vector>
 
 namespace gpuvar::stats::kernels {
 
@@ -92,32 +89,5 @@ double quantile_inplace(std::span<double> xs, double q);
 
 /// quantile_inplace at q = 0.5.
 double median_inplace(std::span<double> xs);
-
-// --- predicate masks ----------------------------------------------------
-// Byte masks (1 = row matches) for the query scan's row filter and
-// RecordFrame selection. Exact integer operations, written branch-free
-// so the compiler can vectorize them.
-
-/// out[i] = lo <= xs[i] <= hi (bounds in FieldRange's int64 domain;
-/// clamped to int16 internally). out must match xs in length.
-void mask_range_i16(std::span<const std::int16_t> xs, std::int64_t lo,
-                    std::int64_t hi, std::span<std::uint8_t> out);
-
-/// out[i] = table[ids[i]] — per-row lookup of a per-pool-entry verdict.
-/// Every id must index into table; out must match ids in length.
-void mask_gather_u32(std::span<const std::uint32_t> ids,
-                     std::span<const std::uint8_t> table,
-                     std::span<std::uint8_t> out);
-
-/// out[i] = a[i] & b[i]; out may alias a or b.
-void mask_and(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b,
-              std::span<std::uint8_t> out);
-
-/// Number of set bytes in the mask.
-std::size_t mask_count(std::span<const std::uint8_t> mask);
-
-/// Replaces out with the positions of set mask bytes, ascending.
-void mask_to_indices(std::span<const std::uint8_t> mask,
-                     std::vector<std::uint32_t>& out);
 
 }  // namespace gpuvar::stats::kernels

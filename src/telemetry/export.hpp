@@ -19,24 +19,24 @@ namespace gpuvar {
 /// One row per telemetry sample of one run's series.
 void export_series_csv(std::ostream& out, const TimeSeries& series);
 
-/// One row per frame row. Uses the legacy results schema (so any results
-/// CSV consumer can read it; the frame stores only medians, so min/max
-/// repeat the median and energy is 0) plus trailing columns that preserve
-/// the full location and day tag. Metric values are written as the
-/// shortest strings that parse back to the same bits, so
-/// import_results_frame is an exact inverse: every metric column comes
-/// back bit-identical, and frame -> CSV -> frame re-exports the same
-/// bytes.
+/// One row per frame row, one column per frame field: the cluster name,
+/// then the GPU's name, gpu_index and location, the run, the four
+/// metrics, the four counters and the day tag. Metric values are
+/// written as the shortest strings that parse back to the same bits, so
+/// import_results_frame is an exact inverse: every row keeps its
+/// gpu_index and location, every metric comes back bit-identical, and
+/// frame -> CSV -> frame re-exports the same bytes.
 void export_frame_csv(std::ostream& out, std::string_view cluster_name,
                       const RecordFrame& frame);
 
 /// Columnar import: the sole CSV ingestion path (the inverse of
 /// export_frame_csv, and the entry point for measurements collected on
-/// real hardware). Accepts both the legacy results schema and the
-/// extended export_frame_csv schema (day_of_week / full-location columns
-/// are honoured when present). Throws std::invalid_argument naming the
-/// 1-based line of the bad record ("line 17: not a number 'abc' in
-/// column perf_ms").
+/// real hardware). Every column export_frame_csv writes except `cluster`
+/// is required; columns may come in any order. Throws
+/// std::invalid_argument naming the 1-based line of the bad record
+/// ("line 17: not a number 'abc' in column perf_ms"), including a
+/// negative gpu_index and a gpu_index first seen with another name or
+/// location.
 RecordFrame import_results_frame(std::istream& in);
 
 }  // namespace gpuvar

@@ -203,6 +203,29 @@ TEST_F(CliTest, WhereFiltersCsvAndStoreAlike) {
   EXPECT_TRUE(contains(err, "no rows match")) << err;
 }
 
+TEST_F(CliTest, CsvAndStorePrintTheSameAnalysis) {
+  // The CSV carries each GPU's index, so analyses that order or filter by
+  // it read the same GPUs from either source: after the source summary
+  // line, the output is identical.
+  make_campaign("4", "2");
+  const std::vector<std::string> forms[] = {
+      {"--analysis", "report"},
+      {"--where", "gpu=0..3", "--analysis", "variability"},
+  };
+  for (const auto& flags : forms) {
+    std::string from_csv, from_store;
+    std::vector<std::string> args{"analyze", csv()};
+    args.insert(args.end(), flags.begin(), flags.end());
+    ASSERT_EQ(run(args, &from_csv), 0) << flags[1];
+    args[1] = store();
+    ASSERT_EQ(run(args, &from_store), 0) << flags[1];
+    const auto body = [](const std::string& text) {
+      return text.substr(text.find('\n') + 1);
+    };
+    EXPECT_EQ(body(from_csv), body(from_store)) << flags[1];
+  }
+}
+
 TEST_F(CliTest, WhereRejectsARepeatedField) {
   make_campaign("4", "2");
   // A second range for one field would silently replace the first.
@@ -330,7 +353,7 @@ TEST_F(CliTest, BadCsvErrorNamesFileAndLine) {
     std::getline(in, text, '\0');
   }
   std::size_t at = text.find('\n') + 1;
-  for (int comma = 0; comma < 5; ++comma) at = text.find(',', at) + 1;
+  for (int comma = 0; comma < 6; ++comma) at = text.find(',', at) + 1;
   text.replace(at, text.find(',', at) - at, "abc");
   const std::string bad = path("bad.csv");
   std::ofstream(bad) << text;

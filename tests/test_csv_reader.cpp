@@ -78,8 +78,8 @@ TEST(CsvReader, UnknownColumnAndBadNumbersThrow) {
   EXPECT_THROW(csv.number(0, "a"), std::invalid_argument);
   EXPECT_THROW(csv.integer(0, "a"), std::invalid_argument);
   EXPECT_THROW(csv.field(1, "a"), std::invalid_argument);
-  EXPECT_TRUE(csv.has_column("a"));
-  EXPECT_FALSE(csv.has_column("b"));
+  EXPECT_EQ(csv.find_column("a"), 0u);
+  EXPECT_FALSE(csv.find_column("b").has_value());
 }
 
 TEST(CsvReader, RoundTripsWriterOutput) {

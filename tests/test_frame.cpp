@@ -414,6 +414,7 @@ TEST(RecordFrame, CsvRoundTripIsLossless) {
     EXPECT_TRUE(
         same_bits(back.exec_stall_frac(), frame.exec_stall_frac(), i))
         << i;
+    EXPECT_EQ(back.gpu_index(i), frame.gpu_index(i)) << i;
     EXPECT_EQ(back.run_index(i), frame.run_index(i));
     EXPECT_EQ(back.day_of_week(i), frame.day_of_week(i));
     EXPECT_EQ(back.loc(i).name, frame.loc(i).name);
@@ -425,9 +426,8 @@ TEST(RecordFrame, CsvRoundTripIsLossless) {
     EXPECT_EQ(back.loc(i).node_in_group, frame.loc(i).node_in_group);
   }
 
-  // gpu_index is re-derived from the name on import, so frame equality is
-  // asserted column-wise above; the serialized form itself must be a
-  // fixed point: re-exporting the imported frame reproduces the bytes.
+  // The serialized form itself must be a fixed point: re-exporting the
+  // imported frame reproduces the bytes.
   std::ostringstream again;
   export_frame_csv(again, "synth", back);
   EXPECT_EQ(csv.str(), again.str());

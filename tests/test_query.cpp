@@ -11,10 +11,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -336,6 +339,45 @@ TEST_F(QueryTest, PredicateMatchesFrameSelectByteForByte) {
   const query::Source filtered(f, where);
   ASSERT_EQ(filtered.size(), selected.size());
   EXPECT_EQ(fp_all(filtered, width), want);
+
+  // Day ranges compare in FieldRange's int64 domain against int16 days:
+  // an empty range, bounds beyond int16 on either side and the unbounded
+  // range each pick exactly the rows where.matches does, with and
+  // without the node restriction. The days spread over int16's extremes.
+  constexpr std::int16_t kDays[] = {-32768, -1, 0, 3, 6, 32767};
+  RecordFrame spread;
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    RunRecord r = f.row(i);
+    r.day_of_week = kDays[i % std::size(kDays)];
+    spread.append_row(r);
+  }
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  const std::pair<std::int64_t, std::int64_t> days[] = {
+      {5, 2},            // empty: lo > hi
+      {kMin, kMax},      // unbounded
+      {40000, 50000},    // both bounds above int16
+      {-50000, -40000},  // both bounds below int16
+      {-50000, 3},       // lo below int16
+      {0, 40000},        // hi above int16
+      {kMin, -32768},    // only int16's minimum
+      {3, 3},
+  };
+  for (const query::Predicate& base : {where, query::Predicate{}}) {
+    for (const auto& [lo, hi] : days) {
+      query::Predicate p = base;
+      p.day.lo = lo;
+      p.day.hi = hi;
+      std::vector<std::uint32_t> expect;
+      for (std::size_t i = 0; i < spread.size(); ++i) {
+        if (p.matches(spread.gpus()[spread.gpu_ids()[i]],
+                      spread.days_of_week()[i])) {
+          expect.push_back(static_cast<std::uint32_t>(i));
+        }
+      }
+      EXPECT_EQ(query::match_rows(spread, p), expect) << lo << ".." << hi;
+    }
+  }
 }
 
 TEST_F(QueryTest, SourceDecodesEachPickedShardOnce) {

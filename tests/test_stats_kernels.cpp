@@ -245,81 +245,5 @@ TEST(StatsKernels, QuantileInplaceRejectsBadArguments) {
   EXPECT_THROW(kernels::quantile_inplace(xs, 1.1), std::invalid_argument);
 }
 
-TEST(StatsKernels, MaskRangeMatchesReferenceLoopIncludingClamps) {
-  std::vector<std::int16_t> days;
-  Rng rng(5);
-  for (int i = 0; i < 1003; ++i) {
-    days.push_back(static_cast<std::int16_t>(rng.uniform_index(7)));
-  }
-  const auto check = [&](std::int64_t lo, std::int64_t hi) {
-    std::vector<std::uint8_t> mask(days.size());
-    kernels::mask_range_i16(days, lo, hi, mask);
-    std::size_t expected = 0;
-    for (std::size_t i = 0; i < days.size(); ++i) {
-      const bool want = lo <= days[i] && days[i] <= hi;
-      EXPECT_EQ(mask[i], want ? 1 : 0) << i;
-      expected += want ? 1u : 0u;
-    }
-    EXPECT_EQ(kernels::mask_count(mask), expected);
-  };
-  check(2, 4);
-  check(3, 3);
-  check(5, 2);   // empty range
-  check(std::numeric_limits<std::int64_t>::min(),
-        std::numeric_limits<std::int64_t>::max());  // is_all clamps
-  check(40000, 50000);    // both above int16
-  check(-50000, -40000);  // both below int16
-  check(-50000, 3);       // lo clamps
-}
-
-TEST(StatsKernels, MaskGatherAndAndMatchReference) {
-  Rng rng(9);
-  std::vector<std::uint8_t> verdicts;
-  for (int i = 0; i < 29; ++i) {
-    verdicts.push_back(rng.uniform_index(2) == 0 ? std::uint8_t{0}
-                                                 : std::uint8_t{1});
-  }
-  std::vector<std::uint32_t> ids;
-  for (int i = 0; i < 1003; ++i) {
-    ids.push_back(static_cast<std::uint32_t>(rng.uniform_index(29)));
-  }
-  std::vector<std::uint8_t> gathered(ids.size());
-  kernels::mask_gather_u32(ids, verdicts, gathered);
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    EXPECT_EQ(gathered[i], verdicts[ids[i]]);
-  }
-
-  std::vector<std::uint8_t> other(ids.size());
-  for (std::size_t i = 0; i < other.size(); ++i) {
-    other[i] = (i % 3 == 0) ? std::uint8_t{1} : std::uint8_t{0};
-  }
-  std::vector<std::uint8_t> expect(ids.size());
-  for (std::size_t i = 0; i < expect.size(); ++i) {
-    expect[i] = gathered[i] & other[i];
-  }
-  // out aliases the first operand — the documented in-place use.
-  kernels::mask_and(gathered, other, gathered);
-  EXPECT_EQ(gathered, expect);
-}
-
-TEST(StatsKernels, MaskToIndicesAndRowsEmitSetPositionsAscending) {
-  const std::vector<std::uint8_t> mask = {0, 1, 1, 0, 0, 1, 0, 1};
-  std::vector<std::uint32_t> idx;
-  kernels::mask_to_indices(mask, idx);
-  EXPECT_EQ(idx, (std::vector<std::uint32_t>{1, 2, 5, 7}));
-
-  const std::vector<std::uint8_t> none(9, 0);
-  kernels::mask_to_indices(none, idx);
-  EXPECT_TRUE(idx.empty());
-  const std::vector<std::uint8_t> all(9, 1);
-  kernels::mask_to_indices(all, idx);
-  ASSERT_EQ(idx.size(), 9u);
-  EXPECT_EQ(idx.back(), 8u);
-
-  const std::vector<std::uint8_t> empty;
-  kernels::mask_to_indices(empty, idx);
-  EXPECT_TRUE(idx.empty());
-}
-
 }  // namespace
 }  // namespace gpuvar::stats

@@ -12,8 +12,7 @@
 //     neither vectorized nor the kernels' lane order.
 //
 // Integer loops (counters, histogram bins) are out of scope: their
-// reduction order cannot change the result, and the kernels' mask
-// utilities already cover the hot ones.
+// reduction order cannot change the result.
 #include <cctype>
 #include <set>
 #include <string>

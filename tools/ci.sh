@@ -298,26 +298,29 @@ job_query_smoke() {
   done
 
   # Exact interchange: a campaign's --out CSV holds every double to the
-  # bit, so each analysis of it prints what its store's does after the
-  # first line (the source summary). The longhorn campaign is one where
-  # 10 significant digits were not enough (its power outlier count
-  # changed). report is left out: its bootstrap CI resamples per-GPU
-  # medians in GPU-index order, and a CSV's GPU index is derived from
-  # the GPU name, not the cluster's numbering.
+  # bit and every GPU's index, so each analysis of it, filtered by GPU
+  # index or not, prints what its store's does after the first line (the
+  # source summary). The longhorn campaign is one where 10 significant
+  # digits were not enough (its power outlier count changed). Each
+  # campaign's GPU range keeps four of its GPUs: longhorn's 30% coverage
+  # holds no GPU below index 12.
   local lh=build-ci/QUERY_lh
   ./build-ci/tools/gpuvar run --cluster longhorn --workload sgemm \
     --reps 4 --runs 3 --coverage 0.3 --checkpoint "$lh" --shard-budget 0 \
     --out build-ci/QUERY_lh.csv > /dev/null
-  local pair store csv
-  for pair in "$ck:build-ci/QUERY_ref.csv" "$lh:build-ci/QUERY_lh.csv"; do
-    store=${pair%%:*}
-    csv=${pair#*:}
-    for a in variability correlate flags drift impact groups; do
-      ./build-ci/tools/gpuvar analyze "$csv" --analysis "$a" |
-        tail -n +2 > "build-ci/QUERY_${a}_csv.txt"
-      ./build-ci/tools/gpuvar analyze "$store" --analysis "$a" |
-        tail -n +2 > "build-ci/QUERY_${a}_store.txt"
-      cmp "build-ci/QUERY_${a}_csv.txt" "build-ci/QUERY_${a}_store.txt"
+  local pair store csv gpus
+  for pair in "$ck:build-ci/QUERY_ref.csv:0..3" \
+      "$lh:build-ci/QUERY_lh.csv:12..15"; do
+    IFS=: read -r store csv gpus <<< "$pair"
+    for a in variability correlate flags drift impact groups report \
+        "project --target 64" "variability --where gpu=$gpus"; do
+      name=${a// /_}
+      # $a is unquoted on purpose: it carries the analysis and its flags.
+      ./build-ci/tools/gpuvar analyze "$csv" --analysis $a |
+        tail -n +2 > "build-ci/QUERY_${name}_csv.txt"
+      ./build-ci/tools/gpuvar analyze "$store" --analysis $a |
+        tail -n +2 > "build-ci/QUERY_${name}_store.txt"
+      cmp "build-ci/QUERY_${name}_csv.txt" "build-ci/QUERY_${name}_store.txt"
     done
   done
 
