@@ -1,7 +1,8 @@
 // Micro-benchmarks for the streaming query plane (google-benchmark):
-// the cost of opening a checkpoint store, of a cold scan (cache budget
-// 0, every shard re-decoded), of a warm repeat scan served from the
-// decoded-shard cache, and of a warm pushdown-filtered query, all
+// the cost of opening a checkpoint store, of a cold scan (a fresh
+// Dataset per iteration, opened untimed, so every shard is decoded in
+// the timed part), of a warm repeat scan served from the shards the
+// Dataset already decoded, and of a warm pushdown-filtered query, all
 // against the full Dataset::materialize escape hatch. A warm filtered
 // query touching one shard must beat materializing the whole store —
 // that gap is the entire reason the query plane exists, and these
@@ -9,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <optional>
 #include <string>
 
 #include "gpuvar.hpp"
@@ -18,7 +20,6 @@ namespace {
 namespace fs = std::filesystem;
 
 using gpuvar::query::Dataset;
-using gpuvar::query::DatasetOptions;
 using gpuvar::query::Predicate;
 using gpuvar::query::Source;
 
@@ -52,23 +53,31 @@ void BM_QueryOpen(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryOpen);
 
+/// Replaces `ds` with a freshly opened Dataset outside the timed part,
+/// so the next timed scan decodes every shard again.
+void reopen_untimed(benchmark::State& state, std::optional<Dataset>& ds) {
+  state.PauseTiming();
+  ds.reset();
+  ds.emplace(Dataset::open(store_dir()));
+  state.ResumeTiming();
+}
+
 void BM_QueryColdScan(benchmark::State& state) {
-  // Cache budget 0: every iteration reads, hash-checks, and decodes
-  // every shard from disk — the floor a cache-starved query pays.
-  DatasetOptions opts;
-  opts.cache_budget_bytes = 0;
-  const Dataset ds = Dataset::open(store_dir(), opts);
+  // A fresh Dataset each iteration: every iteration reads, hash-checks,
+  // and decodes every shard from disk — what a first query pays.
+  std::optional<Dataset> ds;
   for (auto _ : state) {
-    const auto report = gpuvar::analyze_variability(Source(ds));
+    reopen_untimed(state, ds);
+    const auto report = gpuvar::analyze_variability(Source(*ds));
     benchmark::DoNotOptimize(report.perf.variation_pct);
   }
 }
 BENCHMARK(BM_QueryColdScan);
 
 void BM_QueryWarmScan(benchmark::State& state) {
-  // Unlimited budget, cache warmed before timing: the repeat-query
-  // path every interactive session lives on. Delta vs BM_QueryColdScan
-  // is what the decoded-shard cache buys.
+  // Shards decoded before timing: the repeat-query path every
+  // interactive session lives on. Delta vs BM_QueryColdScan is what
+  // keeping decoded shards buys.
   const Dataset ds = Dataset::open(store_dir());
   gpuvar::analyze_variability(Source(ds));
   for (auto _ : state) {
@@ -79,7 +88,7 @@ void BM_QueryWarmScan(benchmark::State& state) {
 BENCHMARK(BM_QueryWarmScan);
 
 void BM_QueryWarmFiltered(benchmark::State& state) {
-  // Warm cache plus a node predicate that pushdown resolves to a
+  // Warm shards plus a node predicate that pushdown resolves to a
   // single shard. The acceptance bar: this must beat
   // BM_QueryMaterialize, or streaming queries have no reason to exist.
   const Dataset ds = Dataset::open(store_dir());
@@ -96,13 +105,12 @@ BENCHMARK(BM_QueryWarmFiltered);
 
 void BM_QueryMaterialize(benchmark::State& state) {
   // The pre-query-plane baseline: rebuild the whole RecordFrame from
-  // disk, then analyze it. Budget 0 keeps the decoded-shard cache out
-  // of the picture — the world before this plane had no such cache.
-  DatasetOptions opts;
-  opts.cache_budget_bytes = 0;
-  const Dataset ds = Dataset::open(store_dir(), opts);
+  // disk, then analyze it. A fresh Dataset each iteration keeps decoded
+  // shards out of the picture — the world before this plane kept none.
+  std::optional<Dataset> ds;
   for (auto _ : state) {
-    const gpuvar::RecordFrame frame = ds.materialize();
+    reopen_untimed(state, ds);
+    const gpuvar::RecordFrame frame = ds->materialize();
     const auto report = gpuvar::analyze_variability(frame);
     benchmark::DoNotOptimize(report.perf.variation_pct);
   }

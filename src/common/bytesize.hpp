@@ -1,11 +1,11 @@
 // Human-entered byte-size parsing shared by every budget flag.
 //
-// Several CLI flags (--shard-budget, --cache-budget) and config knobs
-// accept "a number of bytes, or 'unlimited'". They must all agree on
-// the grammar, the unlimited sentinel, and — critically — on rejecting
-// values whose K/M/G scaling wraps 64 bits: a wrapped budget silently
-// becomes an arbitrary small (or effectively unlimited) limit instead
-// of the error the user needs to see.
+// A budget flag (today `run --shard-budget`) accepts "a number of
+// bytes, or 'unlimited'". Every such flag must agree on the grammar,
+// the unlimited sentinel, and — critically — on rejecting values whose
+// K/M/G scaling wraps 64 bits: a wrapped budget silently becomes an
+// arbitrary small (or effectively unlimited) limit instead of the
+// error the user needs to see.
 #pragma once
 
 #include <cstdint>

@@ -151,17 +151,17 @@ constexpr FlagSpec kAnalyzeFlags[] = {
     {"slowdown-temp", "T", "SKU thermal-slowdown threshold, Celsius"},
     {"target", "N", "projected cluster size (project)"},
     {"title", "T", "report title"},
-    {"threads", "N", "store scan threads (default: shared pool)"},
-    {"cache-budget", "BYTES[K|M|G]|unlimited",
-     "store decoded-shard cache budget (default unlimited)"},
-    {"no-pushdown", nullptr, "scan every shard (disable header pushdown)"},
+    {"threads", "N", "store scan threads, 1..256 (default: shared pool)"},
     {"materialize", nullptr,
      "merge the full store first (reference path for byte-comparison)"},
 };
 
 /// The analyze flags that only a checkpoint-store SRC can honour.
-constexpr const char* kStoreOnlyFlags[] = {"threads", "cache-budget",
-                                           "no-pushdown", "materialize"};
+constexpr const char* kStoreOnlyFlags[] = {"threads", "materialize"};
+
+/// The most scan threads `analyze --threads` may ask for: a typo must
+/// fail as a bad value, not ask the OS for millions of threads.
+constexpr int kMaxScanThreads = 256;
 
 struct ParsedArgs {
   std::vector<std::string> positional;
@@ -194,13 +194,13 @@ struct ParsedArgs {
     }
     return v;
   }
-  /// An integer flag in [lo, int max]. NaN, fractional and out-of-range
+  /// An integer flag in [lo, hi]. NaN, fractional and out-of-range
   /// values are errors naming the flag, never a cast of an arbitrary
   /// double.
-  int get_int(const std::string& key, int fallback, int lo) const {
+  int get_int(const std::string& key, int fallback, int lo,
+              int hi = std::numeric_limits<int>::max()) const {
     if (!has(key)) return fallback;
     const double v = number(key);
-    constexpr int hi = std::numeric_limits<int>::max();
     if (!(v >= lo && v <= hi && v == std::floor(v))) {
       throw std::invalid_argument("--" + key + " needs an integer in [" +
                                   format_int(lo) + ", " + format_int(hi) +
@@ -762,11 +762,8 @@ int cmd_analyze(const ParsedArgs& args, std::ostream& out) {
   }
 
   query::DatasetOptions dopts;
-  dopts.cache_budget_bytes =
-      parse_byte_size(args.get("cache-budget", "unlimited"), "--cache-budget");
-  dopts.pushdown = !args.has("no-pushdown");
   std::optional<ThreadPool> pool;
-  const int threads = args.get_int("threads", 0, 1);
+  const int threads = args.get_int("threads", 0, 1, kMaxScanThreads);
   if (threads > 0) {
     pool.emplace(static_cast<std::size_t>(threads));
     dopts.pool = &*pool;

@@ -12,8 +12,11 @@
 //                           into a resumable store), print its
 //                           variability table, write the artifacts
 //   analyze SRC [--analysis A] [--where F=LO..HI,...] [--against SRC]
+//           [--threads N] [--materialize]
 //                           one analysis over SRC: a checkpoint store
-//                           (streamed, with pushdown) or a results CSV
+//                           (streamed, each shard decoded once, shards
+//                           the filter rules out never read) or a
+//                           results CSV
 //
 // `analyze` accepts any CSV with the results schema, including ones
 // collected on real hardware, so the suite works as a standalone

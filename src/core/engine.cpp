@@ -1,6 +1,7 @@
 #include "core/engine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -42,7 +43,6 @@ namespace fs = std::filesystem;
 using Manifest = CampaignManifest;
 using ManifestEntry = CampaignManifestEntry;
 constexpr const char* kManifestName = kCampaignManifestName;
-constexpr const char* kMarkerName = kCampaignMarkerName;
 
 /// Buckets the merge reads back per dispatch, per pool worker: enough
 /// to amortize a parallel_for, few enough that the decoded window stays
@@ -235,13 +235,9 @@ CampaignResult run_campaign(const Cluster& cluster,
         ++out.stats.buckets_rerun_stale;
       }
     }
-    // Rewrite the manifest down to the entries that survived, then mark
-    // the campaign in progress and reopen the manifest for appending.
+    // Rewrite the manifest down to the entries that survived (without
+    // its done line) and reopen it for appending.
     rewrite_campaign_manifest(dir, out.config_hash, valid, /*done=*/false);
-    {
-      std::ofstream marker(dir / kMarkerName, std::ios::trunc);
-      marker << "campaign in progress\n";
-    }
     MutexLock lock(st.mu);
     st.entries = std::move(valid);
     st.manifest.open(dir / kManifestName, std::ios::app);
@@ -413,7 +409,6 @@ CampaignResult run_campaign(const Cluster& cluster,
   if (durable) {
     MutexLock lock(st.mu);
     rewrite_campaign_manifest(dir, out.config_hash, st.entries, /*done=*/true);
-    fs::remove(dir / kMarkerName);
   }
 
   out.gpus_measured = out.frame.gpu_count();
@@ -463,7 +458,14 @@ std::vector<CampaignJob> power_cap_sweep(const ExperimentConfig& base,
   std::vector<CampaignJob> jobs;
   jobs.reserve(caps_w.size());
   for (double cap : caps_w) {
-    GPUVAR_REQUIRE_MSG(cap >= 0.0, "power cap must be >= 0 W");
+    // The cap names the job, so it must print exactly: a whole number
+    // of watts (150.5 and 150.7 would both print as cap-150w) and small
+    // enough for the conversion to long long to be defined.
+    GPUVAR_REQUIRE_MSG(
+        cap >= 0.0 && cap <= kMaxSweepPowerCapW && cap == std::floor(cap),
+        "power cap must be a whole number of watts in [0, " +
+            format_int(static_cast<long long>(kMaxSweepPowerCapW)) +
+            "], got " + format_double(cap));
     CampaignJob job;
     job.name = "cap-" + format_int(static_cast<long long>(cap)) + "w";
     job.config = base;
@@ -476,8 +478,10 @@ std::vector<CampaignJob> power_cap_sweep(const ExperimentConfig& base,
 std::vector<SweepJobResult> run_campaign_sweep(
     const Cluster& cluster, const std::vector<CampaignJob>& jobs,
     const CampaignOptions& options) {
-  std::vector<SweepJobResult> out;
-  out.reserve(jobs.size());
+  // Every name is checked before any job runs: a name is a checkpoint
+  // subdirectory and an artifact suffix, so two jobs sharing one would
+  // resume into or overwrite each other.
+  std::set<std::string> names;
   for (const auto& job : jobs) {
     GPUVAR_REQUIRE_MSG(!job.name.empty(), "sweep job needs a name");
     for (char c : job.name) {
@@ -485,6 +489,12 @@ std::vector<SweepJobResult> run_campaign_sweep(
           (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '-',
           "sweep job name must be [a-z0-9-]: " + job.name);
     }
+    GPUVAR_REQUIRE_MSG(names.insert(job.name).second,
+                       "duplicate sweep job name: " + job.name);
+  }
+  std::vector<SweepJobResult> out;
+  out.reserve(jobs.size());
+  for (const auto& job : jobs) {
     CampaignOptions job_options = options;
     if (!options.checkpoint_dir.empty()) {
       job_options.checkpoint_dir =

@@ -120,8 +120,13 @@ struct CampaignJob {
 /// per day tag (each folds its day into the run seeds).
 std::vector<CampaignJob> day_of_week_sweep(const ExperimentConfig& base);
 
+/// The largest cap power_cap_sweep accepts, in watts.
+inline constexpr double kMaxSweepPowerCapW = 1e6;
+
 /// Jobs "cap-<watts>w", one campaign per power-cap override (the
-/// paper's §VI power-cap sensitivity study).
+/// paper's §VI power-cap sensitivity study). Each cap must be a whole
+/// number of watts in [0, kMaxSweepPowerCapW]; anything else (NaN, inf,
+/// 150.5) fails loudly naming the value.
 std::vector<CampaignJob> power_cap_sweep(const ExperimentConfig& base,
                                          const std::vector<double>& caps_w);
 
@@ -130,10 +135,12 @@ struct SweepJobResult {
   CampaignResult result;
 };
 
-/// Runs the jobs in order through the engine. With a checkpoint_dir,
-/// each job checkpoints into `<dir>/<job name>`; resuming a killed
-/// sweep skips completed jobs entirely (their manifests are final) and
-/// resumes the interrupted one bucket-by-bucket.
+/// Runs the jobs in order through the engine. Job names must be
+/// distinct; a repeated name fails before any job runs. With a
+/// checkpoint_dir, each job checkpoints into `<dir>/<job name>`;
+/// resuming a killed sweep runs no bucket of a completed job again (it
+/// still re-reads every shard and rewrites its manifest) and resumes
+/// the interrupted one bucket-by-bucket.
 std::vector<SweepJobResult> run_campaign_sweep(
     const Cluster& cluster, const std::vector<CampaignJob>& jobs,
     const CampaignOptions& options = {});

@@ -50,7 +50,7 @@ Dataset Dataset::open(const std::string& dir, const DatasetOptions& options) {
                              "directory)");
   }
   ds.config_hash_ = m.config_hash;
-  ds.complete_ = m.done && !fs::exists(d / kCampaignMarkerName);
+  ds.complete_ = m.done;
 
   ds.shards_.reserve(m.entries.size());
   for (const auto& [idx, e] : m.entries) {
@@ -85,11 +85,9 @@ ThreadPool& Dataset::scan_pool() const {
 std::shared_ptr<const RecordFrame> Dataset::fetch(std::size_t i) const {
   {
     MutexLock lock(cache_->mu);
-    CacheEntry& e = cache_->entries[i];
-    if (e.data != nullptr) {
-      e.last_use = ++cache_->tick;
+    if (cache_->entries[i] != nullptr) {
       GPUVAR_METRIC_COUNT("query.cache_hits");
-      return e.data;
+      return cache_->entries[i];
     }
   }
   GPUVAR_METRIC_COUNT("query.cache_misses");
@@ -98,39 +96,18 @@ std::shared_ptr<const RecordFrame> Dataset::fetch(std::size_t i) const {
       "query", "decode_shard", "bucket",
       static_cast<std::int64_t>(shard.header.info.bucket_index));
   // Decode outside the lock: two threads may race to decode the same
-  // shard (wasted work, not wrong results — the file is immutable and
-  // last insert wins).
+  // shard (wasted work, not wrong results — the file is immutable).
+  // The first insert wins, so every caller shares one copy.
   auto decoded =
       std::make_shared<const RecordFrame>(read_frame_shard(shard.path).frame);
 
-  const auto cost = static_cast<std::uint64_t>(decoded->memory_bytes());
   MutexLock lock(cache_->mu);
-  CacheEntry& e = cache_->entries[i];
-  if (e.data != nullptr) cache_->resident_bytes -= e.bytes;
-  e.data = decoded;
-  e.bytes = cost;
-  e.last_use = ++cache_->tick;
-  cache_->resident_bytes += cost;
-  // High-water is recorded before eviction restores the budget: the
-  // honest bound is budget + one decoded shard, and the property tests
-  // assert exactly that.
+  std::shared_ptr<const RecordFrame>& entry = cache_->entries[i];
+  if (entry != nullptr) return entry;
+  entry = std::move(decoded);
+  cache_->resident_bytes += static_cast<std::uint64_t>(entry->memory_bytes());
   GPUVAR_METRIC_MAX("query.cache_bytes_peak", cache_->resident_bytes);
-  while (cache_->resident_bytes > options_.cache_budget_bytes) {
-    std::size_t victim = cache_->entries.size();
-    for (std::size_t j = 0; j < cache_->entries.size(); ++j) {
-      const CacheEntry& c = cache_->entries[j];
-      if (c.data == nullptr) continue;
-      if (victim == cache_->entries.size() ||
-          c.last_use < cache_->entries[victim].last_use) {
-        victim = j;
-      }
-    }
-    if (victim == cache_->entries.size()) break;  // nothing left to evict
-    cache_->resident_bytes -= cache_->entries[victim].bytes;
-    cache_->entries[victim] = CacheEntry{};
-    GPUVAR_METRIC_COUNT("query.cache_evictions");
-  }
-  return decoded;
+  return entry;
 }
 
 RecordFrame Dataset::materialize() const {

@@ -17,9 +17,9 @@
 //    and merge in bucket-index order, so results are byte-identical at
 //    any thread count — the same determinism discipline as the
 //    campaign engine's write path;
-//  - caching: decoded shards live in a byte-budgeted LRU keyed by file
-//    path, shared by every query against the Dataset. Hits, misses,
-//    evictions and the resident-bytes high-water mark surface as
+//  - decoded once per Dataset: a shard is decoded at most once and
+//    kept for the Dataset's lifetime, shared by every query against it.
+//    Hits, misses and the resident-bytes high-water mark surface as
 //    query.* metrics.
 //
 // Trust model: Dataset::open verifies each listed shard's header
@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "common/bytesize.hpp"
 #include "common/mutex.hpp"
 #include "common/thread_annotations.hpp"
 #include "telemetry/frame.hpp"
@@ -104,13 +103,6 @@ struct Predicate {
 };
 
 struct DatasetOptions {
-  /// Byte budget for the decoded-shard LRU cache. 0 disables retention
-  /// (every scan re-decodes); kUnlimitedBytes never evicts.
-  std::uint64_t cache_budget_bytes = kUnlimitedBytes;
-  /// When false, header-stats pushdown is disabled and every shard is
-  /// scanned (row-level filtering still applies). Exists so the
-  /// pushdown-on/off property tests can pin byte-identical results.
-  bool pushdown = true;
   /// Pool for parallel shard scans; nullptr means ThreadPool::global().
   ThreadPool* pool = nullptr;
 };
@@ -129,8 +121,8 @@ class Dataset {
   /// verifies each listed shard's fixed-size header (magic, version,
   /// and agreement with the manifest's rows/payload/hash facts).
   /// Throws std::runtime_error on a missing/foreign manifest or any
-  /// header defect. An incomplete campaign (no "done" line, or the
-  /// IN_PROGRESS marker present) opens fine — complete() reports it.
+  /// header defect. An incomplete campaign (no "done" line in the
+  /// manifest) opens fine — complete() reports it.
   static Dataset open(const std::string& dir,
                       const DatasetOptions& options = {});
 
@@ -140,12 +132,10 @@ class Dataset {
   const std::vector<DatasetShard>& shards() const { return shards_; }
   /// Total rows across all shards (before any predicate).
   std::uint64_t total_rows() const { return total_rows_; }
-  bool pushdown_enabled() const { return options_.pushdown; }
   ThreadPool& scan_pool() const;
 
-  /// Fetches shard `i`, decoded, through the LRU cache. The returned
-  /// frame is immutable and stays valid after eviction (shared
-  /// ownership).
+  /// Fetches shard `i`, decoding it on first use and keeping it for
+  /// the Dataset's lifetime. The returned frame is immutable.
   std::shared_ptr<const RecordFrame> fetch(std::size_t i) const;
 
   /// Appends every shard's frame in bucket-index order into one
@@ -161,20 +151,13 @@ class Dataset {
  private:
   Dataset() = default;
 
-  /// Byte-budgeted LRU of decoded shards, keyed by shard index;
-  /// eviction drops the least-recently-used entry until resident bytes
-  /// fit the budget. Entries are immutable shared_ptrs, so a scan
-  /// holding one is unaffected by eviction.
-  struct CacheEntry {
-    std::shared_ptr<const RecordFrame> data;
-    std::uint64_t bytes = 0;
-    std::uint64_t last_use = 0;
-  };
+  /// Decoded shards, keyed by shard index; an entry, once set, is
+  /// never replaced or dropped.
   struct Cache {
     Mutex mu;
-    std::vector<CacheEntry> entries GPUVAR_GUARDED_BY(mu);
+    std::vector<std::shared_ptr<const RecordFrame>> entries
+        GPUVAR_GUARDED_BY(mu);
     std::uint64_t resident_bytes GPUVAR_GUARDED_BY(mu) = 0;
-    std::uint64_t tick GPUVAR_GUARDED_BY(mu) = 0;
   };
 
   std::string dir_;

@@ -54,8 +54,7 @@ void Source::ensure_plan() const {
                     static_cast<std::int64_t>(shards.size()));
   std::size_t skipped = 0;
   for (std::size_t i = 0; i < shards.size(); ++i) {
-    if (dataset_->pushdown_enabled() &&
-        !where_.may_match(shards[i].header.stats)) {
+    if (!where_.may_match(shards[i].header.stats)) {
       // Pushdown: the header ranges prove no row can match, so the
       // payload of this shard is never read.
       ++skipped;

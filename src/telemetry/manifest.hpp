@@ -17,7 +17,10 @@
 //   done                                   (present once all buckets ran)
 // Entry lines are parsed only when they match this shape exactly;
 // anything else — e.g. the torn tail of an append that died mid-write —
-// is skipped, so the durable prefix is what counts.
+// is skipped, so the durable prefix is what counts. The "done" line is
+// the campaign's only completion signal: the write path adds it in the
+// final atomic rewrite, and readers report a store without it as
+// incomplete.
 #pragma once
 
 #include <cstdint>
@@ -30,11 +33,6 @@
 namespace gpuvar {
 
 inline constexpr const char* kCampaignManifestName = "manifest.txt";
-/// Present while a campaign is writing the directory; a query refusing
-/// to open a directory bearing this marker would be wrong (resumable
-/// campaigns leave it behind on crash), so readers surface it as a
-/// "complete" bit instead.
-inline constexpr const char* kCampaignMarkerName = "IN_PROGRESS";
 inline constexpr const char* kCampaignManifestMagic =
     "gpuvar-campaign-manifest v1";
 

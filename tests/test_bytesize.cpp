@@ -1,5 +1,5 @@
 // parse_byte_size: the shared grammar behind every byte-budget flag
-// (--shard-budget, --cache-budget). The overflow tests moved here from
+// (today --shard-budget). The overflow tests moved here from
 // test_cli.cpp when the parser was hoisted into src/common.
 #include "common/bytesize.hpp"
 
@@ -29,10 +29,10 @@ TEST(ByteSize, UnlimitedSentinel) {
 TEST(ByteSize, RejectsBadSyntaxNamingTheFlag) {
   for (const char* bad : {"", "4X", "-1", "1.5G", "G", "unlimitedd"}) {
     try {
-      parse_byte_size(bad, "--cache-budget");
+      parse_byte_size(bad, "--shard-budget");
       FAIL() << "accepted '" << bad << "'";
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("bad --cache-budget"),
+      EXPECT_NE(std::string(e.what()).find("bad --shard-budget"),
                 std::string::npos)
           << e.what();
     }

@@ -388,6 +388,8 @@ TEST_F(CliTest, RejectsNonIntegerCounts) {
       {{"analyze", csv(), "--analysis", "project", "--target", "-4"},
        "--target needs an integer"},
       {{"analyze", store(), "--threads", "1.5"}, "--threads needs an integer"},
+      {{"analyze", store(), "--threads", "100000"},
+       "--threads needs an integer in [1, 256]"},
       {{"run", "--power-limit", "-50"}, "--power-limit needs a cap >= 0 W"},
       {{"run", "--power-limit", "nan"}, "--power-limit needs a finite number"},
       {{"run", "--coverage", "inf"}, "--coverage needs a finite number"},
@@ -419,8 +421,6 @@ TEST_F(CliTest, RejectsStoreOnlyFlagsOnCsv) {
   make_campaign("3", "1");
   const std::vector<std::vector<std::string>> store_only = {
       {"--threads", "2"},
-      {"--cache-budget", "4K"},
-      {"--no-pushdown"},
       {"--materialize"},
   };
   for (const auto& flag : store_only) {

@@ -8,6 +8,7 @@
 #include <array>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,6 +22,7 @@
 #include "core/markdown_report.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "query/dataset.hpp"
 #include "query/source.hpp"  // IWYU pragma: keep (frame -> Source)
 #include "shard_forgery.hpp"
 #include "telemetry/export.hpp"
@@ -156,8 +158,8 @@ TEST_F(EngineTest, InterruptedThenResumedIsByteIdentical) {
     CampaignOptions opts;
     opts.checkpoint_dir = dir.string();
     EXPECT_THROW(run_campaign(cluster_, cfg, opts), std::runtime_error);
-    EXPECT_TRUE(fs::exists(dir / "IN_PROGRESS"))
-        << "a killed campaign must leave its in-progress marker behind";
+    EXPECT_FALSE(query::Dataset::open(dir.string()).complete())
+        << "a killed campaign's manifest must lack its done line";
 
     // Resume: only the missing buckets re-run, progress is monotone
     // 1..total across restored + fresh buckets, and every artifact byte
@@ -174,8 +176,8 @@ TEST_F(EngineTest, InterruptedThenResumedIsByteIdentical) {
       EXPECT_EQ(seen[i].first, i + 1);
       EXPECT_EQ(seen[i].second, 3u);
     }
-    EXPECT_FALSE(fs::exists(dir / "IN_PROGRESS"))
-        << "a completed campaign must clear the marker";
+    EXPECT_TRUE(query::Dataset::open(dir.string()).complete())
+        << "a completed campaign's manifest must end in its done line";
 
     const Artifacts a = render(cluster_, resumed);
     EXPECT_EQ(a.csv, want.csv)
@@ -300,7 +302,6 @@ TEST_F(EngineTest, TruncatedUnlistedShardIsRerunOnResume) {
   CampaignManifest m = read_campaign_manifest(dir / kCampaignManifestName);
   m.entries.erase(victim);
   rewrite_campaign_manifest(dir, m.config_hash, m.entries, /*done=*/false);
-  std::ofstream(dir / kCampaignMarkerName) << "campaign in progress\n";
 
   const CampaignResult resumed = run_campaign(wide, cfg, opts);
   EXPECT_EQ(resumed.stats.buckets_rerun_stale, 0u)
@@ -553,7 +554,34 @@ TEST_F(EngineTest, SweepBuildersNameJobsAfterTheirVariation) {
   EXPECT_EQ(caps[0].name, "cap-150w");
   EXPECT_EQ(caps[1].name, "cap-250w");
   EXPECT_THROW(power_cap_sweep(config(), {}), std::invalid_argument);
-  EXPECT_THROW(power_cap_sweep(config(), {-5.0}), std::invalid_argument);
+  // A cap that is negative, not finite, too large or not a whole number
+  // of watts cannot name its job exactly; the error names the value.
+  const std::pair<double, const char*> bad[] = {
+      {-5.0, "got -5"},
+      {std::numeric_limits<double>::infinity(), "got inf"},
+      {std::numeric_limits<double>::quiet_NaN(), "got nan"},
+      {1e300, "got 1e+300"},
+      {150.5, "got 150.5"},
+  };
+  for (const auto& [cap, message] : bad) {
+    try {
+      power_cap_sweep(config(), {cap});
+      ADD_FAILURE() << "accepted cap " << cap;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+  // Two jobs with one name would share a checkpoint directory and
+  // artifact names; the sweep refuses them before running either.
+  try {
+    run_campaign_sweep(cluster_, power_cap_sweep(config(), {200.0, 200.0}));
+    ADD_FAILURE() << "ran two jobs named cap-200w";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate sweep job name: cap-200w"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST_F(EngineTest, SweepResumeSkipsCompletedJobs) {

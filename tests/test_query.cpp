@@ -1,9 +1,8 @@
 // Query-plane property tests: every migrated analysis over a
 // dataset-backed Source must be byte-identical to the same analysis
-// over the materialized frame, across thread counts, cache budgets,
-// and pushdown on/off; pushdown must demonstrably skip shards on
-// header facts; and the decoded-shard cache must respect its byte
-// budget up to the one-shard high-water slack the design promises.
+// over the materialized frame at any thread count; pushdown must
+// demonstrably skip shards on header facts; and a Dataset must decode
+// each shard at most once however many scans read it.
 #include "query/source.hpp"
 
 #include <gtest/gtest.h>
@@ -23,7 +22,6 @@
 #include <unistd.h>
 
 #include "cluster/cluster.hpp"
-#include "common/bytesize.hpp"
 #include "common/thread_pool.hpp"
 #include "core/cli.hpp"
 #include "core/compare.hpp"
@@ -246,16 +244,6 @@ class QueryTest : public ::testing::Test {
   static std::string dir() { return dir_->string(); }
   static const RecordFrame& frame() { return *frame_; }
 
-  /// Full decode size of the largest shard: the cache's high-water
-  /// slack, and a budget that can hold one shard but not two.
-  static std::uint64_t max_shard_bytes(const query::Dataset& d) {
-    std::uint64_t hi = 0;
-    for (std::size_t i = 0; i < d.shards().size(); ++i) {
-      hi = std::max<std::uint64_t>(hi, d.fetch(i)->memory_bytes());
-    }
-    return hi;
-  }
-
  private:
   static fs::path* dir_;
   static RecordFrame* frame_;
@@ -280,26 +268,15 @@ TEST_F(QueryTest, MaterializeRebuildsEngineFrameByteForByte) {
       << "materialize() diverged from the frame the engine merged";
 }
 
-TEST_F(QueryTest, AnalysesByteIdenticalAcrossThreadsBudgetsAndPushdown) {
+TEST_F(QueryTest, AnalysesByteIdenticalAcrossThreads) {
   const std::string want = fp_all(query::Source(frame()));
-  const std::uint64_t one_shard = max_shard_bytes(query::Dataset::open(dir()));
-  ASSERT_GT(one_shard, 0u);
-
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
     ThreadPool pool(threads);
-    for (std::uint64_t budget : {std::uint64_t{0}, one_shard, kUnlimitedBytes}) {
-      for (bool pushdown : {false, true}) {
-        query::DatasetOptions opts;
-        opts.cache_budget_bytes = budget;
-        opts.pushdown = pushdown;
-        opts.pool = &pool;
-        const query::Dataset d = query::Dataset::open(dir(), opts);
-        const query::Source s(d);
-        EXPECT_EQ(fp_all(s), want)
-            << "threads=" << threads << " budget=" << budget
-            << " pushdown=" << pushdown;
-      }
-    }
+    query::DatasetOptions opts;
+    opts.pool = &pool;
+    const query::Dataset d = query::Dataset::open(dir(), opts);
+    const query::Source s(d);
+    EXPECT_EQ(fp_all(s), want) << "threads=" << threads;
   }
 }
 
@@ -428,68 +405,37 @@ TEST_F(QueryTest, PushdownSkipsShardsOnHeaderFactsAlone) {
   EXPECT_EQ(reg.counter("query.shards_scanned").value(), expect_scanned);
   EXPECT_EQ(reg.counter("query.shards_skipped").value(),
             shards.size() - expect_scanned);
-
-  // With pushdown disabled every shard is scanned — and (per the matrix
-  // test) the result bytes do not change.
-  obs::Registry reg_off;
-  {
-    obs::ScopedMetrics guard(&reg_off);
-    query::DatasetOptions opts;
-    opts.pushdown = false;
-    const query::Dataset d = query::Dataset::open(dir(), opts);
-    const query::Source s(d, where);
-    EXPECT_GT(s.size(), 0u);
-  }
-  EXPECT_EQ(reg_off.counter("query.shards_skipped").value(), 0u);
-  EXPECT_EQ(reg_off.counter("query.shards_scanned").value(), shards.size());
 }
 
-TEST_F(QueryTest, CachePeakStaysWithinBudgetPlusOneShard) {
-  const std::uint64_t one_shard = max_shard_bytes(query::Dataset::open(dir()));
+TEST_F(QueryTest, RepeatScansDecodeEachShardOnce) {
+  // A Dataset keeps every shard it decodes: two materializations and
+  // two full Source scans decode each shard exactly once between them.
   obs::Registry reg;
   {
     obs::ScopedMetrics guard(&reg);
+    ThreadPool pool(4);
     query::DatasetOptions opts;
-    opts.cache_budget_bytes = one_shard;  // holds one shard, never two
+    opts.pool = &pool;
     const query::Dataset d = query::Dataset::open(dir(), opts);
-    (void)d.materialize();  // touches every shard
-    (void)d.materialize();  // second pass: eviction-heavy, zero retention wins
+    const std::uint64_t shards = d.shards().size();
+    (void)d.materialize();
+    EXPECT_EQ(reg.counter("query.cache_misses").value(), shards);
+    (void)d.materialize();
+    for (int scan = 0; scan < 2; ++scan) {
+      const query::Source s(d);
+      (void)analyze_variability(s);
+    }
+    EXPECT_EQ(reg.counter("query.cache_misses").value(), shards)
+        << "a repeat scan decoded a shard again";
+    EXPECT_GE(reg.counter("query.cache_hits").value(), 3 * shards);
+    // Resident bytes only grow, so the peak is every shard, once.
+    std::uint64_t resident = 0;
+    for (std::size_t i = 0; i < d.shards().size(); ++i) {
+      resident += d.fetch(i)->memory_bytes();
+    }
+    ASSERT_TRUE(reg.gauge("query.cache_bytes_peak").has_value());
+    EXPECT_EQ(reg.gauge("query.cache_bytes_peak").value(), resident);
   }
-  ASSERT_TRUE(reg.gauge("query.cache_bytes_peak").has_value());
-  // The documented bound: the peak is recorded after insert, before
-  // eviction, so it may exceed the budget by at most one decoded shard.
-  EXPECT_LE(reg.gauge("query.cache_bytes_peak").value(), one_shard + one_shard);
-  EXPECT_GT(reg.counter("query.cache_evictions").value(), 0u);
-}
-
-TEST_F(QueryTest, UnlimitedCacheServesRepeatScansFromMemory) {
-  obs::Registry reg;
-  {
-    obs::ScopedMetrics guard(&reg);
-    const query::Dataset d = query::Dataset::open(dir());  // unlimited budget
-    (void)d.materialize();
-    const std::uint64_t misses_cold =
-        reg.counter("query.cache_misses").value();
-    EXPECT_EQ(misses_cold, d.shards().size());
-    (void)d.materialize();
-    EXPECT_EQ(reg.counter("query.cache_misses").value(), misses_cold)
-        << "warm pass must not re-decode";
-    EXPECT_GE(reg.counter("query.cache_hits").value(), d.shards().size());
-    EXPECT_EQ(reg.counter("query.cache_evictions").value(), 0u);
-  }
-}
-
-TEST_F(QueryTest, ZeroBudgetRetainsNothing) {
-  obs::Registry reg;
-  {
-    obs::ScopedMetrics guard(&reg);
-    query::DatasetOptions opts;
-    opts.cache_budget_bytes = 0;
-    const query::Dataset d = query::Dataset::open(dir(), opts);
-    (void)d.materialize();
-    (void)d.materialize();
-  }
-  EXPECT_EQ(reg.counter("query.cache_hits").value(), 0u);
 }
 
 TEST_F(QueryTest, CliAnalyzeMatchesMaterializedOutputByteForByte) {

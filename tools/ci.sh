@@ -241,17 +241,19 @@ job_resume_smoke() {
     --out build-ci/RESUME_ref.csv --report build-ci/RESUME_ref.md \
     --summary build-ci/RESUME_ref.sum
 
-  # Simulate a mid-campaign kill: delete every other shard, strip the
-  # manifest's done line, and put the in-progress marker back — the
-  # on-disk state a SIGKILL between bucket completions leaves behind.
+  # Simulate a mid-campaign kill: strip the manifest's done line (a
+  # killed campaign never wrote it, so the store reads as incomplete),
+  # then delete every other shard — the on-disk state a SIGKILL between
+  # bucket completions leaves behind.
+  grep -v '^done$' "$ck/manifest.txt" > "$ck/manifest.txt.tmp"
+  mv "$ck/manifest.txt.tmp" "$ck/manifest.txt"
+  ./build-ci/tools/gpuvar analyze "$ck" > build-ci/RESUME_before.txt
+  grep -q '(incomplete campaign)' build-ci/RESUME_before.txt
   local n=0
   for shard in "$ck"/bucket-*.shard; do
     if [ $((n % 2)) -eq 0 ]; then rm "$shard"; fi
     n=$((n + 1))
   done
-  grep -v '^done$' "$ck/manifest.txt" > "$ck/manifest.txt.tmp"
-  mv "$ck/manifest.txt.tmp" "$ck/manifest.txt"
-  echo "campaign in progress" > "$ck/IN_PROGRESS"
 
   # Resume: only the missing buckets re-run (the CLI reports how many
   # were restored), then every artifact must match the reference byte
@@ -264,7 +266,12 @@ job_resume_smoke() {
   cmp build-ci/RESUME_ref.csv build-ci/RESUME_got.csv
   cmp build-ci/RESUME_ref.md build-ci/RESUME_got.md
   cmp build-ci/RESUME_ref.sum build-ci/RESUME_got.sum
-  [ ! -e "$ck/IN_PROGRESS" ]
+  [ "$(tail -n 1 "$ck/manifest.txt")" = done ]
+  ./build-ci/tools/gpuvar analyze "$ck" > build-ci/RESUME_after.txt
+  if grep -q '(incomplete campaign)' build-ci/RESUME_after.txt; then
+    echo "resume-smoke: resumed store still reads as incomplete" >&2
+    exit 1
+  fi
   echo "resume-smoke: resumed campaign artifacts byte-identical"
 }
 
@@ -282,16 +289,15 @@ job_query_smoke() {
     --out build-ci/QUERY_ref.csv > /dev/null
 
   # The query plane's core contract: every analysis prints byte-identical
-  # output whether it streams shards (here with a custom pool and a
-  # cache budget small enough to evict) or runs over the materialized
-  # frame.
+  # output whether it streams shards (here on a custom pool) or runs
+  # over the materialized frame.
   local a name
   for a in variability correlate flags drift impact groups \
       "project --target 64" report; do
     name=${a%% *}
     # $a is unquoted on purpose: it carries the analysis and its flags.
     ./build-ci/tools/gpuvar analyze "$ck" --analysis $a \
-      --threads 4 --cache-budget 4K > "build-ci/QUERY_${name}_stream.txt"
+      --threads 4 > "build-ci/QUERY_${name}_stream.txt"
     ./build-ci/tools/gpuvar analyze "$ck" --analysis $a \
       --materialize > "build-ci/QUERY_${name}_mat.txt"
     cmp "build-ci/QUERY_${name}_stream.txt" "build-ci/QUERY_${name}_mat.txt"
@@ -326,13 +332,13 @@ job_query_smoke() {
 
   # Filtered form: a --where predicate that pushdown resolves to a
   # strict shard subset (two of cloudlab's three node buckets) takes
-  # the same byte-identity bar, streamed three ways: unlimited cache,
-  # a custom pool evicting everything, and pushdown off.
+  # the same byte-identity bar, streamed on the shared pool and on a
+  # custom one.
   local v variant
   for a in variability groups; do
     ./build-ci/tools/gpuvar analyze "$ck" --where node=0..1 \
       --analysis "$a" --materialize > "build-ci/QUERY_where_${a}_mat.txt"
-    for v in "" "--threads 4 --cache-budget 0" "--no-pushdown"; do
+    for v in "" "--threads 4"; do
       variant=$(echo "$v" | tr -d ' -')
       # $v is unquoted on purpose: it carries zero or more flags.
       ./build-ci/tools/gpuvar analyze "$ck" --where node=0..1 \
