@@ -23,17 +23,20 @@ using gpuvar::query::Dataset;
 using gpuvar::query::Predicate;
 using gpuvar::query::Source;
 
-/// Checkpoint store shared by every benchmark: the same cloudlab/sgemm
-/// campaign the engine benches run, spilled fully (budget 0) so each
-/// node bucket is one shard on disk. Built once, lazily.
+/// Checkpoint store shared by every benchmark: the paper-scale store
+/// the query plane serves (`gpuvar run --cluster summit-full --workload
+/// pagerank --runs 2 --checkpoint DIR --shard-budget 0`). Every one of
+/// summit-full's 4,176 node buckets is spilled (budget 0), so the store
+/// holds 4,176 shards and 50,112 rows; opening it reads 4,176 headers.
+/// Built once, lazily.
 const std::string& store_dir() {
   static const std::string dir = [] {
     const fs::path d = fs::temp_directory_path() / "gpuvar_query_bench";
     fs::remove_all(d);
     fs::create_directories(d);
-    const gpuvar::Cluster cluster(gpuvar::cloudlab_spec());
+    const gpuvar::Cluster cluster(gpuvar::summit_spec(0x5077, 8, 29, 18, 6));
     const auto cfg =
-        gpuvar::default_config(cluster, gpuvar::sgemm_workload(16384, 2), 2);
+        gpuvar::default_config(cluster, gpuvar::pagerank_workload(50), 2);
     gpuvar::CampaignOptions opts;
     opts.checkpoint_dir = d.string();
     opts.shard_budget_bytes = 0;
@@ -44,7 +47,8 @@ const std::string& store_dir() {
 }
 
 void BM_QueryOpen(benchmark::State& state) {
-  // Manifest read + per-shard header verification; no payload I/O.
+  // Manifest read + per-shard header verification (4,176 headers, read
+  // in parallel on the global pool); no payload I/O.
   const std::string& dir = store_dir();
   for (auto _ : state) {
     const Dataset ds = Dataset::open(dir);

@@ -23,12 +23,21 @@ ThreadPool::ThreadPool(std::size_t n_threads) {
     n_threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
   workers_.reserve(n_threads);
-  for (std::size_t i = 0; i < n_threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < n_threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    // A thread failed to start: join the ones that did before the
+    // members die, or destroying a joinable std::thread terminates.
+    stop_and_join();
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     MutexLock lock(mu_);
     stop_ = true;

@@ -64,6 +64,10 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  /// Sets stop_, wakes every worker and joins them (queued tasks drain
+  /// first). Runs in the destructor, and in the constructor when a
+  /// worker thread fails to start.
+  void stop_and_join();
 
   // Written once in the constructor before any concurrent access; const
   // thereafter (size() reads it without the lock).

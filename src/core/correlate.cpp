@@ -1,5 +1,8 @@
 #include "core/correlate.hpp"
 
+#include <span>
+#include <vector>
+
 #include "common/require.hpp"
 #include "query/source.hpp"
 #include "stats/correlation.hpp"
@@ -24,11 +27,37 @@ MetricCorrelation correlate_pair(const query::Source& source, Metric x,
 
 CorrelationReport analyze_correlation(const query::Source& source,
                                       const CorrelateOptions&) {
+  GPUVAR_REQUIRE(source.size() >= 2);
+  // Four columns feed four pairings: rank each column once and share
+  // the ranks. pearson over two rank vectors is exactly what
+  // stats::spearman computes, so every field matches correlate_pair's.
+  struct Ranked {
+    Metric metric;
+    std::span<const double> values;
+    std::vector<double> ranks;
+  };
+  const auto ranked = [&](Metric m) {
+    const auto values = source.metric(m);
+    return Ranked{m, values, stats::fractional_ranks(values)};
+  };
+  const Ranked perf = ranked(Metric::kPerf);
+  const Ranked temp = ranked(Metric::kTemp);
+  const Ranked power = ranked(Metric::kPower);
+  const Ranked freq = ranked(Metric::kFreq);
+  const auto pair = [](const Ranked& x, const Ranked& y) {
+    MetricCorrelation out;
+    out.x = x.metric;
+    out.y = y.metric;
+    out.rho = stats::pearson(x.values, y.values);
+    out.spearman = stats::pearson(x.ranks, y.ranks);
+    out.strength = stats::correlation_strength(out.rho);
+    return out;
+  };
   CorrelationReport r;
-  r.perf_temp = correlate_pair(source, Metric::kTemp, Metric::kPerf);
-  r.perf_power = correlate_pair(source, Metric::kPower, Metric::kPerf);
-  r.perf_freq = correlate_pair(source, Metric::kFreq, Metric::kPerf);
-  r.power_temp = correlate_pair(source, Metric::kTemp, Metric::kPower);
+  r.perf_temp = pair(temp, perf);
+  r.perf_power = pair(power, perf);
+  r.perf_freq = pair(freq, perf);
+  r.power_temp = pair(temp, power);
   return r;
 }
 

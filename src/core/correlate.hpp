@@ -38,6 +38,9 @@ struct CorrelateOptions {};
 MetricCorrelation correlate_pair(const query::Source& source, Metric x,
                                  Metric y);
 
+/// The four pairings of CorrelationReport. Each of the four columns is
+/// ranked once and its ranks shared by every pairing it is in; every
+/// field is bit-identical to the correlate_pair call for that pairing.
 CorrelationReport analyze_correlation(const query::Source& source,
                                       const CorrelateOptions& options = {});
 

@@ -236,15 +236,18 @@ CampaignResult run_campaign(const Cluster& cluster,
       }
     }
     // Rewrite the manifest down to the entries that survived (without
-    // its done line) and reopen it for appending.
+    // its done line) and reopen it for appending. The stream is opened
+    // before st.mu is taken and moved in under it: no file open runs
+    // under the engine lock.
     rewrite_campaign_manifest(dir, out.config_hash, valid, /*done=*/false);
-    MutexLock lock(st.mu);
-    st.entries = std::move(valid);
-    st.manifest.open(dir / kManifestName, std::ios::app);
-    if (!st.manifest.good()) {
+    std::ofstream manifest(dir / kManifestName, std::ios::app);
+    if (!manifest.good()) {
       throw std::runtime_error("cannot append to " +
                                (dir / kManifestName).string());
     }
+    MutexLock lock(st.mu);
+    st.entries = std::move(valid);
+    st.manifest = std::move(manifest);
   }
   if (durable) {
     GPUVAR_METRIC_ADD("engine.buckets_rerun_stale",

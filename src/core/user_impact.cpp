@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/require.hpp"
 #include "query/source.hpp"
@@ -26,22 +27,24 @@ std::vector<double> prefix_containment(std::size_t n, std::size_t k) {
   return p;
 }
 
-}  // namespace
-
-JobImpact job_impact(const query::Source& source, int gpus_per_job,
-                     double slow_threshold) {
-  GPUVAR_REQUIRE(gpus_per_job >= 1);
-  GPUVAR_REQUIRE(slow_threshold > 0.0);
+/// Sorted per-GPU median runtimes: the one input every job width reads.
+std::vector<double> sorted_median_perf(const query::Source& source) {
   const auto gpus = per_gpu_medians(source.frame());
-  const auto n = gpus.size();
-  GPUVAR_REQUIRE_MSG(static_cast<std::size_t>(gpus_per_job) <= n,
-                     "job wider than the measured population");
-
   std::vector<double> perf;
-  perf.reserve(n);
+  perf.reserve(gpus.size());
   for (const auto& g : gpus) perf.push_back(g.perf_ms);
   std::sort(perf.begin(), perf.end());
-  // perf was just sorted for the prefix analysis below; cut directly.
+  return perf;
+}
+
+/// The impact of a `gpus_per_job`-wide job on the population whose
+/// sorted per-GPU medians are `perf`.
+JobImpact impact_of_width(const std::vector<double>& perf, int gpus_per_job,
+                          double slow_threshold) {
+  const auto n = perf.size();
+  GPUVAR_REQUIRE_MSG(static_cast<std::size_t>(gpus_per_job) <= n,
+                     "job wider than the measured population");
+  // perf is sorted for the prefix analysis below; cut directly.
   const double med = stats::quantile_sorted(perf, 0.5);
   GPUVAR_REQUIRE(med > 0.0);
 
@@ -76,12 +79,25 @@ JobImpact job_impact(const query::Source& source, int gpus_per_job,
   return impact;
 }
 
+}  // namespace
+
+JobImpact job_impact(const query::Source& source, int gpus_per_job,
+                     double slow_threshold) {
+  GPUVAR_REQUIRE(gpus_per_job >= 1);
+  GPUVAR_REQUIRE(slow_threshold > 0.0);
+  return impact_of_width(sorted_median_perf(source), gpus_per_job,
+                         slow_threshold);
+}
+
 std::vector<JobImpact> analyze_user_impact(const query::Source& source,
                                            const UserImpactOptions& options) {
   GPUVAR_REQUIRE(options.max_width >= 1);
+  GPUVAR_REQUIRE(options.slow_threshold > 0.0);
+  // One sort of the per-GPU medians serves every width.
+  const std::vector<double> perf = sorted_median_perf(source);
   std::vector<JobImpact> table;
   for (int k = 1; k <= options.max_width; k *= 2) {
-    table.push_back(job_impact(source, k, options.slow_threshold));
+    table.push_back(impact_of_width(perf, k, options.slow_threshold));
   }
   return table;
 }

@@ -33,7 +33,10 @@ struct UserImpactOptions {
 };
 
 /// Impact table for several job widths (1, 2, 4, 8 ... up to
-/// options.max_width), over a frame- or dataset-backed source.
+/// options.max_width), over a frame- or dataset-backed source. The
+/// per-GPU medians are computed and sorted once for every width; each
+/// row is bit-identical to job_impact(source, k, options.slow_threshold),
+/// and a width beyond the population throws as job_impact does.
 std::vector<JobImpact> analyze_user_impact(
     const query::Source& source, const UserImpactOptions& options = {});
 

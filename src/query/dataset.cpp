@@ -1,8 +1,9 @@
 #include "query/dataset.hpp"
 
-#include <fstream>
+#include <exception>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
@@ -16,21 +17,6 @@ namespace gpuvar::query {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Reads at most the fixed-size header prefix — the whole point of the
-/// v2 stats block is that planning a query costs header bytes, not
-/// payload bytes. A shorter file yields fewer bytes and the header
-/// parser reports the truncation.
-std::string read_header_bytes(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw std::runtime_error("cannot open " + path.string());
-  }
-  std::string bytes(kFrameShardHeaderBytes, '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  bytes.resize(static_cast<std::size_t>(in.gcount()));
-  return bytes;
-}
 
 }  // namespace
 
@@ -52,23 +38,44 @@ Dataset Dataset::open(const std::string& dir, const DatasetOptions& options) {
   ds.config_hash_ = m.config_hash;
   ds.complete_ = m.done;
 
-  ds.shards_.reserve(m.entries.size());
+  // Paths are built here, on the calling thread, so the workers below
+  // only read: each header lands in a stack buffer and is parsed from
+  // there.
+  std::vector<const CampaignManifestEntry*> listed;
+  listed.reserve(m.entries.size());
+  ds.shards_.resize(m.entries.size());
   for (const auto& [idx, e] : m.entries) {
-    DatasetShard s;
-    s.path = d / campaign_shard_file_name(static_cast<std::size_t>(idx));
-    s.header = parse_frame_shard_header(read_header_bytes(s.path),
-                                        s.path.string());
-    const FrameShardInfo& h = s.header.info;
-    if (h.bucket_index != e.info.bucket_index || h.rows != e.info.rows ||
-        h.payload_bytes != e.info.payload_bytes ||
-        h.payload_hash != e.info.payload_hash) {
-      throw std::runtime_error(
-          s.path.string() +
-          ": shard header disagrees with the campaign manifest (stale or "
-          "foreign shard)");
+    ds.shards_[listed.size()].path =
+        d / campaign_shard_file_name(static_cast<std::size_t>(idx));
+    listed.push_back(&e);
+  }
+  // Headers are read and verified in parallel. Every defect is kept by
+  // index and the lowest one rethrown, so the message never depends on
+  // which worker failed first.
+  std::vector<std::exception_ptr> errors(listed.size());
+  ds.scan_pool().parallel_for(listed.size(), [&](std::size_t i) {
+    DatasetShard& s = ds.shards_[i];
+    try {
+      s.header = read_frame_shard_header(s.path);
+      const FrameShardInfo& h = s.header.info;
+      const FrameShardInfo& e = listed[i]->info;
+      if (h.bucket_index != e.bucket_index || h.rows != e.rows ||
+          h.payload_bytes != e.payload_bytes ||
+          h.payload_hash != e.payload_hash) {
+        throw std::runtime_error(
+            s.path.string() +
+            ": shard header disagrees with the campaign manifest (stale or "
+            "foreign shard)");
+      }
+    } catch (...) {
+      errors[i] = std::current_exception();
     }
-    ds.total_rows_ += h.rows;
-    ds.shards_.push_back(std::move(s));
+  });
+  for (const std::exception_ptr& err : errors) {
+    if (err) std::rethrow_exception(err);
+  }
+  for (const DatasetShard& s : ds.shards_) {
+    ds.total_rows_ += s.header.info.rows;
   }
   {
     MutexLock lock(ds.cache_->mu);

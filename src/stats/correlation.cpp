@@ -25,8 +25,6 @@ GPUVAR_HOT double pearson(std::span<const double> xs, std::span<const double> ys
   return std::clamp(rho, -1.0, 1.0);
 }
 
-namespace {
-
 std::vector<double> fractional_ranks(std::span<const double> xs) {
   const std::size_t n = xs.size();
   std::vector<std::size_t> order(n);
@@ -48,8 +46,6 @@ std::vector<double> fractional_ranks(std::span<const double> xs) {
   }
   return ranks;
 }
-
-}  // namespace
 
 GPUVAR_HOT double spearman(std::span<const double> xs, std::span<const double> ys) {
   GPUVAR_REQUIRE(xs.size() == ys.size());

@@ -3,6 +3,7 @@
 
 #include <span>
 #include <string>
+#include <vector>
 
 namespace gpuvar::stats {
 
@@ -10,6 +11,12 @@ namespace gpuvar::stats {
 /// non-zero variance in both samples (returns 0 when either is constant,
 /// matching the convention of treating a flat series as uncorrelated).
 double pearson(std::span<const double> xs, std::span<const double> ys);
+
+/// 1-based fractional ranks of `xs`: a tie group shares the average of
+/// the ranks it spans. Ranking a column once lets several Spearman
+/// coefficients share it: pearson(fractional_ranks(xs),
+/// fractional_ranks(ys)) is spearman(xs, ys), bit for bit.
+std::vector<double> fractional_ranks(std::span<const double> xs);
 
 /// Spearman rank correlation (Pearson over fractional ranks; ties get the
 /// average rank).

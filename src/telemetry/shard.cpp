@@ -1,10 +1,16 @@
 #include "telemetry/shard.hpp"
 
 #include <algorithm>
-#include <fstream>
+#include <array>
+#include <cerrno>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "common/binio.hpp"
 #include "telemetry/frame.hpp"
@@ -110,6 +116,51 @@ void emit_payload(const RecordFrame& frame, Sink&& sink) {
   emit_column(frame.mem_stall_frac());
   emit_column(frame.exec_stall_frac());
   if (!buf.empty()) sink(std::string_view(buf));
+}
+
+/// Closes a file descriptor when it goes out of scope.
+class FdCloser {
+ public:
+  explicit FdCloser(int fd) : fd_(fd) {}
+  FdCloser(const FdCloser&) = delete;
+  FdCloser& operator=(const FdCloser&) = delete;
+  ~FdCloser() { ::close(fd_); }
+
+ private:
+  int fd_;
+};
+
+/// Reads the first min(file size, `limit`) bytes of the regular file at
+/// `path` into the buffer `dest(n)` returns (room for n bytes) and
+/// returns how many it read — fewer than n only if the file shrank
+/// under the read, which the shard parser then reports as truncation.
+/// The one shard-file reader: open, fstat, a pread loop retrying on
+/// EINTR, close (also on a throw).
+template <typename Dest>
+std::size_t read_file_prefix(const std::filesystem::path& path,
+                             std::size_t limit, Dest&& dest) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw std::runtime_error("cannot open " + path.string());
+  const FdCloser closes_fd(fd);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    throw std::runtime_error("cannot read " + path.string());
+  }
+  const std::size_t n =
+      std::min(static_cast<std::size_t>(st.st_size), limit);
+  char* buf = dest(n);
+  std::size_t got = 0;
+  while (got < n) {
+    const ::ssize_t r =
+        ::pread(fd, buf + got, n - got, static_cast<::off_t>(got));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      throw std::runtime_error("cannot read " + path.string());
+    }
+    if (r == 0) break;
+    got += static_cast<std::size_t>(r);
+  }
+  return got;
 }
 
 std::string serialize_with_info(const RecordFrame& frame,
@@ -314,20 +365,22 @@ FrameShardInfo write_frame_shard(std::ostream& out, const RecordFrame& frame,
 }
 
 FrameShard read_frame_shard(const std::filesystem::path& path) {
-  // Opened at the end, so the buffer is sized once from the file size
-  // and filled by a single read.
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in.good()) {
-    throw std::runtime_error("cannot open " + path.string());
-  }
-  const std::streamoff size = in.tellg();
-  if (size < 0) throw std::runtime_error("cannot read " + path.string());
-  std::string bytes(static_cast<std::size_t>(size), '\0');
-  in.seekg(0);
-  if (!in.read(bytes.data(), static_cast<std::streamsize>(size))) {
-    throw std::runtime_error("cannot read " + path.string());
-  }
+  std::string bytes;
+  const std::size_t n = read_file_prefix(
+      path, std::numeric_limits<std::size_t>::max(), [&](std::size_t size) {
+        bytes.resize(size);
+        return bytes.data();
+      });
+  bytes.resize(n);
   return parse_frame_shard(bytes, path.string());
+}
+
+FrameShardHeader read_frame_shard_header(const std::filesystem::path& path) {
+  std::array<char, kFrameShardHeaderBytes> buf;
+  const std::size_t n = read_file_prefix(
+      path, buf.size(), [&](std::size_t) { return buf.data(); });
+  return parse_frame_shard_header(std::string_view(buf.data(), n),
+                                  path.native());
 }
 
 }  // namespace gpuvar

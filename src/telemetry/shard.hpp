@@ -24,6 +24,12 @@
 // straight from the payload, with no per-row record or interning. The
 // campaign engine's resume and merge, the query cache and streamed
 // queries all hold the decoded shard as that RecordFrame.
+//
+// File I/O is one POSIX path: read_frame_shard (the whole file) and
+// read_frame_shard_header (the header prefix only) share one file-local
+// reader — open(O_RDONLY|O_CLOEXEC), fstat, a pread loop that retries
+// on EINTR, close — so both report a missing file as "cannot open X"
+// and a directory or read error as "cannot read X".
 #pragma once
 
 #include <cstdint>
@@ -124,9 +130,20 @@ FrameShard parse_frame_shard(std::string_view bytes, std::string label);
 FrameShardInfo write_frame_shard(std::ostream& out, const RecordFrame& frame,
                                  std::uint64_t bucket_index);
 
-/// Reads and parses the shard file at `path`: the one shard-file
-/// reader. Same error contract as parse_frame_shard, plus "cannot open";
-/// every error names the path.
+/// Reads and parses the shard file at `path`: one open, one fstat to
+/// size the buffer, a pread loop to fill it. Same error contract as
+/// parse_frame_shard, plus "cannot open" (missing or unopenable file)
+/// and "cannot read" (not a regular file, e.g. a directory, or a read
+/// error); every error names the path.
 FrameShard read_frame_shard(const std::filesystem::path& path);
+
+/// Reads and parses only the fixed-size header of the shard file at
+/// `path`: at most kFrameShardHeaderBytes are read, into a stack
+/// buffer, through the same open/fstat/pread path as read_frame_shard
+/// and with the same "cannot open" / "cannot read" errors. A file
+/// shorter than the header fails as a truncated header naming the path.
+/// This is what lets Dataset::open verify thousands of shards without
+/// touching their payloads.
+FrameShardHeader read_frame_shard_header(const std::filesystem::path& path);
 
 }  // namespace gpuvar

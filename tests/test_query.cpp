@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -244,6 +245,16 @@ class QueryTest : public ::testing::Test {
   static std::string dir() { return dir_->string(); }
   static const RecordFrame& frame() { return *frame_; }
 
+  /// A private copy of the suite's store, for a test that damages it.
+  static fs::path copy_store(const std::string& tag) {
+    const fs::path copy = fs::path(::testing::TempDir()) /
+                          ("gpuvar_query_" + tag + "_" +
+                           std::to_string(::getpid()));
+    fs::remove_all(copy);
+    fs::copy(*dir_, copy, fs::copy_options::recursive);
+    return copy;
+  }
+
  private:
   static fs::path* dir_;
   static RecordFrame* frame_;
@@ -436,6 +447,78 @@ TEST_F(QueryTest, RepeatScansDecodeEachShardOnce) {
     ASSERT_TRUE(reg.gauge("query.cache_bytes_peak").has_value());
     EXPECT_EQ(reg.gauge("query.cache_bytes_peak").value(), resident);
   }
+}
+
+TEST_F(QueryTest, OpenNamesTheLowestDefectiveShardAtAnyPoolSize) {
+  // Two listed shards are damaged: one cut inside its header, one whose
+  // header carries a foreign payload hash. Headers are verified in
+  // parallel, yet the error always names the lower of the two, with the
+  // same message at every pool size, whichever defect comes first.
+  for (const bool truncated_first : {true, false}) {
+    const fs::path store = copy_store("hostile");
+    const query::Dataset intact = query::Dataset::open(store.string());
+    const auto& shards = intact.shards();
+    ASSERT_GE(shards.size(), 2u);
+    const fs::path lo = shards[shards.size() - 2].path;
+    const fs::path hi = shards.back().path;
+    const fs::path& truncated = truncated_first ? lo : hi;
+    const fs::path& foreign = truncated_first ? hi : lo;
+    fs::resize_file(truncated, 10);
+    {
+      // Payload hash: u64 at header offset 38 (see tests/shard_forgery.hpp).
+      std::fstream f(foreign, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekg(38);
+      const char byte = static_cast<char>(f.get() ^ 0x5a);
+      f.seekp(38);
+      f.put(byte);
+    }
+    std::vector<std::string> messages;
+    for (std::size_t threads : {std::size_t{1}, std::size_t{4},
+                                std::size_t{8}}) {
+      ThreadPool pool(threads);
+      query::DatasetOptions opts;
+      opts.pool = &pool;
+      try {
+        (void)query::Dataset::open(store.string(), opts);
+        ADD_FAILURE() << "a store with two bad shards opened, threads="
+                      << threads;
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(lo.string()), std::string::npos) << what;
+        EXPECT_EQ(what.find(hi.string()), std::string::npos) << what;
+        EXPECT_NE(what.find(truncated_first ? "truncated"
+                                            : "disagrees with the campaign"),
+                  std::string::npos)
+            << what;
+        messages.push_back(what);
+      }
+    }
+    ASSERT_EQ(messages.size(), 3u);
+    EXPECT_EQ(messages[1], messages[0]);
+    EXPECT_EQ(messages[2], messages[0]);
+    fs::remove_all(store);
+  }
+}
+
+TEST_F(QueryTest, OpenNamesADeletedOrReplacedShard) {
+  // A listed shard that was deleted, or replaced by a directory, is a
+  // clean runtime_error naming its path.
+  const fs::path store = copy_store("missing");
+  const fs::path shard =
+      query::Dataset::open(store.string()).shards().front().path;
+  fs::remove(shard);
+  for (const char* why : {"cannot open", "cannot read"}) {
+    try {
+      (void)query::Dataset::open(store.string());
+      ADD_FAILURE() << "opened a store whose shard is gone (" << why << ")";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(shard.string()), std::string::npos) << what;
+      EXPECT_NE(what.find(why), std::string::npos) << what;
+    }
+    fs::create_directory(shard);  // the second pass: a directory
+  }
+  fs::remove_all(store);
 }
 
 TEST_F(QueryTest, CliAnalyzeMatchesMaterializedOutputByteForByte) {

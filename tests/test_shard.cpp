@@ -12,7 +12,10 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
+
+#include <unistd.h>
 
 #include "common/binio.hpp"
 #include "shard_forgery.hpp"
@@ -110,6 +113,64 @@ TEST(FrameShard, StreamRoundTripReportsInfo) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find(path.string()), std::string::npos);
   }
+}
+
+TEST(FrameShard, FileReadersNameThePathOfHostileFiles) {
+  // An empty file, a directory and a truncated file: both file readers
+  // answer each with a runtime_error naming the path, never a crash or
+  // a smaller frame.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       ("gpuvar_hostile_shards_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string bytes = serialize_frame_shard(varied_frame(), 2);
+  const auto write = [&](const fs::path& p, std::string_view content) {
+    std::ofstream out(p, std::ios::binary | std::ios::trunc);
+    out.write(content.data(), static_cast<std::streamsize>(content.size()));
+  };
+  const fs::path empty = dir / "empty.shard";
+  write(empty, "");
+  const fs::path directory = dir / "directory.shard";
+  fs::create_directories(directory);
+  const fs::path truncated = dir / "truncated.shard";
+  write(truncated, std::string_view(bytes).substr(0, bytes.size() - 5));
+  const fs::path short_header = dir / "short-header.shard";
+  write(short_header, std::string_view(bytes).substr(0, 10));
+
+  const auto expect_names = [](const fs::path& p, const auto& read,
+                               const char* why) {
+    try {
+      read(p);
+      ADD_FAILURE() << p << " parsed";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(p.string()), std::string::npos) << what;
+      EXPECT_NE(what.find(why), std::string::npos) << what;
+    }
+  };
+  const auto whole = [](const fs::path& p) { (void)read_frame_shard(p); };
+  const auto header = [](const fs::path& p) {
+    (void)read_frame_shard_header(p);
+  };
+  expect_names(empty, whole, "truncated");
+  expect_names(directory, whole, "cannot read");
+  expect_names(truncated, whole, "truncated");
+  expect_names(short_header, whole, "truncated");
+  expect_names(empty, header, "truncated");
+  expect_names(directory, header, "cannot read");
+  expect_names(short_header, header, "truncated");
+  expect_names(dir / "missing.shard", header, "cannot open");
+
+  // The header reader needs only the prefix: a file cut inside its
+  // payload still yields the header the writer stored.
+  const FrameShardHeader h = read_frame_shard_header(truncated);
+  EXPECT_EQ(h.info.bucket_index, 2u);
+  EXPECT_EQ(h.info.rows, varied_frame().size());
+  EXPECT_EQ(h.info.payload_bytes, bytes.size() - kFrameShardHeaderBytes);
+  EXPECT_EQ(h.info.payload_hash,
+            parse_frame_shard(bytes, "whole").info.payload_hash);
+  fs::remove_all(dir);
 }
 
 TEST(FrameShard, PoolAppendRowCouldNotBuildIsRejected) {

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "gpuvar.hpp"
@@ -105,6 +110,56 @@ TEST(UserImpact, TableCoversPowersOfTwo) {
   ASSERT_EQ(table.size(), 4u);
   EXPECT_EQ(table[0].gpus_per_job, 1);
   EXPECT_EQ(table[3].gpus_per_job, 8);
+}
+
+TEST(UserImpact, TableRowsAreBitEqualToJobImpact) {
+  // The table sorts the per-GPU medians once for every width; each row
+  // must still be the very doubles job_impact computes on its own.
+  // Repeated runs per GPU and tied medians make the medians non-trivial.
+  Rng rng(5);
+  std::vector<RunRecord> rs;
+  for (int run = 0; run < 3; ++run) {
+    for (int i = 0; i < 40; ++i) {
+      rs.push_back(rec(i, i % 7 == 0 ? 100.0 : rng.normal(100.0, 3.0)));
+    }
+  }
+  const RecordFrame frame = frame_from(rs);
+  const auto table = analyze_user_impact(frame);
+  ASSERT_EQ(table.size(), 4u);
+  for (std::size_t row = 0; row < table.size(); ++row) {
+    const int k = 1 << row;
+    const JobImpact want = job_impact(frame, k);
+    const JobImpact& got = table[row];
+    EXPECT_EQ(got.gpus_per_job, k);
+    for (const auto& [g, w] : {std::pair{&got.expected_slowdown,
+                                         &want.expected_slowdown},
+                               std::pair{&got.p95_slowdown, &want.p95_slowdown},
+                               std::pair{&got.p_any_slow, &want.p_any_slow}}) {
+      EXPECT_EQ(std::memcmp(g, w, sizeof(double)), 0)
+          << "k=" << k << ": " << *g << " vs " << *w;
+    }
+  }
+}
+
+TEST(UserImpact, TableWiderThanPopulationThrows) {
+  std::vector<RunRecord> rs;
+  for (int i = 0; i < 5; ++i) rs.push_back(rec(i, 100.0 + i));
+  try {
+    analyze_user_impact(frame_from(rs));  // widths 1, 2, 4, 8 > 5 GPUs
+    FAIL() << "an 8-GPU job on 5 GPUs was answered";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "job wider than the measured population"),
+              std::string::npos)
+        << e.what();
+  }
+  UserImpactOptions four;
+  four.max_width = 4;
+  EXPECT_EQ(analyze_user_impact(frame_from(rs), four).size(), 3u);
+  UserImpactOptions no_threshold;
+  no_threshold.slow_threshold = 0.0;
+  EXPECT_THROW(analyze_user_impact(frame_from(rs), no_threshold),
+               std::invalid_argument);
 }
 
 TEST(UserImpact, PaperHeadlineShapeOnLonghorn) {

@@ -31,7 +31,10 @@
 #                              `gpuvar analyze` streaming output against its
 #                              --materialize reference path for every
 #                              analysis, filtered and compare forms included,
-#                              and the campaign's CSV against its store
+#                              and the campaign's CSV against its store;
+#                              then check a copy with one shard truncated
+#                              fails naming it, identically at 1 and 4
+#                              threads
 #   tools/ci.sh thread-safety  clang -Werror=thread-safety syntax-only
 #                              compile of src/** (skipped when clang++ is
 #                              not installed — the GPUVAR_* annotations
@@ -280,7 +283,7 @@ job_query_smoke() {
   cmake -B build-ci -S . -DGPUVAR_WERROR=ON > /dev/null
   cmake --build build-ci -j "$JOBS" --target gpuvar_cli
   local ck=build-ci/QUERY_ck
-  rm -rf "$ck" build-ci/QUERY_lh build-ci/QUERY_*.txt
+  rm -rf "$ck" build-ci/QUERY_lh build-ci/QUERY_bad build-ci/QUERY_*.txt
 
   # The store under query: a checkpointed, spill-everything campaign,
   # one shard per node bucket.
@@ -356,8 +359,27 @@ job_query_smoke() {
     --analysis compare --materialize > build-ci/QUERY_compare_mat.txt
   cmp build-ci/QUERY_compare_stream.txt build-ci/QUERY_compare_mat.txt
   grep -q '^no significant per-GPU changes$' build-ci/QUERY_compare_stream.txt
+
+  # Hostile store: a copy whose second listed shard is cut to 10 bytes.
+  # analyze must fail and name that shard, and since the headers are
+  # verified in parallel with the lowest bad index reported, print the
+  # same error on one thread as on four.
+  local bad=build-ci/QUERY_bad shard t
+  cp -r "$ck" "$bad"
+  shard=$(find "$bad" -name 'bucket-*.shard' | sort | sed -n 2p)
+  truncate -s 10 "$shard"
+  for t in 1 4; do
+    if ./build-ci/tools/gpuvar analyze "$bad" --threads "$t" \
+        > /dev/null 2> "build-ci/QUERY_bad_err$t.txt"; then
+      echo "query-smoke: analyze read a store with a truncated shard" >&2
+      exit 1
+    fi
+    grep -qF "$shard" "build-ci/QUERY_bad_err$t.txt"
+  done
+  cmp build-ci/QUERY_bad_err1.txt build-ci/QUERY_bad_err4.txt
   echo "query-smoke: streaming output byte-identical to --materialize," \
-    "CSV analyses to the store's"
+    "CSV analyses to the store's; a truncated shard is named at 1 and 4" \
+    "threads"
 }
 
 job_thread_safety() {
