@@ -129,11 +129,15 @@ void ThreadPool::parallel_for(std::size_t n,
     Mutex mu;
     std::condition_variable cv;
     std::size_t pending GPUVAR_GUARDED_BY(mu);
-    std::exception_ptr first_error GPUVAR_GUARDED_BY(mu);
+    // The exception of index `failed_at`.
+    std::exception_ptr error GPUVAR_GUARDED_BY(mu);
     std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
+    // Lowest index that has thrown so far; n while none has. Only
+    // lowered, and only under mu; read without it to stop early.
+    std::atomic<std::size_t> failed_at;
   };
   Batch batch;
+  batch.failed_at.store(n, std::memory_order_relaxed);
   {
     MutexLock lock(batch.mu);
     batch.pending = n_tasks;
@@ -141,10 +145,13 @@ void ThreadPool::parallel_for(std::size_t n,
 
   for (std::size_t t = 0; t < n_tasks; ++t) {
     submit([&batch, &fn, n, n_tasks] {
-      std::exception_ptr err;
+      const auto below_failure = [&batch](std::size_t i) {
+        return i < batch.failed_at.load(std::memory_order_relaxed);
+      };
       std::size_t begin = batch.next.load(std::memory_order_relaxed);
-      // After a throw, no task claims another index.
-      while (begin < n && !batch.failed.load(std::memory_order_relaxed)) {
+      // Indices at or above a failure are never started; the claimed
+      // ones below it still run, since one of them may fail lower.
+      while (begin < n && below_failure(begin)) {
         const std::size_t len =
             std::max<std::size_t>(1, (n - begin) / (2 * n_tasks));
         // On failure the exchange reloads `begin`; retry from there.
@@ -152,13 +159,16 @@ void ThreadPool::parallel_for(std::size_t n,
                                               std::memory_order_relaxed)) {
           continue;
         }
-        for (std::size_t i = begin; i < begin + len; ++i) {
-          if (batch.failed.load(std::memory_order_relaxed)) break;
+        for (std::size_t i = begin; i < begin + len && below_failure(i);
+             ++i) {
           try {
             fn(i);
           } catch (...) {
-            err = std::current_exception();
-            batch.failed.store(true, std::memory_order_relaxed);
+            MutexLock lock(batch.mu);
+            if (below_failure(i)) {
+              batch.failed_at.store(i, std::memory_order_relaxed);
+              batch.error = std::current_exception();
+            }
             break;
           }
         }
@@ -167,14 +177,13 @@ void ThreadPool::parallel_for(std::size_t n,
       // Notify under the lock: once pending hits 0 the waiter may return
       // and destroy `batch`, so the cv must not be touched after unlock.
       MutexLock lock(batch.mu);
-      if (err && !batch.first_error) batch.first_error = err;
       if (--batch.pending == 0) batch.cv.notify_all();
     });
   }
   MutexLock lock(batch.mu);
   while (batch.pending != 0) batch.cv.wait(lock.native());
-  if (batch.first_error) {
-    std::exception_ptr err = batch.first_error;
+  if (batch.error) {
+    std::exception_ptr err = batch.error;
     lock.unlock();
     std::rethrow_exception(err);
   }

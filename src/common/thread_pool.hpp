@@ -45,12 +45,20 @@ class ThreadPool {
   /// errors and completion per call).
   void wait_idle();
 
-  /// Run fn(i) for i in [0, n), blocking until all complete. Exceptions
-  /// thrown by fn are captured; the first one is rethrown on the caller.
+  /// Run fn(i) for i in [0, n), blocking until all complete.
+  ///
+  /// Failure rule: when fn throws, the caller gets the exception of the
+  /// lowest index that threw, as a serial loop would. Once index k has
+  /// thrown, no index above k is started, while every index below k
+  /// still runs (one of them may throw lower). So every index below the
+  /// reported one has run and returned, and when whether fn(i) throws
+  /// depends on i alone, the error a parallel stage reports never
+  /// depends on the pool size or on which worker failed first. Callers
+  /// just throw from fn; none keeps error slots of its own.
+  ///
   /// Completion and errors are tracked per call, so concurrent
   /// parallel_for calls from different threads neither block on each
-  /// other's tasks nor see each other's exceptions. Once fn throws, no
-  /// further index is claimed.
+  /// other's tasks nor see each other's exceptions.
   /// Re-entrant: when called from one of this pool's own workers the
   /// loop runs inline instead of blocking the worker (nested fan-out
   /// would otherwise deadlock the pool).

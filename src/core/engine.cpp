@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -36,13 +35,6 @@ namespace gpuvar {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Manifest parsing/rendering lives in telemetry/manifest.hpp, shared
-// with the read-only query plane; these aliases keep the engine's
-// write-path code in its established vocabulary.
-using Manifest = CampaignManifest;
-using ManifestEntry = CampaignManifestEntry;
-constexpr const char* kManifestName = kCampaignManifestName;
 
 /// Buckets the merge reads back per dispatch, per pool worker: enough
 /// to amortize a parallel_for, few enough that the decoded window stays
@@ -79,7 +71,7 @@ FrameShardInfo persist_shard(const fs::path& dir, std::size_t bucket_index,
 struct EngineState {
   Mutex mu;
   std::ofstream manifest GPUVAR_GUARDED_BY(mu);
-  std::map<std::uint64_t, ManifestEntry> entries GPUVAR_GUARDED_BY(mu);
+  std::map<std::uint64_t, FrameShardInfo> entries GPUVAR_GUARDED_BY(mu);
   /// Completed buckets still in memory, keyed (bytes, bucket index): the
   /// last element is the eviction victim — the largest bucket, ties to
   /// the higher index.
@@ -198,7 +190,7 @@ CampaignResult run_campaign(const Cluster& cluster,
   if (durable) {
     GPUVAR_TRACE_SPAN("engine", "resume_scan");
     fs::create_directories(dir);
-    Manifest m = read_campaign_manifest(dir / kManifestName);
+    CampaignManifest m = read_campaign_manifest(dir / kCampaignManifestName);
     if (m.exists && m.config_hash != out.config_hash) {
       throw std::runtime_error(
           options.checkpoint_dir +
@@ -206,11 +198,11 @@ CampaignResult run_campaign(const Cluster& cluster,
           format_hex(m.config_hash) + ", this campaign is " +
           format_hex(out.config_hash) + ")");
     }
-    // Trust nothing: every listed shard must parse end to end and agree
-    // with the manifest's row count and payload hash. Anything less and
-    // the bucket re-runs from its seed path. The shards are checked in
-    // parallel; the verdicts fold in bucket order below.
-    std::vector<const std::pair<const std::uint64_t, ManifestEntry>*> listed;
+    // Trust nothing: every listed shard must parse end to end and match
+    // its manifest entry. Anything less and the bucket re-runs from its
+    // seed path. The shards are checked in parallel; the verdicts fold
+    // in bucket order below.
+    std::vector<const std::pair<const std::uint64_t, FrameShardInfo>*> listed;
     listed.reserve(m.entries.size());
     for (const auto& entry : m.entries) listed.push_back(&entry);
     std::vector<char> ok(listed.size(), 0);
@@ -220,13 +212,12 @@ CampaignResult run_campaign(const Cluster& cluster,
       try {
         const FrameShard s = read_frame_shard(
             dir / campaign_shard_file_name(static_cast<std::size_t>(idx)));
-        ok[k] = s.info.bucket_index == idx && s.info.rows == e.info.rows &&
-                s.info.payload_hash == e.info.payload_hash;
+        ok[k] = shard_matches_entry(s.info, e);
       } catch (const std::runtime_error&) {
         // Unreadable or malformed: the verdict stays "re-run".
       }
     });
-    std::map<std::uint64_t, ManifestEntry> valid;
+    std::map<std::uint64_t, FrameShardInfo> valid;
     for (std::size_t k = 0; k < listed.size(); ++k) {
       if (ok[k] != 0) {
         valid.insert(valid.end(), *listed[k]);
@@ -240,10 +231,10 @@ CampaignResult run_campaign(const Cluster& cluster,
     // before st.mu is taken and moved in under it: no file open runs
     // under the engine lock.
     rewrite_campaign_manifest(dir, out.config_hash, valid, /*done=*/false);
-    std::ofstream manifest(dir / kManifestName, std::ios::app);
+    std::ofstream manifest(dir / kCampaignManifestName, std::ios::app);
     if (!manifest.good()) {
       throw std::runtime_error("cannot append to " +
-                               (dir / kManifestName).string());
+                               (dir / kCampaignManifestName).string());
     }
     MutexLock lock(st.mu);
     st.entries = std::move(valid);
@@ -313,7 +304,7 @@ CampaignResult run_campaign(const Cluster& cluster,
           throw std::runtime_error("manifest append failed in " +
                                    dir.string());
         }
-        st.entries[info.bucket_index] = ManifestEntry{info};
+        st.entries[info.bucket_index] = info;
         st.shard_bytes += file_bytes;
       }
       // Residency accounting: the fresh bucket is counted before any
@@ -368,7 +359,7 @@ CampaignResult run_campaign(const Cluster& cluster,
       MutexLock lock(st.mu);
       for (const auto& [bytes, ai] : st.resident) resident[ai] = 1;
       for (const auto& [idx, e] : st.entries) {
-        if (resident[idx] == 0) rows += static_cast<std::size_t>(e.info.rows);
+        if (resident[idx] == 0) rows += static_cast<std::size_t>(e.rows);
       }
     }
     for (std::size_t ai = 0; ai < total; ++ai) {
@@ -379,10 +370,8 @@ CampaignResult run_campaign(const Cluster& cluster,
     // Restored or evicted buckets are read back a window at a time, in
     // parallel, and appended in bucket-index order. read_frame_shard
     // re-validates the whole file, so a shard corrupted since the scan
-    // fails loudly instead of merging garbage; the lowest failing index
-    // is reported, whichever worker failed first.
+    // fails loudly instead of merging garbage.
     const std::size_t window = kMergeWindowPerWorker * pool.size();
-    std::vector<std::exception_ptr> errors(window);
     for (std::size_t lo = 0; lo < total; lo += window) {
       const std::size_t n = std::min(window, total - lo);
       const auto first = resident.begin() + static_cast<std::ptrdiff_t>(lo);
@@ -391,16 +380,9 @@ CampaignResult run_campaign(const Cluster& cluster,
         pool.parallel_for(n, [&](std::size_t k) {
           const std::size_t ai = lo + k;
           if (resident[ai] != 0) return;
-          try {
-            buckets[ai] =
-                read_frame_shard(dir / campaign_shard_file_name(ai)).frame;
-          } catch (...) {
-            errors[k] = std::current_exception();
-          }
+          buckets[ai] =
+              read_frame_shard(dir / campaign_shard_file_name(ai)).frame;
         });
-        for (std::size_t k = 0; k < n; ++k) {
-          if (errors[k]) std::rethrow_exception(errors[k]);
-        }
       }
       for (std::size_t ai = lo; ai < lo + n; ++ai) {
         out.frame.append(buckets[ai]);

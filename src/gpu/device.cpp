@@ -149,7 +149,7 @@ SimulatedGpu::FixedPoint SimulatedGpu::fixed_point(Watts dyn,
 
 bool SimulatedGpu::accepts(MegaHertz f, Celsius temp,
                            const FixedPoint& eq) const {
-  return abs(eq.temp - temp) <= opts_.steady_temp_eps &&
+  return abs(eq.temp - temp) <= kSteadyTempEps &&
          stable_at(f, eq.power, eq.temp);
 }
 
@@ -163,7 +163,7 @@ bool SimulatedGpu::reference_refuses(const FixedPoint& ref, MegaHertz f,
   const Celsius mt{kRefuseMargin};
   const Watts mw{kRefuseMargin};
   const Watts cap = dvfs_.power_limit();
-  return abs(ref.temp - temp) > opts_.steady_temp_eps + mt ||
+  return abs(ref.temp - temp) > kSteadyTempEps + mt ||
          ref.temp >= sku_.slowdown_temp - Celsius{2.0} + mt ||
          ref.power > cap + mw ||
          (!at_top(f) && ref.power < cap - sku_.dvfs_up_margin - mw);
@@ -234,12 +234,11 @@ KernelResult SimulatedGpu::run_kernel(const KernelSpec& kernel,
     // solve; every check is pure, so they change the cost of the chain,
     // not its result.
     if (opts_.fast_forward &&
-        clock_ - last_freq_change_ >= opts_.steady_window &&
+        clock_ - last_freq_change_ >= kSteadyWindow &&
         // Cheap precheck: skip the fixed-point solve unless the current
         // power's equilibrium is already close (leakage feedback only
         // moves it slightly further).
-        abs(thermal_.equilibrium(p) - temp) <=
-            2.0 * opts_.steady_temp_eps &&
+        abs(thermal_.equilibrium(p) - temp) <= 2.0 * kSteadyTempEps &&
         // The control law must accept the current point too. A kernel
         // hovering at the power cap fails this on most ticks, so it goes
         // before the solve.

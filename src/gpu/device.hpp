@@ -27,11 +27,14 @@ namespace gpuvar { class Sampler; }  // was: #include "gpu/sampler.hpp"
 
 namespace gpuvar {
 
+/// Fast-forward needs the controller quiet for this long...
+inline constexpr Seconds kSteadyWindow{0.3};
+/// ...and the temperature within this of its fixed point.
+inline constexpr Celsius kSteadyTempEps{1.0};
+
 struct SimOptions {
   Seconds tick{1e-3};          ///< simulation step (profiler resolution)
   bool fast_forward = true;     ///< enable steady-state fast-forwarding
-  Seconds steady_window{0.3};  ///< controller must be quiet this long
-  Celsius steady_temp_eps{1.0};///< and temperature within this of equilib.
 };
 
 struct KernelResult {
@@ -116,7 +119,7 @@ class SimulatedGpu : public PmIntrospection {
 
   /// True when the controller, at ladder frequency f and temperature
   /// `temp`, accepts the solved fixed point `eq`: the temperature is
-  /// within `steady_temp_eps` of it and the control law would not act
+  /// within kSteadyTempEps of it and the control law would not act
   /// there. Only this accepts a fast-forward.
   bool accepts(MegaHertz f, Celsius temp, const FixedPoint& eq) const;
 

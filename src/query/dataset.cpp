@@ -1,6 +1,5 @@
 #include "query/dataset.hpp"
 
-#include <exception>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -41,7 +40,7 @@ Dataset Dataset::open(const std::string& dir, const DatasetOptions& options) {
   // Paths are built here, on the calling thread, so the workers below
   // only read: each header lands in a stack buffer and is parsed from
   // there.
-  std::vector<const CampaignManifestEntry*> listed;
+  std::vector<const FrameShardInfo*> listed;
   listed.reserve(m.entries.size());
   ds.shards_.resize(m.entries.size());
   for (const auto& [idx, e] : m.entries) {
@@ -49,31 +48,16 @@ Dataset Dataset::open(const std::string& dir, const DatasetOptions& options) {
         d / campaign_shard_file_name(static_cast<std::size_t>(idx));
     listed.push_back(&e);
   }
-  // Headers are read and verified in parallel. Every defect is kept by
-  // index and the lowest one rethrown, so the message never depends on
-  // which worker failed first.
-  std::vector<std::exception_ptr> errors(listed.size());
   ds.scan_pool().parallel_for(listed.size(), [&](std::size_t i) {
     DatasetShard& s = ds.shards_[i];
-    try {
-      s.header = read_frame_shard_header(s.path);
-      const FrameShardInfo& h = s.header.info;
-      const FrameShardInfo& e = listed[i]->info;
-      if (h.bucket_index != e.bucket_index || h.rows != e.rows ||
-          h.payload_bytes != e.payload_bytes ||
-          h.payload_hash != e.payload_hash) {
-        throw std::runtime_error(
-            s.path.string() +
-            ": shard header disagrees with the campaign manifest (stale or "
-            "foreign shard)");
-      }
-    } catch (...) {
-      errors[i] = std::current_exception();
+    s.header = read_frame_shard_header(s.path);
+    if (!shard_matches_entry(s.header.info, *listed[i])) {
+      throw std::runtime_error(
+          s.path.string() +
+          ": shard header disagrees with the campaign manifest (stale or "
+          "foreign shard)");
     }
   });
-  for (const std::exception_ptr& err : errors) {
-    if (err) std::rethrow_exception(err);
-  }
   for (const DatasetShard& s : ds.shards_) {
     ds.total_rows_ += s.header.info.rows;
   }

@@ -27,9 +27,7 @@
 // hash-checked (a reader never trusts the file). Unlike the campaign
 // engine, the query plane cannot re-run a bad bucket — any defect is
 // std::runtime_error naming the shard. The headers are read and
-// verified in parallel on the scan pool; when several shards are bad,
-// the lowest-index one is reported, so the error does not depend on
-// the pool size or on which worker failed first.
+// verified in parallel on the scan pool.
 #pragma once
 
 #include <cstdint>
@@ -122,12 +120,12 @@ class Dataset {
  public:
   /// Opens a checkpoint directory: reads the manifest, then reads and
   /// verifies each listed shard's fixed-size header (magic, version,
-  /// and agreement with the manifest's rows/payload/hash facts), in
-  /// parallel on scan_pool() through read_frame_shard_header. Throws
+  /// and shard_matches_entry against its manifest entry), in parallel
+  /// on scan_pool() through read_frame_shard_header. Throws
   /// std::runtime_error on a missing/foreign manifest or any header
   /// defect (a missing, unreadable or truncated shard included), naming
-  /// the lowest-index bad shard. An incomplete campaign (no "done" line
-  /// in the manifest) opens fine — complete() reports it.
+  /// the bad shard. An incomplete campaign (no "done" line in the
+  /// manifest) opens fine — complete() reports it.
   static Dataset open(const std::string& dir,
                       const DatasetOptions& options = {});
 

@@ -67,18 +67,26 @@ CampaignManifest read_campaign_manifest(const fs::path& path) {
       if (parse_int(f[1], idx) && parse_int(f[3], rows) &&
           parse_int(f[5], payload) && parse_hex(f[7], hash) && idx >= 0 &&
           rows >= 0 && payload >= 0) {
-        CampaignManifestEntry e;
-        e.info.bucket_index = static_cast<std::uint64_t>(idx);
-        e.info.rows = static_cast<std::uint64_t>(rows);
-        e.info.payload_bytes = static_cast<std::uint64_t>(payload);
-        e.info.payload_hash = hash;
-        m.entries[e.info.bucket_index] = e;
+        FrameShardInfo e;
+        e.bucket_index = static_cast<std::uint64_t>(idx);
+        e.rows = static_cast<std::uint64_t>(rows);
+        e.payload_bytes = static_cast<std::uint64_t>(payload);
+        e.payload_hash = hash;
+        m.entries[e.bucket_index] = e;
       }
     }
     // Anything else: a torn line. Skip it.
   }
   if (first) m.exists = false;  // empty file == fresh campaign
   return m;
+}
+
+bool shard_matches_entry(const FrameShardInfo& shard,
+                         const FrameShardInfo& entry) {
+  return shard.bucket_index == entry.bucket_index &&
+         shard.rows == entry.rows &&
+         shard.payload_bytes == entry.payload_bytes &&
+         shard.payload_hash == entry.payload_hash;
 }
 
 std::string campaign_manifest_entry_line(const FrameShardInfo& info) {
@@ -90,7 +98,7 @@ std::string campaign_manifest_entry_line(const FrameShardInfo& info) {
 
 void rewrite_campaign_manifest(
     const fs::path& dir, std::uint64_t config_hash,
-    const std::map<std::uint64_t, CampaignManifestEntry>& entries, bool done) {
+    const std::map<std::uint64_t, FrameShardInfo>& entries, bool done) {
   const fs::path tmp = dir / (std::string(kCampaignManifestName) + ".tmp");
   {
     std::ofstream out(tmp, std::ios::trunc);
@@ -100,7 +108,7 @@ void rewrite_campaign_manifest(
     out << kCampaignManifestMagic << "\nconfig " << format_hex(config_hash)
         << "\n";
     for (const auto& [idx, e] : entries) {
-      out << campaign_manifest_entry_line(e.info) << "\n";
+      out << campaign_manifest_entry_line(e) << "\n";
     }
     if (done) out << "done\n";
     out.flush();

@@ -36,18 +36,22 @@ inline constexpr const char* kCampaignManifestName = "manifest.txt";
 inline constexpr const char* kCampaignManifestMagic =
     "gpuvar-campaign-manifest v1";
 
-struct CampaignManifestEntry {
-  FrameShardInfo info;
-};
-
 struct CampaignManifest {
   bool exists = false;
   std::uint64_t config_hash = 0;
   bool done = false;
   /// bucket index -> recorded shard facts (last entry wins, so an
   /// append-crash duplicate resolves to the freshest record).
-  std::map<std::uint64_t, CampaignManifestEntry> entries;
+  std::map<std::uint64_t, FrameShardInfo> entries;
 };
+
+/// Whether a shard's own facts (its header, or a full parse) match the
+/// manifest's entry for it: bucket index, rows, payload size and
+/// payload hash all agree. The one test both the engine's resume scan
+/// and Dataset::open apply, so a shard one of them accepts the other
+/// accepts too.
+bool shard_matches_entry(const FrameShardInfo& shard,
+                         const FrameShardInfo& entry);
 
 /// "bucket-000042.shard": fixed width so a directory listing sorts in
 /// bucket order.
@@ -66,6 +70,6 @@ std::string campaign_manifest_entry_line(const FrameShardInfo& info);
 /// the given entries in bucket order.
 void rewrite_campaign_manifest(
     const std::filesystem::path& dir, std::uint64_t config_hash,
-    const std::map<std::uint64_t, CampaignManifestEntry>& entries, bool done);
+    const std::map<std::uint64_t, FrameShardInfo>& entries, bool done);
 
 }  // namespace gpuvar

@@ -249,7 +249,7 @@ TEST(FastForwardReference, RefusesOnlyWhatTheExactSolveRefuses) {
       for (const double r : {0.06, 0.12, 0.25}) {
         for (const double coolant : {22.0, 40.0}) {
           SimulatedGpu dev(sku, chip, ThermalParams{r, 100.0, Celsius{coolant}});
-          const Celsius eps = dev.options().steady_temp_eps;
+          const Celsius eps = kSteadyTempEps;
           const Celsius slowdown = sku.slowdown_temp - Celsius{2.0};
           for (const MegaHertz f :
                {ladder.back(), ladder[ladder.size() / 2], ladder.front()}) {

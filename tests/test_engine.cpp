@@ -264,8 +264,7 @@ TEST_F(EngineTest, ForgedPoolShardForcesRerunOfThatBucket) {
       ASSERT_GE(bucket.gpu_count(), 2u) << "forgery needs two GPUs per bucket";
       const std::string forged = forge_pool_defect(bucket, defects[d], victim);
       std::ofstream(path, std::ios::binary | std::ios::trunc) << forged;
-      m.entries.at(victim).info =
-          parse_frame_shard_header(forged, "forged").info;
+      m.entries.at(victim) = parse_frame_shard_header(forged, "forged").info;
     }
     rewrite_campaign_manifest(dir, m.config_hash, m.entries, m.done);
 
@@ -316,7 +315,7 @@ TEST_F(EngineTest, TruncatedUnlistedShardIsRerunOnResume) {
             static_cast<std::size_t>(
                 read_campaign_manifest(dir / kCampaignManifestName)
                     .entries.at(victim)
-                    .info.rows))
+                    .rows))
       << "the re-run must replace the torn shard";
 }
 
@@ -349,6 +348,80 @@ TEST_F(EngineTest, MergeReportsLowestFailingShardAtAnyPoolSize) {
                 std::string::npos)
           << "threads=" << threads << ": " << e.what();
     }
+  }
+}
+
+TEST_F(EngineTest, ShardWriteFailureNamesTheLowerBucketAtAnyPoolSize) {
+  // Directories planted at the shard paths of buckets 5 and 6 make both
+  // writes fail. On 52 buckets the guided schedule ends a worker's run
+  // at bucket 5 and starts another's at 6 (at 4 and 8 threads), so 6
+  // fails first; the error must still name bucket 5. Once the
+  // directories are gone, a resume emits every artifact byte unchanged.
+  ClusterSpec spec = wide_spec();
+  spec.layout.nodes = 52;
+  const Cluster cluster(spec);
+  const auto cfg = wide_config(cluster);
+  const Artifacts want = render(cluster, run_campaign(cluster, cfg));
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
+    ThreadPool pool(threads);
+    auto pooled = cfg;
+    pooled.pool = &pool;
+    const fs::path dir = fresh_dir("planted-" + std::to_string(threads));
+    for (const std::size_t victim : {std::size_t{5}, std::size_t{6}}) {
+      fs::create_directory(dir / campaign_shard_file_name(victim));
+    }
+    CampaignOptions opts;
+    opts.checkpoint_dir = dir.string();
+    const std::string label = "threads=" + std::to_string(threads);
+    try {
+      run_campaign(cluster, pooled, opts);
+      FAIL() << label << ": wrote shards over two directories";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "cannot write " + (dir / campaign_shard_file_name(5)).string())
+          << label;
+    }
+    for (const std::size_t victim : {std::size_t{5}, std::size_t{6}}) {
+      fs::remove(dir / campaign_shard_file_name(victim));
+    }
+    const CampaignResult resumed = run_campaign(cluster, pooled, opts);
+    EXPECT_GE(resumed.stats.buckets_run, 2u) << label;
+    const Artifacts a = render(cluster, resumed);
+    EXPECT_EQ(a.csv, want.csv) << label;
+    EXPECT_EQ(a.markdown, want.markdown) << label;
+    EXPECT_EQ(a.summary, want.summary) << label;
+  }
+}
+
+TEST_F(EngineTest, ManifestPayloadSizeMismatchForcesRerunOfThatBucket) {
+  // A manifest entry whose payload size disagrees with its shard is as
+  // stale as one whose hash does: resume re-runs that bucket, and the
+  // store it leaves opens in the query plane, which applies the same
+  // test to every listed shard.
+  const Artifacts want = render(cluster_, run_campaign(cluster_, config()));
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    auto cfg = config();
+    cfg.pool = &pool;
+    const fs::path dir = fresh_dir("payload-" + std::to_string(threads));
+    CampaignOptions opts;
+    opts.checkpoint_dir = dir.string();
+    run_campaign(cluster_, cfg, opts);
+
+    CampaignManifest m = read_campaign_manifest(dir / kCampaignManifestName);
+    ASSERT_FALSE(m.entries.empty());
+    m.entries.begin()->second.payload_bytes += 1;
+    rewrite_campaign_manifest(dir, m.config_hash, m.entries, /*done=*/false);
+
+    const CampaignResult resumed = run_campaign(cluster_, cfg, opts);
+    const std::string label = "threads=" + std::to_string(threads);
+    EXPECT_EQ(resumed.stats.buckets_rerun_stale, 1u) << label;
+    EXPECT_EQ(resumed.stats.buckets_run, 1u) << label;
+    const Artifacts a = render(cluster_, resumed);
+    EXPECT_EQ(a.csv, want.csv) << label;
+    EXPECT_EQ(a.markdown, want.markdown) << label;
+    EXPECT_EQ(a.summary, want.summary) << label;
+    EXPECT_NO_THROW((void)query::Dataset::open(dir.string())) << label;
   }
 }
 

@@ -41,6 +41,7 @@
 #include "stats/ascii_plot.hpp"
 #include "stats/boxplot.hpp"
 #include "telemetry/frame.hpp"
+#include "telemetry/manifest.hpp"
 #include "telemetry/record.hpp"
 #include "telemetry/shard.hpp"
 #include "workloads/workload.hpp"
@@ -518,6 +519,69 @@ TEST_F(QueryTest, OpenNamesADeletedOrReplacedShard) {
     }
     fs::create_directory(shard);  // the second pass: a directory
   }
+  fs::remove_all(store);
+}
+
+TEST_F(QueryTest, ScansNameTheLowerOfTwoCorruptPayloadsAtAnyPoolSize) {
+  // A 52-bucket store whose shards 5 and 6 each carry one flipped
+  // payload byte behind an intact header: Dataset::open accepts it and
+  // only a decode fails. At 4 and 8 threads the guided schedule puts
+  // shard 5 at the end of one worker's first run and shard 6 at the
+  // start of another's, so 6 fails first; a Source scan and
+  // materialize() must still name shard 5, with one message at every
+  // pool size.
+  const fs::path store = fs::path(::testing::TempDir()) /
+                         ("gpuvar_query_payload_" +
+                          std::to_string(::getpid()));
+  fs::remove_all(store);
+  ClusterSpec spec = cloudlab_spec();
+  spec.layout.nodes = 52;
+  spec.layout.gpus_per_node = 2;
+  const Cluster cluster(spec);
+  CampaignOptions campaign;
+  campaign.checkpoint_dir = store.string();
+  (void)run_campaign(cluster, default_config(cluster, pagerank_workload(2), 1),
+                     campaign);
+  for (const std::size_t victim : {std::size_t{5}, std::size_t{6}}) {
+    std::fstream f(store / campaign_shard_file_name(victim),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekg(-1, std::ios::end);
+    const char byte = static_cast<char>(f.get() ^ 0x01);
+    f.seekp(-1, std::ios::end);
+    f.put(byte);
+  }
+  const std::string lo = (store / campaign_shard_file_name(5)).string();
+  const std::string hi = (store / campaign_shard_file_name(6)).string();
+
+  std::vector<std::string> messages;
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4},
+                              std::size_t{8}}) {
+    ThreadPool pool(threads);
+    query::DatasetOptions opts;
+    opts.pool = &pool;
+    for (const bool materialize : {false, true}) {
+      const std::string label = "threads=" + std::to_string(threads) +
+                                (materialize ? " materialize" : " scan");
+      const query::Dataset d = query::Dataset::open(store.string(), opts);
+      try {
+        if (materialize) {
+          (void)d.materialize();
+        } else {
+          (void)query::Source(d).frame();
+        }
+        ADD_FAILURE() << label << ": decoded two corrupt payloads";
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(lo), std::string::npos) << label << ": " << what;
+        EXPECT_EQ(what.find(hi), std::string::npos) << label << ": " << what;
+        EXPECT_NE(what.find("payload corrupt"), std::string::npos) << what;
+        messages.push_back(what);
+      }
+    }
+  }
+  ASSERT_EQ(messages.size(), 6u);
+  for (const std::string& m : messages) EXPECT_EQ(m, messages.front());
   fs::remove_all(store);
 }
 

@@ -80,8 +80,10 @@ TEST(ThreadPool, ParallelForSkewedWorkloadVisitsEveryIndexOnce) {
 }
 
 TEST(ThreadPool, ParallelForStopsClaimingAfterAThrow) {
-  // Once an index throws, no task claims another one; the error reaches
-  // the caller, and nothing still runs after parallel_for returns.
+  // Once index 5 throws, no index above it starts; the claimed ones
+  // below it (0..4, in the same first run) have already run. The error
+  // reaches the caller, and nothing still runs after parallel_for
+  // returns.
   ThreadPool pool(4);
   constexpr std::size_t kN = 2000;
   std::atomic<std::size_t> claimed{0};
@@ -101,6 +103,41 @@ TEST(ThreadPool, ParallelForStopsClaimingAfterAThrow) {
   EXPECT_LT(at_return, 100u);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   EXPECT_EQ(claimed.load(), at_return);
+}
+
+TEST(ThreadPool, ParallelForRethrowsTheLowestThrowingIndex) {
+  // Index 0 throws last: it waits until the highest index, in another
+  // worker's run, has thrown, then a little longer, so that index's
+  // error is long recorded. The caller still sees index 0's, as a
+  // serial loop would.
+  constexpr std::size_t kN = 64;
+  for (std::size_t threads : {std::size_t{2}, std::size_t{4},
+                              std::size_t{8}}) {
+    ThreadPool pool(threads);
+    std::atomic<bool> high_threw{false};
+    try {
+      pool.parallel_for(kN, [&](std::size_t i) {
+        if (i == kN - 1) {
+          high_threw.store(true);
+          throw std::runtime_error("index 63");
+        }
+        if (i != 0) return;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!high_threw.load() &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw std::runtime_error("index 0");
+      });
+      FAIL() << "parallel_for swallowed the exception, threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_TRUE(high_threw.load())
+          << "index 63 never ran while index 0 waited, threads=" << threads;
+      EXPECT_EQ(std::string(e.what()), "index 0") << "threads=" << threads;
+    }
+  }
 }
 
 TEST(ThreadPool, SingleThreadPoolStillWorks) {

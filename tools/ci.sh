@@ -34,7 +34,9 @@
 #                              and the campaign's CSV against its store;
 #                              then check a copy with one shard truncated
 #                              fails naming it, identically at 1 and 4
-#                              threads
+#                              threads, and a copy with two corrupt
+#                              payloads names the lower shard, identically
+#                              at 1 and 4 threads and with --materialize
 #   tools/ci.sh thread-safety  clang -Werror=thread-safety syntax-only
 #                              compile of src/** (skipped when clang++ is
 #                              not installed — the GPUVAR_* annotations
@@ -283,7 +285,8 @@ job_query_smoke() {
   cmake -B build-ci -S . -DGPUVAR_WERROR=ON > /dev/null
   cmake --build build-ci -j "$JOBS" --target gpuvar_cli
   local ck=build-ci/QUERY_ck
-  rm -rf "$ck" build-ci/QUERY_lh build-ci/QUERY_bad build-ci/QUERY_*.txt
+  rm -rf "$ck" build-ci/QUERY_lh build-ci/QUERY_bad build-ci/QUERY_corrupt \
+    build-ci/QUERY_*.txt
 
   # The store under query: a checkpointed, spill-everything campaign,
   # one shard per node bucket.
@@ -377,9 +380,42 @@ job_query_smoke() {
     grep -qF "$shard" "build-ci/QUERY_bad_err$t.txt"
   done
   cmp build-ci/QUERY_bad_err1.txt build-ci/QUERY_bad_err4.txt
+
+  # Corrupt payloads: a copy of the longhorn store (32 shards) with one
+  # payload byte flipped in its fourth and fifth shards, headers intact,
+  # so the store opens and only a decode fails. At four threads the
+  # first worker's run of shards ends at the fourth and the next run
+  # starts at the fifth, which therefore fails first; the error must
+  # still name the fourth, the same on one thread, on four and with
+  # --materialize.
+  local corrupt=build-ci/QUERY_corrupt lower size byte n
+  cp -r "$lh" "$corrupt"
+  for n in 4 5; do
+    shard=$(find "$corrupt" -name 'bucket-*.shard' | sort | sed -n "${n}p")
+    size=$(stat -c %s "$shard")
+    byte=$(od -An -tu1 -j $((size - 1)) -N1 "$shard" | tr -d ' ')
+    printf "$(printf '\\%03o' $((byte ^ 1)))" |
+      dd of="$shard" bs=1 seek=$((size - 1)) conv=notrunc status=none
+  done
+  lower=$(find "$corrupt" -name 'bucket-*.shard' | sort | sed -n 4p)
+  for v in "--threads 1" "--threads 4" "--materialize"; do
+    variant=$(echo "$v" | tr -d ' -')
+    # $v is unquoted on purpose: it carries the flag and its value.
+    if ./build-ci/tools/gpuvar analyze "$corrupt" $v \
+        > /dev/null 2> "build-ci/QUERY_corrupt_err_$variant.txt"; then
+      echo "query-smoke: analyze read a store with corrupt payloads" >&2
+      exit 1
+    fi
+    grep -qF "$lower" "build-ci/QUERY_corrupt_err_$variant.txt"
+  done
+  cmp build-ci/QUERY_corrupt_err_threads1.txt \
+    build-ci/QUERY_corrupt_err_threads4.txt
+  cmp build-ci/QUERY_corrupt_err_threads1.txt \
+    build-ci/QUERY_corrupt_err_materialize.txt
   echo "query-smoke: streaming output byte-identical to --materialize," \
     "CSV analyses to the store's; a truncated shard is named at 1 and 4" \
-    "threads"
+    "threads, the lower of two corrupt payloads at 1 and 4 threads and" \
+    "with --materialize"
 }
 
 job_thread_safety() {
