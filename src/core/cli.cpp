@@ -8,6 +8,7 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/bytesize.hpp"
 #include "common/numfmt.hpp"
@@ -553,7 +554,11 @@ Input open_input(const std::string& path, const query::DatasetOptions& dopts,
     return in;
   }
   std::ifstream file(path);
-  GPUVAR_REQUIRE_MSG(file.good(), "cannot open " + path);
+  if (!file.good()) {
+    throw std::runtime_error("cannot open " + path +
+                             " (neither a checkpoint directory nor a "
+                             "readable results CSV)");
+  }
   RecordFrame all;
   try {
     all = import_results_frame(file);
@@ -563,7 +568,7 @@ Input open_input(const std::string& path, const query::DatasetOptions& dopts,
     throw std::invalid_argument(
         path + (what.starts_with("line ") ? " " : ": ") + what);
   }
-  GPUVAR_REQUIRE_MSG(!all.empty(), "no records in " + path);
+  if (all.empty()) throw std::runtime_error("no records in " + path);
   if (summary != nullptr) *summary << "loaded " << all.size() << " records\n";
   in.frame.emplace(std::move(all));
   return in;
@@ -744,9 +749,10 @@ const AnalysisEntry& analysis_by_name(const std::string& name) {
 }
 
 int cmd_analyze(const ParsedArgs& args, std::ostream& out) {
-  GPUVAR_REQUIRE_MSG(!args.positional.empty(),
-                     "analyze needs SRC (a checkpoint directory or a "
-                     "results CSV)");
+  if (args.positional.empty()) {
+    throw std::invalid_argument(
+        "analyze needs SRC (a checkpoint directory or a results CSV)");
+  }
   const std::string& path = args.positional.front();
   const AnalysisEntry& analysis =
       analysis_by_name(args.get("analysis", "variability"));

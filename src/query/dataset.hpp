@@ -20,7 +20,9 @@
 //  - decoded once per Dataset: a shard is decoded at most once and
 //    kept for the Dataset's lifetime, shared by every query against it.
 //    Hits, misses and the resident-bytes high-water mark surface as
-//    query.* metrics.
+//    query.* metrics;
+//  - assembled once per Dataset: the unfiltered whole-store frame is
+//    built on first use and shared by every unfiltered Source over it.
 //
 // Trust model: Dataset::open verifies each listed shard's header
 // against the manifest, and every payload that is actually decoded is
@@ -34,6 +36,7 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -141,12 +144,26 @@ class Dataset {
   /// the Dataset's lifetime. The returned frame is immutable.
   std::shared_ptr<const RecordFrame> fetch(std::size_t i) const;
 
+  /// fetch() of each of `indices`, in their order: the decoded ones are
+  /// taken under one lock, and only the misses go to scan_pool(). Hits
+  /// and misses are counted per shard, as fetch() counts them.
+  std::vector<std::shared_ptr<const RecordFrame>> fetch_many(
+      std::span<const std::size_t> indices) const;
+
   /// Appends every shard's frame in bucket-index order into one
   /// RecordFrame — byte-identical to the frame the campaign engine
-  /// merged when it wrote the checkpoint. The escape hatch for
-  /// consumers that genuinely need the whole frame (and the reference
-  /// half of the "query == materialize" property tests).
+  /// merged when it wrote the checkpoint. A fresh copy on every call:
+  /// the escape hatch for consumers that genuinely need to own the
+  /// whole frame (and the reference half of the "query == materialize"
+  /// property tests).
   RecordFrame materialize() const;
+
+  /// The materialize() frame, assembled on first use and kept for the
+  /// Dataset's lifetime; every unfiltered Source over this Dataset
+  /// borrows it. If two threads assemble it at once, the first insert
+  /// wins and both share that copy. Its bytes count towards
+  /// query.cache_bytes_peak.
+  std::shared_ptr<const RecordFrame> whole_frame() const;
 
   Dataset(Dataset&&) = default;
   Dataset& operator=(Dataset&&) = default;
@@ -154,12 +171,13 @@ class Dataset {
  private:
   Dataset() = default;
 
-  /// Decoded shards, keyed by shard index; an entry, once set, is
-  /// never replaced or dropped.
+  /// Decoded shards, keyed by shard index, and the whole-store frame;
+  /// an entry, once set, is never replaced or dropped.
   struct Cache {
     Mutex mu;
     std::vector<std::shared_ptr<const RecordFrame>> entries
         GPUVAR_GUARDED_BY(mu);
+    std::shared_ptr<const RecordFrame> whole GPUVAR_GUARDED_BY(mu);
     std::uint64_t resident_bytes GPUVAR_GUARDED_BY(mu) = 0;
   };
 

@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/thread_pool.hpp"  // gpuvar-lint: allow(unused-include)
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "query/dataset.hpp"
@@ -99,11 +98,7 @@ void Source::ensure_plan() const {
 std::vector<std::shared_ptr<const RecordFrame>> Source::scan() const {
   GPUVAR_TRACE_SPAN("query", "scan", "shards",
                     static_cast<std::int64_t>(picked_.size()));
-  std::vector<std::shared_ptr<const RecordFrame>> out(picked_.size());
-  dataset_->scan_pool().parallel_for(picked_.size(), [&](std::size_t j) {
-    out[j] = dataset_->fetch(picked_[j]);
-  });
-  return out;
+  return dataset_->fetch_many(picked_);
 }
 
 std::size_t Source::size() const {
@@ -113,24 +108,24 @@ std::size_t Source::size() const {
 
 const RecordFrame& Source::frame() const {
   if (borrowed_ != nullptr && where_.is_all()) return *borrowed_;
-  if (assembled_) return *assembled_;
+  if (resolved_ != nullptr) return *resolved_;
   ensure_plan();
-  RecordFrame& out = assembled_.emplace();
-  out.reserve(rows_);
-  const auto add = [&](const RecordFrame& part, std::size_t j) {
-    if (where_.is_all()) {
-      out.append(part);
-    } else {
-      out.append(part, matched_[j]);
-    }
-  };
-  if (borrowed_ != nullptr) {
-    add(*borrowed_, 0);
-    return out;
+  if (where_.is_all()) {
+    resolved_ = dataset_->whole_frame();
+    return *resolved_;
   }
-  const auto parts = scan();
-  for (std::size_t j = 0; j < parts.size(); ++j) add(*parts[j], j);
-  return out;
+  auto out = std::make_shared<RecordFrame>();
+  out->reserve(rows_);
+  if (borrowed_ != nullptr) {
+    out->append(*borrowed_, matched_.front());
+  } else {
+    const auto parts = scan();
+    for (std::size_t j = 0; j < parts.size(); ++j) {
+      out->append(*parts[j], matched_[j]);
+    }
+  }
+  resolved_ = std::move(out);
+  return *resolved_;
 }
 
 }  // namespace gpuvar::query

@@ -3,30 +3,33 @@
 // Every core analysis (variability and its group breakdowns, flagging,
 // drift, compare, user_impact, correlate, projection, the text and
 // markdown reports) reads columns through a Source. A Source is one
-// lazily resolved RecordFrame: either a borrowed frame or one it
-// assembles. An unfiltered frame-backed Source is a zero-cost borrow.
-// A filtered one, or a dataset-backed one, assembles its frame on first
-// column access: predicate pushdown picks the shards, match_rows picks
-// the rows, and RecordFrame::append folds each picked shard (or only
-// its matching rows) in bucket-index order, as Dataset::materialize
-// merges them. A Source does not prune columns: re-decoding a shard for
-// each new column cost more than the columns pruning skipped.
+// lazily resolved RecordFrame: a borrowed frame or one it assembles.
+// An unfiltered frame-backed Source is a zero-cost borrow, and an
+// unfiltered dataset-backed one borrows the Dataset's whole_frame(),
+// which the Dataset assembles once for every such Source. A filtered
+// Source assembles its own frame on first column access: predicate
+// pushdown picks the shards, match_rows picks the rows, and
+// RecordFrame::append folds each picked shard's matching rows in
+// bucket-index order, as Dataset::materialize merges them. A Source
+// does not prune columns: re-decoding a shard for each new column cost
+// more than the columns pruning skipped.
 //
 // Determinism: the assembled frame is a pure function of (manifest
 // order, predicate) — shard decodes are parallel but the appends are
 // ordered and interning is first-appearance, exactly RecordFrame's
 // contract. Analyses over a Source are therefore byte-identical to the
 // same analyses over the materialized frame (frame.select of the
-// matching rows), at any thread count and cache budget. The property
-// tests in test_query.cpp pin this.
+// matching rows), at any thread count. The property tests in
+// test_query.cpp pin this.
 //
 // Threading: a Source is confined to one thread (lazy assembly mutates
 // under const); the parallelism lives inside the scans it issues.
+// Sources on different threads may share one Dataset, and so its whole
+// frame.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -78,7 +81,7 @@ class Source {
 
  private:
   void ensure_plan() const;
-  /// Parallel fetch of every picked shard through the Dataset's cache.
+  /// Fetch of every picked shard through the Dataset's cache.
   std::vector<std::shared_ptr<const RecordFrame>> scan() const;
 
   const RecordFrame* borrowed_ = nullptr;
@@ -93,7 +96,9 @@ class Source {
   /// Per part (the borrowed frame, or each picked shard): matching row
   /// indices. Only populated when the predicate filters rows.
   mutable std::vector<std::vector<std::uint32_t>> matched_;
-  mutable std::optional<RecordFrame> assembled_;
+  /// The resolved frame unless borrowed_ is used whole: the Dataset's
+  /// whole_frame() or this Source's filtered assembly.
+  mutable std::shared_ptr<const RecordFrame> resolved_;
 };
 
 }  // namespace gpuvar::query

@@ -344,6 +344,42 @@ TEST_F(CliTest, AnalyzeMissingFileFailsGracefully) {
   EXPECT_NE(err.find("error:"), std::string::npos);
 }
 
+/// A user's mistake is an "error:" line about the input, never an
+/// internal precondition naming a source file.
+void expect_user_error(const std::string& err, const std::string& needle) {
+  EXPECT_TRUE(contains(err, "error: ")) << err;
+  EXPECT_TRUE(contains(err, needle)) << err;
+  EXPECT_FALSE(contains(err, "precondition failed")) << err;
+  EXPECT_FALSE(contains(err, ".cpp")) << err;
+}
+
+TEST_F(CliTest, AnalyzeWithoutSrcNamesSrc) {
+  std::string err;
+  EXPECT_EQ(run({"analyze"}, nullptr, &err), 1);
+  expect_user_error(err, "analyze needs SRC");
+}
+
+TEST_F(CliTest, AnalyzeMissingPathNamesThePath) {
+  const std::string missing = path("nonexistent");
+  std::string err;
+  EXPECT_EQ(run({"analyze", missing}, nullptr, &err), 1);
+  expect_user_error(err, "cannot open " + missing);
+}
+
+TEST_F(CliTest, AnalyzeHeaderOnlyCsvNamesTheFile) {
+  make_campaign("3", "1");
+  std::string header;
+  {
+    std::ifstream in(csv());
+    std::getline(in, header);
+  }
+  const std::string empty = path("header_only.csv");
+  std::ofstream(empty) << header << "\n";
+  std::string err;
+  EXPECT_EQ(run({"analyze", empty}, nullptr, &err), 1);
+  expect_user_error(err, "no records in " + empty);
+}
+
 TEST_F(CliTest, BadCsvErrorNamesFileAndLine) {
   make_campaign("3", "1");
   // Corrupt the perf_ms cell of the first data row (line 2).

@@ -2,7 +2,8 @@
 // dataset-backed Source must be byte-identical to the same analysis
 // over the materialized frame at any thread count; pushdown must
 // demonstrably skip shards on header facts; and a Dataset must decode
-// each shard at most once however many scans read it.
+// each shard, and assemble its unfiltered frame, at most once however
+// many scans read it.
 #include "query/source.hpp"
 
 #include <gtest/gtest.h>
@@ -422,6 +423,8 @@ TEST_F(QueryTest, PushdownSkipsShardsOnHeaderFactsAlone) {
 TEST_F(QueryTest, RepeatScansDecodeEachShardOnce) {
   // A Dataset keeps every shard it decodes: two materializations and
   // two full Source scans decode each shard exactly once between them.
+  // The first Source assembles the Dataset's whole frame from cached
+  // shards; the second borrows that frame and fetches no shard.
   obs::Registry reg;
   {
     obs::ScopedMetrics guard(&reg);
@@ -439,15 +442,69 @@ TEST_F(QueryTest, RepeatScansDecodeEachShardOnce) {
     }
     EXPECT_EQ(reg.counter("query.cache_misses").value(), shards)
         << "a repeat scan decoded a shard again";
-    EXPECT_GE(reg.counter("query.cache_hits").value(), 3 * shards);
-    // Resident bytes only grow, so the peak is every shard, once.
-    std::uint64_t resident = 0;
+    EXPECT_EQ(reg.counter("query.cache_hits").value(), 2 * shards);
+    // Resident bytes only grow, so the peak is every shard, once, plus
+    // the whole frame.
+    std::uint64_t resident = d.whole_frame()->memory_bytes();
     for (std::size_t i = 0; i < d.shards().size(); ++i) {
       resident += d.fetch(i)->memory_bytes();
     }
     ASSERT_TRUE(reg.gauge("query.cache_bytes_peak").has_value());
     EXPECT_EQ(reg.gauge("query.cache_bytes_peak").value(), resident);
   }
+}
+
+TEST_F(QueryTest, UnfilteredSourcesShareTheDatasetsWholeFrame) {
+  // Every unfiltered Source over one Dataset resolves to the same frame
+  // object, with materialize()'s bytes.
+  const query::Dataset d = query::Dataset::open(dir());
+  const query::Source a(d);
+  const query::Source b(d);
+  EXPECT_EQ(&a.frame(), &b.frame());
+  EXPECT_EQ(&a.frame(), d.whole_frame().get());
+  EXPECT_EQ(hash_frame_shard(a.frame(), 0),
+            hash_frame_shard(d.materialize(), 0));
+  EXPECT_EQ(a.size(), d.total_rows());
+}
+
+TEST_F(QueryTest, ConcurrentSourcesShareOneWholeFrame) {
+  // Four threads resolve unfiltered Sources over one cold Dataset at
+  // once: whoever assembles first, all of them get one frame.
+  ThreadPool scan(2);
+  query::DatasetOptions opts;
+  opts.pool = &scan;
+  const query::Dataset d = query::Dataset::open(dir(), opts);
+  std::vector<const RecordFrame*> seen(4, nullptr);
+  ThreadPool callers(4);
+  callers.parallel_for(seen.size(), [&](std::size_t t) {
+    const query::Source s(d);
+    seen[t] = &s.frame();
+  });
+  for (const RecordFrame* f : seen) EXPECT_EQ(f, d.whole_frame().get());
+  EXPECT_EQ(hash_frame_shard(*seen.front(), 0),
+            hash_frame_shard(frame(), 0));
+}
+
+TEST_F(QueryTest, FilteredSourceOnAWarmDatasetKeepsItsRows) {
+  // The whole frame is built first; a filtered Source still assembles
+  // its own rows by pushdown and matches frame.select of them.
+  const query::Dataset d = query::Dataset::open(dir());
+  (void)query::Source(d).frame();
+  const FrameShardStats s0 = d.shards().front().header.stats;
+  query::Predicate where;
+  where.node.lo = s0.node_min;
+  where.node.hi = s0.node_max;
+  obs::Registry reg;
+  obs::ScopedMetrics guard(&reg);
+  const query::Source filtered(d, where);
+  const auto matched = query::match_rows(frame(), where);
+  const RecordFrame want =
+      frame().select(std::vector<std::size_t>(matched.begin(), matched.end()));
+  ASSERT_LT(want.size(), frame().size());
+  EXPECT_NE(&filtered.frame(), d.whole_frame().get());
+  EXPECT_EQ(hash_frame_shard(filtered.frame(), 0), hash_frame_shard(want, 0));
+  EXPECT_EQ(reg.counter("query.cache_misses").value(), 0u);
+  EXPECT_GT(reg.counter("query.shards_skipped").value(), 0u);
 }
 
 TEST_F(QueryTest, OpenNamesTheLowestDefectiveShardAtAnyPoolSize) {

@@ -37,13 +37,19 @@
 #                              threads, and a copy with two corrupt
 #                              payloads names the lower shard, identically
 #                              at 1 and 4 threads and with --materialize
+#   tools/ci.sh fp-portable    Release -O3 -march=native build (build-fp)
+#                              running paper_golden, determinism_replay
+#                              and the StatsKernels bit-identity tests:
+#                              the committed hashes must hold on a host
+#                              whose native ISA has FMA
 #   tools/ci.sh thread-safety  clang -Werror=thread-safety syntax-only
 #                              compile of src/** (skipped when clang++ is
 #                              not installed — the GPUVAR_* annotations
 #                              expand to nothing elsewhere)
 #
 # Each job configures into its own build directory (build-ci, build-asan,
-# build-tsan) so the developer's incremental ./build tree is untouched.
+# build-tsan, build-fp) so the developer's incremental ./build tree is
+# untouched.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -80,10 +86,11 @@ job_tsan() {
   # ThreadPool suite plus the runner/experiment/scheduler tests that
   # exercise parallel_for across simulated clusters, and the obs tests
   # that hammer the sharded metrics registry and trace lanes from pool
-  # workers.
+  # workers, and the query test that resolves one Dataset's whole frame
+  # from four threads.
   TSAN_OPTIONS=halt_on_error=1 \
     configure_and_test build-tsan \
-    -R 'ThreadPool|Runner|Experiment|Scheduler|Integration|^Trace\.|^Metrics\.|DeterminismReplay'
+    -R 'ThreadPool|Runner|Experiment|Scheduler|Integration|^Trace\.|^Metrics\.|DeterminismReplay|QueryTest\.Concurrent'
 }
 
 job_analyzer() {
@@ -418,6 +425,21 @@ job_query_smoke() {
     "with --materialize"
 }
 
+job_fp_portable() {
+  echo "=== job: fp-portable (Release -O3 -march=native) ==="
+  # The determinism contract holds for any -march and -O level only
+  # because every gpuvar TU builds with -ffp-contract=off; a native
+  # build on an FMA host is where a fused mul+add would move a hash.
+  cmake -B build-fp -S . -DCMAKE_BUILD_TYPE=Release \
+    "-DCMAKE_CXX_FLAGS=-O3 -march=native" > /dev/null
+  configure_and_test build-fp \
+    -R '^(paper_golden|determinism_replay|StatsKernels\..*Bit.*)$'
+  local isa="no FMA"
+  if grep -qw fma /proc/cpuinfo 2> /dev/null; then isa="FMA"; fi
+  echo "fp-portable: committed hashes hold on a -march=native build" \
+    "($isa host)"
+}
+
 job_thread_safety() {
   echo "=== job: thread-safety (clang -Werror=thread-safety) ==="
   if ! command -v clang++ > /dev/null 2>&1; then
@@ -446,6 +468,7 @@ case "${1:-all}" in
   obs-smoke) job_obs_smoke ;;
   resume-smoke) job_resume_smoke ;;
   query-smoke) job_query_smoke ;;
+  fp-portable) job_fp_portable ;;
   thread-safety) job_thread_safety ;;
   all)
     job_build
@@ -455,13 +478,14 @@ case "${1:-all}" in
     job_obs_smoke
     job_resume_smoke
     job_query_smoke
+    job_fp_portable
     job_thread_safety
     job_asan
     job_tsan
     echo "=== all CI jobs passed ==="
     ;;
   *)
-    echo "usage: tools/ci.sh [build|asan|tsan|analyzer|bench-smoke|bench-guard|obs-smoke|resume-smoke|query-smoke|thread-safety|all]" >&2
+    echo "usage: tools/ci.sh [build|asan|tsan|analyzer|bench-smoke|bench-guard|obs-smoke|resume-smoke|query-smoke|fp-portable|thread-safety|all]" >&2
     exit 2
     ;;
 esac
