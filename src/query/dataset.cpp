@@ -1,6 +1,5 @@
 #include "query/dataset.hpp"
 
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -102,34 +101,13 @@ std::shared_ptr<const RecordFrame> Dataset::fetch(std::size_t i) const {
   return entry;
 }
 
-std::vector<std::shared_ptr<const RecordFrame>> Dataset::fetch_many(
-    std::span<const std::size_t> indices) const {
-  std::vector<std::shared_ptr<const RecordFrame>> out(indices.size());
-  std::vector<std::size_t> misses;  // positions in `indices`
-  {
-    MutexLock lock(cache_->mu);
-    for (std::size_t j = 0; j < indices.size(); ++j) {
-      out[j] = cache_->entries[indices[j]];
-      if (out[j] == nullptr) misses.push_back(j);
-    }
-  }
-  if (misses.size() < indices.size()) {
-    GPUVAR_METRIC_ADD("query.cache_hits", indices.size() - misses.size());
-  }
-  // A miss may be decoded by another thread meanwhile; fetch counts it
-  // as the hit or miss it turns out to be.
-  scan_pool().parallel_for(misses.size(), [&](std::size_t k) {
-    out[misses[k]] = fetch(indices[misses[k]]);
-  });
-  return out;
-}
-
 RecordFrame Dataset::materialize() const {
   GPUVAR_TRACE_SPAN("query", "materialize", "shards",
                     static_cast<std::int64_t>(shards_.size()));
-  std::vector<std::size_t> all(shards_.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  const auto decoded = fetch_many(all);
+  std::vector<std::shared_ptr<const RecordFrame>> decoded(shards_.size());
+  scan_pool().parallel_for(shards_.size(), [&](std::size_t i) {
+    decoded[i] = fetch(i);
+  });
   // Bucket-index order (shards_ is manifest order, which is bucket
   // order); append re-interns in first-appearance order exactly as the
   // engine's merge stage did when it wrote the checkpoint.

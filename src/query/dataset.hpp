@@ -36,7 +36,6 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -143,12 +142,6 @@ class Dataset {
   /// Fetches shard `i`, decoding it on first use and keeping it for
   /// the Dataset's lifetime. The returned frame is immutable.
   std::shared_ptr<const RecordFrame> fetch(std::size_t i) const;
-
-  /// fetch() of each of `indices`, in their order: the decoded ones are
-  /// taken under one lock, and only the misses go to scan_pool(). Hits
-  /// and misses are counted per shard, as fetch() counts them.
-  std::vector<std::shared_ptr<const RecordFrame>> fetch_many(
-      std::span<const std::size_t> indices) const;
 
   /// Appends every shard's frame in bucket-index order into one
   /// RecordFrame — byte-identical to the frame the campaign engine

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "common/thread_pool.hpp"  // gpuvar-lint: allow(unused-include)
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "query/dataset.hpp"
@@ -98,7 +99,11 @@ void Source::ensure_plan() const {
 std::vector<std::shared_ptr<const RecordFrame>> Source::scan() const {
   GPUVAR_TRACE_SPAN("query", "scan", "shards",
                     static_cast<std::int64_t>(picked_.size()));
-  return dataset_->fetch_many(picked_);
+  std::vector<std::shared_ptr<const RecordFrame>> out(picked_.size());
+  dataset_->scan_pool().parallel_for(picked_.size(), [&](std::size_t j) {
+    out[j] = dataset_->fetch(picked_[j]);
+  });
+  return out;
 }
 
 std::size_t Source::size() const {
