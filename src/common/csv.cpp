@@ -25,16 +25,16 @@ void CsvWriter::header(const std::vector<std::string>& columns) {
   GPUVAR_REQUIRE_MSG(rows_ == 0, "header must precede rows");
   GPUVAR_REQUIRE(!columns.empty());
   for (std::size_t i = 0; i < columns.size(); ++i) {
-    if (i) buf_.push_back(',');
-    buf_ += csv_escape(columns[i]);
+    if (i) buf_->push_back(',');
+    *buf_ += csv_escape(columns[i]);
   }
-  buf_.push_back('\n');
+  buf_->push_back('\n');
   header_written_ = true;
   column_count_ = columns.size();
 }
 
 void CsvWriter::begin_field() {
-  if (fields_in_row_) buf_.push_back(',');
+  if (fields_in_row_) buf_->push_back(',');
   ++fields_in_row_;
   row_started_ = true;
 }
@@ -44,14 +44,14 @@ CsvWriter& CsvWriter::add(std::string_view field) {
   // Escape straight into the buffer (csv_escape would allocate a
   // temporary per field, which the frame export pays per cell).
   if (field.find_first_of(",\"\n\r") == std::string_view::npos) {
-    buf_.append(field);
+    buf_->append(field);
   } else {
-    buf_.push_back('"');
+    buf_->push_back('"');
     for (char c : field) {
-      if (c == '"') buf_.push_back('"');
-      buf_.push_back(c);
+      if (c == '"') buf_->push_back('"');
+      buf_->push_back(c);
     }
-    buf_.push_back('"');
+    buf_->push_back('"');
   }
   return *this;
 }
@@ -60,13 +60,13 @@ CsvWriter& CsvWriter::add(double value) {
   // std::to_chars, not printf: %g consults LC_NUMERIC, so a European
   // locale would turn "3.14" into "3,14" and corrupt the CSV.
   begin_field();
-  append_double(buf_, value);
+  append_double(*buf_, value);
   return *this;
 }
 
 CsvWriter& CsvWriter::add(long long value) {
   begin_field();
-  append_int(buf_, value);
+  append_int(*buf_, value);
   return *this;
 }
 
@@ -76,11 +76,11 @@ void CsvWriter::end_row() {
     GPUVAR_REQUIRE_MSG(fields_in_row_ == column_count_,
                        "row width does not match header");
   }
-  buf_.push_back('\n');
+  buf_->push_back('\n');
   row_started_ = false;
   fields_in_row_ = 0;
   ++rows_;
-  if (buf_.size() >= kFlushBytes) flush();
+  if (buf_->size() >= kFlushBytes) flush();
 }
 
 void CsvWriter::row(const std::vector<std::string>& fields) {
@@ -90,9 +90,9 @@ void CsvWriter::row(const std::vector<std::string>& fields) {
 }
 
 void CsvWriter::flush() {
-  if (buf_.empty()) return;
-  out_->write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-  buf_.clear();
+  if (out_ == nullptr || buf_->empty()) return;
+  out_->write(buf_->data(), static_cast<std::streamsize>(buf_->size()));
+  buf_->clear();
 }
 
 }  // namespace gpuvar

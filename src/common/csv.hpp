@@ -12,6 +12,10 @@
 // exports are millions of rows; one stream write per ~16 KiB beats one
 // operator<< per field by a wide margin. Call flush() — or let the
 // destructor do it — before reading the underlying stream.
+//
+// A writer can also format into a caller's string instead of a stream,
+// so that blocks of rows can be formatted apart (on a thread pool) by
+// the same add()/end_row() code and written in order by the caller.
 #pragma once
 
 #include <ostream>
@@ -25,6 +29,11 @@ class CsvWriter {
  public:
   /// Writes to the given stream; the stream must outlive the writer.
   explicit CsvWriter(std::ostream& out) : out_(&out) {}
+  /// Appends rows of `columns` fields to `sink` and never to a stream;
+  /// the header is the caller's to write. `sink` must outlive the
+  /// writer.
+  CsvWriter(std::string& sink, std::size_t columns)
+      : buf_(&sink), header_written_(true), column_count_(columns) {}
   /// Flushes any buffered rows.
   ~CsvWriter() { flush(); }
 
@@ -50,6 +59,7 @@ class CsvWriter {
   /// Pushes buffered complete rows to the stream (rows only ever reach
   /// the stream whole — end_row flushes automatically past the chunk
   /// threshold, so callers normally never need this before the end).
+  /// A writer over a sink string has nothing to flush.
   void flush();
 
   std::size_t rows_written() const { return rows_; }
@@ -60,8 +70,9 @@ class CsvWriter {
 
   void begin_field();
 
-  std::ostream* out_;
-  std::string buf_;
+  std::ostream* out_ = nullptr;  ///< null: rows stay in *buf_
+  std::string own_;
+  std::string* buf_ = &own_;
   bool row_started_ = false;
   bool header_written_ = false;
   std::size_t column_count_ = 0;   // 0 until the header is known

@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
 #include "common/numfmt.hpp"
 #include "common/require.hpp"
+#include "common/thread_pool.hpp"
 
 namespace gpuvar {
 
@@ -85,18 +86,6 @@ bool split_record(char* data, std::size_t size, std::size_t& pos,
       "line " + format_int(static_cast<long long>(line)) + ": " + what);
 }
 
-/// Line ends in [p, end); memchr, because std::count goes a byte at a
-/// time.
-std::size_t count_line_ends(const char* p, const char* end) {
-  std::size_t n = 0;
-  while ((p = static_cast<const char*>(std::memchr(
-              p, '\n', static_cast<std::size_t>(end - p)))) != nullptr) {
-    ++n;
-    ++p;
-  }
-  return n;
-}
-
 /// The rest of `in`, in one buffer sized up front when the stream can
 /// say how much is left.
 std::string read_all(std::istream& in) {
@@ -125,21 +114,8 @@ std::string read_all(std::istream& in) {
 
 }  // namespace
 
-std::vector<std::string> parse_csv_line(const std::string& line) {
-  std::string buf = line;
-  std::vector<std::string> fields;
-  std::size_t pos = 0;
-  std::size_t newlines = 0;
-  const bool closed = split_record(
-      buf.data(), buf.size(), pos, newlines, [&](FieldRange f) {
-        fields.emplace_back(buf.data() + f.begin, f.end - f.begin);
-      });
-  GPUVAR_REQUIRE_MSG(closed, "unterminated quoted CSV field");
-  GPUVAR_REQUIRE_MSG(pos == buf.size(), "more than one CSV record");
-  return fields;
-}
-
-CsvReader::CsvReader(std::istream& in) : buf_(read_all(in)) {
+CsvReader::CsvReader(std::istream& in, ThreadPool* pool)
+    : buf_(read_all(in)) {
   if (buf_.empty()) throw std::invalid_argument("empty CSV input");
   if (buf_.size() >= std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument("CSV input of 4 GiB or more");
@@ -153,39 +129,137 @@ CsvReader::CsvReader(std::istream& in) : buf_(read_all(in)) {
       })) {
     fail_at(1, "unterminated quoted CSV field");
   }
-  std::size_t line = 1 + newlines;
-
+  const std::size_t first_line = 1 + newlines;
   const std::size_t width = columns_.size();
-  const std::size_t line_ends = count_line_ends(data + pos, data + size);
-  fields_.reserve((line_ends + 1) * width);
-  lines_.reserve(line_ends + 1);
-  while (pos < size) {
-    // Blank lines, CRLF ones included, hold no record.
-    std::size_t text = pos;
-    while (text < size && data[text] == '\r') ++text;
-    if (text == size) break;
-    if (data[text] == '\n') {
-      pos = text + 1;
-      ++line;
-      continue;
+  ThreadPool& workers = pool != nullptr ? *pool : ThreadPool::global();
+
+  // The records after the header are split in blocks of kBlockBytes on
+  // the pool. A '\n' ends a record exactly where the count of quote
+  // bytes before it is even (split_record toggles its quoted state on
+  // every quote, a doubled one twice, and the header ends at such a
+  // '\n'). So a first pass counts each block's quotes and line ends and
+  // notes its first '\n' after an even and after an odd count of its own
+  // quotes; a prefix sum then gives every block the first record that
+  // starts in it and that record's line. Each block parses its records
+  // into its own range of slots, one slot per line end, and the slots
+  // are closed up in block order at the end.
+  constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+  struct Block {
+    std::size_t quotes = 0;
+    std::size_t line_ends = 0;
+    /// Per parity of the block's own quote count: the first '\n' seen
+    /// at that parity, and the line ends before it in the block.
+    std::array<std::size_t, 2> first_end{kNone, kNone};
+    std::array<std::size_t, 2> ends_before{0, 0};
+    /// Offset of the block's first record, and line ends before it
+    /// after the header: the record's line is first_line + this, and
+    /// its slot is this.
+    std::size_t start = 0;
+    std::size_t slot = 0;
+    std::size_t records = 0;
+  };
+  const std::size_t blocks = (size - pos + kBlockBytes - 1) / kBlockBytes;
+  const auto block_begin = [&](std::size_t b) {
+    return std::min(size, pos + b * kBlockBytes);
+  };
+  std::vector<Block> block(blocks);
+  workers.parallel_for(blocks, [&](std::size_t b) {
+    // Counted in locals: the blocks' records share cache lines.
+    Block blk;
+    const std::size_t end = block_begin(b + 1);
+    for (std::size_t i = block_begin(b); i < end; ++i) {
+      if (data[i] == '"') {
+        ++blk.quotes;
+      } else if (data[i] == '\n') {
+        const std::size_t parity = blk.quotes % 2;
+        if (blk.first_end[parity] == kNone) {
+          blk.first_end[parity] = i;
+          blk.ends_before[parity] = blk.line_ends;
+        }
+        ++blk.line_ends;
+      }
     }
-    const std::size_t first = fields_.size();
-    newlines = 0;
-    if (!split_record(data, size, pos, newlines, [&](FieldRange f) {
-          fields_.push_back({static_cast<std::uint32_t>(f.begin),
-                             static_cast<std::uint32_t>(f.end)});
-        })) {
-      fail_at(line, "unterminated quoted CSV field");
+    block[b] = blk;
+  });
+  std::size_t line_ends = 0;
+  std::size_t quotes = 0;
+  for (Block& blk : block) {
+    const std::size_t parity = quotes % 2;
+    if (&blk == block.data()) {
+      blk.start = pos;
+    } else if (blk.first_end[parity] != kNone) {
+      blk.start = blk.first_end[parity] + 1;
+      blk.slot = line_ends + blk.ends_before[parity] + 1;
+    } else {
+      blk.start = kNone;  // no record starts here: see below
     }
-    const std::size_t got = fields_.size() - first;
-    if (got != width) {
-      fail_at(line, "CSV row width does not match header (" +
-                        format_int(static_cast<long long>(got)) +
-                        " fields, header has " +
-                        format_int(static_cast<long long>(width)) + ")");
+    line_ends += blk.line_ends;
+    quotes += blk.quotes;
+  }
+  // A block no record starts in (a quoted run spans it) ends where the
+  // next one starts, so it parses nothing.
+  for (std::size_t b = blocks, next = size, next_slot = line_ends;
+       b-- > 0;) {
+    if (block[b].start == kNone) {
+      block[b].start = next;
+      block[b].slot = next_slot;
     }
-    lines_.push_back(static_cast<std::uint32_t>(line));
-    line += newlines;
+    next = block[b].start;
+    next_slot = block[b].slot;
+  }
+
+  // One slot per line end, plus one for a last record without one. Left
+  // uninitialized: a slot no record takes (a blank line, a record's
+  // second line) is never touched, so costs no memory.
+  fields_ = std::make_unique_for_overwrite<Span[]>((line_ends + 1) * width);
+  lines_ = std::make_unique_for_overwrite<std::uint32_t[]>(line_ends + 1);
+  workers.parallel_for(blocks, [&](std::size_t b) {
+    Block& blk = block[b];
+    const std::size_t end = b + 1 < blocks ? block[b + 1].start : size;
+    std::size_t at = blk.start;
+    std::size_t line = first_line + blk.slot;
+    std::size_t slot = blk.slot;
+    while (at < end) {
+      // Blank lines, CRLF ones included, hold no record.
+      std::size_t text = at;
+      while (text < size && data[text] == '\r') ++text;
+      if (text == size) break;
+      if (data[text] == '\n') {
+        at = text + 1;
+        ++line;
+        continue;
+      }
+      Span* const out = &fields_[slot * width];
+      std::size_t got = 0;
+      std::size_t record_newlines = 0;
+      if (!split_record(data, size, at, record_newlines, [&](FieldRange f) {
+            if (got < width) {
+              out[got] = {static_cast<std::uint32_t>(f.begin),
+                          static_cast<std::uint32_t>(f.end)};
+            }
+            ++got;
+          })) {
+        fail_at(line, "unterminated quoted CSV field");
+      }
+      if (got != width) {
+        fail_at(line, "CSV row width does not match header (" +
+                          format_int(static_cast<long long>(got)) +
+                          " fields, header has " +
+                          format_int(static_cast<long long>(width)) + ")");
+      }
+      lines_[slot++] = static_cast<std::uint32_t>(line);
+      line += record_newlines;
+    }
+    blk.records = slot - blk.slot;
+  });
+  for (const Block& blk : block) {
+    if (blk.slot != rows_) {
+      const Span* const from = &fields_[blk.slot * width];
+      std::copy(from, from + blk.records * width, &fields_[rows_ * width]);
+      std::copy(&lines_[blk.slot], &lines_[blk.slot] + blk.records,
+                &lines_[rows_]);
+    }
+    rows_ += blk.records;
   }
 }
 
@@ -205,12 +279,12 @@ std::size_t CsvReader::column(std::string_view name) const {
 }
 
 std::size_t CsvReader::line(std::size_t row) const {
-  GPUVAR_REQUIRE(row < lines_.size());
+  GPUVAR_REQUIRE(row < rows_);
   return lines_[row];
 }
 
 std::string_view CsvReader::field(std::size_t row, std::size_t col) const {
-  GPUVAR_REQUIRE(row < lines_.size());
+  GPUVAR_REQUIRE(row < rows_);
   GPUVAR_REQUIRE(col < columns_.size());
   const Span s = fields_[row * columns_.size() + col];
   return {buf_.data() + s.begin, s.end - s.begin};

@@ -8,10 +8,20 @@
 // stray CR) is rewritten in place, which never lengthens it, so no field
 // is copied out. Every error names the 1-based line its record starts
 // on ("line 17: ...").
+//
+// The records after the header are split on a thread pool, in blocks of
+// kBlockBytes. A '\n' ends a record exactly where an even number of
+// quote bytes precede it, so one counting pass and a prefix sum give
+// each block its first record and that record's line, and quoted
+// newlines, CRLF and blank lines split as in one serial pass. Each block
+// throws at its first bad record, and the pool rethrows the lowest
+// block's error, so the error is the one at the lowest bad line whatever
+// the pool size.
 #pragma once
 
 #include <cstdint>
 #include <istream>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -19,16 +29,23 @@
 
 namespace gpuvar {
 
+class ThreadPool;
+
 class CsvReader {
  public:
   /// Parses the whole stream; the first record is the header. Quoted
   /// fields may span lines; CRLF line ends and blank lines are skipped.
   /// Throws std::invalid_argument on malformed input (empty input,
   /// unterminated quotes, a row wider or narrower than the header).
-  explicit CsvReader(std::istream& in);
+  /// Splits on `pool`, or on ThreadPool::global() when it is null.
+  explicit CsvReader(std::istream& in, ThreadPool* pool = nullptr);
+
+  /// Input bytes a pool task splits at once (exposed so that tests can
+  /// place records on both sides of the block boundaries).
+  static constexpr std::size_t kBlockBytes = 64 * 1024;
 
   const std::vector<std::string>& columns() const { return columns_; }
-  std::size_t rows() const { return lines_.size(); }
+  std::size_t rows() const { return rows_; }
 
   /// Index of the first column called `name`, if any.
   std::optional<std::size_t> find_column(std::string_view name) const;
@@ -68,12 +85,9 @@ class CsvReader {
 
   std::string buf_;
   std::vector<std::string> columns_;
-  std::vector<Span> fields_;           ///< row-major, columns_.size() a row
-  std::vector<std::uint32_t> lines_;   ///< per row, its first line
+  std::unique_ptr<Span[]> fields_;  ///< row-major, columns_.size() a row
+  std::unique_ptr<std::uint32_t[]> lines_;  ///< per row, its first line
+  std::size_t rows_ = 0;
 };
-
-/// Parses one CSV line (exposed for testing). Handles quoted fields with
-/// embedded commas/quotes; `line` must be a complete logical record.
-std::vector<std::string> parse_csv_line(const std::string& line);
 
 }  // namespace gpuvar

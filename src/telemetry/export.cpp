@@ -1,27 +1,43 @@
 #include "telemetry/export.hpp"
 
+#include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/csv.hpp"
 #include "common/csv_reader.hpp"
 #include "common/location.hpp"
+#include "common/thread_pool.hpp"
 #include "gpu/timeseries.hpp"
 #include "telemetry/frame.hpp"
-#include "telemetry/record.hpp"
 
 namespace gpuvar {
 
-void export_frame_csv(std::ostream& out, std::string_view cluster_name,
-                      const RecordFrame& frame) {
-  CsvWriter csv(out);
-  csv.header({"cluster", "gpu", "gpu_index", "node", "cabinet", "run",
-              "perf_ms", "freq_mhz_median", "power_w_median",
-              "temp_c_median", "fu_util", "dram_util", "mem_stall_frac",
-              "exec_stall_frac", "day_of_week", "gpu_in_node", "row_idx",
-              "column_idx", "node_in_group"});
+namespace {
+
+const std::vector<std::string>& frame_columns() {
+  static const std::vector<std::string> columns = {
+      "cluster", "gpu", "gpu_index", "node", "cabinet", "run", "perf_ms",
+      "freq_mhz_median", "power_w_median", "temp_c_median", "fu_util",
+      "dram_util", "mem_stall_frac", "exec_stall_frac", "day_of_week",
+      "gpu_in_node", "row_idx", "column_idx", "node_in_group"};
+  return columns;
+}
+
+/// Frame rows a pool task formats at once.
+constexpr std::size_t kExportBlockRows = 256;
+/// Blocks formatted before the first of them is written: the export's
+/// memory bound, about 2.7 MB of text at summit's ~166 bytes a row.
+constexpr std::size_t kExportWindowBlocks = 64;
+
+/// Formats frame rows [begin, end): the one per-row formatter.
+void write_rows(CsvWriter& csv, std::string_view cluster_name,
+                const RecordFrame& frame, std::size_t begin,
+                std::size_t end) {
   const auto perf = frame.perf_ms();
   const auto freq = frame.freq_mhz();
   const auto power = frame.power_w();
@@ -30,7 +46,7 @@ void export_frame_csv(std::ostream& out, std::string_view cluster_name,
   const auto dram = frame.dram_util();
   const auto mem_stall = frame.mem_stall_frac();
   const auto exec_stall = frame.exec_stall_frac();
-  for (std::size_t i = 0; i < frame.size(); ++i) {
+  for (std::size_t i = begin; i < end; ++i) {
     const GpuLocation& loc = frame.loc(i);
     csv.add(cluster_name)
         .add(loc.name)
@@ -55,6 +71,41 @@ void export_frame_csv(std::ostream& out, std::string_view cluster_name,
   }
 }
 
+}  // namespace
+
+void export_frame_csv(std::ostream& out, std::string_view cluster_name,
+                      const RecordFrame& frame, ThreadPool* pool) {
+  ThreadPool& workers = pool != nullptr ? *pool : ThreadPool::global();
+  {
+    CsvWriter csv(out);
+    csv.header(frame_columns());
+  }
+  const std::size_t rows = frame.size();
+  const std::size_t blocks =
+      (rows + kExportBlockRows - 1) / kExportBlockRows;
+  // One text per window slot, reused window after window.
+  std::vector<std::string> texts(std::min(blocks, kExportWindowBlocks));
+  for (std::size_t first = 0; first < blocks; first += texts.size()) {
+    const std::size_t n = std::min(texts.size(), blocks - first);
+    workers.parallel_for(n, [&](std::size_t k) {
+      const std::size_t begin = (first + k) * kExportBlockRows;
+      // Formatted in a string of this task's own, not in place: the
+      // slots share cache lines, and every append writes the length.
+      std::string text = std::move(texts[k]);
+      text.clear();
+      {
+        CsvWriter csv(text, frame_columns().size());
+        write_rows(csv, cluster_name, frame, begin,
+                   std::min(rows, begin + kExportBlockRows));
+      }
+      texts[k] = std::move(text);
+    });
+    for (std::size_t k = 0; k < n; ++k) {
+      out.write(texts[k].data(), static_cast<std::streamsize>(texts[k].size()));
+    }
+  }
+}
+
 void export_series_csv(std::ostream& out, const TimeSeries& series) {
   CsvWriter csv(out);
   csv.header({"t_s", "freq_mhz", "power_w", "temp_c"});
@@ -64,8 +115,36 @@ void export_series_csv(std::ostream& out, const TimeSeries& series) {
   }
 }
 
-RecordFrame import_results_frame(std::istream& in) {
-  const CsvReader csv(in);
+namespace {
+
+/// The column of each field import_results_frame reads.
+struct ImportColumns {
+  std::size_t gpu, gpu_index, node, cabinet, gpu_in_node, row_idx,
+      column_idx, node_in_group, run, day, perf, freq, power, temp, fu, dram,
+      mem_stall, exec_stall;
+};
+
+/// A row's GPU as parsed, but for its name: what the interning pass
+/// reads.
+struct GpuKey {
+  std::size_t gpu_index;
+  int node, cabinet, gpu, row, column, node_in_group;
+};
+
+/// Frame rows a pool task parses at once.
+constexpr std::size_t kImportBlockRows = 1024;
+
+/// A row's parse error, carried out of the pool with the row it names.
+struct BadRow {
+  std::size_t row;
+  std::exception_ptr error;
+};
+
+}  // namespace
+
+RecordFrame import_results_frame(std::istream& in, ThreadPool* pool) {
+  ThreadPool& workers = pool != nullptr ? *pool : ThreadPool::global();
+  const CsvReader csv(in, &workers);
   const auto required = [&](const char* name) {
     const auto c = csv.find_column(name);
     if (!c) {
@@ -74,30 +153,41 @@ RecordFrame import_results_frame(std::istream& in) {
     }
     return *c;
   };
-  const std::size_t gpu = required("gpu");
-  const std::size_t node = required("node");
-  const std::size_t cabinet = required("cabinet");
-  const std::size_t run = required("run");
-  const std::size_t perf = required("perf_ms");
-  const std::size_t freq = required("freq_mhz_median");
-  const std::size_t power = required("power_w_median");
-  const std::size_t temp = required("temp_c_median");
-  const std::size_t fu = required("fu_util");
-  const std::size_t dram = required("dram_util");
-  const std::size_t mem_stall = required("mem_stall_frac");
-  const std::size_t exec_stall = required("exec_stall_frac");
-  const std::size_t day = required("day_of_week");
-  const std::size_t gpu_index = required("gpu_index");
-  const std::size_t gpu_in_node = required("gpu_in_node");
-  const std::size_t row_idx = required("row_idx");
-  const std::size_t column_idx = required("column_idx");
-  const std::size_t node_in_group = required("node_in_group");
+  ImportColumns c{};
+  c.gpu = required("gpu");
+  c.node = required("node");
+  c.cabinet = required("cabinet");
+  c.run = required("run");
+  c.perf = required("perf_ms");
+  c.freq = required("freq_mhz_median");
+  c.power = required("power_w_median");
+  c.temp = required("temp_c_median");
+  c.fu = required("fu_util");
+  c.dram = required("dram_util");
+  c.mem_stall = required("mem_stall_frac");
+  c.exec_stall = required("exec_stall_frac");
+  c.day = required("day_of_week");
+  c.gpu_index = required("gpu_index");
+  c.gpu_in_node = required("gpu_in_node");
+  c.row_idx = required("row_idx");
+  c.column_idx = required("column_idx");
+  c.node_in_group = required("node_in_group");
 
-  // One record, reused: each row overwrites every field.
+  const std::size_t rows = csv.rows();
   RecordFrame frame;
-  frame.reserve(csv.rows());
-  RunRecord r;
-  for (std::size_t row = 0; row < csv.rows(); ++row) {
+  for (auto* column : {&frame.perf_, &frame.freq_, &frame.power_,
+                       &frame.temp_, &frame.fu_, &frame.dram_,
+                       &frame.mem_stall_, &frame.exec_stall_}) {
+    column->resize(rows);
+  }
+  frame.run_.resize(rows);
+  frame.day_.resize(rows);
+  frame.gpu_id_.resize(rows);
+  std::vector<GpuKey> keys(rows);
+
+  // Parses row `row` into the frame's columns and keys[row], checking
+  // its fields in column order; throws at the first bad one.
+  const auto parse_row = [&](std::size_t row) {
     const auto integer_in = [&](std::size_t col, long long lo, long long hi) {
       const long long v = csv.integer(row, col);
       if (v < lo || v > hi) {
@@ -111,36 +201,77 @@ RecordFrame import_results_frame(std::istream& in) {
       return static_cast<int>(integer_in(col, std::numeric_limits<int>::min(),
                                          std::numeric_limits<int>::max()));
     };
-    r.gpu_index = static_cast<std::size_t>(integer_in(
-        gpu_index, 0, std::numeric_limits<long long>::max()));
-    r.loc.name.assign(csv.field(row, gpu));
-    r.loc.node = int_at(node);
-    r.loc.cabinet = int_at(cabinet);
-    r.loc.gpu = int_at(gpu_in_node);
-    r.loc.row = int_at(row_idx);
-    r.loc.column = int_at(column_idx);
-    r.loc.node_in_group = int_at(node_in_group);
-    r.run_index = int_at(run);
+    GpuKey& key = keys[row];
+    key.gpu_index = static_cast<std::size_t>(
+        integer_in(c.gpu_index, 0, std::numeric_limits<long long>::max()));
+    key.node = int_at(c.node);
+    key.cabinet = int_at(c.cabinet);
+    key.gpu = int_at(c.gpu_in_node);
+    key.row = int_at(c.row_idx);
+    key.column = int_at(c.column_idx);
+    key.node_in_group = int_at(c.node_in_group);
+    frame.run_[row] = int_at(c.run);
     // The frame holds the day as int16; a wider value would wrap.
-    r.day_of_week = static_cast<int>(
-        integer_in(day, std::numeric_limits<std::int16_t>::min(),
+    frame.day_[row] = static_cast<std::int16_t>(
+        integer_in(c.day, std::numeric_limits<std::int16_t>::min(),
                    std::numeric_limits<std::int16_t>::max()));
-    r.perf_ms = csv.number(row, perf);
-    r.freq_mhz = csv.number(row, freq);
-    r.power_w = csv.number(row, power);
-    r.temp_c = csv.number(row, temp);
-    r.counters.fu_util = csv.number(row, fu);
-    r.counters.dram_util = csv.number(row, dram);
-    r.counters.mem_stall_frac = csv.number(row, mem_stall);
-    r.counters.exec_stall_frac = csv.number(row, exec_stall);
-    frame.append_row(r);
-    // append_row keeps the first location seen for a gpu_index, so a
-    // row naming another GPU under that index would fold into it.
-    if (frame.loc(frame.size() - 1) != r.loc) {
-      csv.fail(row, "gpu_index " + std::string(csv.field(row, gpu_index)) +
+    frame.perf_[row] = csv.number(row, c.perf);
+    frame.freq_[row] = csv.number(row, c.freq);
+    frame.power_[row] = csv.number(row, c.power);
+    frame.temp_[row] = csv.number(row, c.temp);
+    frame.fu_[row] = csv.number(row, c.fu);
+    frame.dram_[row] = csv.number(row, c.dram);
+    frame.mem_stall_[row] = csv.number(row, c.mem_stall);
+    frame.exec_stall_[row] = csv.number(row, c.exec_stall);
+  };
+
+  // Rows are parsed in blocks on the pool. The pool rethrows the lowest
+  // block's error, and every block below it has finished, so rows
+  // [0, good) are parsed and `good` is the lowest bad row.
+  std::size_t good = rows;
+  std::exception_ptr parse_error;
+  try {
+    workers.parallel_for(
+        (rows + kImportBlockRows - 1) / kImportBlockRows, [&](std::size_t b) {
+          const std::size_t end = std::min(rows, (b + 1) * kImportBlockRows);
+          for (std::size_t row = b * kImportBlockRows; row < end; ++row) {
+            try {
+              parse_row(row);
+            } catch (const std::invalid_argument&) {
+              throw BadRow{row, std::current_exception()};
+            }
+          }
+        });
+  } catch (const BadRow& bad) {
+    good = bad.row;
+    parse_error = bad.error;
+  }
+
+  // Interning is one ordered pass over the parsed rows, so ids follow
+  // first appearance, and a gpu_index first seen with another GPU is
+  // named when its line comes before the first parse error, as one pass
+  // names it. One location, reused: each row overwrites every field, and
+  // the name keeps its buffer.
+  GpuLocation loc;
+  for (std::size_t row = 0; row < good; ++row) {
+    const GpuKey& key = keys[row];
+    loc.node = key.node;
+    loc.cabinet = key.cabinet;
+    loc.gpu = key.gpu;
+    loc.row = key.row;
+    loc.column = key.column;
+    loc.node_in_group = key.node_in_group;
+    loc.name.assign(csv.field(row, c.gpu));
+    const std::uint32_t id = frame.intern(key.gpu_index, loc);
+    frame.gpu_id_[row] = id;
+    // intern keeps the first location seen for a gpu_index, so a row
+    // naming another GPU under that index would fold into it.
+    if (frame.gpus_[id].loc != loc) {
+      csv.fail(row, "gpu_index " + std::string(csv.field(row, c.gpu_index)) +
                         " was first seen with another name or location");
     }
   }
+  if (parse_error) std::rethrow_exception(parse_error);
   return frame;
 }
 

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <map>
 #include <span>
 #include <string>
@@ -42,6 +43,7 @@
 namespace gpuvar {
 
 struct FrameShard;
+class ThreadPool;
 
 /// Interned identity of one GPU: its stable index and physical location,
 /// stored once per GPU in the frame's pool rather than once per row.
@@ -118,6 +120,10 @@ class RecordFrame {
   /// The shard decoder fills the columns directly, no per-row interning.
   friend FrameShard parse_frame_shard(std::string_view bytes,
                                       std::string label);
+  /// The CSV importer parses rows into the columns in place on a pool,
+  /// then interns their GPUs in one ordered pass.
+  friend RecordFrame import_results_frame(std::istream& in,
+                                          ThreadPool* pool);
 
   std::uint32_t intern(std::size_t gpu_index, const GpuLocation& loc);
   /// The lazy pool-remap loop behind both appends and select: appends

@@ -360,6 +360,17 @@ TEST_F(CliTest, AnalyzeWithoutSrcNamesSrc) {
   expect_user_error(err, "analyze needs SRC");
 }
 
+TEST_F(CliTest, AnalyzeNonStoreDirectoryNamesIt) {
+  // A directory is read as a store, so one without a manifest is named
+  // as such rather than opened as a CSV. (An unreadable file has no test:
+  // root reads any file whatever its mode bits.)
+  const std::string empty = path("empty_dir");
+  std::filesystem::create_directories(empty);
+  std::string err;
+  EXPECT_EQ(run({"analyze", empty}, nullptr, &err), 1);
+  expect_user_error(err, empty);
+}
+
 TEST_F(CliTest, AnalyzeHeaderOnlyCsvNamesTheFile) {
   make_campaign("3", "1");
   std::string header;

@@ -1,9 +1,12 @@
 #include "common/csv_reader.hpp"
 
 #include "common/csv.hpp"
+#include "common/thread_pool.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -12,29 +15,47 @@
 namespace gpuvar {
 namespace {
 
+/// The message of the std::invalid_argument that parsing `text` throws,
+/// or "" if it parses.
+std::string parse_error(const std::string& text) {
+  std::istringstream in(text);
+  try {
+    CsvReader csv(in);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// `line` read as the header of a one-record CSV.
+std::vector<std::string> header_of(const std::string& line) {
+  std::istringstream in(line);
+  return CsvReader(in).columns();
+}
+
 TEST(ParseCsvLine, SplitsPlainFields) {
-  const auto f = parse_csv_line("a,b,c");
+  const auto f = header_of("a,b,c");
   ASSERT_EQ(f.size(), 3u);
   EXPECT_EQ(f[0], "a");
   EXPECT_EQ(f[2], "c");
 }
 
 TEST(ParseCsvLine, HandlesEmptyFields) {
-  const auto f = parse_csv_line("a,,c,");
+  const auto f = header_of("a,,c,");
   ASSERT_EQ(f.size(), 4u);
   EXPECT_EQ(f[1], "");
   EXPECT_EQ(f[3], "");
 }
 
 TEST(ParseCsvLine, QuotedCommasAndQuotes) {
-  const auto f = parse_csv_line("\"a,b\",\"say \"\"hi\"\"\"");
+  const auto f = header_of("\"a,b\",\"say \"\"hi\"\"\"");
   ASSERT_EQ(f.size(), 2u);
   EXPECT_EQ(f[0], "a,b");
   EXPECT_EQ(f[1], "say \"hi\"");
 }
 
 TEST(ParseCsvLine, UnterminatedQuoteThrows) {
-  EXPECT_THROW(parse_csv_line("\"abc"), std::invalid_argument);
+  EXPECT_EQ(parse_error("\"abc"), "line 1: unterminated quoted CSV field");
 }
 
 TEST(CsvReader, ReadsHeaderAndRows) {
@@ -93,18 +114,6 @@ TEST(CsvReader, RoundTripsWriterOutput) {
   CsvReader csv(in);
   EXPECT_EQ(csv.field(0, "name"), "weird,\"name\"");
   EXPECT_DOUBLE_EQ(csv.number(0, "value"), 3.25);
-}
-
-/// The message of the std::invalid_argument that parsing `text` throws,
-/// or "" if it parses.
-std::string parse_error(const std::string& text) {
-  std::istringstream in(text);
-  try {
-    CsvReader csv(in);
-  } catch (const std::invalid_argument& e) {
-    return e.what();
-  }
-  return "";
 }
 
 TEST(CsvReader, QuoteInMidFieldOpensAQuotedRun) {
@@ -166,6 +175,134 @@ TEST(CsvReader, BadNumbersNameLineAndColumn) {
     FAIL() << "x\\ny parsed as an integer";
   } catch (const std::invalid_argument& e) {
     EXPECT_STREQ(e.what(), "line 3: not an integer 'x\ny' in column a");
+  }
+}
+
+/// A CSV spanning many reader blocks: most of its bytes sit in quoted
+/// fields holding commas, doubled quotes, '\n' and CRLF, so most block
+/// boundaries fall inside one; records end in '\n' or CRLF, and blank
+/// lines (CRLF ones too) come between some of them. Keeps what each
+/// record must read back as.
+struct BlockCsv {
+  std::string text;
+  std::vector<std::array<std::string, 3>> fields;  ///< unescaped
+  std::vector<std::size_t> lines;   ///< the line each record starts on
+  std::vector<std::size_t> starts;  ///< the byte each record starts at
+  std::size_t end_line = 0;         ///< the line after the last record
+};
+
+BlockCsv block_csv() {
+  BlockCsv csv;
+  csv.text = "id,text,n\r\n";
+  std::size_t line = 2;
+  for (std::size_t i = 0; csv.text.size() < 10 * CsvReader::kBlockBytes;
+       ++i) {
+    if (i % 7 == 3) {
+      csv.text += i % 2 != 0 ? "\r\n" : "\n";
+      ++line;
+    }
+    const std::string id = std::to_string(i);
+    // Padding of every length from 0 to 36 moves the boundaries about.
+    const std::string value =
+        i % 5 == 0 ? "plain" + id
+                   : "one, \"two\"\nthree\r\nfour " + id +
+                         std::string(i % 37, 'x') + (i % 5 == 4 ? "\n" : "");
+    std::string raw = "\"";
+    for (const char c : value) {
+      if (c == '"') raw += '"';
+      raw += c;
+    }
+    raw += '"';
+    if (i % 5 == 0) raw = value;
+    const std::string n = std::to_string(3 * i);
+    csv.fields.push_back({id, value, n});
+    csv.lines.push_back(line);
+    csv.starts.push_back(csv.text.size());
+    const std::string record =
+        id + "," + raw + "," + n + (i % 3 == 0 ? "\r\n" : "\n");
+    line += static_cast<std::size_t>(
+        std::count(record.begin(), record.end(), '\n'));
+    csv.text += record;
+  }
+  csv.end_line = line;
+  return csv;
+}
+
+/// The first record of `want` that `text` reads back otherwise, or "".
+std::string first_mismatch(const std::string& text, const BlockCsv& want,
+                           ThreadPool& pool) {
+  std::istringstream in(text);
+  const CsvReader csv(in, &pool);
+  if (csv.columns() != std::vector<std::string>{"id", "text", "n"}) {
+    return "columns";
+  }
+  if (csv.rows() != want.fields.size()) {
+    return "rows " + std::to_string(csv.rows());
+  }
+  for (std::size_t r = 0; r < csv.rows(); ++r) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      if (csv.field(r, c) != want.fields[r][c]) {
+        return "row " + std::to_string(r) + " column " + std::to_string(c);
+      }
+    }
+    if (csv.line(r) != want.lines[r]) return "line of row " + std::to_string(r);
+  }
+  return "";
+}
+
+TEST(CsvReader, BlockBoundariesSplitAsOnePassAtEveryPoolSize) {
+  const BlockCsv want = block_csv();
+  ASSERT_GT(want.text.size(), 8 * CsvReader::kBlockBytes);
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(first_mismatch(want.text, want, pool), "")
+        << threads << " threads";
+  }
+}
+
+/// The error reading `text` on `pool` throws, or "" if it parses.
+std::string parse_error_on(const std::string& text, ThreadPool& pool) {
+  std::istringstream in(text);
+  try {
+    CsvReader csv(in, &pool);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CsvReader, LowestBadLineAtEveryPoolSize) {
+  const BlockCsv csv = block_csv();
+  const std::size_t late = csv.fields.size() * 9 / 10;
+  const std::size_t early = csv.fields.size() / 10;
+  const auto insert = [&](std::string text, std::size_t record,
+                          const std::string& bad) {
+    return text.insert(csv.starts[record], bad);
+  };
+  const auto width = [](std::size_t line, int got) {
+    return "line " + std::to_string(line) +
+           ": CSV row width does not match header (" + std::to_string(got) +
+           " fields, header has 3)";
+  };
+  const std::string open_at_eof = "9,\"open\r\nstill, open\n";
+  const std::string unterminated =
+      "line " + std::to_string(csv.end_line) +
+      ": unterminated quoted CSV field";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {insert(csv.text, late, "1,2,3,\"4\n\"\n"), width(csv.lines[late], 4)},
+      {csv.text + open_at_eof, unterminated},
+      // Two defects in two blocks: the lower line wins, whatever kind.
+      {insert(insert(csv.text, late, "1,2,3,4\n"), early, "1,\"2\r\n\"\n"),
+       width(csv.lines[early], 2)},
+      {insert(csv.text, early, "1,2,3,4\r\n") + open_at_eof,
+       width(csv.lines[early], 4)},
+  };
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+      EXPECT_EQ(parse_error_on(cases[k].first, pool), cases[k].second)
+          << "case " << k << ", " << threads << " threads";
+    }
   }
 }
 

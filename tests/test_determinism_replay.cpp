@@ -7,6 +7,7 @@
 // formatting all have to hold for these byte comparisons to pass.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <string>
@@ -22,6 +23,7 @@
 #include "obs/trace.hpp"
 #include "query/source.hpp"  // IWYU pragma: keep (frame -> Source)
 #include "telemetry/export.hpp"
+#include "telemetry/shard.hpp"
 #include "cluster/cluster.hpp"
 #include "workloads/workload.hpp"
 
@@ -30,6 +32,7 @@ namespace {
 
 struct CampaignArtifacts {
   std::string frame_csv;
+  std::uint64_t imported_hash = 0;  ///< of the frame read back from frame_csv
   std::string markdown;
   std::string trace_json;
   std::string metrics_text;
@@ -70,11 +73,16 @@ CampaignArtifacts replay_campaign(std::size_t threads) {
   write_markdown_report(md, result.frame, md_opts);
 
   // Columnar artifact: the frame streamed out of the parallel
-  // FrameBuilder sink must serialize identically at any pool size.
+  // FrameBuilder sink must serialize identically at any pool size, and
+  // so must the CSV export and import, which run on the same pool.
   std::ostringstream frame_csv;
-  export_frame_csv(frame_csv, cluster.name(), result.frame);
+  export_frame_csv(frame_csv, cluster.name(), result.frame, &pool);
+  std::istringstream csv_in(frame_csv.str());
+  const std::uint64_t imported_hash =
+      hash_frame_shard(import_results_frame(csv_in, &pool), 0);
 
-  return {frame_csv.str(), md.str(), trace_json.str(), metrics_text.str()};
+  return {frame_csv.str(), imported_hash, md.str(), trace_json.str(),
+          metrics_text.str()};
 }
 
 TEST(DeterminismReplay, ByteIdenticalAcrossPoolSizes) {
@@ -91,6 +99,10 @@ TEST(DeterminismReplay, ByteIdenticalAcrossPoolSizes) {
   EXPECT_EQ(one.frame_csv, eight.frame_csv)
       << "frame CSV differs between 1 and 8 threads: the FrameBuilder "
          "bucket merge leaked scheduling into the column order";
+  EXPECT_EQ(one.imported_hash, four.imported_hash)
+      << "the frame imported from the CSV differs between 1 and 4 threads";
+  EXPECT_EQ(one.imported_hash, eight.imported_hash)
+      << "the frame imported from the CSV differs between 1 and 8 threads";
   EXPECT_EQ(one.markdown, four.markdown)
       << "markdown report differs between 1 and 4 threads";
   EXPECT_EQ(one.markdown, eight.markdown)

@@ -2,18 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.hpp"
+#include "common/csv.hpp"
+#include "common/location.hpp"
 #include "common/numfmt.hpp"
+#include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "core/engine.hpp"
 #include "core/experiment.hpp"
 #include "gpu/timeseries.hpp"
 #include "telemetry/frame.hpp"
+#include "telemetry/record.hpp"
+#include "telemetry/shard.hpp"
 #include "workloads/workload.hpp"
 
 namespace gpuvar {
@@ -154,6 +163,221 @@ TEST(Export, EmptySeriesJustHeader) {
   export_series_csv(out, series);
   const std::string text = out.str();
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1);
+}
+
+/// The name of synthetic GPU `g`: every fourth holds a comma, doubled
+/// quotes and a newline, so its CSV field is quoted over two lines.
+std::string synth_name(std::size_t g) {
+  return g % 4 == 0 ? "rack, \"" + std::to_string(g) + "\"\nslot"
+                    : "g" + std::to_string(g);
+}
+
+/// A frame of `rows` rows over rows / 3 GPUs, three runs each, with
+/// metric values of every digit count.
+RecordFrame synth_frame(std::size_t rows) {
+  const std::size_t gpus = rows / 3;
+  RecordFrame frame;
+  RunRecord r;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::size_t g = i % gpus;
+    r.gpu_index = g;
+    r.loc.name = synth_name(g);
+    r.loc.node = static_cast<int>(g / 6);
+    r.loc.gpu = static_cast<int>(g % 6);
+    r.loc.cabinet = static_cast<int>(g / 108);
+    r.loc.row = g % 2 == 0 ? -1 : static_cast<int>(g % 8);
+    r.loc.column = static_cast<int>(g % 36) - 1;
+    r.loc.node_in_group = static_cast<int>(g % 18);
+    r.run_index = static_cast<int>(i / gpus);
+    r.day_of_week = static_cast<int>(i % 8) - 1;
+    const double x = static_cast<double>(i);
+    r.perf_ms = 1.0 / (x + 3.0);
+    r.freq_mhz = 1530.0 - static_cast<double>(i % 200);
+    r.power_w = i % 97 == 0 ? -0.0 : 70.25 + x * 1e-3;
+    r.temp_c = 36.0 + x / 7.0;
+    r.counters.fu_util = x * 1e-9;
+    r.counters.dram_util = 1e300 / (x + 1.0);
+    r.counters.mem_stall_frac = 0.1 + 0.2;
+    r.counters.exec_stall_frac = static_cast<double>(i % 3);
+    frame.append_row(r);
+  }
+  return frame;
+}
+
+TEST(Export, FrameCsvSameBytesAtEveryPoolSize) {
+  // More rows than one export window holds, and many reader blocks.
+  const RecordFrame frame = synth_frame(20000);
+  // The frame formatted row by row on one stream: what a serial export
+  // writes.
+  std::ostringstream serial;
+  {
+    CsvWriter csv(serial);
+    csv.header({"cluster", "gpu", "gpu_index", "node", "cabinet", "run",
+                "perf_ms", "freq_mhz_median", "power_w_median",
+                "temp_c_median", "fu_util", "dram_util", "mem_stall_frac",
+                "exec_stall_frac", "day_of_week", "gpu_in_node", "row_idx",
+                "column_idx", "node_in_group"});
+    for (std::size_t i = 0; i < frame.size(); ++i) {
+      const GpuLocation& loc = frame.loc(i);
+      csv.add("synth").add(loc.name).add(frame.gpu_index(i)).add(loc.node);
+      csv.add(loc.cabinet).add(frame.run_index(i)).add(frame.perf_ms()[i]);
+      csv.add(frame.freq_mhz()[i]).add(frame.power_w()[i]);
+      csv.add(frame.temp_c()[i]).add(frame.fu_util()[i]);
+      csv.add(frame.dram_util()[i]).add(frame.mem_stall_frac()[i]);
+      csv.add(frame.exec_stall_frac()[i]).add(frame.day_of_week(i));
+      csv.add(loc.gpu).add(loc.row).add(loc.column).add(loc.node_in_group);
+      csv.end_row();
+    }
+  }
+  const std::uint64_t hash = hash_frame_shard(frame, 0);
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
+    std::ostringstream out;
+    export_frame_csv(out, "synth", frame, &pool);
+    EXPECT_TRUE(out.str() == serial.str()) << threads << " threads";
+    std::istringstream in(out.str());
+    EXPECT_EQ(hash_frame_shard(import_results_frame(in, &pool), 0), hash)
+        << threads << " threads";
+  }
+}
+
+/// A results CSV of `rows` rows over rows / 2 GPUs, two runs each, with
+/// the line each row starts on. `edit` may change a row's fields before
+/// it is written.
+struct ResultsCsv {
+  std::string text;
+  std::vector<std::size_t> lines;
+  std::size_t end_line = 0;  ///< the line after the last row
+};
+
+ResultsCsv results_csv(
+    std::size_t rows,
+    const std::function<void(std::size_t, std::vector<std::string>&)>& edit) {
+  ResultsCsv csv;
+  csv.text =
+      "gpu,gpu_index,node,cabinet,run,perf_ms,freq_mhz_median,"
+      "power_w_median,temp_c_median,fu_util,dram_util,mem_stall_frac,"
+      "exec_stall_frac,day_of_week,gpu_in_node,row_idx,column_idx,"
+      "node_in_group\n";
+  const std::size_t gpus = rows / 2;
+  std::size_t line = 2;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::size_t g = i % gpus;
+    std::vector<std::string> fields = {
+        synth_name(g), std::to_string(g), std::to_string(g / 6),
+        std::to_string(g / 108), std::to_string(i / gpus),
+        std::to_string(i) + ".25", "1530", "70.5", "36.125", "0.5", "0.25",
+        "0.125", "0.0625", "-1", std::to_string(g % 6), "-1", "-1",
+        std::to_string(g % 18)};
+    edit(i, fields);
+    csv.lines.push_back(line);
+    std::string record;
+    for (std::size_t f = 0; f < fields.size(); ++f) {
+      if (f != 0) record += ',';
+      record += csv_escape(fields[f]);
+    }
+    record += '\n';
+    line += static_cast<std::size_t>(
+        std::count(record.begin(), record.end(), '\n'));
+    csv.text += record;
+  }
+  csv.end_line = line;
+  return csv;
+}
+
+TEST(Export, ImportThrowsTheSerialErrorAtEveryPoolSize) {
+  // 8,000 rows: eight import blocks and about ten reader blocks. Rows
+  // 4,000 on are every GPU's second run.
+  constexpr std::size_t kRows = 8000;
+  constexpr std::size_t kEarly = 1200;
+  constexpr std::size_t kLate = 7000;
+  using Edit = std::function<void(std::size_t, std::vector<std::string>&)>;
+  const auto at = [](std::size_t row, std::size_t field, std::string value) {
+    return [=](std::size_t i, std::vector<std::string>& fields) {
+      if (i == row) fields[field] = value;
+    };
+  };
+  const auto both = [](Edit a, Edit b) {
+    return [=](std::size_t i, std::vector<std::string>& fields) {
+      a(i, fields);
+      b(i, fields);
+    };
+  };
+  // The edits add no line, so every row starts where it does unedited.
+  const ResultsCsv plain = results_csv(kRows, [](auto, auto&) {});
+  const auto line = [&](std::size_t row) {
+    return "line " + std::to_string(plain.lines[row]) + ": ";
+  };
+  constexpr std::size_t kName = 0, kIndex = 1, kNode = 2, kPerf = 5;
+  // A late row renamed: its GPU was first seen 4,000 rows, and four
+  // blocks, earlier.
+  const Edit late_conflict = at(kLate, kName, "other");
+  const std::string late_conflict_error =
+      line(kLate) + "gpu_index " + std::to_string(kLate - kRows / 2) +
+      " was first seen with another name or location";
+  // An early row under the index of a GPU of the block before.
+  const Edit early_conflict = at(kEarly, kIndex, "100");
+  const std::string early_conflict_error =
+      line(kEarly) +
+      "gpu_index 100 was first seen with another name or location";
+  const Edit late_bad = at(kLate, kPerf, "abc");
+  const std::string late_bad_error =
+      line(kLate) + "not a number 'abc' in column perf_ms";
+  const Edit early_bad = at(kEarly, kPerf, "1.5x");
+  const std::string early_bad_error =
+      line(kEarly) + "not a number '1.5x' in column perf_ms";
+  const Edit late_wide = [](std::size_t i, std::vector<std::string>& f) {
+    if (i == kLate) f.push_back("extra");
+  };
+
+  struct Case {
+    std::string text;
+    std::string error;
+  };
+  const auto make = [&](const Edit& edit, const std::string& error) {
+    return Case{results_csv(kRows, edit).text, error};
+  };
+  const std::vector<Case> cases = {
+      make(late_bad, late_bad_error),
+      make(at(kLate, kNode, "4294967296"),
+           line(kLate) +
+               "integer out of range '4294967296' in column node"),
+      make(late_conflict, late_conflict_error),
+      make(late_wide, line(kLate) + "CSV row width does not match header "
+                                    "(19 fields, header has 18)"),
+      Case{plain.text + "\"open,1\n",
+           "line " + std::to_string(plain.end_line) +
+               ": unterminated quoted CSV field"},
+      // Two defects in two blocks: the lower line wins.
+      make(both(early_bad, at(kLate, kNode, "4294967296")), early_bad_error),
+      make(both(early_conflict, late_bad), early_conflict_error),
+      make(both(early_bad, late_conflict), early_bad_error),
+      // A conflict a few rows above a bad number in the same block.
+      make(both(at(kLate - 5, kName, "other"), late_bad),
+           line(kLate - 5) + "gpu_index " +
+               std::to_string(kLate - 5 - kRows / 2) +
+               " was first seen with another name or location"),
+      // A row's numbers are read before its GPU is checked.
+      make(both(late_conflict, late_bad), late_bad_error),
+      // The reader's errors come before any field is parsed.
+      make(both(early_bad, late_wide),
+           line(kLate) + "CSV row width does not match header "
+                         "(19 fields, header has 18)"),
+  };
+  for (const std::size_t threads : {1, 2, 4, 8}) {
+    ThreadPool pool(threads);
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+      std::istringstream in(cases[k].text);
+      std::string error;
+      try {
+        import_results_frame(in, &pool);
+      } catch (const std::invalid_argument& e) {
+        error = e.what();
+      }
+      EXPECT_EQ(error, cases[k].error)
+          << "case " << k << ", " << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

@@ -90,11 +90,12 @@ job_tsan() {
   # ThreadPool suite plus the runner/experiment/scheduler tests that
   # exercise parallel_for across simulated clusters, and the obs tests
   # that hammer the sharded metrics registry and trace lanes from pool
-  # workers, and the query test that resolves one Dataset's whole frame
-  # from four threads.
+  # workers, the query test that resolves one Dataset's whole frame
+  # from four threads, and the CSV export and import, which split and
+  # format on the pool.
   TSAN_OPTIONS=halt_on_error=1 \
     configure_and_test build-tsan \
-    -R 'ThreadPool|Runner|Experiment|Scheduler|Integration|^Trace\.|^Metrics\.|DeterminismReplay|QueryTest\.Concurrent'
+    -R 'ThreadPool|Runner|Experiment|Scheduler|Integration|^Trace\.|^Metrics\.|DeterminismReplay|QueryTest\.Concurrent|^Export\.|^CsvReader\.|RecordFrame\.CsvRoundTrip'
 }
 
 job_analyzer() {
