@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -299,6 +300,12 @@ double CsvReader::number(std::size_t row, std::size_t col) const {
   double v = 0.0;
   if (!parse_double(s, v)) {
     fail(row, "not a number '" + std::string(s) + "' in column " +
+                  columns_[col]);
+  }
+  // from_chars accepts "nan" and "inf"; no metric is either, and every
+  // analysis downstream assumes ordered, finite values.
+  if (!std::isfinite(v)) {
+    fail(row, "not a finite number '" + std::string(s) + "' in column " +
                   columns_[col]);
   }
   return v;

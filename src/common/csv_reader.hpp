@@ -63,7 +63,8 @@ class CsvReader {
   }
 
   /// Typed accessors; throw std::invalid_argument naming the line, the
-  /// text and the column on parse failure.
+  /// text and the column on parse failure. number() also rejects a NaN
+  /// or an infinity ("nan", "inf", "infinity" in any sign or case).
   double number(std::size_t row, std::size_t col) const;
   long long integer(std::size_t row, std::size_t col) const;
   double number(std::size_t row, std::string_view name) const {

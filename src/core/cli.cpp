@@ -152,7 +152,8 @@ constexpr FlagSpec kAnalyzeFlags[] = {
     {"slowdown-temp", "T", "SKU thermal-slowdown threshold, Celsius"},
     {"target", "N", "projected cluster size (project)"},
     {"title", "T", "report title"},
-    {"threads", "N", "store scan threads, 1..256 (default: shared pool)"},
+    {"threads", "N",
+     "store scan and analysis threads, 1..256 (default: shared pool)"},
     {"materialize", nullptr,
      "merge the full store first (reference path for byte-comparison)"},
 };

@@ -1,9 +1,11 @@
 #include "core/correlate.hpp"
 
+#include <array>
 #include <span>
 #include <vector>
 
 #include "common/require.hpp"
+#include "common/thread_pool.hpp"  // IWYU pragma: keep (Source::pool())
 #include "query/source.hpp"
 #include "stats/correlation.hpp"
 #include "telemetry/record.hpp"
@@ -31,19 +33,22 @@ CorrelationReport analyze_correlation(const query::Source& source,
   // Four columns feed four pairings: rank each column once and share
   // the ranks. pearson over two rank vectors is exactly what
   // stats::spearman computes, so every field matches correlate_pair's.
+  // The spans are resolved here; the four rankings then run as pool
+  // tasks, each writing only its own ranks.
   struct Ranked {
     Metric metric;
     std::span<const double> values;
     std::vector<double> ranks;
   };
-  const auto ranked = [&](Metric m) {
-    const auto values = source.metric(m);
-    return Ranked{m, values, stats::fractional_ranks(values)};
-  };
-  const Ranked perf = ranked(Metric::kPerf);
-  const Ranked temp = ranked(Metric::kTemp);
-  const Ranked power = ranked(Metric::kPower);
-  const Ranked freq = ranked(Metric::kFreq);
+  std::array<Ranked, 4> columns{Ranked{Metric::kPerf, {}, {}},
+                                Ranked{Metric::kTemp, {}, {}},
+                                Ranked{Metric::kPower, {}, {}},
+                                Ranked{Metric::kFreq, {}, {}}};
+  for (Ranked& c : columns) c.values = source.metric(c.metric);
+  source.pool().parallel_for(columns.size(), [&](std::size_t k) {
+    columns[k].ranks = stats::fractional_ranks(columns[k].values);
+  });
+  const auto& [perf, temp, power, freq] = columns;
   const auto pair = [](const Ranked& x, const Ranked& y) {
     MetricCorrelation out;
     out.x = x.metric;

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "common/require.hpp"
 #include "query/source.hpp"
@@ -14,34 +17,41 @@ namespace gpuvar {
 
 namespace {
 
-/// One GPU's (run_index, perf_ms) history in chronological order,
-/// gathered from the grouped row indices. Sorting the pairs
-/// lexicographically matches the legacy row path exactly (ties on
-/// run_index fall back to perf).
-std::vector<std::pair<int, double>> gpu_history(
-    std::span<const double> perf, std::span<const std::int32_t> run,
-    const GpuRowGroups& groups, std::uint32_t id) {
-  std::vector<std::pair<int, double>> out;
-  const std::size_t begin = groups.offsets[id];
-  const std::size_t end = groups.offsets[id + 1];
-  out.reserve(end - begin);
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t row = groups.rows[i];
-    out.emplace_back(run[row], perf[row]);
+/// Every GPU's (run_index, perf_ms) history in chronological order, one
+/// flat buffer for all of them. Sorting the pairs lexicographically
+/// matches the legacy row path exactly (ties on run_index fall back to
+/// perf).
+struct Histories {
+  GpuRowGroups groups;
+  /// Per pool id: its history is runs[groups.offsets[id]..offsets[id+1]).
+  std::vector<std::pair<int, double>> runs;
+
+  std::span<const std::pair<int, double>> of(std::uint32_t id) const {
+    return {runs.data() + groups.offsets[id],
+            groups.offsets[id + 1] - groups.offsets[id]};
   }
-  std::sort(out.begin(), out.end());
-  return out;
-}
+};
 
-}  // namespace
-
-double estimate_run_noise_ms(const query::Source& source) {
-  const auto groups = group_rows_by_gpu(source.frame());
+Histories gpu_histories(const query::Source& source) {
+  Histories h{group_rows_by_gpu(source.frame()), {}};
   const auto perf = source.metric(Metric::kPerf);
   const auto run = source.run_indices();
+  h.runs.reserve(h.groups.rows.size());
+  for (std::size_t row : h.groups.rows) h.runs.emplace_back(run[row], perf[row]);
+  auto* const base = h.runs.data();
+  for (std::size_t id = 0; id + 1 < h.groups.offsets.size(); ++id) {
+    const std::size_t begin = h.groups.offsets[id];
+    const std::size_t end = h.groups.offsets[id + 1];
+    std::sort(base + begin, base + end);
+  }
+  return h;
+}
+
+/// estimate_run_noise_ms over histories already gathered.
+double run_noise_ms(const Histories& h) {
   std::vector<double> abs_diffs;
-  for (std::uint32_t id : groups.order) {
-    const auto runs = gpu_history(perf, run, groups, id);
+  for (std::uint32_t id : h.groups.order) {
+    const auto runs = h.of(id);
     for (std::size_t i = 1; i < runs.size(); ++i) {
       abs_diffs.push_back(std::abs(runs[i].second - runs[i - 1].second));
     }
@@ -54,6 +64,12 @@ double estimate_run_noise_ms(const query::Source& source) {
   return stats::kernels::median_inplace(abs_diffs) * 1.4826 / std::sqrt(2.0);
 }
 
+}  // namespace
+
+double estimate_run_noise_ms(const query::Source& source) {
+  return run_noise_ms(gpu_histories(source));
+}
+
 std::vector<DriftFlag> analyze_drift(const query::Source& source,
                                      const DriftOptions& options) {
   GPUVAR_REQUIRE(!source.empty());
@@ -61,17 +77,18 @@ std::vector<DriftFlag> analyze_drift(const query::Source& source,
   GPUVAR_REQUIRE(options.baseline_runs >= 1);
   GPUVAR_REQUIRE(options.min_runs > options.baseline_runs);
 
-  const double noise_sigma = estimate_run_noise_ms(source);
-  const auto groups = group_rows_by_gpu(source.frame());
-  const auto perf = source.metric(Metric::kPerf);
-  const auto run = source.run_indices();
+  // One gathering of the histories serves the noise estimate and the
+  // per-GPU pass.
+  const Histories histories = gpu_histories(source);
+  const double noise_sigma = run_noise_ms(histories);
 
   std::vector<DriftFlag> flags;
-  for (std::uint32_t id : groups.order) {
-    const auto runs = gpu_history(perf, run, groups, id);
+  std::vector<double> early;
+  for (std::uint32_t id : histories.groups.order) {
+    const auto runs = histories.of(id);
     if (static_cast<int>(runs.size()) < options.min_runs) continue;
 
-    std::vector<double> early;
+    early.clear();
     for (int i = 0; i < options.baseline_runs; ++i) {
       early.push_back(runs[static_cast<std::size_t>(i)].second);
     }

@@ -1,16 +1,18 @@
 #include "core/flagging.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
+#include <span>
 #include <tuple>
 
 #include "common/require.hpp"
+#include "common/thread_pool.hpp"  // IWYU pragma: keep (Source::pool())
 #include "query/source.hpp"
 #include "stats/boxplot.hpp"
 #include "cluster/cluster.hpp"
 #include "telemetry/frame.hpp"
-#include "telemetry/record.hpp"
 
 namespace gpuvar {
 
@@ -46,18 +48,22 @@ double outside_distance(const stats::BoxSummary& box, double x) {
 FlagReport analyze_flags(const query::Source& source,
                          const FlagOptions& options) {
   GPUVAR_REQUIRE(!source.empty());
-  const auto gpus = per_gpu_medians(source.frame());
-
-  std::vector<double> perf, power, temp;
-  perf.reserve(gpus.size());
-  for (const auto& g : gpus) {
-    perf.push_back(g.perf_ms);
-    power.push_back(g.power_w);
-    temp.push_back(g.temp_c);
-  }
-  const auto perf_box = stats::box_summary(perf);
-  const auto power_box = stats::box_summary(power);
-  const auto temp_box = stats::box_summary(temp);
+  const RecordFrame& frame = source.frame();
+  const auto groups = group_rows_by_gpu(frame);
+  const auto gpus = frame.gpus();
+  // Per metric, one pool task takes every GPU's median and then the
+  // population box over them, writing only its own slots. The columns
+  // are resolved here, before the fan-out.
+  const std::array<std::span<const double>, 3> columns{
+      frame.perf_ms(), frame.power_w(), frame.temp_c()};
+  std::array<std::vector<double>, 3> medians;
+  std::array<stats::BoxSummary, 3> boxes;
+  source.pool().parallel_for(columns.size(), [&](std::size_t k) {
+    medians[k] = per_gpu_median(columns[k], groups);
+    boxes[k] = stats::box_summary(medians[k]);
+  });
+  const auto& [perf, power, temp] = medians;
+  const auto& [perf_box, power_box, temp_box] = boxes;
 
   // Magnitude guards: for very tight populations (e.g. power pinned
   // within a watt of TDP) the 1.5-IQR fences degenerate and would flag
@@ -67,32 +73,38 @@ FlagReport analyze_flags(const query::Source& source,
       power_box.median - std::max(5.0, 0.02 * power_box.median);
   const double temp_guard = temp_box.median + 5.0;
 
+  // Per-GPU values in groups.order: GPU j is gpus[groups.order[j]].
   FlagReport report;
-  for (const auto& g : gpus) {
+  for (std::size_t j = 0; j < groups.order.size(); ++j) {
+    const double perf_ms = perf[j];
+    const double power_w = power[j];
+    const double temp_c = temp[j];
     GpuFlag flag;
-    flag.gpu_index = g.gpu_index;
-    flag.name = g.loc.name;
 
-    if (g.perf_ms > perf_box.hi_whisker && g.perf_ms > perf_guard) {
+    if (perf_ms > perf_box.hi_whisker && perf_ms > perf_guard) {
       flag.reasons.push_back(FlagReason::kSlowOutlier);
       flag.severity =
-          std::max(flag.severity, outside_distance(perf_box, g.perf_ms));
+          std::max(flag.severity, outside_distance(perf_box, perf_ms));
     }
-    const bool near_slowdown = g.temp_c >= options.slowdown_temp.value() - 5.0;
+    const bool near_slowdown = temp_c >= options.slowdown_temp.value() - 5.0;
     const bool hot =
-        (g.temp_c > temp_box.hi_whisker && g.temp_c > temp_guard) ||
+        (temp_c > temp_box.hi_whisker && temp_c > temp_guard) ||
         near_slowdown;
-    if (g.power_w < power_box.lo_whisker && g.power_w < power_guard && !hot) {
+    if (power_w < power_box.lo_whisker && power_w < power_guard && !hot) {
       flag.reasons.push_back(FlagReason::kUnexplainedPowerDrop);
       flag.severity =
-          std::max(flag.severity, outside_distance(power_box, g.power_w));
+          std::max(flag.severity, outside_distance(power_box, power_w));
     }
     if (hot) {
       flag.reasons.push_back(FlagReason::kThermalOutlier);
       flag.severity =
-          std::max(flag.severity, outside_distance(temp_box, g.temp_c));
+          std::max(flag.severity, outside_distance(temp_box, temp_c));
     }
-    if (!flag.reasons.empty()) report.gpus.push_back(std::move(flag));
+    if (flag.reasons.empty()) continue;
+    const GpuRef& g = gpus[groups.order[j]];
+    flag.gpu_index = g.gpu_index;
+    flag.name = g.loc.name;
+    report.gpus.push_back(std::move(flag));
   }
   std::sort(report.gpus.begin(), report.gpus.end(),
             [](const GpuFlag& a, const GpuFlag& b) {
@@ -104,14 +116,16 @@ FlagReport analyze_flags(const query::Source& source,
 
   // Cabinet-level pump signature: simultaneously slower, cooler and
   // lower-power than the population quartiles.
-  std::map<int, std::vector<const GpuAggregate*>> by_cabinet;
-  for (const auto& g : gpus) by_cabinet[g.loc.cabinet].push_back(&g);
+  std::map<int, std::vector<std::size_t>> by_cabinet;
+  for (std::size_t j = 0; j < groups.order.size(); ++j) {
+    by_cabinet[gpus[groups.order[j]].loc.cabinet].push_back(j);
+  }
   for (const auto& [cab, members] : by_cabinet) {
     if (members.size() < 2) continue;
     int suspicious = 0;
-    for (const auto* g : members) {
-      if (g->perf_ms > perf_box.q3 && g->temp_c < temp_box.q1 &&
-          g->power_w < power_box.q1) {
+    for (std::size_t j : members) {
+      if (perf[j] > perf_box.q3 && temp[j] < temp_box.q1 &&
+          power[j] < power_box.q1) {
         ++suspicious;
       }
     }

@@ -8,6 +8,7 @@
 #include "query/source.hpp"
 #include "stats/quantile.hpp"
 #include "telemetry/frame.hpp"
+#include "telemetry/record.hpp"
 
 namespace gpuvar {
 
@@ -29,10 +30,9 @@ std::vector<double> prefix_containment(std::size_t n, std::size_t k) {
 
 /// Sorted per-GPU median runtimes: the one input every job width reads.
 std::vector<double> sorted_median_perf(const query::Source& source) {
-  const auto gpus = per_gpu_medians(source.frame());
-  std::vector<double> perf;
-  perf.reserve(gpus.size());
-  for (const auto& g : gpus) perf.push_back(g.perf_ms);
+  GPUVAR_REQUIRE(!source.empty());
+  std::vector<double> perf = per_gpu_median(
+      source.metric(Metric::kPerf), group_rows_by_gpu(source.frame()));
   std::sort(perf.begin(), perf.end());
   return perf;
 }

@@ -1,10 +1,14 @@
 #include "core/variability.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
+#include <span>
+#include <utility>
 
 #include "common/require.hpp"
+#include "common/thread_pool.hpp"  // IWYU pragma: keep (Source::pool())
 #include "query/source.hpp"
 #include "stats/kernels.hpp"
 #include "stats/ascii_plot.hpp"
@@ -25,17 +29,24 @@ MetricVariability analyze_metric(std::span<const double> column) {
   return out;
 }
 
-/// The four per-metric summaries of a report; `column(m)` yields the
-/// values of metric m. Every report — whole source or one group — goes
-/// through here.
-template <typename ColumnOf>
-VariabilityReport metric_report(const ColumnOf& column) {
-  VariabilityReport r;
-  r.perf = analyze_metric(column(Metric::kPerf));
-  r.freq = analyze_metric(column(Metric::kFreq));
-  r.power = analyze_metric(column(Metric::kPower));
-  r.temp = analyze_metric(column(Metric::kTemp));
-  return r;
+/// A report's metrics, in field order.
+constexpr std::array<Metric, 4> kReportMetrics{Metric::kPerf, Metric::kFreq,
+                                               Metric::kPower, Metric::kTemp};
+
+/// A report's four per-metric fields, in kReportMetrics order.
+std::array<MetricVariability*, 4> metric_slots(VariabilityReport& r) {
+  return {&r.perf, &r.freq, &r.power, &r.temp};
+}
+
+/// The kReportMetrics columns, resolved on the calling thread so that
+/// pool tasks read spans and never touch the Source.
+std::array<std::span<const double>, 4> report_columns(
+    const query::Source& source) {
+  std::array<std::span<const double>, 4> columns;
+  for (std::size_t k = 0; k < columns.size(); ++k) {
+    columns[k] = source.metric(kReportMetrics[k]);
+  }
+  return columns;
 }
 
 int location_key(const GpuLocation& loc, GroupBy g) {
@@ -98,8 +109,13 @@ std::map<int, std::vector<T>> split_by_group(const query::Source& source,
 VariabilityReport analyze_variability(const query::Source& source,
                                       const VariabilityOptions&) {
   GPUVAR_REQUIRE(!source.empty());
-  VariabilityReport r =
-      metric_report([&](Metric m) { return source.metric(m); });
+  const auto columns = report_columns(source);
+  VariabilityReport r;
+  const auto slots = metric_slots(r);
+  // One task per metric, each writing only its own field.
+  source.pool().parallel_for(slots.size(), [&](std::size_t k) {
+    *slots[k] = analyze_metric(columns[k]);
+  });
   r.records = source.size();
   r.gpus = source.gpu_count();
   return r;
@@ -155,29 +171,42 @@ std::vector<stats::NamedSeries> series_by_group(const query::Source& source,
 std::map<int, VariabilityReport> variability_by_group(
     const query::Source& source, GroupBy group) {
   const auto ids = source.gpu_ids();
+  const auto columns = report_columns(source);
+  const auto groups = split_by_group<std::size_t>(
+      source, group, [](std::size_t row) { return row; });
+  std::vector<std::pair<int, const std::vector<std::size_t>*>> picked;
+  for (const auto& [key, rows] : groups) {
+    if (group == GroupBy::kDayOfWeek && (key < 0 || key > 6)) continue;
+    picked.emplace_back(key, &rows);
+  }
+  // One task per group: a group's four summaries run in sequence over
+  // its own gathered values, and the report lands in its own slot.
+  std::vector<VariabilityReport> reports(picked.size());
+  source.pool().parallel_for(picked.size(), [&](std::size_t g) {
+    const std::vector<std::size_t>& rows = *picked[g].second;
+    std::vector<double> values(rows.size());
+    VariabilityReport& r = reports[g];
+    const auto slots = metric_slots(r);
+    for (std::size_t k = 0; k < slots.size(); ++k) {
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        values[i] = columns[k][rows[i]];
+      }
+      *slots[k] = analyze_metric(values);
+    }
+    r.records = rows.size();
+  });
+
   std::map<int, VariabilityReport> out;
-  std::vector<double> values;
   // Per pool id: the last group that counted it, for distinct-GPU counts.
   std::vector<std::size_t> counted_in(source.gpu_count(), 0);
-  std::size_t stamp = 0;
-  for (const auto& [key, rows] : split_by_group<std::size_t>(
-           source, group, [](std::size_t row) { return row; })) {
-    if (group == GroupBy::kDayOfWeek && (key < 0 || key > 6)) continue;
-    VariabilityReport r = metric_report([&](Metric m) {
-      const auto column = source.metric(m);
-      values.clear();
-      values.reserve(rows.size());
-      for (std::size_t row : rows) values.push_back(column[row]);
-      return std::span<const double>(values);
-    });
-    ++stamp;
-    r.records = rows.size();
-    for (std::size_t row : rows) {
-      if (counted_in[ids[row]] == stamp) continue;
-      counted_in[ids[row]] = stamp;
+  for (std::size_t g = 0; g < picked.size(); ++g) {
+    VariabilityReport& r = reports[g];
+    for (std::size_t row : *picked[g].second) {
+      if (counted_in[ids[row]] == g + 1) continue;
+      counted_in[ids[row]] = g + 1;
       ++r.gpus;
     }
-    out.emplace(key, std::move(r));
+    out.emplace(picked[g].first, std::move(r));
   }
   return out;
 }
@@ -219,11 +248,9 @@ double slow_assignment_probability(const query::Source& source,
                                    double slowdown_threshold) {
   GPUVAR_REQUIRE(gpus_per_job >= 1);
   GPUVAR_REQUIRE(slowdown_threshold > 0.0);
-  const auto gpus = per_gpu_medians(source.frame());
-  GPUVAR_REQUIRE(!gpus.empty());
-  std::vector<double> perf;
-  perf.reserve(gpus.size());
-  for (const auto& g : gpus) perf.push_back(g.perf_ms);
+  std::vector<double> perf = per_gpu_median(
+      source.metric(Metric::kPerf), group_rows_by_gpu(source.frame()));
+  GPUVAR_REQUIRE(!perf.empty());
   // In-place selection: the count below only reads values, so the
   // permutation is harmless.
   const double med = stats::kernels::median_inplace(perf);

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "common/thread_pool.hpp"  // gpuvar-lint: allow(unused-include)
+#include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "query/dataset.hpp"
@@ -104,6 +104,10 @@ std::vector<std::shared_ptr<const RecordFrame>> Source::scan() const {
     out[j] = dataset_->fetch(picked_[j]);
   });
   return out;
+}
+
+ThreadPool& Source::pool() const {
+  return dataset_ != nullptr ? dataset_->scan_pool() : ThreadPool::global();
 }
 
 std::size_t Source::size() const {

@@ -23,9 +23,14 @@
 // test_query.cpp pin this.
 //
 // Threading: a Source is confined to one thread (lazy assembly mutates
-// under const); the parallelism lives inside the scans it issues.
-// Sources on different threads may share one Dataset, and so its whole
-// frame.
+// under const). The parallelism lives inside the scans it issues and
+// inside the analyses that read it: both run on pool(), the Dataset's
+// scan pool for a dataset-backed Source and ThreadPool::global() for a
+// frame-backed one. An analysis resolves every column span on the
+// calling thread before it fans out, and each task writes only its own
+// slot, so no task touches the Source and no result depends on the
+// pool size. Sources on different threads may share one Dataset, and
+// so its whole frame.
 #pragma once
 
 #include <cstdint>
@@ -78,6 +83,11 @@ class Source {
   std::span<const std::int16_t> days_of_week() const {
     return frame().days_of_week();
   }
+
+  /// The pool for work over this Source: the Dataset's scan_pool(), or
+  /// ThreadPool::global() for a frame-backed Source (the
+  /// DatasetOptions::pool rule).
+  ThreadPool& pool() const;
 
  private:
   void ensure_plan() const;

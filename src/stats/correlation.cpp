@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/hot.hpp"
@@ -27,21 +27,28 @@ GPUVAR_HOT double pearson(std::span<const double> xs, std::span<const double> ys
 
 std::vector<double> fractional_ranks(std::span<const double> xs) {
   const std::size_t n = xs.size();
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+  // (value, index) pairs: the sort reads each value from the pair it
+  // moves, not through an index into xs.
+  std::vector<std::pair<double, std::size_t>> order(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // NaN compares unordered, so the comparator below would not be a
+    // strict weak order over it.
+    GPUVAR_REQUIRE_MSG(!std::isnan(xs[i]), "cannot rank a NaN");
+    order[i] = {xs[i], i};
+  }
+  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
     // Index tie-breaker: equal values keep their input order, so ranks
     // are reproducible whatever sort algorithm runs underneath.
-    return xs[a] != xs[b] ? xs[a] < xs[b] : a < b;
+    return a.first != b.first ? a.first < b.first : a.second < b.second;
   });
   std::vector<double> ranks(n);
   std::size_t i = 0;
   while (i < n) {
     std::size_t j = i;
-    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
+    while (j + 1 < n && order[j + 1].first == order[i].first) ++j;
     // Average rank for the tie group [i, j] (1-based ranks).
     const double avg = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = avg;
+    for (std::size_t k = i; k <= j; ++k) ranks[order[k].second] = avg;
     i = j + 1;
   }
   return ranks;

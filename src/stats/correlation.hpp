@@ -15,11 +15,12 @@ double pearson(std::span<const double> xs, std::span<const double> ys);
 /// 1-based fractional ranks of `xs`: a tie group shares the average of
 /// the ranks it spans. Ranking a column once lets several Spearman
 /// coefficients share it: pearson(fractional_ranks(xs),
-/// fractional_ranks(ys)) is spearman(xs, ys), bit for bit.
+/// fractional_ranks(ys)) is spearman(xs, ys), bit for bit. -0.0 and
+/// +0.0 tie. Throws std::invalid_argument on a NaN, which has no rank.
 std::vector<double> fractional_ranks(std::span<const double> xs);
 
 /// Spearman rank correlation (Pearson over fractional ranks; ties get the
-/// average rank).
+/// average rank). Throws std::invalid_argument on a NaN in either input.
 double spearman(std::span<const double> xs, std::span<const double> ys);
 
 /// Qualitative label matching the paper's prose: |rho| >= 0.9 "strong",

@@ -206,37 +206,46 @@ GPUVAR_HOT GpuRowGroups group_rows_by_gpu(const RecordFrame& frame) {
   return g;
 }
 
+GPUVAR_HOT std::vector<double> per_gpu_median(std::span<const double> column,
+                                              const GpuRowGroups& groups) {
+  std::vector<double> out;
+  out.reserve(groups.order.size());
+  std::vector<double> scratch;
+  for (std::uint32_t id : groups.order) {
+    scratch.clear();
+    for (std::size_t i = groups.offsets[id]; i < groups.offsets[id + 1]; ++i) {
+      scratch.push_back(column[groups.rows[i]]);
+    }
+    // Select in place over the shared scratch: no per-GPU copy (the
+    // hotpath pass's alloc-in-hot-loop once caught exactly that here)
+    // and O(group) selection instead of an O(group log group) sort.
+    out.push_back(stats::kernels::median_inplace(scratch));
+  }
+  return out;
+}
+
 GPUVAR_HOT std::vector<GpuAggregate> per_gpu_medians(const RecordFrame& frame) {
   GPUVAR_REQUIRE(!frame.empty());
   const auto groups = group_rows_by_gpu(frame);
   const auto gpus = frame.gpus();
+  const auto perf = per_gpu_median(frame.perf_ms(), groups);
+  const auto freq = per_gpu_median(frame.freq_mhz(), groups);
+  const auto power = per_gpu_median(frame.power_w(), groups);
+  const auto temp = per_gpu_median(frame.temp_c(), groups);
 
   std::vector<GpuAggregate> out;
   out.reserve(gpus.size());
-  std::vector<double> scratch;
-  const auto median_of = [&](std::span<const double> column,
-                             std::span<const std::size_t> rows) {
-    scratch.clear();
-    scratch.reserve(rows.size());
-    for (std::size_t row : rows) scratch.push_back(column[row]);
-    // Select in place over the shared scratch: no per-call copy (the
-    // hotpath pass's alloc-in-hot-loop once caught exactly that here)
-    // and O(group) selection instead of an O(group log group) sort.
-    return stats::kernels::median_inplace(scratch);
-  };
-  for (std::uint32_t id : groups.order) {
-    const std::span<const std::size_t> rows{
-        groups.rows.data() + groups.offsets[id],
-        groups.offsets[id + 1] - groups.offsets[id]};
+  for (std::size_t j = 0; j < groups.order.size(); ++j) {
+    const std::uint32_t id = groups.order[j];
     const GpuRef& g = gpus[id];
     GpuAggregate agg;
     agg.gpu_index = g.gpu_index;
     agg.loc = g.loc;
-    agg.runs = static_cast<int>(rows.size());
-    agg.perf_ms = median_of(frame.perf_ms(), rows);
-    agg.freq_mhz = median_of(frame.freq_mhz(), rows);
-    agg.power_w = median_of(frame.power_w(), rows);
-    agg.temp_c = median_of(frame.temp_c(), rows);
+    agg.runs = static_cast<int>(groups.offsets[id + 1] - groups.offsets[id]);
+    agg.perf_ms = perf[j];
+    agg.freq_mhz = freq[j];
+    agg.power_w = power[j];
+    agg.temp_c = temp[j];
     out.push_back(std::move(agg));
   }
   return out;

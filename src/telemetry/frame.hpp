@@ -184,4 +184,11 @@ GpuRowGroups group_rows_by_gpu(const RecordFrame& frame);
 /// non-empty frame.
 std::vector<GpuAggregate> per_gpu_medians(const RecordFrame& frame);
 
+/// One field of per_gpu_medians: each GPU's median of `column` (a
+/// metric column of the frame `groups` came from), in groups.order,
+/// bit for bit, without building the aggregates (no location copies,
+/// no other medians).
+std::vector<double> per_gpu_median(std::span<const double> column,
+                                   const GpuRowGroups& groups);
+
 }  // namespace gpuvar

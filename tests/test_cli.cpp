@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -404,6 +405,52 @@ TEST_F(CliTest, BadCsvErrorNamesFileAndLine) {
   EXPECT_TRUE(contains(err, bad + " line 2: not a number 'abc' in column "
                                   "perf_ms"))
       << err;
+}
+
+TEST_F(CliTest, AnalyzeNonFiniteCsvNamesTheLine) {
+  make_campaign("3", "2");
+  // perf_ms set to "nan" on every third data row, from the third on
+  // (line 4). from_chars parses "nan", so only the importer's own check
+  // keeps it out of the analyses.
+  // No field of this CSV is quoted, so a line splits at every comma.
+  const auto split = [](const std::string& line) {
+    std::vector<std::string> fields;
+    std::stringstream ss(line);
+    for (std::string f; std::getline(ss, f, ',');) fields.push_back(f);
+    return fields;
+  };
+  const auto join = [](const std::vector<std::string>& fields) {
+    std::string line;
+    for (const std::string& f : fields) line += (line.empty() ? "" : ",") + f;
+    return line;
+  };
+  std::ifstream in(csv());
+  std::string line;
+  std::getline(in, line);
+  std::string text = line + "\n";
+  const std::vector<std::string> header = split(line);
+  const auto perf_col = static_cast<std::size_t>(
+      std::find(header.begin(), header.end(), "perf_ms") - header.begin());
+  ASSERT_LT(perf_col, header.size());
+  for (int row = 0; std::getline(in, line); ++row) {
+    std::vector<std::string> fields = split(line);
+    ASSERT_EQ(fields.size(), header.size()) << line;
+    if (row % 3 == 2) fields[perf_col] = "nan";
+    text += join(fields) + "\n";
+  }
+  const std::string bad = path("nan.csv");
+  std::ofstream(bad) << text;
+
+  for (const char* analysis : {"variability", "correlate", "impact"}) {
+    std::string out, err;
+    EXPECT_EQ(run({"analyze", bad, "--analysis", analysis}, &out, &err), 1)
+        << analysis;
+    EXPECT_TRUE(contains(err, bad + " line 4: not a finite number 'nan' in "
+                                    "column perf_ms"))
+        << analysis << ": " << err;
+    EXPECT_FALSE(contains(err, "precondition failed")) << analysis << err;
+    EXPECT_FALSE(contains(err, ".cpp")) << analysis << err;
+  }
 }
 
 TEST_F(CliTest, ProjectRequiresTarget) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <limits>
+#include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -87,6 +92,72 @@ TEST(Spearman, RobustToOneOutlier) {
   }
   ys.back() = 1e9;  // massive outlier barely moves the rank correlation
   EXPECT_GT(spearman(xs, ys), 0.99);
+}
+
+/// The index-permutation ranking fractional_ranks used before it sorted
+/// (value, index) pairs: the reference its ranks must match bit for bit.
+std::vector<double> reference_ranks(const std::vector<double>& xs) {
+  const std::size_t n = xs.size();
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return xs[a] != xs[b] ? xs[a] < xs[b] : a < b;
+  });
+  std::vector<double> ranks(n);
+  std::size_t i = 0;
+  while (i < n) {
+    std::size_t j = i;
+    while (j + 1 < n && xs[order[j + 1]] == xs[order[i]]) ++j;
+    const double avg =
+        (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
+    for (std::size_t k = i; k <= j; ++k) ranks[order[k]] = avg;
+    i = j + 1;
+  }
+  return ranks;
+}
+
+TEST(FractionalRanks, MatchIndexPermutationReferenceBitForBit) {
+  Rng rng(11);
+  std::vector<std::vector<double>> inputs = {{4.5}, {2.0, 1.0}, {3.0, 3.0}};
+  // Long tie runs: 50,000 values drawn from five levels.
+  std::vector<double> ties;
+  for (int i = 0; i < 50000; ++i) {
+    ties.push_back(static_cast<double>(rng.uniform_index(5)) * 0.25);
+  }
+  inputs.push_back(ties);
+  // Signed zeros compare equal, so they share one tie group.
+  std::vector<double> zeros;
+  for (int i = 0; i < 1000; ++i) {
+    zeros.push_back(i % 3 == 0 ? -0.0 : i % 3 == 1 ? 0.0 : rng.normal());
+  }
+  inputs.push_back(zeros);
+  inputs.push_back({-0.0, 0.0});
+  inputs.push_back({0.0, -0.0, 0.0, -0.0});
+  // 50,000 continuous values with a sprinkling of exact repeats.
+  std::vector<double> wide;
+  for (int i = 0; i < 50000; ++i) {
+    wide.push_back(i % 97 == 0 ? 1.0 : rng.normal(1.0, 0.1));
+  }
+  inputs.push_back(wide);
+  for (const auto& xs : inputs) {
+    const std::vector<double> want = reference_ranks(xs);
+    const std::vector<double> got = fractional_ranks(xs);
+    ASSERT_EQ(got.size(), xs.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+              0)
+        << "n=" << xs.size();
+  }
+}
+
+TEST(FractionalRanks, RejectsNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> xs{1.0, nan, 2.0};
+  const std::vector<double> ys{1.0, 2.0, 3.0};
+  EXPECT_THROW(fractional_ranks(xs), std::invalid_argument);
+  EXPECT_THROW(fractional_ranks(std::vector<double>{nan}),
+               std::invalid_argument);
+  EXPECT_THROW(spearman(xs, ys), std::invalid_argument);
+  EXPECT_THROW(spearman(ys, xs), std::invalid_argument);
 }
 
 TEST(CorrelationStrength, Labels) {

@@ -326,6 +326,9 @@ TEST(Export, ImportThrowsTheSerialErrorAtEveryPoolSize) {
   const Edit early_bad = at(kEarly, kPerf, "1.5x");
   const std::string early_bad_error =
       line(kEarly) + "not a number '1.5x' in column perf_ms";
+  const auto non_finite = [&](std::size_t row, const std::string& text) {
+    return line(row) + "not a finite number '" + text + "' in column perf_ms";
+  };
   const Edit late_wide = [](std::size_t i, std::vector<std::string>& f) {
     if (i == kLate) f.push_back("extra");
   };
@@ -359,6 +362,15 @@ TEST(Export, ImportThrowsTheSerialErrorAtEveryPoolSize) {
                " was first seen with another name or location"),
       // A row's numbers are read before its GPU is checked.
       make(both(late_conflict, late_bad), late_bad_error),
+      // from_chars parses these; the importer refuses them.
+      make(at(kEarly, kPerf, "nan"), non_finite(kEarly, "nan")),
+      make(at(kLate, kPerf, "nan"), non_finite(kLate, "nan")),
+      make(at(kLate, kPerf, "-inf"), non_finite(kLate, "-inf")),
+      make(at(kLate, kPerf, "infinity"), non_finite(kLate, "infinity")),
+      make(both(at(kEarly, kPerf, "-inf"), at(kLate, kPerf, "nan")),
+           non_finite(kEarly, "-inf")),
+      make(both(early_conflict, at(kLate, kPerf, "infinity")),
+           early_conflict_error),
       // The reader's errors come before any field is parsed.
       make(both(early_bad, late_wide),
            line(kLate) + "CSV row width does not match header "

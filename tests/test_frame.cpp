@@ -16,7 +16,9 @@
 #include <map>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/compare.hpp"
@@ -349,9 +351,10 @@ TEST(RecordFrame, SelectPreservesRowsAndReinterns) {
 TEST(RecordFrame, CsvRoundTripIsLossless) {
   auto records = synth_records(18, 3);
   // Values a fixed-digit writer loses or mangles: signed zeros, the
-  // extremes, 1-ulp neighbours of round numbers, 17-significant-digit
-  // values and the non-finite ones. Row k gives column c value
-  // (k + c) % n, so every metric column sees every value.
+  // extremes, 1-ulp neighbours of round numbers and 17-significant-digit
+  // values. Row k gives column c value (k + c) % n, so every metric
+  // column sees every value. The non-finite ones are exported but
+  // refused on import (below).
   const std::vector<double> special = {
       0.0,
       -0.0,
@@ -365,9 +368,6 @@ TEST(RecordFrame, CsvRoundTripIsLossless) {
       std::nextafter(1530.0, 2000.0),
       0.1 + 0.2,
       1.0 / 3.0 * 1e10,
-      std::numeric_limits<double>::quiet_NaN(),
-      std::numeric_limits<double>::infinity(),
-      -std::numeric_limits<double>::infinity(),
   };
   for (std::size_t k = 0; k < special.size(); ++k) {
     RunRecord r = records[k];
@@ -393,12 +393,11 @@ TEST(RecordFrame, CsvRoundTripIsLossless) {
   std::istringstream in(csv.str());
   const auto back = import_results_frame(in);
 
-  // Bit for bit; any NaN matches any NaN.
+  // Bit for bit.
   const auto same_bits = [](std::span<const double> a,
                             std::span<const double> b, std::size_t i) {
-    return (std::isnan(a[i]) && std::isnan(b[i])) ||
-           std::bit_cast<std::uint64_t>(a[i]) ==
-               std::bit_cast<std::uint64_t>(b[i]);
+    return std::bit_cast<std::uint64_t>(a[i]) ==
+           std::bit_cast<std::uint64_t>(b[i]);
   };
   ASSERT_EQ(back.size(), frame.size());
   EXPECT_EQ(back.gpu_count(), frame.gpu_count());
@@ -431,6 +430,30 @@ TEST(RecordFrame, CsvRoundTripIsLossless) {
   std::ostringstream again;
   export_frame_csv(again, "synth", back);
   EXPECT_EQ(csv.str(), again.str());
+
+  // A NaN or an infinity is written as "nan", "inf" or "-inf", and the
+  // importer refuses it, naming the line and the column.
+  const std::vector<std::pair<double, std::string>> non_finite = {
+      {std::numeric_limits<double>::quiet_NaN(), "nan"},
+      {std::numeric_limits<double>::infinity(), "inf"},
+      {-std::numeric_limits<double>::infinity(), "-inf"},
+  };
+  for (const auto& [value, text] : non_finite) {
+    std::vector<RunRecord> rows = synth_records(4, 1);
+    rows[2].temp_c = value;
+    std::ostringstream out;
+    export_frame_csv(out, "synth", frame_from(rows));
+    std::istringstream bad(out.str());
+    try {
+      import_results_frame(bad);
+      ADD_FAILURE() << text << " was imported";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "line 4: not a finite number '" + text +
+                    "' in column temp_c_median")
+          << text;
+    }
+  }
 }
 
 TEST(RecordFrame, MemoryFootprintBeatsRowLayout) {

@@ -91,11 +91,12 @@ job_tsan() {
   # exercise parallel_for across simulated clusters, and the obs tests
   # that hammer the sharded metrics registry and trace lanes from pool
   # workers, the query test that resolves one Dataset's whole frame
-  # from four threads, and the CSV export and import, which split and
-  # format on the pool.
+  # from four threads, the CSV export and import, which split and
+  # format on the pool, and the analyses, which rank and summarize
+  # their columns as pool tasks.
   TSAN_OPTIONS=halt_on_error=1 \
     configure_and_test build-tsan \
-    -R 'ThreadPool|Runner|Experiment|Scheduler|Integration|^Trace\.|^Metrics\.|DeterminismReplay|QueryTest\.Concurrent|^Export\.|^CsvReader\.|RecordFrame\.CsvRoundTrip'
+    -R 'ThreadPool|Runner|Experiment|Scheduler|Integration|^Trace\.|^Metrics\.|DeterminismReplay|QueryTest\.Concurrent|^Export\.|^CsvReader\.|RecordFrame\.CsvRoundTrip|^Analyses\.|^FractionalRanks\.'
 }
 
 job_analyzer() {
