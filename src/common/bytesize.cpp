@@ -1,7 +1,8 @@
 #include "common/bytesize.hpp"
 
+#include <stdexcept>
+
 #include "common/numfmt.hpp"
-#include "common/require.hpp"
 
 namespace gpuvar {
 
@@ -18,15 +19,18 @@ std::uint64_t parse_byte_size(const std::string& text,
     if (scale != 1) digits.pop_back();
   }
   long long value = 0;
-  GPUVAR_REQUIRE_MSG(parse_int(digits, value) && value >= 0,
-                     "bad " + flag + " '" + text +
-                         "' (want BYTES, BYTES with K/M/G, or 'unlimited')");
+  if (!parse_int(digits, value) || value < 0) {
+    throw std::invalid_argument(
+        "bad " + flag + " '" + text +
+        "' (want BYTES, BYTES with K/M/G, or 'unlimited')");
+  }
   // The scaled product must fit in 64 bits: a wrapped value would
   // silently become an arbitrary small (or effectively unlimited)
   // budget instead of the error the user needs to see.
-  GPUVAR_REQUIRE_MSG(
-      static_cast<std::uint64_t>(value) <= ~std::uint64_t{0} / scale,
-      flag + " '" + text + "' overflows a 64-bit byte count");
+  if (static_cast<std::uint64_t>(value) > ~std::uint64_t{0} / scale) {
+    throw std::invalid_argument(flag + " '" + text +
+                                "' overflows a 64-bit byte count");
+  }
   return static_cast<std::uint64_t>(value) * scale;
 }
 

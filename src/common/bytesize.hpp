@@ -19,7 +19,7 @@ inline constexpr std::uint64_t kUnlimitedBytes = ~std::uint64_t{0};
 
 /// Parses "unlimited", or a byte count with an optional K/M/G (binary)
 /// suffix, e.g. "4M". `flag` names the option in error messages (e.g.
-/// "--shard-budget"). Fails loudly (common/require.hpp) on bad syntax
+/// "--shard-budget"). Throws std::invalid_argument on bad syntax
 /// or a scaled product that overflows a 64-bit byte count.
 std::uint64_t parse_byte_size(const std::string& text,
                               const std::string& flag);

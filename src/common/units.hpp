@@ -15,12 +15,11 @@
 //     Watts × Seconds → Joules, Joules / Seconds → Watts,
 //     Joules / Watts → Seconds; a ratio of like units is a plain double.
 //
-// Literals (`250.0_W`, `1530.0_mhz`, `85.0_degC`, `1.5_ms`) make typed
-// constants as cheap to write as raw ones. Implementation files doing
-// model math that has no named unit (e.g. MHz·s accumulators, °C/W
-// thermal resistances) drop to doubles explicitly via `.value()` — the
-// rule enforced by tools/gpuvar_lint is that *public header signatures*
-// never traffic in raw doubles for physical quantities.
+// Implementation files doing model math that has no named unit (e.g.
+// MHz·s accumulators, °C/W thermal resistances) drop to doubles
+// explicitly via `.value()` — the rule enforced by tools/gpuvar_lint is
+// that *public header signatures* never traffic in raw doubles for
+// physical quantities.
 //
 // Unit conventions (matching nvidia-smi / rocm-smi output):
 //   time        — seconds (s); sampling intervals in seconds as well
@@ -129,52 +128,6 @@ constexpr Quantity<Tag> abs(Quantity<Tag> q) {
   return q.value() < 0.0 ? -q : q;
 }
 
-// --- literals ---
-inline namespace unit_literals {
-constexpr Seconds operator""_s(long double v) {
-  return Seconds{static_cast<double>(v)};
-}
-constexpr Seconds operator""_s(unsigned long long v) {
-  return Seconds{static_cast<double>(v)};
-}
-constexpr Seconds operator""_ms(long double v) {
-  return Seconds{static_cast<double>(v) * 1e-3};
-}
-constexpr Seconds operator""_ms(unsigned long long v) {
-  return Seconds{static_cast<double>(v) * 1e-3};
-}
-constexpr MegaHertz operator""_mhz(long double v) {
-  return MegaHertz{static_cast<double>(v)};
-}
-constexpr MegaHertz operator""_mhz(unsigned long long v) {
-  return MegaHertz{static_cast<double>(v)};
-}
-constexpr Watts operator""_W(long double v) {
-  return Watts{static_cast<double>(v)};
-}
-constexpr Watts operator""_W(unsigned long long v) {
-  return Watts{static_cast<double>(v)};
-}
-constexpr Celsius operator""_degC(long double v) {
-  return Celsius{static_cast<double>(v)};
-}
-constexpr Celsius operator""_degC(unsigned long long v) {
-  return Celsius{static_cast<double>(v)};
-}
-constexpr Volts operator""_V(long double v) {
-  return Volts{static_cast<double>(v)};
-}
-constexpr Volts operator""_V(unsigned long long v) {
-  return Volts{static_cast<double>(v)};
-}
-constexpr Joules operator""_J(long double v) {
-  return Joules{static_cast<double>(v)};
-}
-constexpr Joules operator""_J(unsigned long long v) {
-  return Joules{static_cast<double>(v)};
-}
-}  // namespace unit_literals
-
 /// Absolute zero — the hard floor any simulated temperature must respect;
 /// the thermal model asserts against it in debug mode.
 inline constexpr Celsius kAbsoluteZero{-273.15};
@@ -183,8 +136,7 @@ inline constexpr Celsius kAbsoluteZero{-273.15};
 /// uses (nvprof / rocm-smi): 1 ms. The telemetry sampler enforces this floor.
 inline constexpr Seconds kMinSamplingInterval{1e-3};
 
-/// Milliseconds helpers for reporting (the paper reports runtimes in ms).
+/// Milliseconds helper for reporting (the paper reports runtimes in ms).
 inline constexpr double to_ms(Seconds s) { return s.value() * 1e3; }
-inline constexpr Seconds from_ms(double ms) { return Seconds{ms * 1e-3}; }
 
 }  // namespace gpuvar

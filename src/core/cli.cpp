@@ -12,7 +12,6 @@
 
 #include "common/bytesize.hpp"
 #include "common/numfmt.hpp"
-#include "common/require.hpp"
 #include "common/thread_pool.hpp"
 #include "core/engine.hpp"
 #include "core/experiment.hpp"
@@ -181,8 +180,9 @@ struct ParsedArgs {
   double number(const std::string& key) const {
     const std::string text = get(key, "");
     double v = 0.0;
-    GPUVAR_REQUIRE_MSG(parse_double(text, v),
-                       "not a number: '" + text + "' for --" + key);
+    if (!parse_double(text, v)) {
+      throw std::invalid_argument("not a number: '" + text + "' for --" + key);
+    }
     return v;
   }
   /// A finite number flag: NaN and infinities are errors naming the
@@ -253,7 +253,9 @@ ParsedArgs parse(const std::vector<std::string>& args, std::size_t from,
       out.options[key] = "";
       continue;
     }
-    GPUVAR_REQUIRE_MSG(i + 1 < args.size(), "missing value for " + a);
+    if (i + 1 >= args.size()) {
+      throw std::invalid_argument("missing value for " + a);
+    }
     out.options[key] = args[++i];
   }
   return out;
@@ -323,7 +325,9 @@ void write_campaign_artifacts(const ParsedArgs& args, std::ostream& out,
     if (path.empty()) return path;
     if (!job.empty()) path = job_artifact_path(path, job);
     file.open(path);
-    GPUVAR_REQUIRE_MSG(file.good(), "cannot write " + path);
+    if (!file.good()) {
+      throw std::runtime_error("cannot write " + path);
+    }
     return path;
   };
   std::ofstream csv_file;
@@ -364,7 +368,9 @@ int cmd_run(const ParsedArgs& args, std::ostream& out) {
   const auto write_obs = [&] {
     if (!trace_path.empty()) {
       std::ofstream file(trace_path);
-      GPUVAR_REQUIRE_MSG(file.good(), "cannot write " + trace_path);
+      if (!file.good()) {
+        throw std::runtime_error("cannot write " + trace_path);
+      }
       obs::write_chrome_trace(file, sink);
       out << "trace: " << sink.event_count() << " events across "
           << sink.lane_count() << " lanes -> " << trace_path << "\n";
@@ -372,7 +378,9 @@ int cmd_run(const ParsedArgs& args, std::ostream& out) {
     if (!metrics_path.empty()) {
       const auto snap = registry.snapshot();
       std::ofstream file(metrics_path);
-      GPUVAR_REQUIRE_MSG(file.good(), "cannot write " + metrics_path);
+      if (!file.good()) {
+        throw std::runtime_error("cannot write " + metrics_path);
+      }
       obs::write_metrics_text(file, snap);
       out << "metrics: " << snap.size() << " series -> " << metrics_path
           << "\n";
@@ -401,6 +409,13 @@ int cmd_run(const ParsedArgs& args, std::ostream& out) {
   options.checkpoint_dir = args.get("checkpoint", "");
   options.shard_budget_bytes =
       parse_byte_size(args.get("shard-budget", "unlimited"), "--shard-budget");
+  if (options.checkpoint_dir.empty() &&
+      options.shard_budget_bytes != kUnlimitedShardBudget) {
+    throw std::invalid_argument(
+        "a bounded shard budget needs a checkpoint directory to spill into "
+        "(--shard-budget " + args.get("shard-budget", "") +
+        " needs --checkpoint DIR)");
+  }
 
   const std::string sweep = args.get("sweep", "");
   if (!sweep.empty()) {
@@ -410,8 +425,10 @@ int cmd_run(const ParsedArgs& args, std::ostream& out) {
     } else if (sweep == "power") {
       std::vector<double> caps;
       const std::string caps_text = args.get("power-caps", "");
-      GPUVAR_REQUIRE_MSG(!caps_text.empty(),
-                         "--sweep power needs --power-caps W1,W2,...");
+      if (caps_text.empty()) {
+        throw std::invalid_argument(
+            "--sweep power needs --power-caps W1,W2,...");
+      }
       std::size_t start = 0;
       while (start <= caps_text.size()) {
         const std::size_t comma = caps_text.find(',', start);
@@ -420,8 +437,10 @@ int cmd_run(const ParsedArgs& args, std::ostream& out) {
                                         ? std::string::npos
                                         : comma - start);
         double w = 0.0;
-        GPUVAR_REQUIRE_MSG(parse_double(item, w),
-                           "bad power cap '" + item + "' in --power-caps");
+        if (!parse_double(item, w)) {
+          throw std::invalid_argument("bad power cap '" + item +
+                                      "' in --power-caps");
+        }
         caps.push_back(w);
         if (comma == std::string::npos) break;
         start = comma + 1;
@@ -483,8 +502,10 @@ query::Predicate parse_predicate(const std::string& text) {
         text.substr(start, comma == std::string::npos ? std::string::npos
                                                       : comma - start);
     const std::size_t eq = term.find('=');
-    GPUVAR_REQUIRE_MSG(eq != std::string::npos,
-                       "bad --where term '" + term + "' (want FIELD=LO..HI)");
+    if (eq == std::string::npos) {
+      throw std::invalid_argument("bad --where term '" + term +
+                                  "' (want FIELD=LO..HI)");
+    }
     const std::string field = term.substr(0, eq);
     const std::string range = term.substr(eq + 1);
     query::FieldRange* r = nullptr;
@@ -494,17 +515,22 @@ query::Predicate parse_predicate(const std::string& text) {
     if (field == "cabinet") r = &where.cabinet;
     if (field == "row") r = &where.row;
     if (field == "col") r = &where.column;
-    GPUVAR_REQUIRE_MSG(r != nullptr,
-                       "unknown --where field '" + field +
-                           "', try one of node, gpu, day, cabinet, row, col");
-    GPUVAR_REQUIRE_MSG(std::find(seen.begin(), seen.end(), r) == seen.end(),
-                       "repeated --where field '" + field +
-                           "' (give each field one range)");
+    if (r == nullptr) {
+      throw std::invalid_argument(
+          "unknown --where field '" + field +
+          "', try one of node, gpu, day, cabinet, row, col");
+    }
+    if (std::find(seen.begin(), seen.end(), r) != seen.end()) {
+      throw std::invalid_argument("repeated --where field '" + field +
+                                  "' (give each field one range)");
+    }
     seen.push_back(r);
     const auto bound = [&](const std::string& s) {
       long long v = 0;
-      GPUVAR_REQUIRE_MSG(parse_int(s, v),
-                         "bad --where range '" + range + "' for " + field);
+      if (!parse_int(s, v)) {
+        throw std::invalid_argument("bad --where range '" + range + "' for " +
+                                    field);
+      }
       return static_cast<std::int64_t>(v);
     };
     const std::size_t dots = range.find("..");
@@ -599,8 +625,9 @@ AnalyzeSettings analyze_settings(const ParsedArgs& args,
   }
   s.slowdown_temp = Celsius{args.get_num("slowdown-temp", 1e9)};
   s.target = args.get_int("target", 0, 2);
-  GPUVAR_REQUIRE_MSG(analysis != "project" || s.target > 0,
-                     "project needs --target N");
+  if (analysis == "project" && s.target <= 0) {
+    throw std::invalid_argument("project needs --target N");
+  }
   s.title = args.get("title", "Variability campaign report");
   return s;
 }
@@ -657,8 +684,9 @@ void show_drift(const AnalysisContext& c, std::ostream& out) {
   for (std::uint32_t id : groups.order) {
     if (groups.offsets[id + 1] - groups.offsets[id] >= 2) has_history = true;
   }
-  GPUVAR_REQUIRE_MSG(has_history,
-                     "drift needs repeated runs per GPU (a history)");
+  if (!has_history) {
+    throw std::runtime_error("drift needs repeated runs per GPU (a history)");
+  }
   out << "run noise sigma: " << estimate_run_noise_ms(c.source) << " ms\n";
   const auto flags = analyze_drift(c.source);
   if (flags.empty()) {
@@ -687,10 +715,12 @@ void show_impact(const AnalysisContext& c, std::ostream& out) {
 }
 
 void show_compare(const AnalysisContext& c, std::ostream& out) {
-  GPUVAR_REQUIRE_MSG(c.against != nullptr,
-                     "--analysis compare needs --against SRC");
-  GPUVAR_REQUIRE_MSG(!c.against->empty(),
-                     "no rows match the --where filter in --against");
+  if (c.against == nullptr) {
+    throw std::invalid_argument("--analysis compare needs --against SRC");
+  }
+  if (c.against->empty()) {
+    throw std::runtime_error("no rows match the --where filter in --against");
+  }
   // --against is the baseline (before); SRC is the campaign under
   // study (after), so a positive shift means SRC got slower.
   print_comparison(out, analyze_compare(*c.against, c.source));
@@ -792,7 +822,9 @@ int cmd_analyze(const ParsedArgs& args, std::ostream& out) {
     against.emplace(base->source());
   }
   const query::Source source = input.source();
-  GPUVAR_REQUIRE_MSG(!source.empty(), "no rows match the --where filter");
+  if (source.empty()) {
+    throw std::runtime_error("no rows match the --where filter");
+  }
   if (!document) out << "rows matched: " << source.size() << "\n";
   analysis.show({settings, source, against ? &*against : nullptr}, out);
   return 0;

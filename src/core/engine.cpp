@@ -7,6 +7,7 @@
 #include <iterator>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -446,11 +447,13 @@ std::vector<CampaignJob> power_cap_sweep(const ExperimentConfig& base,
     // The cap names the job, so it must print exactly: a whole number
     // of watts (150.5 and 150.7 would both print as cap-150w) and small
     // enough for the conversion to long long to be defined.
-    GPUVAR_REQUIRE_MSG(
-        cap >= 0.0 && cap <= kMaxSweepPowerCapW && cap == std::floor(cap),
-        "power cap must be a whole number of watts in [0, " +
-            format_int(static_cast<long long>(kMaxSweepPowerCapW)) +
-            "], got " + format_double(cap));
+    if (!(cap >= 0.0 && cap <= kMaxSweepPowerCapW &&
+          cap == std::floor(cap))) {
+      throw std::invalid_argument(
+          "power cap must be a whole number of watts in [0, " +
+          format_int(static_cast<long long>(kMaxSweepPowerCapW)) +
+          "], got " + format_double(cap));
+    }
     CampaignJob job;
     job.name = "cap-" + format_int(static_cast<long long>(cap)) + "w";
     job.config = base;

@@ -42,6 +42,7 @@
 #include <string>
 #include <vector>
 
+#include "common/bytesize.hpp"
 #include "core/experiment.hpp"
 #include "telemetry/frame.hpp"
 
@@ -49,8 +50,9 @@ namespace gpuvar {
 
 class Cluster;
 
-/// shard_budget_bytes value meaning "never evict for memory reasons".
-inline constexpr std::uint64_t kUnlimitedShardBudget = ~std::uint64_t{0};
+/// shard_budget_bytes value meaning "never evict for memory reasons":
+/// the sentinel `parse_byte_size("unlimited", ...)` returns.
+inline constexpr std::uint64_t kUnlimitedShardBudget = kUnlimitedBytes;
 
 struct CampaignOptions {
   /// Checkpoint directory: shards and the manifest live here. Empty =

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdio>
 #include <span>
 #include <utility>
@@ -241,27 +240,6 @@ std::vector<GpuRepeatability> per_gpu_repeatability(
     out.push_back(std::move(rep));
   }
   return out;
-}
-
-double slow_assignment_probability(const query::Source& source,
-                                   int gpus_per_job,
-                                   double slowdown_threshold) {
-  GPUVAR_REQUIRE(gpus_per_job >= 1);
-  GPUVAR_REQUIRE(slowdown_threshold > 0.0);
-  std::vector<double> perf = per_gpu_median(
-      source.metric(Metric::kPerf), group_rows_by_gpu(source.frame()));
-  GPUVAR_REQUIRE(!perf.empty());
-  // In-place selection: the count below only reads values, so the
-  // permutation is harmless.
-  const double med = stats::kernels::median_inplace(perf);
-  std::size_t slow = 0;
-  for (double p : perf) {
-    if (p > med * (1.0 + slowdown_threshold)) ++slow;
-  }
-  const double p_slow =
-      static_cast<double>(slow) / static_cast<double>(perf.size());
-  // P(at least one of k independent draws is slow).
-  return 1.0 - std::pow(1.0 - p_slow, gpus_per_job);
 }
 
 }  // namespace gpuvar

@@ -77,11 +77,4 @@ struct GpuRepeatability {
 std::vector<GpuRepeatability> per_gpu_repeatability(
     const query::Source& source);
 
-/// Inter-experiment user impact (§VII): the probability that a job
-/// requesting `gpus_per_job` GPUs receives at least one GPU slower than
-/// `slowdown_threshold` (fraction above the median, e.g. 0.06 for "6%
-/// slower than median").
-double slow_assignment_probability(const query::Source& source,
-                                   int gpus_per_job, double slowdown_threshold);
-
 }  // namespace gpuvar

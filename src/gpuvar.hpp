@@ -49,18 +49,11 @@
 #include "gpu/power_model.hpp"     // IWYU pragma: export
 #include "gpu/silicon.hpp"         // IWYU pragma: export
 #include "gpu/sku.hpp"             // IWYU pragma: export
-#include "hostbench/graph.hpp"        // IWYU pragma: export
 #include "obs/export.hpp"          // IWYU pragma: export
 #include "obs/metrics.hpp"         // IWYU pragma: export
 #include "obs/trace.hpp"           // IWYU pragma: export
 #include "query/dataset.hpp"       // IWYU pragma: export
 #include "query/source.hpp"        // IWYU pragma: export
-#include "hostbench/host_device.hpp"  // IWYU pragma: export
-#include "hostbench/matrix.hpp"       // IWYU pragma: export
-#include "hostbench/pagerank_cpu.hpp" // IWYU pragma: export
-#include "hostbench/sgemm_cpu.hpp"    // IWYU pragma: export
-#include "hostbench/spmv_cpu.hpp"     // IWYU pragma: export
-#include "hostbench/stream_cpu.hpp"   // IWYU pragma: export
 #include "stats/ascii_plot.hpp"    // IWYU pragma: export
 #include "stats/bootstrap.hpp"     // IWYU pragma: export
 #include "stats/boxplot.hpp"       // IWYU pragma: export

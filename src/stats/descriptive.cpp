@@ -33,12 +33,6 @@ GPUVAR_HOT double mean(std::span<const double> xs) {
   GPUVAR_REQUIRE(!xs.empty());
   return kernels::sum(xs) / static_cast<double>(xs.size());
 }
-GPUVAR_HOT double sample_variance(std::span<const double> xs) {
-  return describe(xs).variance;
-}
-GPUVAR_HOT double sample_stddev(std::span<const double> xs) {
-  return describe(xs).stddev;
-}
 GPUVAR_HOT double min_of(std::span<const double> xs) {
   GPUVAR_REQUIRE(!xs.empty());
   return kernels::min_max(xs).min;

@@ -28,8 +28,6 @@ struct Descriptive {
 Descriptive describe(std::span<const double> xs);
 
 double mean(std::span<const double> xs);
-double sample_variance(std::span<const double> xs);
-double sample_stddev(std::span<const double> xs);
 double min_of(std::span<const double> xs);
 double max_of(std::span<const double> xs);
 

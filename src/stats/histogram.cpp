@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "common/require.hpp"
-#include "stats/descriptive.hpp"
 
 namespace gpuvar::stats {
 
@@ -67,19 +66,6 @@ std::string Histogram::render(std::size_t max_width) const {
     out.push_back('\n');
   }
   return out;
-}
-
-Histogram histogram_of(std::span<const double> xs, std::size_t bins) {
-  GPUVAR_REQUIRE(!xs.empty());
-  double lo = min_of(xs);
-  double hi = max_of(xs);
-  if (lo == hi) {  // degenerate sample: widen artificially
-    lo -= 0.5;
-    hi += 0.5;
-  }
-  Histogram h(lo, hi, bins);
-  h.add_all(xs);
-  return h;
 }
 
 }  // namespace gpuvar::stats

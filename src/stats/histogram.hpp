@@ -39,7 +39,4 @@ class Histogram {
   std::size_t total_ = 0;
 };
 
-/// Builds a histogram spanning the sample's own min..max.
-Histogram histogram_of(std::span<const double> xs, std::size_t bins);
-
 }  // namespace gpuvar::stats

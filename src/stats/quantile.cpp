@@ -37,18 +37,6 @@ GPUVAR_HOT double quantile(std::span<const double> xs, double q) {
   return kernels::quantile_inplace(scratch, q);
 }
 
-GPUVAR_HOT std::vector<double> quantiles(std::span<const double> xs,
-                              std::span<const double> qs) {
-  // One scratch copy shared across all cuts. Each selection partially
-  // orders the scratch, which only makes the next selection cheaper —
-  // the results do not depend on cut order.
-  std::vector<double> scratch(xs.begin(), xs.end());
-  std::vector<double> out;
-  out.reserve(qs.size());
-  for (double q : qs) out.push_back(kernels::quantile_inplace(scratch, q));
-  return out;
-}
-
 GPUVAR_HOT double median(std::span<const double> xs) { return quantile(xs, 0.5); }
 
 }  // namespace gpuvar::stats

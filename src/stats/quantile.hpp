@@ -15,11 +15,6 @@ double quantile_sorted(std::span<const double> sorted, double q);
 /// the copy and calling quantile_sorted, without the O(n log n) sort.
 double quantile(std::span<const double> xs, double q);
 
-/// Several quantiles of one sample sharing a single scratch copy;
-/// results are independent of cut order.
-std::vector<double> quantiles(std::span<const double> xs,
-                              std::span<const double> qs);
-
 double median(std::span<const double> xs);
 
 /// Returns a sorted copy.

@@ -1,9 +1,12 @@
 #include "telemetry/export.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -11,6 +14,7 @@
 #include "common/csv.hpp"
 #include "common/csv_reader.hpp"
 #include "common/location.hpp"
+#include "common/numfmt.hpp"
 #include "common/thread_pool.hpp"
 #include "gpu/timeseries.hpp"
 #include "telemetry/frame.hpp"
@@ -71,11 +75,42 @@ void write_rows(CsvWriter& csv, std::string_view cluster_name,
   }
 }
 
+/// Throws at the lowest row holding a NaN or an infinity, in the words
+/// import_results_frame would refuse that row's line with (the header
+/// is line 1), so an export never writes a CSV its importer rejects.
+void require_finite_metrics(const RecordFrame& frame) {
+  const std::span<const double> metrics[] = {
+      frame.perf_ms(), frame.freq_mhz(),  frame.power_w(),
+      frame.temp_c(),  frame.fu_util(),   frame.dram_util(),
+      frame.mem_stall_frac(),             frame.exec_stall_frac()};
+  constexpr std::size_t kFirstMetricColumn = 6;  // perf_ms
+  std::size_t bad_row = frame.size();
+  std::size_t bad_metric = 0;
+  for (std::size_t m = 0; m < std::size(metrics); ++m) {
+    // Rows below the lowest bad row so far: a tie keeps the earlier
+    // column, as the importer checks a row's fields in column order.
+    const auto end =
+        metrics[m].begin() + static_cast<std::ptrdiff_t>(bad_row);
+    const auto it = std::find_if(metrics[m].begin(), end,
+                                 [](double v) { return !std::isfinite(v); });
+    if (it != end) {
+      bad_row = static_cast<std::size_t>(it - metrics[m].begin());
+      bad_metric = m;
+    }
+  }
+  if (bad_row == frame.size()) return;
+  throw std::invalid_argument(
+      "line " + format_int(static_cast<long long>(bad_row + 2)) +
+      ": not a finite number '" + format_double(metrics[bad_metric][bad_row]) +
+      "' in column " + frame_columns()[kFirstMetricColumn + bad_metric]);
+}
+
 }  // namespace
 
 void export_frame_csv(std::ostream& out, std::string_view cluster_name,
                       const RecordFrame& frame, ThreadPool* pool) {
   ThreadPool& workers = pool != nullptr ? *pool : ThreadPool::global();
+  require_finite_metrics(frame);
   {
     CsvWriter csv(out);
     csv.header(frame_columns());

@@ -37,8 +37,10 @@ void export_series_csv(std::ostream& out, const TimeSeries& series);
 /// written as the shortest strings that parse back to the same bits, so
 /// import_results_frame is an exact inverse: every row keeps its
 /// gpu_index and location, every metric comes back bit-identical, and
-/// frame -> CSV -> frame re-exports the same bytes. Formats on `pool`,
-/// or on ThreadPool::global() when it is null.
+/// frame -> CSV -> frame re-exports the same bytes. A NaN or an
+/// infinity in a metric is refused before any byte is written, with the
+/// error the importer would give its line. Formats on `pool`, or on
+/// ThreadPool::global() when it is null.
 void export_frame_csv(std::ostream& out, std::string_view cluster_name,
                       const RecordFrame& frame, ThreadPool* pool = nullptr);
 

@@ -154,7 +154,6 @@ std::string analyses_bytes(const query::Source& s) {
   b.put(analyze_drift(s, sensitive_drift()));
   b.put(analyze_user_impact(s));
   b.put(estimate_run_noise_ms(s));
-  b.put(slow_assignment_probability(s, 4, 0.01));
   for (GroupBy g : {GroupBy::kCabinet, GroupBy::kRow, GroupBy::kColumn,
                     GroupBy::kNode}) {
     b.put(variability_by_group(s, g));

@@ -453,6 +453,85 @@ TEST_F(CliTest, AnalyzeNonFiniteCsvNamesTheLine) {
   }
 }
 
+TEST_F(CliTest, UserErrorsNameTheInputNotTheSource) {
+  make_campaign("3", "2");
+  // Derived CSVs: the header plus the rows whose `column` field is
+  // `value`. No field of this CSV is quoted, so fields split at commas.
+  const auto rows_where = [&](std::size_t column, const std::string& value,
+                              const std::string& name) {
+    std::ifstream in(csv());
+    std::string line;
+    std::getline(in, line);
+    std::string text = line + "\n";
+    while (std::getline(in, line)) {
+      std::size_t at = 0;
+      for (std::size_t c = 0; c < column; ++c) at = line.find(',', at) + 1;
+      if (line.substr(at, line.find(',', at) - at) == value) {
+        text += line + "\n";
+      }
+    }
+    std::ofstream(path(name)) << text;
+    return path(name);
+  };
+  const std::string one_run = rows_where(5, "0", "one_run.csv");
+  const std::string node0 = rows_where(3, "0", "node0.csv");
+  const std::vector<std::string> run_cmd = {"run", "--cluster", "cloudlab",
+                                            "--reps", "3", "--runs", "1"};
+  const auto run_with = [&](std::vector<std::string> extra) {
+    extra.insert(extra.begin(), run_cmd.begin(), run_cmd.end());
+    return extra;
+  };
+  const std::vector<std::pair<std::vector<std::string>, std::string>> bad = {
+      {{"analyze", csv(), "--where", "foo"},
+       "bad --where term 'foo' (want FIELD=LO..HI)"},
+      {{"analyze", csv(), "--where", "bogus=1"},
+       "unknown --where field 'bogus', try one of node, gpu, day, cabinet, "
+       "row, col"},
+      {{"analyze", csv(), "--where", "node=a..b"},
+       "bad --where range 'a..b' for node"},
+      {{"analyze", csv(), "--where"}, "missing value for --where"},
+      {{"analyze", csv(), "--analysis", "project"},
+       "project needs --target N"},
+      {{"analyze", csv(), "--analysis", "compare"},
+       "--analysis compare needs --against SRC"},
+      {{"analyze", csv(), "--analysis", "compare", "--against", node0,
+        "--where", "node=1"},
+       "no rows match the --where filter in --against"},
+      {{"analyze", csv(), "--where", "node=99999"},
+       "no rows match the --where filter"},
+      {{"analyze", one_run, "--analysis", "drift"},
+       "drift needs repeated runs per GPU (a history)"},
+      {{"analyze", csv(), "--slowdown-temp", "abc"},
+       "not a number: 'abc' for --slowdown-temp"},
+      {run_with({"--sweep", "power"}),
+       "--sweep power needs --power-caps W1,W2,..."},
+      {run_with({"--sweep", "power", "--power-caps", "150,abc"}),
+       "bad power cap 'abc' in --power-caps"},
+      {run_with({"--sweep", "power", "--power-caps", "150.5"}),
+       "power cap must be a whole number of watts in [0, 1000000], got "
+       "150.5"},
+      {run_with({"--out", "/nonexistent/x.csv"}),
+       "cannot write /nonexistent/x.csv"},
+      {run_with({"--trace", "/nonexistent/t.json"}),
+       "cannot write /nonexistent/t.json"},
+      {run_with({"--metrics", "/nonexistent/m.txt"}),
+       "cannot write /nonexistent/m.txt"},
+      {run_with({"--shard-budget", "5"}),
+       "a bounded shard budget needs a checkpoint directory to spill into "
+       "(--shard-budget 5 needs --checkpoint DIR)"},
+      {run_with({"--shard-budget", "abc"}),
+       "bad --shard-budget 'abc' (want BYTES, BYTES with K/M/G, or "
+       "'unlimited')"},
+      {run_with({"--shard-budget", "99999999999999G"}),
+       "--shard-budget '99999999999999G' overflows a 64-bit byte count"},
+  };
+  for (const auto& [args, needle] : bad) {
+    std::string err;
+    EXPECT_EQ(run(args, nullptr, &err), 1) << needle;
+    expect_user_error(err, needle);
+  }
+}
+
 TEST_F(CliTest, ProjectRequiresTarget) {
   make_campaign("4", "2");
   std::string out, err;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 namespace gpuvar::stats {
@@ -60,7 +59,6 @@ TEST(Descriptive, HelpersAgreeWithDescribe) {
   EXPECT_DOUBLE_EQ(mean(xs), 2.5);
   EXPECT_DOUBLE_EQ(min_of(xs), 1.0);
   EXPECT_DOUBLE_EQ(max_of(xs), 4.0);
-  EXPECT_NEAR(sample_stddev(xs), std::sqrt(sample_variance(xs)), 1e-15);
 }
 
 }  // namespace

@@ -56,19 +56,6 @@ TEST(Histogram, RejectsBadConstruction) {
   EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
-TEST(Histogram, OfSampleSpansMinMax) {
-  const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
-  const auto h = histogram_of(xs, 3);
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 1.0);
-}
-
-TEST(Histogram, OfConstantSampleWidens) {
-  const std::vector<double> xs{2.0, 2.0};
-  const auto h = histogram_of(xs, 4);
-  EXPECT_EQ(h.total(), 2u);
-}
-
 TEST(Histogram, RenderContainsBars) {
   Histogram h(0.0, 2.0, 2);
   for (int i = 0; i < 10; ++i) h.add(0.5);

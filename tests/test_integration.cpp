@@ -264,8 +264,12 @@ TEST(Integration, ScaledNormalProjectionFromLonghorn) {
 TEST(Integration, SlowAssignmentProbabilityMultiGpuIsHigher) {
   Cluster longhorn(longhorn_spec());
   const auto result = sgemm_campaign(longhorn);
-  const double p1 = slow_assignment_probability(result.frame, 1, 0.06);
-  const double p4 = slow_assignment_probability(result.frame, 4, 0.06);
+  // Widths 1, 2, 4: rows 0 and 2 are the 1- and 4-GPU jobs.
+  const auto impact = analyze_user_impact(result.frame);
+  ASSERT_GE(impact.size(), 3u);
+  ASSERT_EQ(impact[2].gpus_per_job, 4);
+  const double p1 = impact[0].p_any_slow;
+  const double p4 = impact[2].p_any_slow;
   EXPECT_GT(p1, 0.02);
   EXPECT_LT(p1, 0.5);
   EXPECT_GT(p4, p1);

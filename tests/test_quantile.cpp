@@ -48,16 +48,6 @@ TEST(Quantile, EmptyThrows) {
   EXPECT_THROW(quantile(xs, 0.5), std::invalid_argument);
 }
 
-TEST(Quantile, BatchMatchesIndividual) {
-  const std::vector<double> xs{3.0, 1.0, 4.0, 1.5, 9.0, 2.6};
-  const std::vector<double> qs{0.1, 0.5, 0.9};
-  const auto batch = quantiles(xs, qs);
-  ASSERT_EQ(batch.size(), 3u);
-  for (std::size_t i = 0; i < qs.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], quantile(xs, qs[i]));
-  }
-}
-
 TEST(Quantile, MonotoneInQ) {
   Rng rng(42);
   std::vector<double> xs;

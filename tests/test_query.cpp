@@ -195,12 +195,10 @@ std::string fp_groups(const query::Source& s) {
   print_group_boxes(text, s, Metric::kPerf, GroupBy::kNode);
   print_scatter(text, s, Metric::kPower, Metric::kPerf);
   write_markdown_report(text, s);
-  std::ostringstream o;
-  put(o, slow_assignment_probability(s, 2, 0.01));
   return fp(series_by_group(s, Metric::kPower, GroupBy::kCabinet)) + '|' +
          fp(variability_by_group(s, GroupBy::kCabinet)) + '|' +
          fp(variability_by_group(s, GroupBy::kDayOfWeek)) + '|' +
-         fp(per_gpu_repeatability(s)) + '|' + o.str() + '|' +
+         fp(per_gpu_repeatability(s)) + '|' +
          fp_projection(s) + '|' + text.str();
 }
 

@@ -67,9 +67,9 @@ static_assert(std::is_trivially_copyable_v<Watts>);
 static_assert(std::is_trivially_destructible_v<Seconds>);
 
 // Everything is constexpr end to end.
-static_assert((250.0_W * 2.0_s).value() == 500.0);
+static_assert((Watts{250.0} * Seconds{2.0}).value() == 500.0);
 static_assert(abs(Celsius{-4.0}) == Celsius{4.0});
-static_assert(1530.0_mhz > 540.0_mhz);
+static_assert(MegaHertz{1530.0} > MegaHertz{540.0});
 
 TEST(Units, SameUnitArithmetic) {
   EXPECT_DOUBLE_EQ((Watts{250.0} + Watts{50.0}).value(), 300.0);
@@ -114,17 +114,6 @@ TEST(Units, OrderingAndEquality) {
   EXPECT_NE(Volts{0.8}, Volts{0.9});
 }
 
-TEST(Units, Literals) {
-  EXPECT_DOUBLE_EQ((250.0_W).value(), 250.0);
-  EXPECT_DOUBLE_EQ((300_W).value(), 300.0);
-  EXPECT_DOUBLE_EQ((1530.0_mhz).value(), 1530.0);
-  EXPECT_DOUBLE_EQ((85.0_degC).value(), 85.0);
-  EXPECT_DOUBLE_EQ((1.5_ms).value(), 0.0015);
-  EXPECT_DOUBLE_EQ((2_s).value(), 2.0);
-  EXPECT_DOUBLE_EQ((1.05_V).value(), 1.05);
-  EXPECT_DOUBLE_EQ((600.0_J).value(), 600.0);
-}
-
 TEST(Units, AbsoluteValue) {
   EXPECT_DOUBLE_EQ(abs(MegaHertz{-7.5}).value(), 7.5);
   EXPECT_DOUBLE_EQ(abs(MegaHertz{7.5}).value(), 7.5);
@@ -148,8 +137,6 @@ TEST(Units, AbsoluteZeroFloor) {
 
 TEST(Units, MillisecondConversionsRoundTrip) {
   EXPECT_DOUBLE_EQ(to_ms(Seconds{2.5}), 2500.0);
-  EXPECT_DOUBLE_EQ(from_ms(2500.0).value(), 2.5);
-  EXPECT_DOUBLE_EQ(from_ms(to_ms(Seconds{0.123456})).value(), 0.123456);
 }
 
 TEST(Units, ProfilerFloorIsOneMillisecond) {

@@ -173,9 +173,6 @@ TEST(UserImpact, PaperHeadlineShapeOnLonghorn) {
   EXPECT_GT(one.p_any_slow, 0.03);
   EXPECT_GT(four.p_any_slow, 1.5 * one.p_any_slow);
   EXPECT_GT(four.expected_slowdown, one.expected_slowdown);
-  // Consistency with the simpler independent-draw estimate.
-  EXPECT_NEAR(four.p_any_slow,
-              slow_assignment_probability(result.frame, 4, 0.06), 0.06);
 }
 
 TEST(UserImpact, RejectsBadInput) {

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "telemetry/frame.hpp"
 #include "cluster/faults.hpp"
 #include "query/source.hpp"  // IWYU pragma: keep (frame -> Source)
@@ -117,30 +115,6 @@ TEST(Variability, RepeatabilityMatchesDefinition) {
   EXPECT_EQ(reps[0].gpu_index, 0u);
   EXPECT_EQ(reps[0].runs, 3);
   EXPECT_NEAR(reps[0].variation_pct, 4.0 / 102.0 * 100.0, 1e-9);
-}
-
-TEST(Variability, SlowAssignmentProbabilityMatchesCombinatorics) {
-  std::vector<RunRecord> rs;
-  // 10 GPUs: 8 at 100 ms, 2 at 110 ms (10% slower than median).
-  for (int i = 0; i < 8; ++i) rs.push_back(rec(i, 100.0));
-  for (int i = 8; i < 10; ++i) rs.push_back(rec(i, 110.0));
-  const double p1 = slow_assignment_probability(frame_from(rs), 1, 0.06);
-  EXPECT_NEAR(p1, 0.2, 1e-9);
-  const double p4 = slow_assignment_probability(frame_from(rs), 4, 0.06);
-  EXPECT_NEAR(p4, 1.0 - std::pow(0.8, 4), 1e-9);
-  EXPECT_GT(p4, p1);  // §VII: multi-GPU users hit stragglers more often
-}
-
-TEST(Variability, SlowAssignmentUsesPerGpuMedians) {
-  std::vector<RunRecord> rs;
-  // One GPU with a single slow run should not count as a slow GPU if its
-  // median is fine.
-  rs.push_back(rec(0, 100.0, 1, 1, 1, 0, 0));
-  rs.push_back(rec(0, 100.0, 1, 1, 1, 0, 1));
-  rs.push_back(rec(0, 150.0, 1, 1, 1, 0, 2));
-  rs.push_back(rec(1, 100.0));
-  rs.push_back(rec(2, 100.0));
-  EXPECT_DOUBLE_EQ(slow_assignment_probability(frame_from(rs), 1, 0.06), 0.0);
 }
 
 TEST(Variability, EmptyRecordsThrow) {

@@ -315,6 +315,9 @@ const std::vector<RuleInfo>& rules() {
        "GPUVAR_TRACE_* macros", false},
       {"string-format-in-hot-loop", "hotpath",
        "string formatting inside a loop on a GPUVAR_HOT path", false},
+      {"test-only-symbol", "deadcode",
+       "namespace-scope symbol in a src/ header that only files under "
+       "tests/ reference", false},
       {"unguarded-mutex", "thread",
        "Mutex member not named by any GPUVAR_GUARDED_BY/REQUIRES/"
        "ACQUIRE annotation in its file", false},

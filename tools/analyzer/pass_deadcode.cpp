@@ -18,6 +18,12 @@
 // Symbols meant for downstream users rather than this tree go on the
 // public-surface allowlist below with a justification, or carry an
 // inline `gpuvar-lint: allow(dead-symbol)`.
+//
+// test-only-symbol runs the same liveness test a second time with the
+// files under tests/ skipped: a symbol alive only through tests/ is API
+// no program, bench, example or tool reads. A reference implementation
+// that tests compare the program's results against goes on the
+// test-oracle allowlist with a justification instead.
 #include <algorithm>
 #include <set>
 
@@ -43,6 +49,20 @@ const std::set<std::string>& public_surface_allowlist() {
       "GPUVAR_PT_GUARDED_BY",
       "GPUVAR_REQUIRES",
       "GPUVAR_RETURN_CAPABILITY",
+  };
+  return kAllow;
+}
+
+/// Reference implementations that tests compare program results
+/// against; nothing outside tests/ calls them, by design.
+const std::set<std::string>& test_oracle_allowlist() {
+  static const std::set<std::string> kAllow = {
+      // Correlate.ReportIsBitEqualToCorrelatePair: analyze_correlation's
+      // rank-once matrix must be bit-equal to the per-pair function.
+      "correlate_pair",
+      // UserImpact.TableRowsAreBitEqualToJobImpact: the sort-once table
+      // must equal it, also at widths (6, 9) the table cannot produce.
+      "job_impact",
   };
   return kAllow;
 }
@@ -73,6 +93,33 @@ void run_deadcode_pass(const Tree& tree, const SymbolIndex& index,
       if (s.kind == 'g') enum_members[s.parent].push_back(&s);
     }
 
+    // Liveness of `sym`: self-use in the header, or a use in another
+    // file. With `skip_tests`, files under tests/ are not users.
+    const auto alive = [&](const Symbol& sym, bool skip_tests) {
+      if (count_in(header, sym.name) > declared_sites[sym.name]) return true;
+      const bool definable_out_of_line = sym.kind == 'f' || sym.kind == 'v';
+      for (const auto& other : tree.files) {
+        if (other.rel == header.rel) continue;
+        if (skip_tests && other.top == "tests") continue;
+        if (is_associated_header(other.rel, header.rel)) {
+          // For functions/variables one occurrence is the out-of-line
+          // definition, not a use; for everything else any mention is.
+          const int uses = count_in(other, sym.name);
+          if (definable_out_of_line ? uses > 1 : uses > 0) return true;
+          continue;
+        }
+        if (count_in(other, sym.name) > 0) return true;
+        if (sym.kind == 'e') {
+          const auto mit = enum_members.find(sym.name);
+          if (mit == enum_members.end()) continue;
+          for (const Symbol* m : mit->second) {
+            if (count_in(other, m->name) > 0) return true;
+          }
+        }
+      }
+      return false;
+    };
+
     std::set<std::string> reported;
     for (const auto& s : header.declared) {
       // Enum members ride with their enum; forward declarations carry
@@ -81,46 +128,28 @@ void run_deadcode_pass(const Tree& tree, const SymbolIndex& index,
       if (public_surface_allowlist().count(s.name)) continue;
       if (reported.count(s.name)) continue;
 
-      // Self-use: the header mentions the name beyond declaring it.
-      bool alive = count_in(header, s.name) > declared_sites[s.name];
-
-      const bool definable_out_of_line = s.kind == 'f' || s.kind == 'v';
-      for (const auto& other : tree.files) {
-        if (alive) break;
-        if (other.rel == header.rel) continue;
-        if (is_associated_header(other.rel, header.rel)) {
-          // For functions/variables one occurrence is the out-of-line
-          // definition, not a use; for everything else any mention is.
-          const int uses = count_in(other, s.name);
-          alive = definable_out_of_line ? uses > 1 : uses > 0;
-          continue;
-        }
-        if (count_in(other, s.name) > 0) {
-          alive = true;
-          break;
-        }
-        if (s.kind == 'e') {
-          const auto mit = enum_members.find(s.name);
-          if (mit != enum_members.end()) {
-            for (const Symbol* m : mit->second) {
-              if (count_in(other, m->name) > 0) {
-                alive = true;
-                break;
-              }
-            }
-          }
-        }
+      if (!alive(s, false)) {
+        reported.insert(s.name);
+        findings.push_back(
+            {header.rel, s.line, "dead-symbol",
+             "'" + s.name +
+                 "' is declared here but never used — not by another "
+                 "file, not by this header beyond the declaration; "
+                 "delete it, or if it exists for downstream users add "
+                 "it to public_surface_allowlist() in "
+                 "tools/analyzer/pass_deadcode.cpp with a "
+                 "justification"});
+        continue;
       }
-      if (alive) continue;
-
+      if (test_oracle_allowlist().count(s.name) || alive(s, true)) continue;
       reported.insert(s.name);
       findings.push_back(
-          {header.rel, s.line, "dead-symbol",
+          {header.rel, s.line, "test-only-symbol",
            "'" + s.name +
-               "' is declared here but never used — not by another "
-               "file, not by this header beyond the declaration; "
-               "delete it, or if it exists for downstream users add it "
-               "to public_surface_allowlist() in "
+               "' is used only by tests/ — no program, bench, example "
+               "or tool reads it; delete it with its tests, or if "
+               "tests compare against it as a reference add it to "
+               "test_oracle_allowlist() in "
                "tools/analyzer/pass_deadcode.cpp with a justification"});
     }
   }

@@ -3,7 +3,7 @@
 //   rank 0  common      foundations: units, rng, csv, require, threads
 //   rank 1  stats       numerics on plain data
 //   rank 1  obs         tracing + metrics (instrumentable from any layer)
-//   rank 2  gpu, thermal, hostbench   device models + host benchmarks
+//   rank 2  gpu, thermal  device and thermal models
 //   rank 3  telemetry   sampling, counters, export (plain-data API)
 //   rank 4  cluster, workloads, query  populations, campaigns, and the
 //                                      streaming query plane over stores
@@ -29,7 +29,7 @@ namespace {
 const std::map<std::string, int>& module_ranks() {
   static const std::map<std::string, int> kRanks = {
       {"common", 0},   {"stats", 1},   {"obs", 1},
-      {"gpu", 2},      {"thermal", 2}, {"hostbench", 2},
+      {"gpu", 2},      {"thermal", 2},
       {"telemetry", 3}, {"cluster", 4}, {"workloads", 4},
       {"query", 4},    {"core", 5}};
   return kRanks;

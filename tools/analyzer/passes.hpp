@@ -52,7 +52,7 @@ void run_obs_pass(const Repo& repo, std::vector<Finding>& findings);
 /// Include-graph layering over src/**: upward-include, include-cycle,
 /// unknown-module. The layer DAG (rank grows upward, same-rank groups
 /// may depend one-way on each other but never cyclically):
-///   common(0) -> stats/obs(1) -> {gpu, thermal, hostbench}(2)
+///   common(0) -> stats/obs(1) -> {gpu, thermal}(2)
 ///     -> telemetry(3) -> {cluster, workloads, query}(4) -> core(5)
 /// Files directly under src/ (the gpuvar.hpp umbrella) sit above core.
 void run_layering_pass(const Tree& tree, std::vector<Finding>& findings);
@@ -67,10 +67,12 @@ void run_include_pass(const Tree& tree, const SymbolIndex& index,
                       std::vector<Finding>& findings,
                       std::vector<FixEdit>* edits);
 
-/// Dead code over src/ headers: a namespace-scope symbol declared in a
-/// src/ header that no file outside the header and its associated
-/// .cpp references. The public surface (src/gpuvar.hpp re-exports meant
-/// for downstream users) is allowlisted in pass_deadcode.cpp.
+/// Dead code over src/ headers: dead-symbol (a namespace-scope symbol
+/// declared in a src/ header that no file outside the header and its
+/// associated .cpp references) and test-only-symbol (one that only
+/// files under tests/ reference). The public surface (src/gpuvar.hpp
+/// re-exports meant for downstream users) and the test oracles are
+/// allowlisted in pass_deadcode.cpp.
 void run_deadcode_pass(const Tree& tree, const SymbolIndex& index,
                        std::vector<Finding>& findings);
 

@@ -5,6 +5,10 @@
 // DeadType, dead_fn, dead_alias, and DEAD_MACRO — and not on
 // tolerated_dead, whose inline allow() proves the rule is
 // suppressible. Mentioning dead_fn in this comment must not revive it.
+// Expect test-only-symbol on test_only_fn, which only tests/ calls —
+// and not on bench_fn (a bench/ file is a real user) nor on
+// job_impact (only tests/ calls it too, but it is on the test-oracle
+// allowlist).
 #pragma once
 
 #define DEAD_MACRO 1
@@ -21,6 +25,9 @@ enum UsedEnum { kUeA, kUeB };
 
 int used_fn();
 int dead_fn();
+int test_only_fn();
+int bench_fn();
+int job_impact();
 
 inline int tolerated_dead() { return 9; }  // gpuvar-lint: allow(dead-symbol)
 
