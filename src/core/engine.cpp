@@ -355,12 +355,15 @@ CampaignResult run_campaign(const Cluster& cluster,
     // once: a resident bucket knows its rows, and the manifest entry of
     // every other bucket records them.
     std::vector<char> resident(total, 0);
+    std::vector<FrameShardInfo> recorded(total);
     std::size_t rows = 0;
     {
       MutexLock lock(st.mu);
       for (const auto& [bytes, ai] : st.resident) resident[ai] = 1;
       for (const auto& [idx, e] : st.entries) {
-        if (resident[idx] == 0) rows += static_cast<std::size_t>(e.rows);
+        if (resident[idx] != 0) continue;
+        rows += static_cast<std::size_t>(e.rows);
+        recorded[idx] = e;
       }
     }
     for (std::size_t ai = 0; ai < total; ++ai) {
@@ -370,8 +373,9 @@ CampaignResult run_campaign(const Cluster& cluster,
 
     // Restored or evicted buckets are read back a window at a time, in
     // parallel, and appended in bucket-index order. read_frame_shard
-    // re-validates the whole file, so a shard corrupted since the scan
-    // fails loudly instead of merging garbage.
+    // re-validates the whole file and its facts must match the bucket's
+    // manifest entry, so a shard corrupted, swapped or rewritten since
+    // it was written or scanned fails loudly instead of merging garbage.
     const std::size_t window = kMergeWindowPerWorker * pool.size();
     for (std::size_t lo = 0; lo < total; lo += window) {
       const std::size_t n = std::min(window, total - lo);
@@ -381,8 +385,15 @@ CampaignResult run_campaign(const Cluster& cluster,
         pool.parallel_for(n, [&](std::size_t k) {
           const std::size_t ai = lo + k;
           if (resident[ai] != 0) return;
-          buckets[ai] =
-              read_frame_shard(dir / campaign_shard_file_name(ai)).frame;
+          const std::string path = dir / campaign_shard_file_name(ai);
+          FrameShard shard = read_frame_shard(path);
+          if (!shard_matches_entry(shard.info, recorded[ai])) {
+            throw std::runtime_error(
+                path +
+                ": shard disagrees with the campaign manifest (changed "
+                "since it was written)");
+          }
+          buckets[ai] = std::move(shard.frame);
         });
       }
       for (std::size_t ai = lo; ai < lo + n; ++ai) {

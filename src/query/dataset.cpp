@@ -1,6 +1,8 @@
 #include "query/dataset.hpp"
 
+#include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +19,9 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// "bucket-000042.shard" and room for a bucket index of up to 19 digits.
+constexpr std::size_t kShardFileNameBytes = 32;
+
 }  // namespace
 
 Dataset Dataset::open(const std::string& dir, const DatasetOptions& options) {
@@ -26,9 +31,12 @@ Dataset Dataset::open(const std::string& dir, const DatasetOptions& options) {
   ds.options_ = options;
   ds.cache_ = std::make_unique<Cache>();
 
-  const fs::path d(dir);
+  // Every path is the directory prefix, joined as fs::path's operator/
+  // joins it, plus a file name: one path object per store, not per
+  // shard.
+  const std::string prefix = (fs::path(dir) / "").native();
   const CampaignManifest m =
-      read_campaign_manifest(d / kCampaignManifestName);
+      read_campaign_manifest(prefix + kCampaignManifestName);
   if (!m.exists) {
     throw std::runtime_error(dir +
                              ": no campaign manifest (not a checkpoint "
@@ -44,8 +52,10 @@ Dataset Dataset::open(const std::string& dir, const DatasetOptions& options) {
   listed.reserve(m.entries.size());
   ds.shards_.resize(m.entries.size());
   for (const auto& [idx, e] : m.entries) {
-    ds.shards_[listed.size()].path =
-        d / campaign_shard_file_name(static_cast<std::size_t>(idx));
+    std::string& path = ds.shards_[listed.size()].path;
+    path.reserve(prefix.size() + kShardFileNameBytes);
+    path = prefix;
+    append_campaign_shard_file_name(path, static_cast<std::size_t>(idx));
     listed.push_back(&e);
   }
   ds.scan_pool().parallel_for(listed.size(), [&](std::size_t i) {
@@ -53,7 +63,7 @@ Dataset Dataset::open(const std::string& dir, const DatasetOptions& options) {
     s.header = read_frame_shard_header(s.path);
     if (!shard_matches_entry(s.header.info, *listed[i])) {
       throw std::runtime_error(
-          s.path.string() +
+          s.path +
           ": shard header disagrees with the campaign manifest (stale or "
           "foreign shard)");
     }
@@ -89,8 +99,16 @@ std::shared_ptr<const RecordFrame> Dataset::fetch(std::size_t i) const {
   // Decode outside the lock: two threads may race to decode the same
   // shard (wasted work, not wrong results — the file is immutable).
   // The first insert wins, so every caller shares one copy.
-  auto decoded =
-      std::make_shared<const RecordFrame>(read_frame_shard(shard.path).frame);
+  // The file is parsed again, so it is held again to the facts open
+  // verified: a shard swapped or rewritten since then fails here rather
+  // than being merged as another bucket's rows.
+  FrameShard parsed = read_frame_shard(shard.path);
+  if (!shard_matches_entry(parsed.info, shard.header.info)) {
+    throw std::runtime_error(shard.path +
+                             ": shard changed since the store was opened "
+                             "(it disagrees with the campaign manifest)");
+  }
+  auto decoded = std::make_shared<const RecordFrame>(std::move(parsed.frame));
 
   MutexLock lock(cache_->mu);
   std::shared_ptr<const RecordFrame>& entry = cache_->entries[i];

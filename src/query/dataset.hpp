@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <limits>
 #include <memory>
 #include <string>
@@ -114,7 +113,7 @@ struct DatasetOptions {
 /// promises. Stats come from the header, already cross-checked against
 /// the manifest by Dataset::open.
 struct DatasetShard {
-  std::filesystem::path path;
+  std::string path;
   FrameShardHeader header;
 };
 

@@ -1,7 +1,10 @@
 #include "stats/correlation.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -25,30 +28,59 @@ GPUVAR_HOT double pearson(std::span<const double> xs, std::span<const double> ys
   return std::clamp(rho, -1.0, 1.0);
 }
 
-std::vector<double> fractional_ranks(std::span<const double> xs) {
+namespace {
+
+/// A value's sort key: unsigned order of the keys is the order of the
+/// doubles (flip every bit of a negative value, only the sign bit of a
+/// non-negative one). -0.0 becomes +0.0 first, so the two tie as they
+/// compare equal.
+std::uint64_t order_key(double x) {
+  constexpr std::uint64_t kSign = 0x8000000000000000ull;
+  const auto bits = std::bit_cast<std::uint64_t>(x == 0.0 ? 0.0 : x);
+  return (bits & kSign) != 0 ? ~bits : bits | kSign;
+}
+
+struct Keyed {
+  std::uint64_t key;
+  std::size_t index;
+};
+
+}  // namespace
+
+GPUVAR_HOT std::vector<double> fractional_ranks(std::span<const double> xs) {
   const std::size_t n = xs.size();
-  // (value, index) pairs: the sort reads each value from the pair it
-  // moves, not through an index into xs.
-  std::vector<std::pair<double, std::size_t>> order(n);
+  if (n == 0) return {};
+  // LSD radix sort of (key, index), one byte a pass. Each pass is
+  // stable and the input is in index order, so equal values end in
+  // index order: the tie-break a comparator sort would need spelled
+  // out, whatever the data.
+  std::vector<Keyed> order(n);
+  std::vector<Keyed> spare(n);
+  std::array<std::array<std::size_t, 256>, 8> counts{};
   for (std::size_t i = 0; i < n; ++i) {
-    // NaN compares unordered, so the comparator below would not be a
-    // strict weak order over it.
+    // NaN is unordered: it has no place in the order to rank.
     GPUVAR_REQUIRE_MSG(!std::isnan(xs[i]), "cannot rank a NaN");
-    order[i] = {xs[i], i};
+    const std::uint64_t key = order_key(xs[i]);
+    order[i] = {key, i};
+    for (std::size_t d = 0; d < 8; ++d) ++counts[d][(key >> (8 * d)) & 0xff];
   }
-  std::sort(order.begin(), order.end(), [](const auto& a, const auto& b) {
-    // Index tie-breaker: equal values keep their input order, so ranks
-    // are reproducible whatever sort algorithm runs underneath.
-    return a.first != b.first ? a.first < b.first : a.second < b.second;
-  });
+  for (std::size_t d = 0; d < 8; ++d) {
+    std::array<std::size_t, 256>& at = counts[d];
+    // A byte every key shares would leave the order as it is.
+    if (at[(order[0].key >> (8 * d)) & 0xff] == n) continue;
+    std::size_t sum = 0;
+    for (std::size_t& c : at) sum += std::exchange(c, sum);
+    for (const Keyed& k : order) spare[at[(k.key >> (8 * d)) & 0xff]++] = k;
+    order.swap(spare);
+  }
   std::vector<double> ranks(n);
   std::size_t i = 0;
   while (i < n) {
     std::size_t j = i;
-    while (j + 1 < n && order[j + 1].first == order[i].first) ++j;
+    while (j + 1 < n && order[j + 1].key == order[i].key) ++j;
     // Average rank for the tie group [i, j] (1-based ranks).
     const double avg = (static_cast<double>(i) + static_cast<double>(j)) / 2.0 + 1.0;
-    for (std::size_t k = i; k <= j; ++k) ranks[order[k].second] = avg;
+    for (std::size_t k = i; k <= j; ++k) ranks[order[k].index] = avg;
     i = j + 1;
   }
   return ranks;

@@ -1,7 +1,10 @@
 #include "telemetry/frame.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <map>
 #include <tuple>
+#include <utility>
 
 #include "common/hot.hpp"
 #include "common/require.hpp"
@@ -66,12 +69,45 @@ void RecordFrame::reserve(std::size_t rows) {
   day_.reserve(rows);
 }
 
+GPUVAR_HOT std::pair<std::uint32_t, bool> RecordFrame::index_gpu(
+    std::size_t gpu_index) {
+  const auto slot_of = [&](std::size_t key) {
+    // Fibonacci hashing spreads consecutive and strided gpu_index values
+    // (the common shapes) over the whole table.
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(key) * 0x9e3779b97f4a7c15ull) >>
+        id_shift_);
+  };
+  if (2 * (gpus_.size() + 1) > id_slots_.size()) {
+    // Double (16 slots at first) and re-place the pool's entries. Their
+    // keys are distinct, so each takes the first free slot from its hash
+    // without a key comparison.
+    const std::size_t capacity =
+        id_slots_.empty() ? 16 : 2 * id_slots_.size();
+    id_slots_.assign(capacity, IdSlot{});
+    id_shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+    for (std::size_t id = 0; id < gpus_.size(); ++id) {
+      std::size_t i = slot_of(gpus_[id].gpu_index);
+      while (id_slots_[i].id != kNoId) i = (i + 1) & (capacity - 1);
+      id_slots_[i] = {gpus_[id].gpu_index, static_cast<std::uint32_t>(id)};
+    }
+  }
+  const std::size_t mask = id_slots_.size() - 1;
+  for (std::size_t i = slot_of(gpu_index);; i = (i + 1) & mask) {
+    IdSlot& s = id_slots_[i];
+    if (s.id == kNoId) {
+      s = {gpu_index, static_cast<std::uint32_t>(gpus_.size())};
+      return {s.id, true};
+    }
+    if (s.gpu_index == gpu_index) return {s.id, false};
+  }
+}
+
 GPUVAR_HOT std::uint32_t RecordFrame::intern(std::size_t gpu_index,
                                   const GpuLocation& loc) {
-  const auto [it, inserted] = id_by_gpu_index_.try_emplace(
-      gpu_index, static_cast<std::uint32_t>(gpus_.size()));
+  const auto [id, inserted] = index_gpu(gpu_index);
   if (inserted) gpus_.push_back(GpuRef{gpu_index, loc});
-  return it->second;
+  return id;
 }
 
 GPUVAR_HOT void RecordFrame::append_row(const RunRecord& r) {
@@ -144,7 +180,14 @@ RecordFrame RecordFrame::select(std::span<const std::size_t> rows) const {
 }
 
 std::size_t RecordFrame::memory_bytes() const {
-  std::size_t bytes = sizeof(RecordFrame);
+  // The engine's shard budget and the query cache both count frames in
+  // this unit, so it stays the charge of the frame as it was laid out
+  // with a std::map gpu_index index (twelve vectors and the map, plus a
+  // node per GPU below), not of the flat table: a charge that moved
+  // with the table's doublings would shift the engine's eviction order
+  // and query.cache_bytes_peak.
+  std::size_t bytes = 12 * sizeof(std::vector<double>) +
+                      sizeof(std::map<std::size_t, std::uint32_t>);
   bytes += 8 * perf_.capacity() * sizeof(double);
   bytes += gpu_id_.capacity() * sizeof(std::uint32_t);
   bytes += run_.capacity() * sizeof(std::int32_t);
@@ -153,7 +196,7 @@ std::size_t RecordFrame::memory_bytes() const {
     bytes += sizeof(GpuRef) + g.loc.name.capacity();
   }
   // One map node per GPU: key + id + ~3 pointers of tree overhead.
-  bytes += id_by_gpu_index_.size() *
+  bytes += gpus_.size() *
            (sizeof(std::size_t) + sizeof(std::uint32_t) + 3 * sizeof(void*));
   return bytes;
 }

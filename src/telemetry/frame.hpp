@@ -9,7 +9,8 @@
 // per-row id into an interned GPU pool that holds each GpuLocation
 // exactly once. Column reads are zero-copy std::span views; per-GPU
 // grouping is a dense counting sort over the id column instead of a
-// node-per-row std::map.
+// node-per-row std::map, and the gpu_index -> id index is one flat
+// open-addressing table per frame, with no allocation per GPU.
 //
 // Determinism contract: a frame's row order and pool-id assignment are
 // pure functions of the row stream that built it. append_row interns in
@@ -30,10 +31,10 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/location.hpp"
@@ -132,15 +133,30 @@ class RecordFrame {
   template <typename Index>
   void append_rows(const RecordFrame& src, const Index* rows, std::size_t n);
 
+  /// The pool id of `gpu_index`, found through the index below; or, when
+  /// the pool does not hold it yet, the id it takes next (gpus_.size())
+  /// after recording that in the index, for the caller to push its
+  /// GpuRef. `second` says which.
+  std::pair<std::uint32_t, bool> index_gpu(std::size_t gpu_index);
+
   std::vector<double> perf_, freq_, power_, temp_;
   std::vector<double> fu_, dram_, mem_stall_, exec_stall_;
   std::vector<std::uint32_t> gpu_id_;
   std::vector<std::int32_t> run_;
   std::vector<std::int16_t> day_;
   std::vector<GpuRef> gpus_;
-  /// gpu_index -> pool id. Ordered map: lookup-only (never iterated into
-  /// results), but keeping it ordered costs nothing and stays lint-clean.
-  std::map<std::size_t, std::uint32_t> id_by_gpu_index_;
+  /// gpu_index -> pool id: linear probing over a power-of-two slot
+  /// array kept at most half full. It holds exactly the pool's entries,
+  /// so a doubling rebuilds it from gpus_. Lookup-only: never iterated
+  /// into results, so its slot order reaches no output.
+  static constexpr std::uint32_t kNoId = 0xffffffffu;
+  struct IdSlot {
+    std::size_t gpu_index = 0;
+    std::uint32_t id = kNoId;
+  };
+  std::vector<IdSlot> id_slots_;
+  /// 64 - log2(id_slots_.size()): the Fibonacci hash keeps the top bits.
+  unsigned id_shift_ = 64;
 };
 
 /// Deterministic sink for parallel producers: one bucket per independent

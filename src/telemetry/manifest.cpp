@@ -1,8 +1,9 @@
 #include "telemetry/manifest.hpp"
 
+#include <array>
 #include <fstream>
 #include <stdexcept>
-#include <vector>
+#include <string_view>
 
 #include "common/numfmt.hpp"
 #include "telemetry/shard.hpp"
@@ -13,28 +14,41 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Splits on single spaces (manifest fields never contain spaces).
-std::vector<std::string> split_fields(const std::string& line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= line.size()) {
-    const std::size_t sp = line.find(' ', start);
-    if (sp == std::string::npos) {
-      out.push_back(line.substr(start));
-      break;
-    }
-    out.push_back(line.substr(start, sp - start));
-    start = sp + 1;
+/// The most fields any manifest line has (an entry line).
+constexpr std::size_t kMaxFields = 8;
+
+/// Splits on single spaces (manifest fields never contain spaces) into
+/// views of `line`. Returns the field count, which may exceed
+/// kMaxFields: only the first kMaxFields fields are stored, and a line
+/// with more matches no shape anyway.
+std::size_t split_fields(std::string_view line,
+                         std::array<std::string_view, kMaxFields>& out) {
+  std::size_t n = 0;
+  for (;;) {
+    const std::size_t sp = line.find(' ');
+    if (n < out.size()) out[n] = line.substr(0, sp);
+    ++n;
+    if (sp == std::string_view::npos) return n;
+    line.remove_prefix(sp + 1);
   }
-  return out;
 }
 
 }  // namespace
 
+void append_campaign_shard_file_name(std::string& out,
+                                     std::size_t bucket_index) {
+  out += "bucket-";
+  const std::size_t digits_at = out.size();
+  append_int(out, static_cast<long long>(bucket_index));
+  const std::size_t digits = out.size() - digits_at;
+  if (digits < 6) out.insert(digits_at, 6 - digits, '0');
+  out += ".shard";
+}
+
 std::string campaign_shard_file_name(std::size_t bucket_index) {
-  std::string digits = format_int(static_cast<long long>(bucket_index));
-  while (digits.size() < 6) digits.insert(digits.begin(), '0');
-  return "bucket-" + digits + ".shard";
+  std::string name;
+  append_campaign_shard_file_name(name, bucket_index);
+  return name;
 }
 
 CampaignManifest read_campaign_manifest(const fs::path& path) {
@@ -42,7 +56,10 @@ CampaignManifest read_campaign_manifest(const fs::path& path) {
   std::ifstream in(path);
   if (!in.good()) return m;
   m.exists = true;
+  // One line buffer and one field array for the whole file: fields are
+  // views into the line, so a line allocates nothing.
   std::string line;
+  std::array<std::string_view, kMaxFields> f;
   bool first = true;
   while (std::getline(in, line)) {
     if (first) {
@@ -53,12 +70,12 @@ CampaignManifest read_campaign_manifest(const fs::path& path) {
       first = false;
       continue;
     }
-    const auto f = split_fields(line);
-    if (f.size() == 2 && f[0] == "config") {
+    const std::size_t n = split_fields(line, f);
+    if (n == 2 && f[0] == "config") {
       parse_hex(f[1], m.config_hash);
-    } else if (f.size() == 1 && f[0] == "done") {
+    } else if (n == 1 && f[0] == "done") {
       m.done = true;
-    } else if (f.size() == 8 && f[0] == "bucket" && f[2] == "rows" &&
+    } else if (n == 8 && f[0] == "bucket" && f[2] == "rows" &&
                f[4] == "payload" && f[6] == "hash") {
       long long idx = 0;
       long long rows = 0;
@@ -72,7 +89,9 @@ CampaignManifest read_campaign_manifest(const fs::path& path) {
         e.rows = static_cast<std::uint64_t>(rows);
         e.payload_bytes = static_cast<std::uint64_t>(payload);
         e.payload_hash = hash;
-        m.entries[e.bucket_index] = e;
+        // Entries arrive in bucket order, so the end() hint places each
+        // without a search; a repeat overwrites, so the last entry wins.
+        m.entries.insert_or_assign(m.entries.end(), e.bucket_index, e);
       }
     }
     // Anything else: a torn line. Skip it.

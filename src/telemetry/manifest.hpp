@@ -57,6 +57,11 @@ bool shard_matches_entry(const FrameShardInfo& shard,
 /// bucket order.
 std::string campaign_shard_file_name(std::size_t bucket_index);
 
+/// Appends campaign_shard_file_name(bucket_index) to `out` without a
+/// temporary: a store's shard paths are one directory prefix plus this.
+void append_campaign_shard_file_name(std::string& out,
+                                     std::size_t bucket_index);
+
 /// Reads and parses the manifest. A missing file is a fresh campaign; a
 /// present file whose first line is not the manifest magic is refused
 /// (the directory holds something that is not ours) with

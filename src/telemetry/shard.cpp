@@ -137,14 +137,14 @@ class FdCloser {
 /// The one shard-file reader: open, fstat, a pread loop retrying on
 /// EINTR, close (also on a throw).
 template <typename Dest>
-std::size_t read_file_prefix(const std::filesystem::path& path,
+std::size_t read_file_prefix(const std::string& path,
                              std::size_t limit, Dest&& dest) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) throw std::runtime_error("cannot open " + path.string());
+  if (fd < 0) throw std::runtime_error("cannot open " + path);
   const FdCloser closes_fd(fd);
   struct stat st {};
   if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-    throw std::runtime_error("cannot read " + path.string());
+    throw std::runtime_error("cannot read " + path);
   }
   const std::size_t n =
       std::min(static_cast<std::size_t>(st.st_size), limit);
@@ -155,7 +155,7 @@ std::size_t read_file_prefix(const std::filesystem::path& path,
         ::pread(fd, buf + got, n - got, static_cast<::off_t>(got));
     if (r < 0) {
       if (errno == EINTR) continue;
-      throw std::runtime_error("cannot read " + path.string());
+      throw std::runtime_error("cannot read " + path);
     }
     if (r == 0) break;
     got += static_cast<std::size_t>(r);
@@ -305,8 +305,8 @@ FrameShard parse_frame_shard(std::string_view bytes, std::string label) {
     g.loc.column = r.read_i32();
     g.loc.node_in_group = r.read_i32();
     g.loc.name = std::string(r.read_bytes());
-    const auto id = static_cast<std::uint32_t>(i);
-    if (!f.id_by_gpu_index_.emplace(g.gpu_index, id).second) {
+    // Entry i takes pool id i, as append_row would have interned it.
+    if (!f.index_gpu(g.gpu_index).second) {
       fail("pool repeats gpu_index " + std::to_string(g.gpu_index));
     }
     f.gpus_.push_back(std::move(g));
@@ -364,7 +364,7 @@ FrameShardInfo write_frame_shard(std::ostream& out, const RecordFrame& frame,
   return info;
 }
 
-FrameShard read_frame_shard(const std::filesystem::path& path) {
+FrameShard read_frame_shard(const std::string& path) {
   std::string bytes;
   const std::size_t n = read_file_prefix(
       path, std::numeric_limits<std::size_t>::max(), [&](std::size_t size) {
@@ -372,15 +372,14 @@ FrameShard read_frame_shard(const std::filesystem::path& path) {
         return bytes.data();
       });
   bytes.resize(n);
-  return parse_frame_shard(bytes, path.string());
+  return parse_frame_shard(bytes, path);
 }
 
-FrameShardHeader read_frame_shard_header(const std::filesystem::path& path) {
+FrameShardHeader read_frame_shard_header(const std::string& path) {
   std::array<char, kFrameShardHeaderBytes> buf;
   const std::size_t n = read_file_prefix(
       path, buf.size(), [&](std::size_t) { return buf.data(); });
-  return parse_frame_shard_header(std::string_view(buf.data(), n),
-                                  path.native());
+  return parse_frame_shard_header(std::string_view(buf.data(), n), path);
 }
 
 }  // namespace gpuvar

@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -135,7 +134,7 @@ FrameShardInfo write_frame_shard(std::ostream& out, const RecordFrame& frame,
 /// parse_frame_shard, plus "cannot open" (missing or unopenable file)
 /// and "cannot read" (not a regular file, e.g. a directory, or a read
 /// error); every error names the path.
-FrameShard read_frame_shard(const std::filesystem::path& path);
+FrameShard read_frame_shard(const std::string& path);
 
 /// Reads and parses only the fixed-size header of the shard file at
 /// `path`: at most kFrameShardHeaderBytes are read, into a stack
@@ -144,6 +143,6 @@ FrameShard read_frame_shard(const std::filesystem::path& path);
 /// shorter than the header fails as a truncated header naming the path.
 /// This is what lets Dataset::open verify thousands of shards without
 /// touching their payloads.
-FrameShardHeader read_frame_shard_header(const std::filesystem::path& path);
+FrameShardHeader read_frame_shard_header(const std::string& path);
 
 }  // namespace gpuvar

@@ -351,6 +351,40 @@ TEST_F(EngineTest, MergeReportsLowestFailingShardAtAnyPoolSize) {
   }
 }
 
+TEST_F(EngineTest, MergeNamesAShardSwappedAfterItWasWritten) {
+  // Shard 6 copied over shard 5 once every bucket is spilled: the file
+  // parses, so only its facts against bucket 5's manifest entry betray
+  // it. The merge must name it instead of merging bucket 6's rows twice.
+  const Cluster wide(wide_spec());
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    const fs::path dir = fresh_dir("merge-swap-" + std::to_string(threads));
+    auto cfg = wide_config(wide);
+    cfg.pool = &pool;
+    cfg.progress = [&](std::size_t done, std::size_t total) {
+      if (done != total) return;
+      fs::copy_file(dir / campaign_shard_file_name(6),
+                    dir / campaign_shard_file_name(5),
+                    fs::copy_options::overwrite_existing);
+    };
+    CampaignOptions opts;
+    opts.checkpoint_dir = dir.string();
+    opts.shard_budget_bytes = 0;  // every bucket is read back
+    try {
+      run_campaign(wide, cfg, opts);
+      FAIL() << "threads=" << threads << ": merged a swapped shard";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find((dir / campaign_shard_file_name(5)).string()),
+                std::string::npos)
+          << "threads=" << threads << ": " << what;
+      EXPECT_NE(what.find("disagrees with the campaign manifest"),
+                std::string::npos)
+          << what;
+    }
+  }
+}
+
 TEST_F(EngineTest, ShardWriteFailureNamesTheLowerBucketAtAnyPoolSize) {
   // Directories planted at the shard paths of buckets 5 and 6 make both
   // writes fail. On 52 buckets the guided schedule ends a worker's run

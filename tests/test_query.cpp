@@ -272,6 +272,18 @@ TEST_F(QueryTest, OpenSeesCompleteCampaign) {
   EXPECT_EQ(d.total_rows(), frame().size());
 }
 
+TEST_F(QueryTest, OpenJoinsShardPathsAsFilesystemPathsDo) {
+  // Paths are a prefix plus a name, joined as fs::path's operator/
+  // would: no doubled or missing separator, whatever the spelling.
+  for (const std::string& spelling : {dir(), dir() + "/", dir() + "//"}) {
+    const query::Dataset d = query::Dataset::open(spelling);
+    for (std::size_t i = 0; i < d.shards().size(); ++i) {
+      EXPECT_EQ(d.shards()[i].path,
+                (fs::path(spelling) / campaign_shard_file_name(i)).string());
+    }
+  }
+}
+
 TEST_F(QueryTest, MaterializeRebuildsEngineFrameByteForByte) {
   const query::Dataset d = query::Dataset::open(dir());
   const RecordFrame rebuilt = d.materialize();
@@ -573,6 +585,52 @@ TEST_F(QueryTest, OpenNamesADeletedOrReplacedShard) {
       EXPECT_NE(what.find(why), std::string::npos) << what;
     }
     fs::create_directory(shard);  // the second pass: a directory
+  }
+  fs::remove_all(store);
+}
+
+TEST_F(QueryTest, DecodeNamesAShardSwappedAfterOpen) {
+  // Shard 6 copied over shard 5 once the store is open: the file is a
+  // valid shard, so only its facts against those open verified betray
+  // it. A scan and materialize() must name it instead of merging
+  // bucket 6's rows as bucket 5's.
+  const fs::path store = fs::path(::testing::TempDir()) /
+                         ("gpuvar_query_swap_" + std::to_string(::getpid()));
+  fs::remove_all(store);
+  ClusterSpec spec = cloudlab_spec();
+  spec.layout.nodes = 8;
+  spec.layout.gpus_per_node = 2;
+  const Cluster cluster(spec);
+  CampaignOptions campaign;
+  campaign.checkpoint_dir = store.string();
+  (void)run_campaign(cluster, default_config(cluster, pagerank_workload(2), 1),
+                     campaign);
+  const fs::path victim = store / campaign_shard_file_name(5);
+  const fs::path intact = store / "bucket-5.intact";
+  fs::copy_file(victim, intact);
+  for (const bool materialize : {false, true}) {
+    fs::copy_file(intact, victim, fs::copy_options::overwrite_existing);
+    const query::Dataset d = query::Dataset::open(store.string());
+    ASSERT_EQ(fs::path(d.shards()[5].path), victim);
+    fs::copy_file(store / campaign_shard_file_name(6), victim,
+                  fs::copy_options::overwrite_existing);
+    try {
+      if (materialize) {
+        (void)d.materialize();
+      } else {
+        (void)query::Source(d).frame();
+      }
+      ADD_FAILURE() << "decoded a swapped shard, materialize=" << materialize;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(victim.string()), std::string::npos) << what;
+      EXPECT_NE(what.find("changed since the store was opened"),
+                std::string::npos)
+          << what;
+    }
+    // A fresh open refuses the swapped store on its header alone.
+    EXPECT_THROW((void)query::Dataset::open(store.string()),
+                 std::runtime_error);
   }
   fs::remove_all(store);
 }

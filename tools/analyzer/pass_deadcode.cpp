@@ -11,9 +11,11 @@
 //      declares it — macro bodies, alias targets, and inline
 //      implementations are uses even though the declaration is not;
 //   3. the associated .cpp mentioning the name, where for types,
-//      aliases, enums, and macros any occurrence is a use, while for
-//      functions and variables the out-of-line definition accounts
-//      for one occurrence and only additional ones count.
+//      aliases, enums, macros and variables any occurrence is a use
+//      (a variable is only indexed with its `=` initializer, so the
+//      header holds its definition), while for functions the
+//      out-of-line definition accounts for one occurrence and only
+//      additional ones count.
 // Enums additionally stay alive if any member is referenced anywhere.
 // Symbols meant for downstream users rather than this tree go on the
 // public-surface allowlist below with a justification, or carry an
@@ -97,13 +99,13 @@ void run_deadcode_pass(const Tree& tree, const SymbolIndex& index,
     // file. With `skip_tests`, files under tests/ are not users.
     const auto alive = [&](const Symbol& sym, bool skip_tests) {
       if (count_in(header, sym.name) > declared_sites[sym.name]) return true;
-      const bool definable_out_of_line = sym.kind == 'f' || sym.kind == 'v';
+      const bool definable_out_of_line = sym.kind == 'f';
       for (const auto& other : tree.files) {
         if (other.rel == header.rel) continue;
         if (skip_tests && other.top == "tests") continue;
         if (is_associated_header(other.rel, header.rel)) {
-          // For functions/variables one occurrence is the out-of-line
-          // definition, not a use; for everything else any mention is.
+          // For functions one occurrence is the out-of-line definition,
+          // not a use; for everything else any mention is.
           const int uses = count_in(other, sym.name);
           if (definable_out_of_line ? uses > 1 : uses > 0) return true;
           continue;

@@ -92,11 +92,12 @@ job_tsan() {
   # that hammer the sharded metrics registry and trace lanes from pool
   # workers, the query test that resolves one Dataset's whole frame
   # from four threads, the CSV export and import, which split and
-  # format on the pool, and the analyses, which rank and summarize
-  # their columns as pool tasks.
+  # format on the pool, the analyses, which rank and summarize
+  # their columns as pool tasks, and the store opens, whose parallel
+  # header checks read per-shard path strings built before the fan-out.
   TSAN_OPTIONS=halt_on_error=1 \
     configure_and_test build-tsan \
-    -R 'ThreadPool|Runner|Experiment|Scheduler|Integration|^Trace\.|^Metrics\.|DeterminismReplay|QueryTest\.Concurrent|^Export\.|^CsvReader\.|RecordFrame\.CsvRoundTrip|^Analyses\.|^FractionalRanks\.'
+    -R 'ThreadPool|Runner|Experiment|Scheduler|Integration|^Trace\.|^Metrics\.|DeterminismReplay|QueryTest\.Concurrent|^Export\.|^CsvReader\.|RecordFrame\.CsvRoundTrip|^Analyses\.|^FractionalRanks\.|QueryTest\.Open'
 }
 
 job_analyzer() {

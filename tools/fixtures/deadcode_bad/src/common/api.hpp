@@ -8,7 +8,8 @@
 // Expect test-only-symbol on test_only_fn, which only tests/ calls —
 // and not on bench_fn (a bench/ file is a real user) nor on
 // job_impact (only tests/ calls it too, but it is on the test-oracle
-// allowlist).
+// allowlist). kHeaderValue's initializer is here, so api.cpp reading it
+// once is a use and it stays alive.
 #pragma once
 
 #define DEAD_MACRO 1
@@ -30,5 +31,7 @@ int bench_fn();
 int job_impact();
 
 inline int tolerated_dead() { return 9; }  // gpuvar-lint: allow(dead-symbol)
+
+inline constexpr int kHeaderValue = 3;
 
 }  // namespace gpuvar::deadfix
